@@ -15,14 +15,17 @@ dependency graph the latency simulator schedules; the fused graph differs
 from the conventional one only by cutting the collective->matmul edge at
 each site and adding a deferred-scale node after the matmul.
 
-Normalizations and softmax run row-by-row through the single-row kernels;
-multi-row inputs just loop.
+The conventional path normalizes row by row through the single-row
+kernels. The fused path folds the norm-fed projections once per set of
+weights (`BlockWeights.folded`) and evaluates each site as one product
+over all rows, bit-identical to evaluating the rows one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,19 +36,19 @@ from .fusion import (
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
-    fused_rmsnorm_llama_mlp,
     fused_rmsnorm_matmul,
     fused_softmax_matmul,
     silu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import as_matrix, matmul
+from .tensor import as_matrix, frozen_copy, matmul
 
 __all__ = [
     "VARIANTS",
     "SITES",
     "BlockConfig",
     "BlockWeights",
+    "FoldedBlock",
     "random_block_weights",
     "run_conventional",
     "run_fused",
@@ -59,7 +62,7 @@ __all__ = [
 VARIANTS = ("standard-gelu", "llama-swiglu")
 SITES = ("ln1", "softmax", "ln2")
 
-NODE_KINDS = ("elementwise", "collective", "matmul", "sync")
+NODE_KINDS = ("elementwise", "collective", "matmul")
 ENGINES = ("vector", "matrix")
 
 
@@ -92,11 +95,37 @@ class BlockConfig:
 
 
 @dataclass(frozen=True)
+class FoldedBlock:
+    """A block's norm-fed projections, folded and joined column-wise per site.
+
+    ln1: Q|K|V (d_model x 3 d_model).
+    ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
+    """
+
+    ln1: FoldedLinear | RmsFoldedLinear
+    ln2: FoldedLinear | RmsFoldedLinear
+
+
+def _join_columns(folds: list) -> FoldedLinear | RmsFoldedLinear:
+    """Folded projections side by side as one read-only fold: the same columns, in one product."""
+    weight = np.hstack([f.folded_weight for f in folds])
+    weight.setflags(write=False)
+    if isinstance(folds[0], RmsFoldedLinear):
+        return RmsFoldedLinear(folded_weight=weight)
+    bias = np.hstack([f.folded_bias for f in folds])
+    bias.setflags(write=False)
+    return FoldedLinear(folded_weight=weight, folded_bias=bias)
+
+
+@dataclass(frozen=True)
 class BlockWeights:
     """Projection weights plus per-variant norm params and MLP weights.
 
     standard-gelu: ln1/ln2 are LayerNormParams, MLP is fc1/fc2.
     llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights.
+
+    Every array is a private read-only copy, so `folded`, computed on
+    first use, can never go stale.
     """
 
     w_q: np.ndarray
@@ -110,12 +139,29 @@ class BlockWeights:
     mlp: LlamaMlpWeights | None = None
 
     def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name)))
-        if self.fc1 is not None:
-            object.__setattr__(self, "fc1", as_matrix(self.fc1))
-        if self.fc2 is not None:
-            object.__setattr__(self, "fc2", as_matrix(self.fc2))
+        for name in ("w_q", "w_k", "w_v", "w_o", "fc1", "fc2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
+
+    def fold_projections(self) -> dict[str, FoldedLinear | RmsFoldedLinear]:
+        """Each norm-fed projection folded on its own, keyed "<site>.<weight>".
+
+        standard-gelu: ln1.w_q, ln1.w_k, ln1.w_v, ln2.fc1.
+        llama-swiglu:  ln1.w_q, ln1.w_k, ln1.w_v, ln2.w_gate, ln2.w_up.
+        """
+        if isinstance(self.ln1, LayerNormParams):
+            fold, mlp_in = fold_layernorm_linear, {"fc1": self.fc1}
+        else:
+            fold, mlp_in = fold_rmsnorm_linear, {"w_gate": self.mlp.w_gate, "w_up": self.mlp.w_up}
+        sites = {f"ln1.{name}": fold(self.ln1, getattr(self, name)) for name in ("w_q", "w_k", "w_v")}
+        sites.update({f"ln2.{name}": fold(self.ln2, m) for name, m in mlp_in.items()})
+        return sites
+
+    @cached_property
+    def folded(self) -> FoldedBlock:
+        """`fold_projections` joined per site, computed once per weights."""
+        folds = list(self.fold_projections().values())  # Q, K, V, then the MLP input(s)
+        return FoldedBlock(ln1=_join_columns(folds[:3]), ln2=_join_columns(folds[3:]))
 
     def validate(self, cfg: BlockConfig) -> None:
         n, h = cfg.d_model, cfg.mlp_hidden
@@ -219,37 +265,29 @@ def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
 def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     """Fused block: every normalization deferred past its matmul.
 
-    One fold per projection: Q, K, V (and the MLP projections) each get
-    their own folded weight built from the shared norm parameters.
+    The norm-fed projections are folded once per weights (`w.folded`),
+    and each site runs as one fused evaluation over all rows.
     """
     x = _check_input(cfg, w, x)
-    eps = cfg.epsilon_ln
+    eps, n, h = cfg.epsilon_ln, cfg.d_model, cfg.mlp_hidden
+    gelu_block = cfg.variant == "standard-gelu"
+    fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
 
-    if cfg.variant == "standard-gelu":
-        folds = [fold_layernorm_linear(w.ln1, f) for f in (w.w_q, w.w_k, w.w_v)]
-        project = lambda fl: np.stack([fused_layernorm_matmul(row, fl, eps) for row in x])
-    else:
-        folds = [fold_rmsnorm_linear(w.ln1, f) for f in (w.w_q, w.w_k, w.w_v)]
-        project = lambda fl: np.stack([fused_rmsnorm_matmul(row, fl, eps) for row in x])
-    q, k, v = (project(fl) for fl in folds)
-
-    head_outs = []
-    for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg)):
-        scores = _attention_scores(q_h, k_h, cfg.d_head)
-        head_outs.append(np.stack([fused_softmax_matmul(row, v_h) for row in scores]))
+    qkv = fused_norm_matmul(x, w.folded.ln1, eps)
+    q, k, v = qkv[:, :n], qkv[:, n : 2 * n], qkv[:, 2 * n :]
+    head_outs = [
+        fused_softmax_matmul(_attention_scores(q_h, k_h, cfg.d_head), v_h)
+        for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg))
+    ]
     attn = matmul(np.hstack(head_outs), w.w_o)
     hidden = x + attn
 
-    if cfg.variant == "standard-gelu":
-        fc1_fold = fold_layernorm_linear(w.ln2, w.fc1)
-        pre_act = np.stack([fused_layernorm_matmul(row, fc1_fold, eps) for row in hidden])
+    pre_act = fused_norm_matmul(hidden, w.folded.ln2, eps)
+    if gelu_block:
         mlp_out = matmul(gelu(pre_act), w.fc2)
     else:
-        gate_fold = fold_rmsnorm_linear(w.ln2, w.mlp.w_gate)
-        up_fold = fold_rmsnorm_linear(w.ln2, w.mlp.w_up)
-        mlp_out = np.stack(
-            [fused_rmsnorm_llama_mlp(row, gate_fold, up_fold, w.mlp.w_down, eps) for row in hidden]
-        )
+        # the deferred 1/rms is already applied, as silu needs (see fused_rmsnorm_llama_mlp)
+        mlp_out = matmul(silu(pre_act[:, :h]) * pre_act[:, h:], w.mlp.w_down)
     return hidden + mlp_out
 
 
@@ -282,7 +320,7 @@ class Node:
             raise ValueError(f"unknown node kind {self.kind!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.kind != "sync" and self.work <= 0:
+        if self.work <= 0:
             raise ValueError(f"node work must be positive, got {self.work}")
 
 

@@ -206,21 +206,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
 def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> int:
     cfg = rc.block
     w = load_block_weights(weights_in, cfg)
-    if cfg.variant == "standard-gelu":
-        sites = {
-            "ln1.w_q": fold_layernorm_linear(w.ln1, w.w_q),
-            "ln1.w_k": fold_layernorm_linear(w.ln1, w.w_k),
-            "ln1.w_v": fold_layernorm_linear(w.ln1, w.w_v),
-            "ln2.fc1": fold_layernorm_linear(w.ln2, w.fc1),
-        }
-    else:
-        sites = {
-            "ln1.w_q": fold_rmsnorm_linear(w.ln1, w.w_q),
-            "ln1.w_k": fold_rmsnorm_linear(w.ln1, w.w_k),
-            "ln1.w_v": fold_rmsnorm_linear(w.ln1, w.w_v),
-            "ln2.w_gate": fold_rmsnorm_linear(w.ln2, w.mlp.w_gate),
-            "ln2.w_up": fold_rmsnorm_linear(w.ln2, w.mlp.w_up),
-        }
+    sites = w.fold_projections()
     save_folded_weights(weights_out, cfg, sites)
     if not quiet:
         print(f"fold: wrote {len(sites)} folded site(s) to {weights_out}", file=sys.stderr)

@@ -21,17 +21,21 @@ overlap them, and the simulator module quantifies the win.
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
 1e-10 contract.
+
+The fused evaluators take one row (1-D) or a stack of rows (2-D). Every
+reduction runs left to right along the row and the product's columns are
+independent, so a row's result is bit-identical either way; the deferred
+scale of a stack is a column vector, one scalar per row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, moments
-from .tensor import as_matrix, as_row_vector, ordered_sum, rowvec_matmul
+from .norms import LayerNormParams, RmsNormParams
+from .tensor import as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum, rowvec_matmul
 
 __all__ = [
     "FoldedLinear",
@@ -91,9 +95,8 @@ class LlamaMlpWeights:
     w_down: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w_gate", as_matrix(self.w_gate))
-        object.__setattr__(self, "w_up", as_matrix(self.w_up))
-        object.__setattr__(self, "w_down", as_matrix(self.w_down))
+        for name in ("w_gate", "w_up", "w_down"):
+            object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
         n, h = self.w_gate.shape
         if self.w_up.shape != (n, h):
             raise ValueError(f"w_up shape {self.w_up.shape} != w_gate shape {(n, h)}")
@@ -126,40 +129,55 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
 
 
+def _as_rows(x) -> tuple[np.ndarray, bool]:
+    """Validate `x` as one row (1-D) or a stack of rows (2-D).
+
+    Returns the rows as a 2-D array and whether `x` was a single row.
+    """
+    if np.ndim(x) == 2:
+        return as_matrix(x), False
+    return as_row_vector(x)[np.newaxis, :], True
+
+
 def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
-    """Evaluate layernorm(x) @ F through the folded weights.
+    """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
     The variance reduction and the x @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias.
     """
-    x = as_row_vector(x)
-    if x.size != fl.folded_weight.shape[0]:
+    rows, single = _as_rows(x)
+    n = rows.shape[1]
+    if n != fl.folded_weight.shape[0]:
         raise ValueError(
-            f"input length {x.size} does not match folded weight rows {fl.folded_weight.shape[0]}"
+            f"input length {n} does not match folded weight rows {fl.folded_weight.shape[0]}"
         )
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite scalar, got {epsilon}")
 
-    variance = moments(x).variance            # collective task
-    projected = rowvec_matmul(x, fl.folded_weight)  # matmul task, overlappable
-    return projected / math.sqrt(variance + epsilon) + fl.folded_bias
+    # collective task: population variance in `norms.moments` order of operations
+    dev = rows - (ordered_sum(rows, axis=-1) / n)[:, np.newaxis]
+    variance = ordered_sum(dev * dev, axis=-1) / n
+    projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
+    out = projected / np.sqrt(variance + epsilon)[:, np.newaxis] + fl.folded_bias
+    return out[0] if single else out
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
-    """Evaluate softmax(x) @ V with the denominator deferred past the matmul.
+    """Evaluate softmax(x) @ V per row of `x`, the denominator deferred past the matmul.
 
     Numerators are max-shifted, so the path is overflow-safe for any
     finite logits; the shift cancels between numerator and denominator.
     """
-    x = as_row_vector(x)
+    rows, single = _as_rows(x)
     v = as_matrix(v)
-    if x.size != v.shape[0]:
-        raise ValueError(f"input length {x.size} does not match matrix rows {v.shape[0]}")
+    if rows.shape[1] != v.shape[0]:
+        raise ValueError(f"input length {rows.shape[1]} does not match matrix rows {v.shape[0]}")
 
-    numerators = np.exp(x - np.max(x))
-    denominator = float(ordered_sum(numerators))  # collective task
-    projected = rowvec_matmul(numerators, v)      # matmul task, overlappable
-    return projected / denominator
+    numerators = np.exp(rows - np.max(rows, axis=-1, keepdims=True))
+    denominator = ordered_sum(numerators, axis=-1)  # collective task
+    projected = matmul(numerators, v)               # matmul task, overlappable
+    out = projected / denominator[:, np.newaxis]
+    return out[0] if single else out
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
@@ -172,23 +190,25 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
     return RmsFoldedLinear(folded_weight=p.gamma[:, np.newaxis] * f)
 
 
-def _root_mean_square(x: np.ndarray, epsilon: float) -> float:
-    mean_sq = float(ordered_sum(x * x)) / x.size
-    if mean_sq + epsilon == 0.0:
+def _root_mean_square(rows: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per-row sqrt(mean(x**2) + eps) of a stack of rows, as a column vector."""
+    mean_sq = ordered_sum(rows * rows, axis=-1) / rows.shape[1]
+    if np.any(mean_sq + epsilon == 0.0):
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
-    return math.sqrt(mean_sq + epsilon)
+    return np.sqrt(mean_sq + epsilon)[:, np.newaxis]
 
 
 def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.ndarray:
-    """Evaluate rmsnorm(x) @ F through the folded weights, 1/rms deferred."""
-    x = as_row_vector(x)
-    if x.size != rfl.folded_weight.shape[0]:
+    """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
+    rows, single = _as_rows(x)
+    if rows.shape[1] != rfl.folded_weight.shape[0]:
         raise ValueError(
-            f"input length {x.size} does not match folded weight rows {rfl.folded_weight.shape[0]}"
+            f"input length {rows.shape[1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
         )
-    r = _root_mean_square(x, epsilon)              # collective task
-    projected = rowvec_matmul(x, rfl.folded_weight)  # matmul task, overlappable
-    return projected / r
+    r = _root_mean_square(rows, epsilon)          # collective task
+    projected = matmul(rows, rfl.folded_weight)   # matmul task, overlappable
+    out = projected / r
+    return out[0] if single else out
 
 
 def silu(z) -> np.ndarray:
@@ -209,16 +229,16 @@ def fused_rmsnorm_llama_mlp(
     w_down,
     epsilon: float = 0.0,
 ) -> np.ndarray:
-    """Gated MLP with RMSNorm folded into the gate and up projections.
+    """Gated MLP, per row of `x`, with RMSNorm folded into the gate and up projections.
 
     Both projections consume raw x, so the rms reduction can overlap them.
     The deferred 1/rms must be applied before the gate non-linearity
     (scalars do not commute past silu), so the down-projection is outside
     the overlap. This is the maximal exact fusion for this layer.
     """
-    x = as_row_vector(x)
+    rows, single = _as_rows(x)
     w_down = as_matrix(w_down)
-    n = x.size
+    n = rows.shape[1]
     if gate_folded.folded_weight.shape[0] != n or up_folded.folded_weight.shape[0] != n:
         raise ValueError("folded projection rows do not match input length")
     h = gate_folded.folded_weight.shape[1]
@@ -227,8 +247,9 @@ def fused_rmsnorm_llama_mlp(
     if w_down.shape != (h, n):
         raise ValueError(f"down projection shape {w_down.shape}, expected {(h, n)}")
 
-    r = _root_mean_square(x, epsilon)                      # collective task
-    p_gate = rowvec_matmul(x, gate_folded.folded_weight)   # overlappable
-    p_up = rowvec_matmul(x, up_folded.folded_weight)       # overlappable
+    r = _root_mean_square(rows, epsilon)                 # collective task
+    p_gate = matmul(rows, gate_folded.folded_weight)     # overlappable
+    p_up = matmul(rows, up_folded.folded_weight)         # overlappable
     gated = silu(p_gate / r) * (p_up / r)
-    return rowvec_matmul(gated, w_down)
+    out = matmul(gated, w_down)
+    return out[0] if single else out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_row_vector, ordered_sum
+from .tensor import as_row_vector, frozen_copy, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -40,8 +40,8 @@ class LayerNormParams:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", as_row_vector(self.gamma))
-        object.__setattr__(self, "beta", as_row_vector(self.beta))
+        object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
+        object.__setattr__(self, "beta", frozen_copy(as_row_vector(self.beta)))
         if self.gamma.size != self.beta.size:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
@@ -67,7 +67,7 @@ class RmsNormParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", as_row_vector(self.gamma))
+        object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be a non-negative finite scalar, got {self.epsilon}")
 

@@ -102,11 +102,8 @@ def node_latency(node: Node, cm: CostModel) -> int:
     matmul:      MACs / matrix rate
     elementwise: elements / vector rate
     collective:  alpha + beta * ceil(log2 n) + n / vector rate
-    sync:        0 (barrier marker; never emitted by build_graph)
     The sum is rounded up to whole cycles.
     """
-    if node.kind == "sync":
-        return 0
     if node.work <= 0:
         raise ValueError(f"node {node.id} has non-positive work {node.work}")
     if node.kind == "matmul":

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "as_row_vector",
     "as_matrix",
+    "frozen_copy",
     "matmul",
     "hadamard",
     "diag",
@@ -49,6 +50,13 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite elements")
     return m
+
+
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A private, read-only copy of `a`: later writes to `a` cannot reach it."""
+    out = a.copy()
+    out.setflags(write=False)
+    return out
 
 
 def ordered_sum(a: np.ndarray, axis: int | None = None):

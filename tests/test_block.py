@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import normfusion.block
 from normfusion.block import (
     BlockConfig,
     BlockWeights,
@@ -21,6 +22,15 @@ from normfusion.block import (
     run_conventional,
     run_fused,
     site_subgraph,
+)
+from normfusion.fusion import (
+    LlamaMlpWeights,
+    fold_layernorm_linear,
+    fold_rmsnorm_linear,
+    fused_layernorm_matmul,
+    fused_rmsnorm_llama_mlp,
+    fused_rmsnorm_matmul,
+    fused_softmax_matmul,
 )
 from normfusion.norms import LayerNormParams, RmsNormParams
 from normfusion.tensor import matmul, max_rel_error
@@ -33,8 +43,6 @@ def zero_weights(cfg: BlockConfig) -> BlockWeights:
         ln = lambda: LayerNormParams(gamma=np.zeros(n), beta=np.zeros(n), epsilon=cfg.epsilon_ln)
         return BlockWeights(w_q=z, w_k=z, w_v=z, w_o=z, ln1=ln(), ln2=ln(),
                             fc1=np.zeros((n, h)), fc2=np.zeros((h, n)))
-    from normfusion.fusion import LlamaMlpWeights
-
     ln = lambda: RmsNormParams(gamma=np.zeros(n), epsilon=cfg.epsilon_ln)
     return BlockWeights(
         w_q=z, w_k=z, w_v=z, w_o=z, ln1=ln(), ln2=ln(),
@@ -128,6 +136,119 @@ class TestBlockExecution:
         w = random_block_weights(cfg, np.random.default_rng(44))
         with pytest.raises(ValueError, match="input shape"):
             run_conventional(cfg, w, np.zeros((3, 8)))
+
+
+# --------------------------------------------------------------------------
+# row-batched fused execution and compile-once weights
+# --------------------------------------------------------------------------
+
+
+def per_row_fused(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarray:
+    """The fused block composed from the single-row evaluators, one row at a
+    time, with every projection folded on its own."""
+    eps, d = cfg.epsilon_ln, cfg.d_head
+    if cfg.variant == "standard-gelu":
+        fold, fused_norm_matmul = fold_layernorm_linear, fused_layernorm_matmul
+    else:
+        fold, fused_norm_matmul = fold_rmsnorm_linear, fused_rmsnorm_matmul
+    q, k, v = (np.stack([fused_norm_matmul(row, fold(w.ln1, m), eps) for row in x])
+               for m in (w.w_q, w.w_k, w.w_v))
+    heads = []
+    for i in range(cfg.n_heads):
+        sl = slice(i * d, (i + 1) * d)
+        scores = matmul(q[:, sl], k[:, sl].T) * (1.0 / math.sqrt(d))
+        heads.append(np.stack([fused_softmax_matmul(row, v[:, sl]) for row in scores]))
+    hidden = x + matmul(np.hstack(heads), w.w_o)
+    if cfg.variant == "standard-gelu":
+        fc1 = fold(w.ln2, w.fc1)
+        mlp = matmul(gelu(np.stack([fused_norm_matmul(row, fc1, eps) for row in hidden])), w.fc2)
+    else:
+        gate, up = fold(w.ln2, w.mlp.w_gate), fold(w.ln2, w.mlp.w_up)
+        mlp = np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w.mlp.w_down, eps) for row in hidden])
+    return hidden + mlp
+
+
+def _rows(case: str, rng, seq: int, n: int) -> np.ndarray:
+    if case == "near-constant":
+        return rng.uniform(-2.0, 2.0, size=(seq, 1)) + 1e-7 * rng.standard_normal((seq, n))
+    x = rng.standard_normal((seq, n))
+    if case == "dc-offset":
+        x += rng.choice([-1e4, -8.0, 8.0, 1e4], size=(seq, 1))
+    return x
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+@pytest.mark.parametrize("case,seq_len", [("plain", 1), ("plain", 7), ("dc-offset", 6), ("near-constant", 5)])
+def test_row_batched_fused_is_bit_identical_to_per_row(variant, case, seq_len):
+    cfg = BlockConfig(d_model=12, n_heads=3, seq_len=seq_len, mlp_hidden=20, variant=variant)
+    rng = np.random.default_rng(47)
+    w = random_block_weights(cfg, rng)
+    x = _rows(case, rng, seq_len, cfg.d_model)
+    assert_array_equal(run_fused(cfg, w, x), per_row_fused(cfg, w, x))
+
+
+def test_batched_rms_zero_row_without_epsilon_rejected():
+    fl = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="zero"):
+        fused_rmsnorm_matmul(np.array([[1.0, 2.0], [0.0, 0.0]]), fl, 0.0)
+
+
+def test_weights_fold_once(monkeypatch):
+    calls = []
+
+    def counting_fold(p, f):
+        calls.append(f.shape)
+        return fold_layernorm_linear(p, f)
+
+    monkeypatch.setattr(normfusion.block, "fold_layernorm_linear", counting_fold)
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12)
+    w = random_block_weights(cfg, np.random.default_rng(48))
+    x = np.random.default_rng(49).standard_normal((3, 8))
+    assert w.folded is w.folded
+    first = run_fused(cfg, w, x)
+    assert_array_equal(run_fused(cfg, w, x), first)
+    assert calls == [(8, 8)] * 3 + [(8, 12)]  # Q, K, V and fc1, each folded once
+
+
+def _rebuilt_from_copies(w: BlockWeights) -> tuple[BlockWeights, list[np.ndarray]]:
+    """`w` rebuilt from fresh writable copies of its arrays, and those copies."""
+    sources = []
+
+    def src(a):
+        sources.append(np.array(a))
+        return sources[-1]
+
+    if isinstance(w.ln1, LayerNormParams):
+        ln = lambda p: LayerNormParams(gamma=src(p.gamma), beta=src(p.beta), epsilon=p.epsilon)
+        extra = dict(fc1=src(w.fc1), fc2=src(w.fc2))
+    else:
+        ln = lambda p: RmsNormParams(gamma=src(p.gamma), epsilon=p.epsilon)
+        extra = dict(mlp=LlamaMlpWeights(w_gate=src(w.mlp.w_gate), w_up=src(w.mlp.w_up),
+                                         w_down=src(w.mlp.w_down)))
+    rebuilt = BlockWeights(w_q=src(w.w_q), w_k=src(w.w_k), w_v=src(w.w_v), w_o=src(w.w_o),
+                           ln1=ln(w.ln1), ln2=ln(w.ln2), **extra)
+    return rebuilt, sources
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_weights_are_private_and_read_only(variant):
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    original = random_block_weights(cfg, np.random.default_rng(50))
+    x = np.random.default_rng(51).standard_normal((3, 8))
+    expected = run_fused(cfg, original, x)
+
+    w, sources = _rebuilt_from_copies(original)
+    for a in sources:
+        a += 1.0  # writes after construction reach neither w nor its fold
+    assert_array_equal(run_fused(cfg, w, x), expected)
+    assert_array_equal(run_conventional(cfg, w, x), run_conventional(cfg, original, x))
+
+    with pytest.raises(ValueError, match="read-only"):
+        w.w_q[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.ln1.gamma[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.folded.ln2.folded_weight[0, 0] = 1.0
 
 
 def test_single_key_attention_is_value_projection():

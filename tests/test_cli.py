@@ -175,7 +175,7 @@ class TestSimulate:
         assert len(lines) > 1
         for line in lines[1:]:
             node_id, kind, engine, start, end = line.split(",")
-            assert kind in ("elementwise", "collective", "matmul", "sync")
+            assert kind in ("elementwise", "collective", "matmul")
             assert engine in ("vector", "matrix")
             assert int(end) >= int(start) >= 0
 
@@ -235,6 +235,19 @@ class TestFold:
                 fused_layernorm_matmul(x, loaded["ln1.w_q"], cfg.epsilon_ln),
                 fused_layernorm_matmul(x, in_memory, cfg.epsilon_ln),
             )
+
+    def test_fold_file_matches_compiled_block(self, setup, capsys):
+        # the fold file and the fused executor come from one per-projection fold
+        cfg_path, _, weights, win, wout = setup
+        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        loaded = load_folded_weights(str(wout))
+        for site in ("ln1", "ln2"):
+            parts = [fold for name, fold in loaded.items() if name.startswith(f"{site}.")]
+            compiled = getattr(weights.folded, site)
+            assert_array_equal(np.hstack([f.folded_weight for f in parts]), compiled.folded_weight)
+            if isinstance(compiled, FoldedLinear):
+                assert_array_equal(np.hstack([f.folded_bias for f in parts]), compiled.folded_bias)
+        assert [name for name in loaded if name.startswith("ln1.")] == ["ln1.w_q", "ln1.w_k", "ln1.w_v"]
 
     def test_fold_is_idempotent(self, setup, capsys):
         cfg_path, _, _, win, wout = setup

@@ -293,6 +293,14 @@ class TestFusedRmsnormLlamaMlp:
             worst = max(worst, max_rel_error(actual, expected))
         assert worst <= 1e-10
 
+    def test_row_stack_is_bit_identical_to_per_row(self):
+        rng = np.random.default_rng(34)
+        x, p, w_gate, w_up, w_down = self._random_instance(rng, 12)
+        rows = np.stack([x, 3.0 * x + 8.0, rng.standard_normal(12)])
+        gate, up = fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up)
+        assert_array_equal(fused_rmsnorm_llama_mlp(rows, gate, up, w_down),
+                           np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w_down) for row in rows]))
+
     def test_zero_norm_without_epsilon_rejected(self):
         p = RmsNormParams(gamma=[1.0, 1.0])
         fl = fold_rmsnorm_linear(p, np.ones((2, 2)))
