@@ -45,6 +45,7 @@ from .norms import (
     layernorm,
     moments,
     rmsnorm,
+    root_mean_square,
     softmax_numerators,
     softmax_stable,
 )
@@ -57,7 +58,7 @@ from .simulator import (
     node_latency,
     schedule,
 )
-from .tensor import diag, hadamard, matmul, max_rel_error, scale_add
+from .tensor import matmul, max_rel_error
 
 __version__ = "0.1.0"
 
@@ -80,14 +81,12 @@ __all__ = [
     "TimelineEntry",
     "build_graph",
     "compare",
-    "diag",
     "fold_layernorm_linear",
     "fold_rmsnorm_linear",
     "fused_layernorm_matmul",
     "fused_rmsnorm_llama_mlp",
     "fused_rmsnorm_matmul",
     "fused_softmax_matmul",
-    "hadamard",
     "layernorm",
     "load_config",
     "matmul",
@@ -96,9 +95,9 @@ __all__ = [
     "node_latency",
     "random_block_weights",
     "rmsnorm",
+    "root_mean_square",
     "run_conventional",
     "run_fused",
-    "scale_add",
     "schedule",
     "silu",
     "site_subgraph",

@@ -15,10 +15,11 @@ dependency graph the latency simulator schedules; the fused graph differs
 from the conventional one only by cutting the collective->matmul edge at
 each site and adding a deferred-scale node after the matmul.
 
-The conventional path normalizes row by row through the single-row
-kernels. The fused path folds the norm-fed projections once per set of
-weights (`BlockWeights.folded`) and evaluates each site as one product
-over all rows, bit-identical to evaluating the rows one at a time.
+Both paths run each site over all rows at once. The conventional path
+normalizes the whole stack with the `norms` kernels; the fused path folds
+the norm-fed projections once per set of weights (`BlockWeights.folded`)
+and defers the same `norms` collective past one product. Either is
+bit-identical to evaluating the rows one at a time.
 """
 
 from __future__ import annotations
@@ -229,11 +230,6 @@ def _split_heads(m: np.ndarray, cfg: BlockConfig) -> list[np.ndarray]:
     return [m[:, i * cfg.d_head : (i + 1) * cfg.d_head] for i in range(cfg.n_heads)]
 
 
-def _norm_rows(x: np.ndarray, params) -> np.ndarray:
-    fn = layernorm if isinstance(params, LayerNormParams) else rmsnorm
-    return np.stack([fn(row, params) for row in x])
-
-
 def _attention_scores(q_h: np.ndarray, k_h: np.ndarray, d_head: int) -> np.ndarray:
     return matmul(q_h, k_h.T) * (1.0 / math.sqrt(d_head))
 
@@ -241,18 +237,18 @@ def _attention_scores(q_h: np.ndarray, k_h: np.ndarray, d_head: int) -> np.ndarr
 def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     """Reference block: normalize fully, then multiply, at every site."""
     x = _check_input(cfg, w, x)
+    norm = layernorm if cfg.variant == "standard-gelu" else rmsnorm
 
-    normed = _norm_rows(x, w.ln1)
+    normed = norm(x, w.ln1)
     q, k, v = matmul(normed, w.w_q), matmul(normed, w.w_k), matmul(normed, w.w_v)
     head_outs = []
     for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg)):
-        scores = _attention_scores(q_h, k_h, cfg.d_head)
-        probs = np.stack([softmax_stable(row) for row in scores])
+        probs = softmax_stable(_attention_scores(q_h, k_h, cfg.d_head))
         head_outs.append(matmul(probs, v_h))
     attn = matmul(np.hstack(head_outs), w.w_o)
     hidden = x + attn
 
-    normed2 = _norm_rows(hidden, w.ln2)
+    normed2 = norm(hidden, w.ln2)
     if cfg.variant == "standard-gelu":
         mlp_out = matmul(gelu(matmul(normed2, w.fc1)), w.fc2)
     else:
@@ -266,14 +262,15 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     """Fused block: every normalization deferred past its matmul.
 
     The norm-fed projections are folded once per weights (`w.folded`),
-    and each site runs as one fused evaluation over all rows.
+    and each site runs as one fused evaluation over all rows. Each norm
+    uses its own parameters' epsilon, as `run_conventional` does.
     """
     x = _check_input(cfg, w, x)
-    eps, n, h = cfg.epsilon_ln, cfg.d_model, cfg.mlp_hidden
+    n, h = cfg.d_model, cfg.mlp_hidden
     gelu_block = cfg.variant == "standard-gelu"
     fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
 
-    qkv = fused_norm_matmul(x, w.folded.ln1, eps)
+    qkv = fused_norm_matmul(x, w.folded.ln1, w.ln1.epsilon)
     q, k, v = qkv[:, :n], qkv[:, n : 2 * n], qkv[:, 2 * n :]
     head_outs = [
         fused_softmax_matmul(_attention_scores(q_h, k_h, cfg.d_head), v_h)
@@ -282,7 +279,7 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     attn = matmul(np.hstack(head_outs), w.w_o)
     hidden = x + attn
 
-    pre_act = fused_norm_matmul(hidden, w.folded.ln2, eps)
+    pre_act = fused_norm_matmul(hidden, w.folded.ln2, w.ln2.epsilon)
     if gelu_block:
         mlp_out = matmul(gelu(pre_act), w.fc2)
     else:
@@ -331,37 +328,11 @@ class OpGraph:
     fused: bool
     config: BlockConfig
 
-    def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
-
-    @property
-    def _by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
     def predecessors(self, node_id: int) -> list[int]:
         return [a for a, b in self.edges if b == node_id]
 
     def successors(self, node_id: int) -> list[int]:
         return [b for a, b in self.edges if a == node_id]
-
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm with ascending-id tie-break; raises on cycles."""
-        indeg = {n.id: 0 for n in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        ready = sorted(i for i, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for succ in self.successors(nid):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-            ready.sort()
-        if len(order) != len(self.nodes):
-            raise ValueError("operation graph contains a cycle")
-        return order
 
     def has_path(self, src: int, dst: int) -> bool:
         frontier = [src]

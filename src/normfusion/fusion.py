@@ -22,10 +22,13 @@ Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
 1e-10 contract.
 
-The fused evaluators take one row (1-D) or a stack of rows (2-D). Every
-reduction runs left to right along the row and the product's columns are
-independent, so a row's result is bit-identical either way; the deferred
-scale of a stack is a column vector, one scalar per row.
+The fused evaluators take one row (1-D) or a stack of rows (2-D). They
+keep no reduction of their own: the collective scalar comes from the same
+`norms` function the conventional form calls (`moments`,
+`root_mean_square`, `softmax_numerators`). Every reduction runs left to
+right along the row and the product's columns are independent, so a
+row's result is bit-identical either way; the deferred scale of a stack
+is a column vector, one scalar per row.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams
-from .tensor import as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum, rowvec_matmul
+from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
+from .tensor import as_matrix, as_row_vector, as_rows, frozen_copy, matmul, ordered_sum, rowvec_matmul
 
 __all__ = [
     "FoldedLinear",
@@ -130,13 +133,9 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
 
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
-    """Validate `x` as one row (1-D) or a stack of rows (2-D).
-
-    Returns the rows as a 2-D array and whether `x` was a single row.
-    """
-    if np.ndim(x) == 2:
-        return as_matrix(x), False
-    return as_row_vector(x)[np.newaxis, :], True
+    """`x` as a validated 2-D stack of rows, and whether it was a single row."""
+    rows = as_rows(x)
+    return np.atleast_2d(rows), rows.ndim == 1
 
 
 def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
@@ -154,9 +153,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite scalar, got {epsilon}")
 
-    # collective task: population variance in `norms.moments` order of operations
-    dev = rows - (ordered_sum(rows, axis=-1) / n)[:, np.newaxis]
-    variance = ordered_sum(dev * dev, axis=-1) / n
+    variance = moments(rows).variance           # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
     out = projected / np.sqrt(variance + epsilon)[:, np.newaxis] + fl.folded_bias
     return out[0] if single else out
@@ -173,9 +170,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     if rows.shape[1] != v.shape[0]:
         raise ValueError(f"input length {rows.shape[1]} does not match matrix rows {v.shape[0]}")
 
-    numerators = np.exp(rows - np.max(rows, axis=-1, keepdims=True))
-    denominator = ordered_sum(numerators, axis=-1)  # collective task
-    projected = matmul(numerators, v)               # matmul task, overlappable
+    numerators, denominator = softmax_numerators(rows)  # denominator: collective task
+    projected = matmul(numerators, v)                   # matmul task, overlappable
     out = projected / denominator[:, np.newaxis]
     return out[0] if single else out
 
@@ -190,14 +186,6 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
     return RmsFoldedLinear(folded_weight=p.gamma[:, np.newaxis] * f)
 
 
-def _root_mean_square(rows: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per-row sqrt(mean(x**2) + eps) of a stack of rows, as a column vector."""
-    mean_sq = ordered_sum(rows * rows, axis=-1) / rows.shape[1]
-    if np.any(mean_sq + epsilon == 0.0):
-        raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
-    return np.sqrt(mean_sq + epsilon)[:, np.newaxis]
-
-
 def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.ndarray:
     """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
     rows, single = _as_rows(x)
@@ -205,8 +193,8 @@ def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.nd
         raise ValueError(
             f"input length {rows.shape[1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
         )
-    r = _root_mean_square(rows, epsilon)          # collective task
-    projected = matmul(rows, rfl.folded_weight)   # matmul task, overlappable
+    r = root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
+    projected = matmul(rows, rfl.folded_weight)         # matmul task, overlappable
     out = projected / r
     return out[0] if single else out
 
@@ -247,7 +235,7 @@ def fused_rmsnorm_llama_mlp(
     if w_down.shape != (h, n):
         raise ValueError(f"down projection shape {w_down.shape}, expected {(h, n)}")
 
-    r = _root_mean_square(rows, epsilon)                 # collective task
+    r = root_mean_square(rows, epsilon)[:, np.newaxis]   # collective task
     p_gate = matmul(rows, gate_folded.folded_weight)     # overlappable
     p_up = matmul(rows, up_folded.folded_weight)         # overlappable
     gated = silu(p_gate / r) * (p_up / r)

@@ -3,21 +3,24 @@
 Layernorm, RMSNorm, and numerically stable Softmax in their conventional
 form. Each one hides a reduction (mean/variance, mean square, exponential
 sum) that needs every element of the vector in one place (the
-"collective" part) plus purely element-wise work. `softmax_numerators`
-exposes that split directly; the fusion module builds on it.
+"collective" part) plus purely element-wise work. `moments`,
+`root_mean_square` and `softmax_numerators` expose the collective part;
+the fusion module defers it past the matmul.
 
-All reductions go through `tensor.ordered_sum` so the conventional and
-fused paths see bit-identical collective values.
+Every function takes one row (1-D) or a stack of rows (2-D) and reduces
+each row left to right along the last axis with `tensor.ordered_sum`, so
+a row's result is bit-identical either way. The fused evaluators take
+their collective values from these same functions, so the conventional
+and fused paths divide by bit-identical scalars by construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_row_vector, frozen_copy, ordered_sum
+from .tensor import as_row_vector, as_rows, frozen_copy, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -26,6 +29,7 @@ __all__ = [
     "moments",
     "layernorm",
     "rmsnorm",
+    "root_mean_square",
     "softmax_stable",
     "softmax_numerators",
 ]
@@ -78,66 +82,76 @@ class RmsNormParams:
 
 @dataclass(frozen=True)
 class MomentStats:
-    mean: float
-    variance: float
+    """Mean and variance of one row (scalars) or of each row of a stack (arrays)."""
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
     def __post_init__(self):
-        if self.variance < 0:
+        if np.any(self.variance < 0):
             raise ValueError(f"variance must be non-negative, got {self.variance}")
 
 
+def _check_width(x: np.ndarray, n: int) -> None:
+    if x.shape[-1] != n:
+        raise ValueError(f"input length {x.shape[-1]} does not match params length {n}")
+
+
 def moments(x) -> MomentStats:
-    """Mean and population variance (divisor n) of a row vector.
+    """Mean and population variance (divisor n) of a row, per row of a stack.
 
     Population variance is load-bearing: the fused path divides by the
     same sqrt(variance + eps), and a sample-variance mismatch here would
     silently break fused/conventional equivalence.
     """
-    x = as_row_vector(x)
-    n = x.size
-    mean = ordered_sum(x) / n
-    dev = x - mean
-    variance = ordered_sum(dev * dev) / n
-    return MomentStats(mean=float(mean), variance=float(variance))
+    x = as_rows(x)
+    n = x.shape[-1]
+    mean = ordered_sum(x, axis=-1) / n
+    dev = x - mean[..., np.newaxis]
+    variance = ordered_sum(dev * dev, axis=-1) / n
+    return MomentStats(mean=mean, variance=variance)
 
 
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
-    """(x - mean) / sqrt(variance + eps) * gamma + beta."""
-    x = as_row_vector(x)
-    if x.size != p.n:
-        raise ValueError(f"input length {x.size} does not match params length {p.n}")
+    """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
+    x = as_rows(x)
+    _check_width(x, p.n)
     st = moments(x)
-    denom = math.sqrt(st.variance + p.epsilon)
-    return ((x - st.mean) / denom) * p.gamma + p.beta
+    denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
+    return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
+
+
+def root_mean_square(x, epsilon: float) -> float | np.ndarray:
+    """sqrt(mean(x**2) + eps) of a row, per row of a stack."""
+    x = as_rows(x)
+    mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
+    if np.any(mean_sq + epsilon == 0.0):
+        raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
+    return np.sqrt(mean_sq + epsilon)
 
 
 def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
-    """x / sqrt(mean(x**2) + eps) * gamma."""
-    x = as_row_vector(x)
-    if x.size != p.n:
-        raise ValueError(f"input length {x.size} does not match params length {p.n}")
-    mean_sq = float(ordered_sum(x * x)) / x.size
-    if mean_sq + p.epsilon == 0.0:
-        raise ValueError("rmsnorm of an all-zero vector with epsilon=0 divides by zero")
-    return (x / math.sqrt(mean_sq + p.epsilon)) * p.gamma
+    """x / sqrt(mean(x**2) + eps) * gamma, per row."""
+    x = as_rows(x)
+    _check_width(x, p.n)
+    return (x / root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
 
 
-def softmax_numerators(x) -> tuple[np.ndarray, float]:
-    """Max-shifted exponential numerators and their sum.
+def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
+    """Max-shifted exponential numerators and their sum, per row.
 
-    The shift by max(x) cancels in numerators/denominator, so this is the
-    exact decomposition of the stable softmax: the numerators are
+    The shift by the row's max cancels in numerators/denominator, so this
+    is the exact decomposition of the stable softmax: the numerators are
     element-wise work, the denominator is the collective. The denominator
     is the left-to-right sum of the numerators, which makes
     `numerators @ ones == denominator` bit-exact.
     """
-    x = as_row_vector(x)
-    numerators = np.exp(x - np.max(x))
-    denominator = float(ordered_sum(numerators))
-    return numerators, denominator
+    x = as_rows(x)
+    numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return numerators, ordered_sum(numerators, axis=-1)
 
 
 def softmax_stable(x) -> np.ndarray:
-    """Softmax with max-subtraction; finite for any finite input."""
+    """Softmax with max-subtraction, per row; finite for any finite input."""
     numerators, denominator = softmax_numerators(x)
-    return numerators / denominator
+    return numerators / denominator[..., np.newaxis]

@@ -18,11 +18,9 @@ import numpy as np
 __all__ = [
     "as_row_vector",
     "as_matrix",
+    "as_rows",
     "frozen_copy",
     "matmul",
-    "hadamard",
-    "diag",
-    "scale_add",
     "ordered_sum",
     "max_rel_error",
 ]
@@ -50,6 +48,11 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite elements")
     return m
+
+
+def as_rows(x) -> np.ndarray:
+    """Validate `x` as one row (1-D) or a stack of rows (2-D), returned as given."""
+    return as_matrix(x) if np.ndim(x) == 2 else as_row_vector(x)
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -96,31 +99,6 @@ def rowvec_matmul(x, b) -> np.ndarray:
     """Row-vector times matrix, returning a 1-D array. Same kernel as `matmul`."""
     x = as_row_vector(x)
     return matmul(x[np.newaxis, :], b)[0]
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Element-wise product of two equal-length row vectors."""
-    a = as_row_vector(a)
-    b = as_row_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard length mismatch: {a.size} vs {b.size}")
-    return a * b
-
-
-def diag(v) -> np.ndarray:
-    """Diagonal matrix with the elements of `v` on the main diagonal."""
-    return np.diag(as_row_vector(v))
-
-
-def scale_add(v, s: float, b) -> np.ndarray:
-    """s*v + b for a scalar s and equal-length vectors v, b."""
-    v = as_row_vector(v)
-    b = as_row_vector(b)
-    if not np.isfinite(s):
-        raise ValueError(f"scale factor must be finite, got {s}")
-    if v.shape != b.shape:
-        raise ValueError(f"scale_add length mismatch: {v.size} vs {b.size}")
-    return s * v + b
 
 
 def max_rel_error(actual, expected) -> float:

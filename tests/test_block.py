@@ -6,6 +6,7 @@ Graph tests hand-count the work fields and check the structural
 invariants the simulator relies on.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,8 +32,10 @@ from normfusion.fusion import (
     fused_rmsnorm_llama_mlp,
     fused_rmsnorm_matmul,
     fused_softmax_matmul,
+    silu,
 )
-from normfusion.norms import LayerNormParams, RmsNormParams
+from normfusion.norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
+from normfusion.simulator import CostModel, schedule
 from normfusion.tensor import matmul, max_rel_error
 
 
@@ -146,12 +149,12 @@ class TestBlockExecution:
 def per_row_fused(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarray:
     """The fused block composed from the single-row evaluators, one row at a
     time, with every projection folded on its own."""
-    eps, d = cfg.epsilon_ln, cfg.d_head
+    eps1, eps2, d = w.ln1.epsilon, w.ln2.epsilon, cfg.d_head
     if cfg.variant == "standard-gelu":
         fold, fused_norm_matmul = fold_layernorm_linear, fused_layernorm_matmul
     else:
         fold, fused_norm_matmul = fold_rmsnorm_linear, fused_rmsnorm_matmul
-    q, k, v = (np.stack([fused_norm_matmul(row, fold(w.ln1, m), eps) for row in x])
+    q, k, v = (np.stack([fused_norm_matmul(row, fold(w.ln1, m), eps1) for row in x])
                for m in (w.w_q, w.w_k, w.w_v))
     heads = []
     for i in range(cfg.n_heads):
@@ -161,10 +164,32 @@ def per_row_fused(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarra
     hidden = x + matmul(np.hstack(heads), w.w_o)
     if cfg.variant == "standard-gelu":
         fc1 = fold(w.ln2, w.fc1)
-        mlp = matmul(gelu(np.stack([fused_norm_matmul(row, fc1, eps) for row in hidden])), w.fc2)
+        mlp = matmul(gelu(np.stack([fused_norm_matmul(row, fc1, eps2) for row in hidden])), w.fc2)
     else:
         gate, up = fold(w.ln2, w.mlp.w_gate), fold(w.ln2, w.mlp.w_up)
-        mlp = np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w.mlp.w_down, eps) for row in hidden])
+        mlp = np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w.mlp.w_down, eps2) for row in hidden])
+    return hidden + mlp
+
+
+def per_row_conventional(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarray:
+    """The conventional block composed from the single-row norm kernels, one
+    row at a time."""
+    norm = layernorm if cfg.variant == "standard-gelu" else rmsnorm
+    d = cfg.d_head
+    normed = np.stack([norm(row, w.ln1) for row in x])
+    q, k, v = matmul(normed, w.w_q), matmul(normed, w.w_k), matmul(normed, w.w_v)
+    heads = []
+    for i in range(cfg.n_heads):
+        sl = slice(i * d, (i + 1) * d)
+        scores = matmul(q[:, sl], k[:, sl].T) * (1.0 / math.sqrt(d))
+        heads.append(matmul(np.stack([softmax_stable(row) for row in scores]), v[:, sl]))
+    hidden = x + matmul(np.hstack(heads), w.w_o)
+    normed2 = np.stack([norm(row, w.ln2) for row in hidden])
+    if cfg.variant == "standard-gelu":
+        mlp = matmul(gelu(matmul(normed2, w.fc1)), w.fc2)
+    else:
+        gate, up = matmul(normed2, w.mlp.w_gate), matmul(normed2, w.mlp.w_up)
+        mlp = matmul(silu(gate) * up, w.mlp.w_down)
     return hidden + mlp
 
 
@@ -185,12 +210,30 @@ def test_row_batched_fused_is_bit_identical_to_per_row(variant, case, seq_len):
     w = random_block_weights(cfg, rng)
     x = _rows(case, rng, seq_len, cfg.d_model)
     assert_array_equal(run_fused(cfg, w, x), per_row_fused(cfg, w, x))
+    assert_array_equal(run_conventional(cfg, w, x), per_row_conventional(cfg, w, x))
 
 
 def test_batched_rms_zero_row_without_epsilon_rejected():
-    fl = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
+    p = RmsNormParams(gamma=[1.0, 1.0])
+    fl = fold_rmsnorm_linear(p, np.ones((2, 3)))
+    rows = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="zero"):
-        fused_rmsnorm_matmul(np.array([[1.0, 2.0], [0.0, 0.0]]), fl, 0.0)
+        fused_rmsnorm_matmul(rows, fl, 0.0)
+    with pytest.raises(ValueError, match="zero"):
+        rmsnorm(rows, p)
+
+
+@pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
+def test_fused_uses_the_weights_epsilon(variant, epsilon):
+    """Both paths scale each norm by its own parameters' epsilon, not the config's."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=5, mlp_hidden=12, variant=variant)
+    rng = np.random.default_rng(50)
+    w = random_block_weights(cfg, rng)
+    w = dataclasses.replace(w, ln1=dataclasses.replace(w.ln1, epsilon=epsilon),
+                            ln2=dataclasses.replace(w.ln2, epsilon=epsilon))
+    assert epsilon != cfg.epsilon_ln
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    assert max_rel_error(run_fused(cfg, w, x), run_conventional(cfg, w, x)) <= 1e-10
 
 
 def test_weights_fold_once(monkeypatch):
@@ -327,10 +370,13 @@ class TestGraph:
             assert set(sub.predecessors(scale.id)) == {coll.id, mm.id}
 
     def test_graphs_are_acyclic(self):
+        # the scheduler raises on a cycle; its entries come in a topological order
+        cm = CostModel(matrix_macs_per_cycle=1.0, vector_elems_per_cycle=1.0)
         for fused in (False, True):
             g = build_graph(self.cfg, fused=fused)
-            order = g.topological_order()
-            pos = {nid: i for i, nid in enumerate(order)}
+            entries = schedule(g, cm).entries
+            assert len(entries) == len(g.nodes)
+            pos = {e.node_id: i for i, e in enumerate(entries)}
             assert all(pos[a] < pos[b] for a, b in g.edges)
 
     def test_qkv_projection_mac_count(self):

@@ -24,7 +24,7 @@ from normfusion.norms import (
     softmax_numerators,
     softmax_stable,
 )
-from normfusion.tensor import diag, matmul, max_rel_error
+from normfusion.tensor import matmul, max_rel_error
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e306, max_value=1e306, allow_nan=False), min_size=1, max_size=48
@@ -45,7 +45,7 @@ def layernorm_matrix_form_oracle(x, p):
     _, var = moments_oracle(x)
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     row = (x / math.sqrt(var + p.epsilon))[np.newaxis, :]
-    return matmul(matmul(row, centering), diag(p.gamma))[0] + p.beta
+    return matmul(matmul(row, centering), np.diag(p.gamma))[0] + p.beta
 
 
 def softmax_mpmath_oracle(x):
@@ -191,3 +191,40 @@ class TestSoftmaxNumerators:
         x = rng.uniform(-1e3, 1e3, 33)
         num, den = softmax_numerators(x)
         assert_array_equal(softmax_stable(x), num / den)
+
+
+def _stack(case: str, rng) -> np.ndarray:
+    rows, n = 6, 13
+    if case == "dc-offset":
+        return rng.standard_normal((rows, n)) + rng.choice([-1e4, 1e4], size=(rows, 1))
+    if case == "near-constant":
+        return rng.uniform(-2.0, 2.0, size=(rows, 1)) + 1e-7 * rng.standard_normal((rows, n))
+    return rng.uniform(-1e3, 1e3, size=(rows, n))
+
+
+@pytest.mark.parametrize("case", ["dc-offset", "near-constant", "large-logits"])
+class TestStackOfRows:
+    """A stack of rows gives, bit for bit, the stacked results of its rows."""
+
+    def test_moments(self, case):
+        x = _stack(case, np.random.default_rng(18))
+        st_ = moments(x)
+        per_row = [moments(row) for row in x]
+        assert_array_equal(st_.mean, [s.mean for s in per_row])
+        assert_array_equal(st_.variance, [s.variance for s in per_row])
+
+    def test_layernorm(self, case):
+        rng = np.random.default_rng(19)
+        x = _stack(case, rng)
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, 13), beta=rng.standard_normal(13), epsilon=1e-5)
+        assert_array_equal(layernorm(x, p), np.stack([layernorm(row, p) for row in x]))
+
+    def test_rmsnorm(self, case):
+        rng = np.random.default_rng(20)
+        x = _stack(case, rng)
+        p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 13))
+        assert_array_equal(rmsnorm(x, p), np.stack([rmsnorm(row, p) for row in x]))
+
+    def test_softmax_stable(self, case):
+        x = _stack(case, np.random.default_rng(21))
+        assert_array_equal(softmax_stable(x), np.stack([softmax_stable(row) for row in x]))
