@@ -9,17 +9,30 @@ matrix multiplication, so each is a fusion site:
     site "softmax": attention probabilities -> @ V (per head)
     site "ln2":     norm2 -> first MLP projection(s)
 
-`run_conventional` and `run_fused` produce numerically equivalent outputs
-(identical algebra, different operation order). `build_graph` emits the
-dependency graph the latency simulator schedules; the fused graph differs
-from the conventional one only by cutting the collective->matmul edge at
-each site and adding a deferred-scale node after the matmul.
+`run_conventional` and `run_fused` are one block body; `fused` changes
+only how each of the three sites meets its matmul:
 
-Both paths run each site over all rows at once. The conventional path
-normalizes the whole stack with the `norms` kernels; the fused path folds
-the norm-fed projections once per set of weights (`BlockWeights.folded`)
-and defers the same `norms` collective past one product. Either is
-bit-identical to evaluating the rows one at a time.
+    ln1, ln2: conventional normalizes the rows, multiplies them by each of
+              the site's `BlockWeights.projections` and joins the outputs
+              column-wise; fused makes one `fused_*norm_matmul` over the
+              site's folded, joined projections (`BlockWeights.folded`),
+              folded once per set of weights.
+    softmax:  per head, conventional multiplies `softmax_stable(scores)`
+              by V; fused makes one `fused_softmax_matmul(scores, v_h)`.
+
+The Q/K/V split, the heads, the residuals and the MLP tail are written
+once, so the two outputs differ only in operation order at the sites
+(identical algebra, numerically equivalent). Both paths run each site
+over all rows at once, taking every collective from the same `norms`
+reduction, and each is bit-identical to evaluating the rows one at a
+time.
+
+`build_graph` emits the dependency graph the latency simulator schedules;
+the fused graph differs from the conventional one only by cutting the
+collective->matmul edge at each site and adding a deferred-scale node
+after the matmul. The graph is a cost model, not the code's operation
+list: the fused norm sites, for instance, feed the raw rows straight into
+the product.
 """
 
 from __future__ import annotations
@@ -144,25 +157,28 @@ class BlockWeights:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
 
-    def fold_projections(self) -> dict[str, FoldedLinear | RmsFoldedLinear]:
-        """Each norm-fed projection folded on its own, keyed "<site>.<weight>".
+    @property
+    def projections(self) -> dict[str, dict[str, np.ndarray]]:
+        """Each norm-fed site's projections, keyed by weight name, in column order.
 
-        standard-gelu: ln1.w_q, ln1.w_k, ln1.w_v, ln2.fc1.
-        llama-swiglu:  ln1.w_q, ln1.w_k, ln1.w_v, ln2.w_gate, ln2.w_up.
+        standard-gelu: ln1 -> w_q, w_k, w_v; ln2 -> fc1.
+        llama-swiglu:  ln1 -> w_q, w_k, w_v; ln2 -> w_gate, w_up.
         """
-        if isinstance(self.ln1, LayerNormParams):
-            fold, mlp_in = fold_layernorm_linear, {"fc1": self.fc1}
-        else:
-            fold, mlp_in = fold_rmsnorm_linear, {"w_gate": self.mlp.w_gate, "w_up": self.mlp.w_up}
-        sites = {f"ln1.{name}": fold(self.ln1, getattr(self, name)) for name in ("w_q", "w_k", "w_v")}
-        sites.update({f"ln2.{name}": fold(self.ln2, m) for name, m in mlp_in.items()})
-        return sites
+        mlp_in = {"fc1": self.fc1} if self.mlp is None else {"w_gate": self.mlp.w_gate, "w_up": self.mlp.w_up}
+        return {"ln1": {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}, "ln2": mlp_in}
+
+    def fold_projections(self) -> dict[str, FoldedLinear | RmsFoldedLinear]:
+        """Each of `projections` folded on its own, keyed "<site>.<weight>"."""
+        fold = fold_layernorm_linear if isinstance(self.ln1, LayerNormParams) else fold_rmsnorm_linear
+        return {f"{site}.{name}": fold(getattr(self, site), m)
+                for site, mats in self.projections.items() for name, m in mats.items()}
 
     @cached_property
     def folded(self) -> FoldedBlock:
         """`fold_projections` joined per site, computed once per weights."""
-        folds = list(self.fold_projections().values())  # Q, K, V, then the MLP input(s)
-        return FoldedBlock(ln1=_join_columns(folds[:3]), ln2=_join_columns(folds[3:]))
+        folds = self.fold_projections()
+        return FoldedBlock(**{site: _join_columns([folds[f"{site}.{name}"] for name in mats])
+                              for site, mats in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:
         n, h = cfg.d_model, cfg.mlp_hidden
@@ -218,44 +234,47 @@ def gelu(z) -> np.ndarray:
     return 0.5 * z * (1.0 + np.tanh(_GELU_SQRT_2_OVER_PI * (z + 0.044715 * z**3)))
 
 
-def _check_input(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
-    x = as_matrix(x)
-    if x.shape != (cfg.seq_len, cfg.d_model):
-        raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
-    w.validate(cfg)
-    return x
-
-
 def _split_heads(m: np.ndarray, cfg: BlockConfig) -> list[np.ndarray]:
     return [m[:, i * cfg.d_head : (i + 1) * cfg.d_head] for i in range(cfg.n_heads)]
 
 
-def _attention_scores(q_h: np.ndarray, k_h: np.ndarray, d_head: int) -> np.ndarray:
-    return matmul(q_h, k_h.T) * (1.0 / math.sqrt(d_head))
+def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
+    """The block, written once; `fused` changes only how each site meets its matmul."""
+    x = as_matrix(x)
+    if x.shape != (cfg.seq_len, cfg.d_model):
+        raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
+    w.validate(cfg)
+    n, h = cfg.d_model, cfg.mlp_hidden
+    gelu_block = cfg.variant == "standard-gelu"
+
+    def norm_site(rows: np.ndarray, site: str) -> np.ndarray:
+        """The site's projections of its normalized rows, joined column-wise."""
+        p = getattr(w, site)
+        if fused:
+            fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
+            return fused_norm_matmul(rows, getattr(w.folded, site), p.epsilon)
+        normed = (layernorm if gelu_block else rmsnorm)(rows, p)
+        return np.hstack([matmul(normed, m) for m in w.projections[site].values()])
+
+    qkv = norm_site(x, "ln1")
+    q, k, v = qkv[:, :n], qkv[:, n : 2 * n], qkv[:, 2 * n :]
+    head_outs = []
+    for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg)):
+        scores = matmul(q_h, k_h.T) * (1.0 / math.sqrt(cfg.d_head))
+        head_outs.append(fused_softmax_matmul(scores, v_h) if fused
+                         else matmul(softmax_stable(scores), v_h))
+    hidden = x + matmul(np.hstack(head_outs), w.w_o)
+
+    pre_act = norm_site(hidden, "ln2")
+    if gelu_block:
+        return hidden + matmul(gelu(pre_act), w.fc2)
+    # fused, the deferred 1/rms is already applied, as silu needs (see fused_rmsnorm_llama_mlp)
+    return hidden + matmul(silu(pre_act[:, :h]) * pre_act[:, h:], w.mlp.w_down)
 
 
 def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     """Reference block: normalize fully, then multiply, at every site."""
-    x = _check_input(cfg, w, x)
-    norm = layernorm if cfg.variant == "standard-gelu" else rmsnorm
-
-    normed = norm(x, w.ln1)
-    q, k, v = matmul(normed, w.w_q), matmul(normed, w.w_k), matmul(normed, w.w_v)
-    head_outs = []
-    for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg)):
-        probs = softmax_stable(_attention_scores(q_h, k_h, cfg.d_head))
-        head_outs.append(matmul(probs, v_h))
-    attn = matmul(np.hstack(head_outs), w.w_o)
-    hidden = x + attn
-
-    normed2 = norm(hidden, w.ln2)
-    if cfg.variant == "standard-gelu":
-        mlp_out = matmul(gelu(matmul(normed2, w.fc1)), w.fc2)
-    else:
-        gate = matmul(normed2, w.mlp.w_gate)
-        up = matmul(normed2, w.mlp.w_up)
-        mlp_out = matmul(silu(gate) * up, w.mlp.w_down)
-    return hidden + mlp_out
+    return _run_block(cfg, w, x, fused=False)
 
 
 def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
@@ -265,27 +284,7 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
     and each site runs as one fused evaluation over all rows. Each norm
     uses its own parameters' epsilon, as `run_conventional` does.
     """
-    x = _check_input(cfg, w, x)
-    n, h = cfg.d_model, cfg.mlp_hidden
-    gelu_block = cfg.variant == "standard-gelu"
-    fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
-
-    qkv = fused_norm_matmul(x, w.folded.ln1, w.ln1.epsilon)
-    q, k, v = qkv[:, :n], qkv[:, n : 2 * n], qkv[:, 2 * n :]
-    head_outs = [
-        fused_softmax_matmul(_attention_scores(q_h, k_h, cfg.d_head), v_h)
-        for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg))
-    ]
-    attn = matmul(np.hstack(head_outs), w.w_o)
-    hidden = x + attn
-
-    pre_act = fused_norm_matmul(hidden, w.folded.ln2, w.ln2.epsilon)
-    if gelu_block:
-        mlp_out = matmul(gelu(pre_act), w.fc2)
-    else:
-        # the deferred 1/rms is already applied, as silu needs (see fused_rmsnorm_llama_mlp)
-        mlp_out = matmul(silu(pre_act[:, :h]) * pre_act[:, h:], w.mlp.w_down)
-    return hidden + mlp_out
+    return _run_block(cfg, w, x, fused=True)
 
 
 # --------------------------------------------------------------------------
@@ -327,28 +326,6 @@ class OpGraph:
     edges: tuple[tuple[int, int], ...]
     fused: bool
     config: BlockConfig
-
-    def predecessors(self, node_id: int) -> list[int]:
-        return [a for a, b in self.edges if b == node_id]
-
-    def successors(self, node_id: int) -> list[int]:
-        return [b for a, b in self.edges if a == node_id]
-
-    def has_path(self, src: int, dst: int) -> bool:
-        frontier = [src]
-        seen = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            frontier.extend(self.successors(cur))
-        return False
-
-    def site_nodes(self, site: str) -> list[Node]:
-        return [n for n in self.nodes if n.site == site]
 
 
 class _GraphBuilder:
@@ -436,7 +413,7 @@ def site_subgraph(graph: OpGraph, site: str) -> OpGraph:
     """Induced subgraph of one fusion site (node ids preserved)."""
     if site not in SITES:
         raise ValueError(f"unknown fusion site {site!r}")
-    keep = {n.id for n in graph.site_nodes(site)}
+    keep = {n.id for n in graph.nodes if n.site == site}
     nodes = tuple(n for n in graph.nodes if n.id in keep)
     edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
     return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)

@@ -14,7 +14,7 @@ falling back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -75,15 +75,18 @@ def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tupl
     return mapping
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str, what: str) -> Any:
     try:
         with open(path) as f:
-            raw = json.load(f)
+            return json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from e
+        raise ConfigError(f"cannot read {what}: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        raise ConfigError(f"{what} is not valid JSON: {e}") from e
 
+
+def load_config(path: str) -> RunConfig:
+    raw = _read_json(path, "config file")
     _take(raw, "config", required=("block", "cost_model"),
           optional=("seed", "trials", "tolerance", "notes"))
     block_raw = _take(
@@ -159,29 +162,32 @@ def _vector_json(v: np.ndarray) -> list[float]:
     return [float(x) for x in v]
 
 
+# A weight file's matrices per variant. The gated MLP's three live in
+# `BlockWeights.mlp`; every other name is a `BlockWeights` field.
+_GATED_MLP = ("w_gate", "w_up", "w_down")
+_MATRICES = {
+    "standard-gelu": ("w_q", "w_k", "w_v", "w_o", "fc1", "fc2"),
+    "llama-swiglu": ("w_q", "w_k", "w_v", "w_o", *_GATED_MLP),
+}
+
+
+def _norm_json(p: LayerNormParams | RmsNormParams) -> dict:
+    entry = {"gamma": _vector_json(p.gamma)}
+    if isinstance(p, LayerNormParams):
+        entry["beta"] = _vector_json(p.beta)
+    entry["epsilon"] = float(p.epsilon)
+    return entry
+
+
 def save_block_weights(path: str, cfg: BlockConfig, w: BlockWeights) -> None:
     w.validate(cfg)
-    matrices = {"w_q": w.w_q, "w_k": w.w_k, "w_v": w.w_v, "w_o": w.w_o}
-    if cfg.variant == "standard-gelu":
-        matrices.update(fc1=w.fc1, fc2=w.fc2)
-        norms = {
-            "ln1": {"gamma": _vector_json(w.ln1.gamma), "beta": _vector_json(w.ln1.beta),
-                    "epsilon": float(w.ln1.epsilon)},
-            "ln2": {"gamma": _vector_json(w.ln2.gamma), "beta": _vector_json(w.ln2.beta),
-                    "epsilon": float(w.ln2.epsilon)},
-        }
-    else:
-        matrices.update(w_gate=w.mlp.w_gate, w_up=w.mlp.w_up, w_down=w.mlp.w_down)
-        norms = {
-            "ln1": {"gamma": _vector_json(w.ln1.gamma), "epsilon": float(w.ln1.epsilon)},
-            "ln2": {"gamma": _vector_json(w.ln2.gamma), "epsilon": float(w.ln2.epsilon)},
-        }
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "block-weights",
         "variant": cfg.variant,
-        "matrices": {name: _matrix_json(m) for name, m in matrices.items()},
-        "norms": norms,
+        "matrices": {name: _matrix_json(getattr(w.mlp if name in _GATED_MLP else w, name))
+                     for name in _MATRICES[cfg.variant]},
+        "norms": {"ln1": _norm_json(w.ln1), "ln2": _norm_json(w.ln2)},
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
@@ -189,14 +195,7 @@ def save_block_weights(path: str, cfg: BlockConfig, w: BlockWeights) -> None:
 
 
 def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read weight file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"weight file is not valid JSON: {e}") from e
-
+    doc = _read_json(path, "weight file")
     _take(doc, "weights", required=("schema_version", "kind", "variant", "matrices", "norms"),
           optional=())
     if doc["kind"] != "block-weights":
@@ -205,37 +204,22 @@ def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
         raise ConfigError(
             f"weight file variant {doc['variant']!r} does not match config {cfg.variant!r}"
         )
-    mats = {name: _matrix_from_json(obj, f"weights.matrices.{name}")
-            for name, obj in doc["matrices"].items()}
-    norms = doc["norms"]
+    _take(doc["matrices"], "weights.matrices", required=_MATRICES[cfg.variant], optional=())
+    _take(doc["norms"], "weights.norms", required=("ln1", "ln2"), optional=())
+    params = LayerNormParams if cfg.variant == "standard-gelu" else RmsNormParams
+    keys = tuple(f.name for f in fields(params))
 
     def norm_params(key: str):
-        entry = norms.get(key)
-        if entry is None:
-            raise ConfigError(f"weights.norms.{key} is missing")
-        if cfg.variant == "standard-gelu":
-            _take(entry, f"weights.norms.{key}", required=("gamma", "beta", "epsilon"), optional=())
-            return LayerNormParams(gamma=entry["gamma"], beta=entry["beta"], epsilon=entry["epsilon"])
-        _take(entry, f"weights.norms.{key}", required=("gamma", "epsilon"), optional=())
-        return RmsNormParams(gamma=entry["gamma"], epsilon=entry["epsilon"])
+        return params(**_take(doc["norms"][key], f"weights.norms.{key}", required=keys, optional=()))
 
     try:
-        if cfg.variant == "standard-gelu":
-            w = BlockWeights(
-                w_q=mats["w_q"], w_k=mats["w_k"], w_v=mats["w_v"], w_o=mats["w_o"],
-                ln1=norm_params("ln1"), ln2=norm_params("ln2"),
-                fc1=mats["fc1"], fc2=mats["fc2"],
-            )
-        else:
-            w = BlockWeights(
-                w_q=mats["w_q"], w_k=mats["w_k"], w_v=mats["w_v"], w_o=mats["w_o"],
-                ln1=norm_params("ln1"), ln2=norm_params("ln2"),
-                mlp=LlamaMlpWeights(w_gate=mats["w_gate"], w_up=mats["w_up"], w_down=mats["w_down"]),
-            )
+        mats = {name: _matrix_from_json(obj, f"weights.matrices.{name}")
+                for name, obj in doc["matrices"].items()}
+        gated = {name: mats.pop(name) for name in _GATED_MLP if name in mats}
+        w = BlockWeights(ln1=norm_params("ln1"), ln2=norm_params("ln2"),
+                         mlp=LlamaMlpWeights(**gated) if gated else None, **mats)
         w.validate(cfg)
-    except KeyError as e:
-        raise ConfigError(f"weight file is missing matrix {e}") from e
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     return w
 
@@ -260,14 +244,7 @@ def save_folded_weights(path: str, cfg: BlockConfig,
 
 
 def load_folded_weights(path: str) -> dict[str, FoldedLinear | RmsFoldedLinear]:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read folded-weight file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"folded-weight file is not valid JSON: {e}") from e
-
+    doc = _read_json(path, "folded-weight file")
     _take(doc, "folded", required=("schema_version", "kind", "variant", "sites"), optional=())
     if doc["kind"] != "folded-weights":
         raise ConfigError(f"expected a folded-weights file, got kind {doc['kind']!r}")

@@ -16,6 +16,7 @@ from normfusion.fusion import (
     fused_layernorm_matmul,
 )
 from normfusion.jsonio import (
+    ConfigError,
     load_block_weights,
     load_folded_weights,
     save_block_weights,
@@ -261,6 +262,31 @@ class TestFold:
         loaded = load_block_weights(str(win), cfg)
         assert_array_equal(loaded.w_q, weights.w_q)
         assert_array_equal(loaded.ln1.gamma, weights.ln1.gamma)
+
+    @pytest.mark.parametrize("section,extra,copied", [("matrices", "w_gaet", "w_q"), ("norms", "ln3", "ln1")])
+    def test_unknown_weight_entry_rejected(self, setup, capsys, section, extra, copied):
+        cfg_path, cfg, _, win, wout = setup
+        doc = json.loads(win.read_text())
+        doc[section][extra] = doc[section][copied]  # a well-formed entry under a misspelt name
+        win.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in weights.{section}: {extra}"):
+            load_block_weights(str(win), cfg)
+        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        assert code == 2
+        assert extra in err
+
+    @pytest.mark.parametrize("field", ["matrix datum", "norm epsilon"])
+    def test_non_numeric_weight_is_config_error(self, setup, capsys, field):
+        cfg_path, _, _, win, wout = setup
+        doc = json.loads(win.read_text())
+        if field == "matrix datum":
+            doc["matrices"]["w_q"]["data"][0] = "x"
+        else:
+            doc["norms"]["ln1"]["epsilon"] = "x"
+        win.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        assert code == 2
+        assert err
 
     def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
         cfg_path, cfg, weights, win, wout = setup
