@@ -24,8 +24,9 @@ conventional paths agree to rounding (~1e-13 relative), well inside the
 
 The fused evaluators take one row (1-D) or a stack of rows (2-D). They
 keep no reduction of their own: the collective scalar comes from the same
-`norms` function the conventional form calls (`moments`,
-`root_mean_square`, `softmax_numerators`). Every reduction runs left to
+`norms` reduction the conventional form calls (`moments`,
+`root_mean_square`, `softmax_numerators`), through its private twin, as
+the evaluator has already validated the rows. Every reduction runs left to
 right along the row and the product's columns are independent, so a
 row's result is bit-identical either way; the deferred scale of a stack
 is a column vector, one scalar per row.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
+from .norms import LayerNormParams, RmsNormParams, _moments, _root_mean_square, _softmax_numerators
 from .tensor import as_matrix, as_row_vector, as_rows, frozen_copy, matmul, ordered_sum, rowvec_matmul
 
 __all__ = [
@@ -153,7 +154,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite scalar, got {epsilon}")
 
-    variance = moments(rows).variance           # collective task
+    variance = _moments(rows).variance          # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
     out = projected / np.sqrt(variance + epsilon)[:, np.newaxis] + fl.folded_bias
     return out[0] if single else out
@@ -170,8 +171,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     if rows.shape[1] != v.shape[0]:
         raise ValueError(f"input length {rows.shape[1]} does not match matrix rows {v.shape[0]}")
 
-    numerators, denominator = softmax_numerators(rows)  # denominator: collective task
-    projected = matmul(numerators, v)                   # matmul task, overlappable
+    numerators, denominator = _softmax_numerators(rows)  # denominator: collective task
+    projected = matmul(numerators, v)                    # matmul task, overlappable
     out = projected / denominator[:, np.newaxis]
     return out[0] if single else out
 
@@ -193,8 +194,8 @@ def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.nd
         raise ValueError(
             f"input length {rows.shape[1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
         )
-    r = root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
-    projected = matmul(rows, rfl.folded_weight)         # matmul task, overlappable
+    r = _root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
+    projected = matmul(rows, rfl.folded_weight)          # matmul task, overlappable
     out = projected / r
     return out[0] if single else out
 
@@ -235,7 +236,7 @@ def fused_rmsnorm_llama_mlp(
     if w_down.shape != (h, n):
         raise ValueError(f"down projection shape {w_down.shape}, expected {(h, n)}")
 
-    r = root_mean_square(rows, epsilon)[:, np.newaxis]   # collective task
+    r = _root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
     p_gate = matmul(rows, gate_folded.folded_weight)     # overlappable
     p_up = matmul(rows, up_folded.folded_weight)         # overlappable
     gated = silu(p_gate / r) * (p_up / r)

@@ -251,11 +251,16 @@ def load_folded_weights(path: str) -> dict[str, FoldedLinear | RmsFoldedLinear]:
     out: dict[str, FoldedLinear | RmsFoldedLinear] = {}
     for name, entry in doc["sites"].items():
         _take(entry, f"folded.sites.{name}", required=("folded_weight",), optional=("folded_bias",))
-        weight = _matrix_from_json(entry["folded_weight"], f"folded.sites.{name}.folded_weight")
-        if "folded_bias" in entry:
-            out[name] = FoldedLinear(folded_weight=weight, folded_bias=entry["folded_bias"])
-        else:
-            out[name] = RmsFoldedLinear(folded_weight=weight)
+        try:
+            weight = _matrix_from_json(entry["folded_weight"], f"folded.sites.{name}.folded_weight")
+            if "folded_bias" in entry:
+                out[name] = FoldedLinear(folded_weight=weight, folded_bias=entry["folded_bias"])
+            else:
+                out[name] = RmsFoldedLinear(folded_weight=weight)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as e:  # a non-numeric or non-finite entry
+            raise ConfigError(f"folded.sites.{name}: {e}") from e
     return out
 
 

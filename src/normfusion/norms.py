@@ -12,6 +12,11 @@ each row left to right along the last axis with `tensor.ordered_sum`, so
 a row's result is bit-identical either way. The fused evaluators take
 their collective values from these same functions, so the conventional
 and fused paths divide by bit-identical scalars by construction.
+
+Each public function validates its input once. Where a function here or
+in `fusion` has already validated an array and hands it to one of these
+reductions, it calls the reduction's private twin (`_moments`,
+`_root_mean_square`, `_softmax_numerators`), which skips the check.
 """
 
 from __future__ import annotations
@@ -104,7 +109,11 @@ def moments(x) -> MomentStats:
     same sqrt(variance + eps), and a sample-variance mismatch here would
     silently break fused/conventional equivalence.
     """
-    x = as_rows(x)
+    return _moments(as_rows(x))
+
+
+def _moments(x: np.ndarray) -> MomentStats:
+    """`moments` of a row or stack `as_rows` has already validated."""
     n = x.shape[-1]
     mean = ordered_sum(x, axis=-1) / n
     dev = x - mean[..., np.newaxis]
@@ -116,14 +125,18 @@ def layernorm(x, p: LayerNormParams) -> np.ndarray:
     """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
     x = as_rows(x)
     _check_width(x, p.n)
-    st = moments(x)
+    st = _moments(x)
     denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
     return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     """sqrt(mean(x**2) + eps) of a row, per row of a stack."""
-    x = as_rows(x)
+    return _root_mean_square(as_rows(x), epsilon)
+
+
+def _root_mean_square(x: np.ndarray, epsilon: float) -> float | np.ndarray:
+    """`root_mean_square` of a row or stack `as_rows` has already validated."""
     mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
     if np.any(mean_sq + epsilon == 0.0):
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
@@ -134,7 +147,7 @@ def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
     """x / sqrt(mean(x**2) + eps) * gamma, per row."""
     x = as_rows(x)
     _check_width(x, p.n)
-    return (x / root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
+    return (x / _root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
 
 
 def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
@@ -146,7 +159,11 @@ def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
     is the left-to-right sum of the numerators, which makes
     `numerators @ ones == denominator` bit-exact.
     """
-    x = as_rows(x)
+    return _softmax_numerators(as_rows(x))
+
+
+def _softmax_numerators(x: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """`softmax_numerators` of a row or stack `as_rows` has already validated."""
     numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return numerators, ordered_sum(numerators, axis=-1)
 

@@ -7,6 +7,13 @@ bit-reproducible across runs and bit-equal to a naive scalar loop. numpy's
 elementwise `*` and `+` do not fuse multiply-adds, which keeps the
 guarantee intact on stock builds.
 
+`matmul` forms its products a chunk of the inner dimension at a time, in
+one vectorised call into a buffer of at most `_CHUNK_ELEMENTS` float64
+(256 KiB; one output-sized slice if the output is larger), and then adds
+the chunk's slices into the output one at a time, in index order, so it
+stays bit-equal to the naive loop. Its extra memory is that one buffer,
+whatever the inner dimension.
+
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
 (row-major). Activations are rows multiplying weights on the right.
 """
@@ -24,6 +31,9 @@ __all__ = [
     "ordered_sum",
     "max_rel_error",
 ]
+
+# Products per chunk of `matmul`'s inner dimension: 2**15 float64, 256 KiB.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def as_row_vector(x) -> np.ndarray:
@@ -80,8 +90,24 @@ def matmul(a, b) -> np.ndarray:
     """Operator product A @ B with a fixed summation order.
 
     Accumulates rank-1 updates over the inner dimension in index order, so
-    each output element is the left-to-right sum of its products,
-    bit-equal to the naive triple loop.
+    each output element is the left-to-right sum of its products, starting
+    from +0.0, bit-equal to the naive triple loop.
+
+    The inner dimension is taken in chunks of c = max(1, min(k, budget //
+    (m*n))) indices. For each chunk one `einsum("km,kn->kmn")` forms all c
+    rank-1 slices a[:, i] * b[i, :] into a buffer allocated once per call.
+    That einsum has no summed index: each element is one rounded product,
+    with no reassociation and no BLAS call. It writes 0 + a*b, so a -0.0
+    product comes out +0.0, which changes nothing: the accumulator starts
+    at +0.0, no sum of it with a zero can become -0.0, and adding a zero of
+    either sign to a nonzero value returns the value. A broadcast
+    `np.multiply` forms the same products but allocates a temporary beside
+    the buffer, and runs slower. The slices are then added into the output
+    one `np.add` per index, in index order: the same sequence of IEEE
+    additions as a loop of `out += a[:, i:i+1] * b[i]`.
+
+    Memory beyond the output is the one buffer: at most `_CHUNK_ELEMENTS`
+    float64, or one m x n slice when m*n is larger (c = 1).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -89,9 +115,15 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} times {b.shape[0]}x{b.shape[1]}"
         )
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, np.newaxis] * b[k, :]
+    (m, k), n = a.shape, b.shape[1]
+    c = max(1, min(k, _CHUNK_ELEMENTS // (m * n)))
+    out = np.zeros((m, n))
+    products = np.empty((c, m, n))
+    for start in range(0, k, c):
+        chunk = products[: min(c, k - start)]
+        np.einsum("km,kn->kmn", a.T[start : start + c], b[start : start + c], out=chunk)
+        for product in chunk:
+            np.add(out, product, out=out)
     return out
 
 

@@ -9,6 +9,7 @@ invariants the simulator relies on.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -317,6 +318,20 @@ def test_single_key_attention_is_value_projection():
     n2 = np.stack([layernorm(row, w.ln2) for row in hidden])
     expected = hidden + matmul(gelu(matmul(n2, w.fc1)), w.fc2)
     assert_array_equal(run_conventional(cfg, w, x), expected)
+
+
+def test_gelu_against_extended_precision():
+    # the same tanh formula in 50-digit arithmetic; the error is measured
+    # against max(1, |z|), since 1 + tanh cancels for large negative z
+    rng = np.random.default_rng(47)
+    zs = np.concatenate([rng.standard_normal(500) * 3, rng.uniform(-12.0, 12.0, 500),
+                         [-1e3, -20.0, -5.0, -1.0, -1e-8, -1e-300, 0.0, 1e-300, 1e-8, 1.0, 5.0, 20.0, 1e3]])
+    with mpmath.workdps(50):
+        c = mpmath.sqrt(2 / mpmath.pi)
+        ref = np.array([float(z / 2 * (1 + mpmath.tanh(c * (z + mpmath.mpf("0.044715") * z**3))))
+                        for z in map(mpmath.mpf, zs)])
+    err = np.abs(gelu(zs) - ref) / np.maximum(1.0, np.abs(zs))
+    assert np.max(err) <= 4 * np.finfo(np.float64).eps
 
 
 def test_wrong_norm_params_for_variant_rejected():

@@ -288,6 +288,18 @@ class TestFold:
         assert code == 2
         assert err
 
+    def test_non_numeric_fold_entry_is_config_error(self, setup, capsys):
+        cfg_path, _, _, win, wout = setup
+        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        clean = wout.read_text()
+        for field in json.loads(clean)["sites"]["ln1.w_k"]:  # folded_weight, and folded_bias for layernorm
+            doc = json.loads(clean)
+            entry = doc["sites"]["ln1.w_k"]
+            (entry[field]["data"] if field == "folded_weight" else entry[field])[3] = "x"
+            wout.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match="folded.sites.ln1.w_k: could not convert string to float"):
+                load_folded_weights(str(wout))
+
     def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
         cfg_path, cfg, weights, win, wout = setup
         other_cfg = small_config(tmp_path, block={"d_model": 32, "variant": cfg.variant})

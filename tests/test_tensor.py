@@ -1,10 +1,13 @@
 """Kernel tests: oracles are naive scalar loops written independently."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from normfusion.tensor import (
+    _CHUNK_ELEMENTS,
     as_matrix,
     as_row_vector,
     matmul,
@@ -67,6 +70,72 @@ class TestMatmul:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             matmul(bad, np.eye(2))
+
+
+def assert_bits_equal(actual, expected):
+    """Equal bit patterns, so -0.0 and +0.0 differ."""
+    assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def chunk_rows(m, n):
+    """Inner indices per product chunk of `matmul` at an m x n output."""
+    return max(1, _CHUNK_ELEMENTS // (m * n))
+
+
+def adversarial_operands(rng, m, k, n):
+    """Rows of magnitude 1e-200 to 1e150 and about 10% signed zeros.
+
+    Products range from 1e300 down to subnormals (1e-310) and past the
+    smallest subnormal, where they underflow to a signed zero; no product
+    or sum overflows.
+    """
+    a = rng.standard_normal((m, k)) * 10.0 ** rng.choice([-150, 0, 150], size=(m, 1))
+    b = rng.standard_normal((k, n)) * 10.0 ** rng.choice([-200, -160, 0, 150], size=(k, 1))
+    for x in (a, b):
+        zero = rng.random(x.shape) < 0.1
+        x[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    return a, b
+
+
+class TestChunkedMatmul:
+    """Inner dimensions spanning several product chunks of `matmul`."""
+
+    # several chunks with the last one partial, and (200, 3, 200): an output
+    # above the budget, one inner index per chunk
+    @pytest.mark.parametrize("shape", [(2, 300, 200), (3, 97, 129), (8, 513, 9), (200, 3, 200)])
+    def test_matches_oracle_bitwise(self, shape):
+        m, k, n = shape
+        c = chunk_rows(m, n)
+        assert k > c and (k % c != 0 or m * n > _CHUNK_ELEMENTS)
+        a, b = adversarial_operands(np.random.default_rng(k), m, k, n)
+        assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
+
+    def test_products_underflow_and_go_subnormal(self):
+        a = np.array([[1e-150, -1e-150, 1e-160]])
+        b = np.array([[1e-160], [1e-200], [-1e-150]])
+        products = a[0] * b[:, 0]
+        assert products[0] != 0.0 and abs(products[0]) < np.finfo(np.float64).tiny  # subnormal
+        assert products[1] == 0.0 and np.signbit(products[1])  # underflow to -0.0
+        assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        # 0.0 + (-0.0) + (-0.0) is +0.0, as in the left-to-right loop
+        assert_bits_equal(matmul([[-0.0, 0.0]], [[1.0], [-1.0]]), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(8, 513, 128), (2, 300, 200), (200, 3, 200)])
+    def test_peak_memory_is_output_plus_one_chunk(self, shape):
+        m, k, n = shape
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        tracemalloc.start()
+        try:
+            matmul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = m * n * 8
+        chunk = max(_CHUNK_ELEMENTS, m * n) * 8
+        assert peak <= output + chunk + 4096
 
 
 class TestDiag:
