@@ -19,7 +19,7 @@ from normfusion import (
     max_rel_error,
     softmax_stable,
 )
-from normfusion.tensor import rowvec_matmul
+from normfusion.tensor import matmul
 
 rng = np.random.default_rng(7)
 n, m = 8, 5
@@ -30,14 +30,14 @@ params = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_norma
                          epsilon=1e-5)
 weight = rng.standard_normal((n, m)) / np.sqrt(n)
 
-conventional = rowvec_matmul(layernorm(x, params), weight)
+conventional = matmul(layernorm(x, params), weight)
 print("conventional  normalize(x) @ W :", np.array2string(conventional, precision=6))
 
 fold = fold_layernorm_linear(params, weight)
 print("\nFolding (I - ones/n) @ diag(gamma) @ W at compile time:")
 print("  folded weight shape:", fold.folded_weight.shape)
 print("  ones-vector image (should be ~0):",
-      np.array2string(rowvec_matmul(np.ones(n), fold.folded_weight), precision=2))
+      np.array2string(matmul(np.ones(n), fold.folded_weight), precision=2))
 print("  folded bias = beta @ W:", np.array2string(fold.folded_bias, precision=6))
 
 fused = fused_layernorm_matmul(x, fold, params.epsilon)
@@ -50,7 +50,7 @@ print("\n=== Softmax -> Matmul ===\n")
 logits = rng.uniform(-1e3, 1e3, n)  # extreme logits: max-shifted numerators stay finite
 values = rng.standard_normal((n, m))
 
-conventional = rowvec_matmul(softmax_stable(logits), values)
+conventional = matmul(softmax_stable(logits), values)
 fused = fused_softmax_matmul(logits, values)
 print("logit range: [%.0f, %.0f]" % (logits.min(), logits.max()))
 print("conventional softmax(x) @ V :", np.array2string(conventional, precision=6))

@@ -36,6 +36,7 @@ from .fusion import (
     fused_rmsnorm_matmul,
     fused_softmax_matmul,
     silu,
+    swiglu,
 )
 from .jsonio import ConfigError, RunConfig, load_config
 from .norms import (
@@ -103,4 +104,5 @@ __all__ = [
     "site_subgraph",
     "softmax_numerators",
     "softmax_stable",
+    "swiglu",
 ]

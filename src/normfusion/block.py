@@ -20,12 +20,12 @@ only how each of the three sites meets its matmul:
     softmax:  per head, conventional multiplies `softmax_stable(scores)`
               by V; fused makes one `fused_softmax_matmul(scores, v_h)`.
 
-The Q/K/V split, the heads, the residuals and the MLP tail are written
-once, so the two outputs differ only in operation order at the sites
-(identical algebra, numerically equivalent). Both paths run each site
-over all rows at once, taking every collective from the same `norms`
-reduction, and each is bit-identical to evaluating the rows one at a
-time.
+The Q/K/V split, the heads, the residuals and the MLP tail (`gelu` then
+`fc2`, or `fusion.swiglu`) are written once, so the two outputs differ
+only in operation order at the sites (identical algebra, numerically
+equivalent). Both paths run each site over all rows at once, taking
+every collective from the same `norms` reduction, and each is
+bit-identical to evaluating the rows one at a time.
 
 `build_graph` emits the dependency graph the latency simulator schedules;
 the fused graph differs from the conventional one only by cutting the
@@ -38,7 +38,7 @@ the product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,12 +47,13 @@ from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
     RmsFoldedLinear,
+    _join_columns,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
     fused_rmsnorm_matmul,
     fused_softmax_matmul,
-    silu,
+    swiglu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
 from .tensor import as_matrix, frozen_copy, matmul
@@ -118,17 +119,6 @@ class FoldedBlock:
 
     ln1: FoldedLinear | RmsFoldedLinear
     ln2: FoldedLinear | RmsFoldedLinear
-
-
-def _join_columns(folds: list) -> FoldedLinear | RmsFoldedLinear:
-    """Folded projections side by side as one read-only fold: the same columns, in one product."""
-    weight = np.hstack([f.folded_weight for f in folds])
-    weight.setflags(write=False)
-    if isinstance(folds[0], RmsFoldedLinear):
-        return RmsFoldedLinear(folded_weight=weight)
-    bias = np.hstack([f.folded_bias for f in folds])
-    bias.setflags(write=False)
-    return FoldedLinear(folded_weight=weight, folded_bias=bias)
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,7 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     if x.shape != (cfg.seq_len, cfg.d_model):
         raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
     w.validate(cfg)
-    n, h = cfg.d_model, cfg.mlp_hidden
+    n = cfg.d_model
     gelu_block = cfg.variant == "standard-gelu"
 
     def norm_site(rows: np.ndarray, site: str) -> np.ndarray:
@@ -270,7 +260,7 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     if gelu_block:
         return hidden + matmul(gelu(pre_act), w.fc2)
     # fused, the deferred 1/rms is already applied, as silu needs (see fused_rmsnorm_llama_mlp)
-    return hidden + matmul(silu(pre_act[:, :h]) * pre_act[:, h:], w.mlp.w_down)
+    return hidden + swiglu(pre_act, w.mlp.w_down)
 
 
 def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
@@ -299,9 +289,7 @@ class Node:
 
     work counts elements for vector-engine kinds and MACs for matmuls.
     site tags the fusion site ("ln1" | "softmax" | "ln2") or None for
-    common work (residuals, activations, unfused projections). meta keeps
-    human-facing granularity notes (e.g. how many per-row reductions a
-    collective aggregates); the scheduler ignores it.
+    common work (residuals, activations, unfused projections).
     """
 
     id: int
@@ -310,7 +298,6 @@ class Node:
     work: int
     name: str
     site: str | None = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
@@ -334,18 +321,16 @@ class _GraphBuilder:
         self.nodes: list[Node] = []
         self.edges: list[tuple[int, int]] = []
 
-    def add(self, kind, engine, work, name, site=None, meta=None, deps=()) -> int:
+    def add(self, kind, engine, work, name, site=None, deps=()) -> int:
         nid = len(self.nodes)
-        self.nodes.append(
-            Node(id=nid, kind=kind, engine=engine, work=int(work), name=name, site=site, meta=meta or {})
-        )
+        self.nodes.append(Node(id=nid, kind=kind, engine=engine, work=int(work), name=name, site=site))
         for d in deps:
             self.edges.append((d, nid))
         return nid
 
 
 def _add_site(b: _GraphBuilder, site: str, ew_work: int, coll_work: int,
-              mm_work: int, mm_out: int, fused: bool, coll_meta: dict, entry: int | None) -> int:
+              mm_work: int, mm_out: int, fused: bool, entry: int | None) -> int:
     """One normalization site.
 
     Conventional: elementwise -> collective -> matmul (a chain).
@@ -355,8 +340,7 @@ def _add_site(b: _GraphBuilder, site: str, ew_work: int, coll_work: int,
     """
     deps = [entry] if entry is not None else []
     ew = b.add("elementwise", "vector", ew_work, f"{site}.elementwise", site, deps=deps)
-    coll = b.add("collective", "vector", coll_work, f"{site}.collective", site,
-                 meta=coll_meta, deps=[ew])
+    coll = b.add("collective", "vector", coll_work, f"{site}.collective", site, deps=[ew])
     if not fused:
         mm = b.add("matmul", "matrix", mm_work, f"{site}.matmul", site, deps=[coll])
         return mm
@@ -370,8 +354,7 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
 
     Matmul work is seq * rows * cols MACs per product, summed where one
     node covers several projections (Q/K/V; gate+up). The softmax site's
-    collective node aggregates every head's per-row denominator; the
-    per-head granularity is recorded in its meta.
+    collective node aggregates every head's per-row denominator.
     """
     n, heads, seq, h = cfg.d_model, cfg.n_heads, cfg.seq_len, cfg.mlp_hidden
     b = _GraphBuilder()
@@ -380,15 +363,14 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
         b, "ln1",
         ew_work=seq * n, coll_work=seq * n,
         mm_work=3 * seq * n * n, mm_out=3 * seq * n,
-        fused=fused, coll_meta={"reductions": seq, "width": n}, entry=None,
+        fused=fused, entry=None,
     )
     logits = b.add("matmul", "matrix", seq * seq * n, "attn.logits_matmul", deps=[qkv])
     av = _add_site(
         b, "softmax",
         ew_work=heads * seq * seq, coll_work=heads * seq * seq,
         mm_work=seq * seq * n, mm_out=seq * n,
-        fused=fused, coll_meta={"reductions": heads * seq, "width": seq, "heads": heads},
-        entry=logits,
+        fused=fused, entry=logits,
     )
     out_proj = b.add("matmul", "matrix", seq * n * n, "attn.out_matmul", deps=[av])
     res1 = b.add("elementwise", "vector", seq * n, "residual1.add", deps=[out_proj])
@@ -401,7 +383,7 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
         b, "ln2",
         ew_work=seq * n, coll_work=seq * n,
         mm_work=mlp_mm_work, mm_out=mlp_mm_out,
-        fused=fused, coll_meta={"reductions": seq, "width": n}, entry=res1,
+        fused=fused, entry=res1,
     )
     act = b.add("elementwise", "vector", seq * h, "mlp.activation", deps=[fc1])
     down = b.add("matmul", "matrix", seq * h * n, "mlp.down_matmul", deps=[act])

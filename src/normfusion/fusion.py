@@ -22,14 +22,21 @@ Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
 1e-10 contract.
 
-The fused evaluators take one row (1-D) or a stack of rows (2-D). They
-keep no reduction of their own: the collective scalar comes from the same
-`norms` reduction the conventional form calls (`moments`,
-`root_mean_square`, `softmax_numerators`), through its private twin, as
-the evaluator has already validated the rows. Every reduction runs left to
-right along the row and the product's columns are independent, so a
-row's result is bit-identical either way; the deferred scale of a stack
-is a column vector, one scalar per row.
+The fused evaluators take one row (1-D) or a stack of rows (2-D), as
+`norms` and `tensor.matmul` do, and return the same rank. They keep no
+reduction of their own: the collective scalar comes from the same `norms`
+reduction the conventional form calls (`moments`, `root_mean_square`,
+`softmax_numerators`), through its private twin, as the evaluator has
+already validated the rows. Every reduction runs left to right along the
+row and the product's columns are independent, so a row's result is
+bit-identical either way; the deferred scale is one scalar per row,
+applied along the last axis as `norms` applies it.
+
+The gated MLP has one tail, `swiglu`: silu(gate) * up through the down
+projection. Its 1/rms cannot be deferred past silu, so only the gate|up
+product overlaps the reduction: `fused_rmsnorm_llama_mlp` is one
+`fused_rmsnorm_matmul` over the joined gate and up folds, then `swiglu`,
+the same steps the block's fused path takes.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, _moments, _root_mean_square, _softmax_numerators
-from .tensor import as_matrix, as_row_vector, as_rows, frozen_copy, matmul, ordered_sum, rowvec_matmul
+from .tensor import as_matrix, as_row_vector, as_rows, frozen_copy, matmul, ordered_sum
 
 __all__ = [
     "FoldedLinear",
@@ -52,6 +59,7 @@ __all__ = [
     "fused_rmsnorm_matmul",
     "fused_rmsnorm_llama_mlp",
     "silu",
+    "swiglu",
 ]
 
 # 1-vector annihilation tolerance for folded layernorm weights: the rows of
@@ -124,7 +132,7 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
         )
     scaled = p.gamma[:, np.newaxis] * f
     folded_weight = scaled - ordered_sum(scaled, axis=0) / p.n
-    folded_bias = rowvec_matmul(p.beta, f)
+    folded_bias = matmul(p.beta, f)
 
     ones_image = np.abs(ordered_sum(folded_weight, axis=0))
     limit = _FOLD_ANNIHILATION_TOL * max(1.0, float(np.max(np.abs(folded_weight)))) * p.n
@@ -133,20 +141,14 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
 
 
-def _as_rows(x) -> tuple[np.ndarray, bool]:
-    """`x` as a validated 2-D stack of rows, and whether it was a single row."""
-    rows = as_rows(x)
-    return np.atleast_2d(rows), rows.ndim == 1
-
-
 def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
     The variance reduction and the x @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias.
     """
-    rows, single = _as_rows(x)
-    n = rows.shape[1]
+    rows = as_rows(x)
+    n = rows.shape[-1]
     if n != fl.folded_weight.shape[0]:
         raise ValueError(
             f"input length {n} does not match folded weight rows {fl.folded_weight.shape[0]}"
@@ -156,8 +158,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
 
     variance = _moments(rows).variance          # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
-    out = projected / np.sqrt(variance + epsilon)[:, np.newaxis] + fl.folded_bias
-    return out[0] if single else out
+    return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -166,15 +167,13 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     Numerators are max-shifted, so the path is overflow-safe for any
     finite logits; the shift cancels between numerator and denominator.
     """
-    rows, single = _as_rows(x)
-    v = as_matrix(v)
-    if rows.shape[1] != v.shape[0]:
-        raise ValueError(f"input length {rows.shape[1]} does not match matrix rows {v.shape[0]}")
+    rows = as_rows(x)
+    if np.shape(v)[:1] != rows.shape[-1:]:
+        raise ValueError(f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
 
     numerators, denominator = _softmax_numerators(rows)  # denominator: collective task
     projected = matmul(numerators, v)                    # matmul task, overlappable
-    out = projected / denominator[:, np.newaxis]
-    return out[0] if single else out
+    return projected / denominator[..., np.newaxis]
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
@@ -187,17 +186,27 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
     return RmsFoldedLinear(folded_weight=p.gamma[:, np.newaxis] * f)
 
 
+def _join_columns(folds: list) -> FoldedLinear | RmsFoldedLinear:
+    """Folded projections side by side as one read-only fold: the same columns, in one product."""
+    weight = np.hstack([f.folded_weight for f in folds])
+    weight.setflags(write=False)
+    if isinstance(folds[0], RmsFoldedLinear):
+        return RmsFoldedLinear(folded_weight=weight)
+    bias = np.hstack([f.folded_bias for f in folds])
+    bias.setflags(write=False)
+    return FoldedLinear(folded_weight=weight, folded_bias=bias)
+
+
 def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.ndarray:
     """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
-    rows, single = _as_rows(x)
-    if rows.shape[1] != rfl.folded_weight.shape[0]:
+    rows = as_rows(x)
+    if rows.shape[-1] != rfl.folded_weight.shape[0]:
         raise ValueError(
-            f"input length {rows.shape[1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
+            f"input length {rows.shape[-1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
         )
-    r = _root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
-    projected = matmul(rows, rfl.folded_weight)          # matmul task, overlappable
-    out = projected / r
-    return out[0] if single else out
+    r = _root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
+    projected = matmul(rows, rfl.folded_weight)            # matmul task, overlappable
+    return projected / r
 
 
 def silu(z) -> np.ndarray:
@@ -209,6 +218,19 @@ def silu(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = z[~pos] * ez / (1.0 + ez)
     return out
+
+
+def swiglu(gate_up, w_down) -> np.ndarray:
+    """silu(gate) * up through the down projection, per row of the gate|up join.
+
+    `gate_up` holds the normalized gate and up projections side by side:
+    2h columns for a down projection of h rows.
+    """
+    gate_up = np.asarray(gate_up, dtype=np.float64)
+    h = np.shape(w_down)[0]
+    if gate_up.shape[-1:] != (2 * h,):
+        raise ValueError(f"gate|up shape {gate_up.shape} does not match down projection rows {h}")
+    return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
 
 
 def fused_rmsnorm_llama_mlp(
@@ -223,22 +245,13 @@ def fused_rmsnorm_llama_mlp(
     Both projections consume raw x, so the rms reduction can overlap them.
     The deferred 1/rms must be applied before the gate non-linearity
     (scalars do not commute past silu), so the down-projection is outside
-    the overlap. This is the maximal exact fusion for this layer.
+    the overlap. This is the maximal exact fusion for this layer, and the
+    block's own: one product over the joined folds, then `swiglu`.
     """
-    rows, single = _as_rows(x)
-    w_down = as_matrix(w_down)
-    n = rows.shape[1]
-    if gate_folded.folded_weight.shape[0] != n or up_folded.folded_weight.shape[0] != n:
-        raise ValueError("folded projection rows do not match input length")
-    h = gate_folded.folded_weight.shape[1]
-    if up_folded.folded_weight.shape[1] != h:
-        raise ValueError("gate and up projections disagree on hidden width")
-    if w_down.shape != (h, n):
-        raise ValueError(f"down projection shape {w_down.shape}, expected {(h, n)}")
-
-    r = _root_mean_square(rows, epsilon)[:, np.newaxis]  # collective task
-    p_gate = matmul(rows, gate_folded.folded_weight)     # overlappable
-    p_up = matmul(rows, up_folded.folded_weight)         # overlappable
-    gated = silu(p_gate / r) * (p_up / r)
-    out = matmul(gated, w_down)
-    return out[0] if single else out
+    n, h = gate_folded.folded_weight.shape
+    if up_folded.folded_weight.shape != (n, h):
+        raise ValueError(f"up projection shape {up_folded.folded_weight.shape}, expected gate's {(n, h)}")
+    if np.shape(w_down) != (h, n):
+        raise ValueError(f"down projection shape {np.shape(w_down)}, expected {(h, n)}")
+    gate_up = _join_columns([gate_folded, up_folded])
+    return swiglu(fused_rmsnorm_matmul(x, gate_up, epsilon), w_down)

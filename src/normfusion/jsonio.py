@@ -6,15 +6,16 @@ correctly-rounded `float()`, so a save/load cycle is bit-lossless. Report
 dicts are built in a fixed key order and serialized with a fixed layout,
 making repeated runs byte-identical.
 
-Config files use exactly the RunConfig field names (snake_case); unknown
-keys anywhere are rejected so typos fail loudly instead of silently
-falling back to defaults.
+Config files use exactly the field names of RunConfig and its BlockConfig
+and CostModel (snake_case), and take their defaults from those fields;
+unknown keys anywhere are rejected so typos fail loudly instead of
+silently falling back to defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -85,58 +86,35 @@ def _read_json(path: str, what: str) -> Any:
         raise ConfigError(f"{what} is not valid JSON: {e}") from e
 
 
+def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A dataclass's required (no default) and optional field names; together, its field order."""
+    names = [(f.name, f.default is MISSING) for f in fields(cls)]
+    return tuple(n for n, req in names if req), tuple(n for n, req in names if not req)
+
+
+# Each config section's keys are its dataclass's fields, and its defaults theirs.
+_KEYS = {cls: _field_keys(cls) for cls in (RunConfig, BlockConfig, CostModel)}
+
+
 def load_config(path: str) -> RunConfig:
     raw = _read_json(path, "config file")
-    _take(raw, "config", required=("block", "cost_model"),
-          optional=("seed", "trials", "tolerance", "notes"))
-    block_raw = _take(
-        raw["block"], "config.block",
-        required=("d_model", "n_heads", "seq_len", "mlp_hidden"),
-        optional=("variant", "epsilon_ln"),
-    )
-    cm_raw = _take(
-        raw["cost_model"], "config.cost_model",
-        required=("matrix_macs_per_cycle", "vector_elems_per_cycle"),
-        optional=("collective_alpha", "collective_beta", "sync_overhead"),
-    )
+    _take(raw, "config", *_KEYS[RunConfig])
+    block_raw = _take(raw["block"], "config.block", *_KEYS[BlockConfig])
+    cm_raw = _take(raw["cost_model"], "config.cost_model", *_KEYS[CostModel])
     try:
-        block = BlockConfig(**block_raw)
-        cost_model = CostModel(**cm_raw)
-        return RunConfig(
-            block=block,
-            cost_model=cost_model,
-            seed=raw.get("seed", 0),
-            trials=raw.get("trials", 10),
-            tolerance=raw.get("tolerance", 1e-10),
-            notes=raw.get("notes", ""),
-        )
+        return RunConfig(**dict(raw, block=BlockConfig(**block_raw), cost_model=CostModel(**cm_raw)))
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 
-def config_dict(rc: RunConfig) -> dict:
-    """RunConfig echoed as a plain dict in canonical key order."""
-    return {
-        "block": {
-            "d_model": rc.block.d_model,
-            "n_heads": rc.block.n_heads,
-            "seq_len": rc.block.seq_len,
-            "mlp_hidden": rc.block.mlp_hidden,
-            "variant": rc.block.variant,
-            "epsilon_ln": rc.block.epsilon_ln,
-        },
-        "cost_model": {
-            "matrix_macs_per_cycle": rc.cost_model.matrix_macs_per_cycle,
-            "vector_elems_per_cycle": rc.cost_model.vector_elems_per_cycle,
-            "collective_alpha": rc.cost_model.collective_alpha,
-            "collective_beta": rc.cost_model.collective_beta,
-            "sync_overhead": rc.cost_model.sync_overhead,
-        },
-        "seed": rc.seed,
-        "trials": rc.trials,
-        "tolerance": rc.tolerance,
-        "notes": rc.notes,
-    }
+def config_dict(config) -> dict:
+    """A RunConfig (or one of its sections) echoed as a plain dict in the config file's key order."""
+    required, optional = _KEYS[type(config)]
+    out = {}
+    for key in required + optional:
+        value = getattr(config, key)
+        out[key] = config_dict(value) if type(value) in _KEYS else value
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,10 @@ stays bit-equal to the naive loop. Its extra memory is that one buffer,
 whatever the inner dimension.
 
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
-(row-major). Activations are rows multiplying weights on the right.
+(row-major). Activations are rows multiplying weights on the right: like
+every `norms` and `fusion` kernel, `matmul` takes one row (1-D), giving a
+1-D result, or a stack of rows (2-D). The rows of a stack are
+independent, so a row's result is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def ordered_sum(a: np.ndarray, axis: int | None = None):
 
 
 def matmul(a, b) -> np.ndarray:
-    """Operator product A @ B with a fixed summation order.
+    """Operator product A @ B with a fixed summation order; `a` is a row or a stack.
 
     Accumulates rank-1 updates over the inner dimension in index order, so
     each output element is the left-to-right sum of its products, starting
@@ -104,33 +107,27 @@ def matmul(a, b) -> np.ndarray:
     `np.multiply` forms the same products but allocates a temporary beside
     the buffer, and runs slower. The slices are then added into the output
     one `np.add` per index, in index order: the same sequence of IEEE
-    additions as a loop of `out += a[:, i:i+1] * b[i]`.
+    additions as a loop of `out += a[:, i:i+1] * b[i]`. One row runs as a
+    one-row stack.
 
     Memory beyond the output is the one buffer: at most `_CHUNK_ELEMENTS`
     float64, or one m x n slice when m*n is larger (c = 1).
     """
-    a = as_matrix(a)
+    a = as_rows(a)
     b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} times {b.shape[0]}x{b.shape[1]}"
-        )
-    (m, k), n = a.shape, b.shape[1]
+    if a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
+    rows = a.reshape(-1, b.shape[0])
+    (m, k), n = rows.shape, b.shape[1]
     c = max(1, min(k, _CHUNK_ELEMENTS // (m * n)))
     out = np.zeros((m, n))
     products = np.empty((c, m, n))
     for start in range(0, k, c):
         chunk = products[: min(c, k - start)]
-        np.einsum("km,kn->kmn", a.T[start : start + c], b[start : start + c], out=chunk)
+        np.einsum("km,kn->kmn", rows.T[start : start + c], b[start : start + c], out=chunk)
         for product in chunk:
             np.add(out, product, out=out)
-    return out
-
-
-def rowvec_matmul(x, b) -> np.ndarray:
-    """Row-vector times matrix, returning a 1-D array. Same kernel as `matmul`."""
-    x = as_row_vector(x)
-    return matmul(x[np.newaxis, :], b)[0]
+    return out.reshape(a.shape[:-1] + (n,))
 
 
 def max_rel_error(actual, expected) -> float:

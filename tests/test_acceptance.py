@@ -42,7 +42,7 @@ from normfusion.norms import (
     softmax_stable,
 )
 from normfusion.simulator import CostModel, compare, schedule
-from normfusion.tensor import max_rel_error, rowvec_matmul
+from normfusion.tensor import matmul, max_rel_error
 
 from test_block import zero_weights
 
@@ -84,7 +84,7 @@ def test_criterion_fused_equivalence_three_sites():
     for n in SIZES:
         for _ in range(per_size):
             x, p, f = _ln_instance(rng, n)
-            expected = rowvec_matmul(layernorm(x, p), f)
+            expected = matmul(layernorm(x, p), f)
             actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
             worst["layernorm_linear"] = max(worst["layernorm_linear"], max_rel_error(actual, expected))
 
@@ -92,7 +92,7 @@ def test_criterion_fused_equivalence_three_sites():
         for _ in range(per_size):
             x = rng.uniform(-1e3, 1e3, n)
             v = rng.standard_normal((n, _out_width(n))) / math.sqrt(n)
-            expected = rowvec_matmul(softmax_stable(x), v)
+            expected = matmul(softmax_stable(x), v)
             actual = fused_softmax_matmul(x, v)
             worst["softmax_matmul"] = max(worst["softmax_matmul"], max_rel_error(actual, expected))
 
@@ -105,8 +105,8 @@ def test_criterion_fused_equivalence_three_sites():
             w_up = rng.standard_normal((n, h)) / math.sqrt(n)
             w_down = rng.standard_normal((h, n)) / math.sqrt(h)
             normed = rmsnorm(x, p)
-            expected = rowvec_matmul(
-                silu(rowvec_matmul(normed, w_gate)) * rowvec_matmul(normed, w_up), w_down
+            expected = matmul(
+                silu(matmul(normed, w_gate)) * matmul(normed, w_up), w_down
             )
             actual = fused_rmsnorm_llama_mlp(
                 x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down, p.epsilon
@@ -169,7 +169,7 @@ def test_criterion_softmax_robustness():
         x = rng.uniform(-1e3, 1e3, n)
         v = rng.standard_normal((n, max(2, n // 4))) / math.sqrt(n)
         numerators, denominator = softmax_numerators(x)
-        projected = rowvec_matmul(numerators, v)
+        projected = matmul(numerators, v)
         out = fused_softmax_matmul(x, v)
         all_finite = all_finite and bool(
             np.all(np.isfinite(numerators))
@@ -195,7 +195,7 @@ def test_criterion_fold_correctness(tmp_path):
         _, p, f = _ln_instance(rng, n)
         fl = fold_layernorm_linear(p, f)
         folds[f"ln.n{n}"] = fl
-        ones_image = rowvec_matmul(np.ones(n), fl.folded_weight)
+        ones_image = matmul(np.ones(n), fl.folded_weight)
         worst_ones = max(worst_ones, float(np.max(np.abs(ones_image))))
 
     cfg = BlockConfig(d_model=64, n_heads=4, seq_len=8, mlp_hidden=128)

@@ -1,12 +1,17 @@
 """CLI behavior: exit codes, report shape/determinism, folding round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import normfusion
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
 from normfusion.fusion import (
@@ -18,6 +23,7 @@ from normfusion.fusion import (
 from normfusion.jsonio import (
     ConfigError,
     load_block_weights,
+    load_config,
     load_folded_weights,
     save_block_weights,
 )
@@ -102,6 +108,24 @@ class TestVerify:
     def test_missing_file_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_missing_required_key_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"block": {"d_model": 8, "n_heads": 2},
+                                    "cost_model": {"matrix_macs_per_cycle": 1, "vector_elems_per_cycle": 1}}))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "missing key(s) in config.block: seq_len, mlp_hidden" in err
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"block": {"d_model": 8, "n_heads": 2, "seq_len": 3, "mlp_hidden": 16},
+                                    "cost_model": {"matrix_macs_per_cycle": 1, "vector_elems_per_cycle": 1}}))
+        rc = load_config(str(path))
+        assert (rc.seed, rc.trials, rc.tolerance, rc.notes) == (0, 10, 1e-10, "")
+        assert (rc.block.variant, rc.block.epsilon_ln) == ("standard-gelu", 1e-5)
+        cm = rc.cost_model
+        assert (cm.collective_alpha, cm.collective_beta, cm.sync_overhead) == (0.0, 0.0, 0.0)
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = small_config(tmp_path)
@@ -318,3 +342,23 @@ class TestUsage:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "verify", small_config(tmp_path), "--seed", "-3")
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """`python -m normfusion.cli` runs the CLI, as the installed `normfusion` script does."""
+
+    def run_module(self, *argv):
+        src = str(Path(normfusion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "normfusion.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_verify_prints_its_report(self):
+        proc = self.run_module("verify", str(default_config_path("verify_small")), "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "verify"
+
+    def test_missing_config_exits_2(self, tmp_path):
+        proc = self.run_module("verify", str(tmp_path / "absent.json"))
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "cannot read config file" in proc.stderr

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from normfusion.fusion import (
     FoldedLinear,
+    RmsFoldedLinear,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -23,9 +24,10 @@ from normfusion.fusion import (
     fused_rmsnorm_matmul,
     fused_softmax_matmul,
     silu,
+    swiglu,
 )
 from normfusion.norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from normfusion.tensor import matmul, max_rel_error, rowvec_matmul
+from normfusion.tensor import matmul, max_rel_error
 
 
 def fold_oracle(p: LayerNormParams, f: np.ndarray) -> np.ndarray:
@@ -67,7 +69,7 @@ class TestFoldLayernormLinear:
         f = rng.standard_normal((8, 4))
         fl = fold_layernorm_linear(p, f)
         assert max_rel_error(fl.folded_weight, fold_oracle(p, f)) <= 1e-12
-        assert max_rel_error(fl.folded_bias, rowvec_matmul(p.beta, f)) == 0.0
+        assert max_rel_error(fl.folded_bias, matmul(p.beta, f)) == 0.0
 
     def test_row_sum_annihilation(self):
         rng = np.random.default_rng(22)
@@ -76,7 +78,7 @@ class TestFoldLayernormLinear:
                 gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5
             )
             fl = fold_layernorm_linear(p, rng.standard_normal((n, m)) / math.sqrt(n))
-            ones_image = rowvec_matmul(np.ones(n), fl.folded_weight)
+            ones_image = matmul(np.ones(n), fl.folded_weight)
             assert np.max(np.abs(ones_image)) <= 1e-10
 
     def test_identity_params_center_the_weight(self):
@@ -129,7 +131,7 @@ class TestFusedLayernormMatmul:
         for trial in range(200):
             n = sizes[trial % len(sizes)]
             x, p, f = random_ln_instance(rng, n, max(2, n // 2))
-            expected = rowvec_matmul(layernorm(x, p), f)
+            expected = matmul(layernorm(x, p), f)
             actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
             worst = max(worst, max_rel_error(actual, expected))
         assert worst <= 1e-10
@@ -141,7 +143,7 @@ class TestFusedLayernormMatmul:
         x = 1.3 + 1e-7 * rng.standard_normal(n)
         p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5)
         f = rng.standard_normal((n, n)) / 8.0
-        expected = rowvec_matmul(layernorm(x, p), f)
+        expected = matmul(layernorm(x, p), f)
         actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
         assert max_rel_error(actual, expected) <= 1e-10
 
@@ -180,7 +182,7 @@ class TestFusedSoftmaxMatmul:
             v = rng.standard_normal((n, max(2, n // 2))) / math.sqrt(n)
             actual = fused_softmax_matmul(x, v)
             assert np.all(np.isfinite(actual))
-            expected = rowvec_matmul(softmax_stable(x), v)
+            expected = matmul(softmax_stable(x), v)
             worst = max(worst, max_rel_error(actual, expected))
         assert worst <= 1e-10
 
@@ -218,7 +220,7 @@ class TestFusedRmsnormMatmul:
             x = rng.standard_normal(n)
             p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, n), epsilon=1e-6)
             f = rng.standard_normal((n, n)) / math.sqrt(n)
-            expected = rowvec_matmul(rmsnorm(x, p), f)
+            expected = matmul(rmsnorm(x, p), f)
             actual = fused_rmsnorm_matmul(x, fold_rmsnorm_linear(p, f), p.epsilon)
             assert max_rel_error(actual, expected) <= 1e-10
 
@@ -280,8 +282,8 @@ class TestFusedRmsnormLlamaMlp:
             n = sizes[trial % len(sizes)]
             x, p, w_gate, w_up, w_down = self._random_instance(rng, n)
             normed = rmsnorm(x, p)
-            expected = rowvec_matmul(
-                silu(rowvec_matmul(normed, w_gate)) * rowvec_matmul(normed, w_up), w_down
+            expected = matmul(
+                silu(matmul(normed, w_gate)) * matmul(normed, w_up), w_down
             )
             actual = fused_rmsnorm_llama_mlp(
                 x,
@@ -313,6 +315,31 @@ class TestFusedRmsnormLlamaMlp:
         with pytest.raises(ValueError, match="down projection"):
             fused_rmsnorm_llama_mlp([1.0, 2.0], fl, fl, np.ones((2, 2)), epsilon=0.0)
 
+    @pytest.mark.parametrize("up_shape", [(3, 3), (2, 4)], ids=["rows", "hidden"])
+    def test_mismatched_gate_up_folds_rejected(self, up_shape):
+        gate = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
+        up = RmsFoldedLinear(folded_weight=np.ones(up_shape))
+        with pytest.raises(ValueError, match="up projection shape"):
+            fused_rmsnorm_llama_mlp([1.0, 2.0], gate, up, np.ones((3, 2)))
+
+    def test_input_length_mismatch_rejected(self):
+        fl = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="input length"):
+            fused_rmsnorm_llama_mlp([1.0, 2.0, 3.0], fl, fl, np.ones((3, 2)))
+
+
+class TestSwiglu:
+    def test_silu_gate_times_up_through_down_per_row(self):
+        rng = np.random.default_rng(35)
+        gate_up, w_down = rng.standard_normal((3, 8)), rng.standard_normal((4, 5))
+        expected = matmul(silu(gate_up[:, :4]) * gate_up[:, 4:], w_down)
+        assert_array_equal(swiglu(gate_up, w_down), expected)
+        assert_array_equal(swiglu(gate_up[1], w_down), expected[1])
+
+    def test_width_other_than_twice_down_rows_rejected(self):
+        with pytest.raises(ValueError, match="does not match down projection rows 4"):
+            swiglu(np.ones((2, 7)), np.ones((4, 5)))
+
 
 class TestScaleDeferral:
     @given(
@@ -325,6 +352,6 @@ class TestScaleDeferral:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n)
         w = rng.standard_normal((n, m))
-        deferred = rowvec_matmul(u, w) * (1.0 / s)
-        eager = rowvec_matmul(u * (1.0 / s), w)
+        deferred = matmul(u, w) * (1.0 / s)
+        eager = matmul(u * (1.0 / s), w)
         assert max_rel_error(deferred, eager) <= 1e-12

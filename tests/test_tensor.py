@@ -138,6 +138,36 @@ class TestChunkedMatmul:
         assert peak <= output + chunk + 4096
 
 
+class TestOneRowMatmul:
+    """A 1-D `a` is one row, and gives a 1-D result: row 0 of its one-row stack's."""
+
+    # (513, 128) and (300, 200) span several product chunks
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (513, 128), (300, 200)])
+    def test_row_is_bit_equal_to_one_row_stack(self, shape):
+        k, n = shape
+        a, b = adversarial_operands(np.random.default_rng(k), 1, k, n)
+        out = matmul(a[0], b)
+        assert out.shape == (n,)
+        assert_bits_equal(out, matmul(a, b)[0])
+        assert_bits_equal(out, matmul_oracle(a, b)[0])
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        assert_bits_equal(matmul([-0.0, 0.0], [[1.0], [-1.0]]), np.zeros(1))
+
+    @pytest.mark.parametrize("a", [np.float64(2.0), np.ones((1, 2, 2))], ids=["0-D", "3-D"])
+    def test_a_neither_row_nor_stack_rejected(self, a):
+        with pytest.raises(ValueError, match="expected a 1-D row vector"):
+            matmul(a, np.ones((2, 2)))
+
+    def test_1d_b_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            matmul(np.ones(2), np.ones(2))
+
+    def test_row_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmul(np.ones(3), np.ones((2, 2)))
+
+
 class TestDiag:
     """matmul against a diagonal operand scales exactly, as the folds rely on."""
 
