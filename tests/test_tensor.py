@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from normfusion.tensor import (
     _CHUNK_ELEMENTS,
+    _REDUCE_MIN_PRODUCTS,
     as_matrix,
     as_row_vector,
     matmul,
@@ -78,8 +79,13 @@ def assert_bits_equal(actual, expected):
 
 
 def chunk_rows(m, n):
-    """Inner indices per product chunk of `matmul` at an m x n output."""
-    return max(1, _CHUNK_ELEMENTS // (m * n))
+    """Inner indices per product chunk of `matmul` at an m x n output.
+
+    Where `matmul` adds a chunk with one reduce, one buffer slot holds the
+    running sum, so the chunk has one index fewer than the buffer's slots.
+    """
+    slots = _CHUNK_ELEMENTS // (m * n)
+    return slots - 1 if m * n > 1 and slots > _REDUCE_MIN_PRODUCTS else max(1, slots)
 
 
 def adversarial_operands(rng, m, k, n):
@@ -101,8 +107,13 @@ class TestChunkedMatmul:
     """Inner dimensions spanning several product chunks of `matmul`."""
 
     # several chunks with the last one partial, and (200, 3, 200): an output
-    # above the budget, one inner index per chunk
-    @pytest.mark.parametrize("shape", [(2, 300, 200), (3, 97, 129), (8, 513, 9), (200, 3, 200)])
+    # above the budget, one inner index per chunk. (8, 20, 455) is the widest
+    # output added by one reduce per chunk, (8, 20, 456) the narrowest added
+    # per index; (128, 5, 128) fills the buffer with two slices per chunk.
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 300, 200), (3, 97, 129), (8, 513, 9), (200, 3, 200), (8, 20, 455), (8, 20, 456), (128, 5, 128)],
+    )
     def test_matches_oracle_bitwise(self, shape):
         m, k, n = shape
         c = chunk_rows(m, n)
@@ -122,7 +133,10 @@ class TestChunkedMatmul:
         # 0.0 + (-0.0) + (-0.0) is +0.0, as in the left-to-right loop
         assert_bits_equal(matmul([[-0.0, 0.0]], [[1.0], [-1.0]]), np.zeros((1, 1)))
 
-    @pytest.mark.parametrize("shape", [(8, 513, 128), (2, 300, 200), (200, 3, 200)])
+    # (128, 5, 128) fills the buffer with two slices; (129, 5, 128) holds one
+    @pytest.mark.parametrize(
+        "shape", [(8, 513, 128), (2, 300, 200), (200, 3, 200), (128, 5, 128), (129, 5, 128), (8, 20, 455)]
+    )
     def test_peak_memory_is_output_plus_one_chunk(self, shape):
         m, k, n = shape
         rng = np.random.default_rng(12)
@@ -136,6 +150,18 @@ class TestChunkedMatmul:
         output = m * n * 8
         chunk = max(_CHUNK_ELEMENTS, m * n) * 8
         assert peak <= output + chunk + 4096
+
+    # the larger k spans several chunks at one column and at two
+    @pytest.mark.parametrize("k", [100, 2 * _CHUNK_ELEMENTS + 5])
+    def test_sums_in_index_order_where_pairwise_would_not(self, k):
+        # 1 + 2**-53 rounds back to 1 at every step of the left-to-right sum;
+        # a pairwise sum adds the small terms together first and ends above 1
+        column = np.full((k, 1), 2.0**-53)
+        column[0] = 1.0
+        for a in (np.ones(k), np.ones((1, k))):
+            assert_bits_equal(matmul(a, column), np.ones(a.shape[:-1] + (1,)))
+            # two columns: an output `matmul` adds with one reduce per chunk
+            assert_bits_equal(matmul(a, np.hstack([column, column])), np.ones(a.shape[:-1] + (2,)))
 
 
 class TestOneRowMatmul:
@@ -156,7 +182,7 @@ class TestOneRowMatmul:
 
     @pytest.mark.parametrize("a", [np.float64(2.0), np.ones((1, 2, 2))], ids=["0-D", "3-D"])
     def test_a_neither_row_nor_stack_rejected(self, a):
-        with pytest.raises(ValueError, match="expected a 1-D row vector"):
+        with pytest.raises(ValueError, match=r"expected one row \(1-D\) or a stack of rows \(2-D\), got shape"):
             matmul(a, np.ones((2, 2)))
 
     def test_1d_b_rejected(self):
