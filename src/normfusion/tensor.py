@@ -4,21 +4,33 @@ Everything in this package runs in 64-bit floats. The kernels here avoid
 BLAS and numpy's pairwise reductions on purpose: every sum is accumulated
 strictly left-to-right over the reduction axis, so results are
 bit-reproducible across runs and bit-equal to a naive scalar loop. numpy's
-elementwise `*` and `+` do not fuse multiply-adds, which keeps the
-guarantee intact on stock builds.
+elementwise `*` and `+` round separately, never as one fused
+multiply-add; the one kernel here that might fuse them runs only where a
+probe shows that it does not.
 
-`matmul` forms its products a chunk of the inner dimension at a time, in
-one vectorised call into a buffer of at most `_CHUNK_ELEMENTS` float64
-(256 KiB; one output-sized slice if the output is larger), and then adds
-the chunk's slices into the output in index order, so it stays bit-equal
-to the naive loop. For outputs narrow enough that a chunk holds at least
-`_REDUCE_MIN_PRODUCTS` slices, that is one `np.add.reduce` along the
-buffer's slow axis, whose slot 0 holds the running sum. Wider outputs, and
-a single output element, whose reduce numpy would sum pairwise, take one
-`np.add` per index. numpy documents pairwise summation only along the fast
-axis; that describes precision, not a promised order, so the bitwise tests
-against the triple loop are the guarantee. Its extra memory is that one
-buffer, whatever the inner dimension.
+`matmul` has two exact kernels, picked once at import:
+- `_summing_einsum` is one `np.einsum("mk,kn->mn")`. With C-contiguous
+  operands and n >= 2, numpy's iterator runs k outside an inner loop of
+  `out[j] += a * b[j]`, so each product goes straight into its output
+  element in index order, starting from +0.0. A transposed view, a
+  Fortran-order operand or n == 1 would make k the inner loop, whose sum
+  is reassociated, so operands are copied to C order where they are not
+  in it, and a one-column `b` is padded with a zero column.
+- That is the triple loop's arithmetic only if the loop does not fuse the
+  multiply and the add, and some builds do (NEON implements it with a
+  fused multiply-add). So `_sums_in_order` runs the einsum kernel on trap
+  operands: a product whose fused and unfused sums differ, a sum that any
+  other order rounds differently, and all -0.0 products, each in its own
+  output element, in the bulk and the tail of the vector loop, with
+  n == 1 and with one output element. It compares the bits with a Python
+  triple loop, and `_EINSUM_IN_ORDER` records the answer.
+- Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
+  build: it forms the products a chunk of the inner dimension at a time
+  into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
+  output-sized slice if the output is larger), and adds the chunk's
+  slices into the output in index order.
+Neither order is a documented numpy promise, so the bitwise tests against
+the triple loop, run on both kernels, are the guarantee.
 
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
 (row-major). Activations are rows multiplying weights on the right: like
@@ -41,10 +53,12 @@ __all__ = [
     "max_rel_error",
 ]
 
-# Products per chunk of `matmul`'s inner dimension: 2**15 float64, 256 KiB.
+# Products per chunk of `_chunked_matmul`'s inner dimension: 2**15 float64,
+# 256 KiB.
 _CHUNK_ELEMENTS = 1 << 15
-# Fewest products per chunk, beside the running sum, that `matmul` adds with
-# one reduce; below it the reduce is slower than one `np.add` per index.
+# Fewest products per chunk, beside the running sum, that `_chunked_matmul`
+# adds with one reduce; below it the reduce is slower than one `np.add` per
+# index.
 _REDUCE_MIN_PRODUCTS = 8
 
 
@@ -106,15 +120,62 @@ def ordered_sum(a: np.ndarray, axis: int | None = None):
 def matmul(a, b) -> np.ndarray:
     """Operator product A @ B with a fixed summation order; `a` is a row or a stack.
 
-    Accumulates rank-1 updates over the inner dimension in index order, so
-    each output element is the left-to-right sum of its products, starting
-    from +0.0, bit-equal to the naive triple loop.
+    Each output element is the left-to-right sum of its products over the
+    inner dimension, starting from +0.0, bit-equal to the naive triple loop.
+    One row runs as a one-row stack.
+
+    Where the import-time probe found numpy's summing `einsum` exact
+    (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call, which writes
+    each product straight into its output element. The probe runs that
+    kernel on traps a fused multiply-add, any other summation order or a
+    -0.0 start would round differently, and compares the bits with a
+    triple loop. The kernel copies operands to C order and pads a
+    one-column `b` to two columns, because a transposed view, a
+    Fortran-order operand or n == 1 makes numpy run the inner dimension as
+    its inner loop, which it reassociates. Elsewhere `matmul` is
+    `_chunked_matmul`, which forms the products a chunk at a time in a
+    buffer and adds them in index order.
+    """
+    a = as_rows(a)
+    b = as_matrix(b)
+    if a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
+    rows = a.reshape(-1, b.shape[0])
+    out = _summing_einsum(rows, b) if _EINSUM_IN_ORDER else _chunked_matmul(rows, b)
+    return out.reshape(a.shape[:-1] + (b.shape[1],))
+
+
+def _summing_einsum(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rows @ b as one `einsum("mk,kn->mn")`, in index order where the probe says so.
+
+    `einsum` starts the output at +0.0. With both operands C-contiguous
+    and n >= 2, numpy's iterator orders the axes (m, k, n): its inner loop
+    is `out[j] += a * b[j]` over n, and k runs outside it in ascending
+    order. Unless the loop fuses the multiply and the add, those are the
+    triple loop's IEEE operations. Other layouts can make k the inner
+    loop, where the sum is reassociated: a transposed view or a
+    Fortran-order operand does, and so does n == 1. So both operands are
+    copied to C order where they are not in it, and a one-column `b` is
+    padded with a zero column, whose results are dropped. Memory beyond
+    the output is those copies, and none for C-contiguous operands with
+    n >= 2. No BLAS call is made (`optimize=False`).
+    """
+    n = b.shape[1]
+    if n == 1:
+        b = np.concatenate([b, np.zeros_like(b)], axis=1)
+    out = np.einsum("mk,kn->mn", np.ascontiguousarray(rows), np.ascontiguousarray(b), optimize=False)
+    return out[:, :1].copy() if n == 1 else out
+
+
+def _chunked_matmul(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rows @ b, adding chunks of formed products in index order; exact on any build.
 
     The inner dimension is taken in chunks. For each chunk one
     `einsum("km,kn->kmn")` forms its rank-1 slices a[:, i] * b[i, :] into
     a buffer allocated once per call. That einsum has no summed index:
     each element is one rounded product, with no reassociation and no BLAS
-    call. It writes 0 + a*b, so a -0.0 product comes out +0.0, which
+    call (a fused multiply-add into the zeroed element rounds it the
+    same). It writes 0 + a*b, so a -0.0 product comes out +0.0, which
     changes nothing: the accumulator starts at +0.0, no sum of it with a
     zero can become -0.0, and adding a zero of either sign to a nonzero
     value returns the value. A broadcast `np.multiply` forms the same
@@ -137,17 +198,11 @@ def matmul(a, b) -> np.ndarray:
       fewer than `_REDUCE_MIN_PRODUCTS` products beside the running sum,
       numpy's axis-0 reduce costs more per element than the Python-level
       adds it saves, so wide outputs stay here.
-    One row runs as a one-row stack.
 
     Memory beyond the output is the one buffer: at most `_CHUNK_ELEMENTS`
     float64 (c = budget // (m*n), less the running sum's slot when
     reducing), or one m x n slice when m*n is larger (c = 1).
     """
-    a = as_rows(a)
-    b = as_matrix(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
-    rows = a.reshape(-1, b.shape[0])
     (m, k), n = rows.shape, b.shape[1]
     slots = _CHUNK_ELEMENTS // (m * n)  # m x n slices the budget holds
     reduce = m * n > 1 and slots > _REDUCE_MIN_PRODUCTS
@@ -165,7 +220,64 @@ def matmul(a, b) -> np.ndarray:
         else:
             for product in chunk:
                 np.add(out, product, out=out)
-    return out.reshape(a.shape[:-1] + (n,))
+    return out
+
+
+def _probe_operands() -> tuple[np.ndarray, np.ndarray]:
+    """Trap operands for `_sums_in_order`: three rows, each trap in its own output element.
+
+    Every column holds the traps, so they reach both the SIMD bulk and the
+    scalar tail of a kernel whose vectors hold up to 32 float64 (n = 35).
+    - Row 0, fused multiply-add: 1 * -(1 + 2**-29) + (1 + 2**-30)**2. The
+      rounded square is 1 + 2**-29, so the sum is 0.0; a fused kernel
+      keeps the square's 2**-60 and returns that. Its other products are
+      zero, so no later term absorbs the residue.
+    - Row 1, order: 1 + 2**-53 + 2**-53 + ... rounds back to 1 at every
+      step of the left-to-right sum; any order that adds small terms
+      together first (pairwise, SIMD lanes, reversed) ends above 1.
+    - Row 2, start value: every product is -0.0, and 0.0 + (-0.0) is
+      +0.0; a sum started from the first product, or from -0.0, is -0.0.
+    """
+    k, n = 19, 35
+    a = np.zeros((3, k))
+    a[0, :2] = 1.0, 1.0 + 2.0**-30
+    a[1, 2:] = 1.0
+    a[2, 1:] = -0.0
+    b = np.full((k, n), 2.0**-53)
+    b[0], b[1], b[2] = -(1.0 + 2.0**-29), 1.0 + 2.0**-30, 1.0
+    return a, b
+
+
+def _triple_loop(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reference order, in Python floats: acc = 0.0, then acc += a * b per index."""
+    out = np.zeros((rows.shape[0], b.shape[1]))
+    columns = b.T.tolist()
+    for i, row in enumerate(rows.tolist()):
+        for j, column in enumerate(columns):
+            acc = 0.0
+            for x, y in zip(row, column):
+                acc += x * y
+            out[i, j] = acc
+    return out
+
+
+def _sums_in_order(kernel) -> bool:
+    """Whether `kernel(rows, b)` is bit-equal to the triple loop on the trap operands.
+
+    It is run on the full traps, on their first column alone (n == 1) and
+    on one trap element (m*n == 1); the one-column `b` is a column view, as
+    `matmul` may be given, not a C-contiguous array.
+    """
+    a, b = _probe_operands()
+    cases = ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:]))
+    return all(
+        np.array_equal(kernel(x, y).view(np.uint64), _triple_loop(x, y).view(np.uint64)) for x, y in cases
+    )
+
+
+# Whether `matmul` runs as `_summing_einsum`: this numpy's summing einsum
+# passed the bit-exactness probe. Fixed once, at import.
+_EINSUM_IN_ORDER = _sums_in_order(_summing_einsum)
 
 
 def max_rel_error(actual, expected) -> float:

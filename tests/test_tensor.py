@@ -1,14 +1,19 @@
 """Kernel tests: oracles are naive scalar loops written independently."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from normfusion import tensor
 from normfusion.tensor import (
     _CHUNK_ELEMENTS,
     _REDUCE_MIN_PRODUCTS,
+    _probe_operands,
+    _sums_in_order,
+    _summing_einsum,
     as_matrix,
     as_row_vector,
     matmul,
@@ -18,14 +23,18 @@ from normfusion.tensor import (
 
 
 def matmul_oracle(a, b):
-    """Naive triple loop, left-to-right over the inner dimension."""
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
+    """Naive triple loop, left-to-right over the inner dimension.
+
+    It runs on Python floats, whose `*` and `+` are each one rounded IEEE
+    float64 operation, so that shapes of millions of products stay quick.
+    """
+    rows, columns = a.tolist(), b.T.tolist()
+    out = np.zeros((len(rows), len(columns)))
+    for i, row in enumerate(rows):
+        for j, column in enumerate(columns):
             acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
+            for x, y in zip(row, column):
+                acc += x * y
             out[i, j] = acc
     return out
 
@@ -104,7 +113,11 @@ def adversarial_operands(rng, m, k, n):
 
 
 class TestChunkedMatmul:
-    """Inner dimensions spanning several product chunks of `matmul`."""
+    """Inner dimensions spanning several product chunks of `_chunked_matmul`.
+
+    These run on the kernel the probe picked, and in `TestChunkedFallback`
+    on the chunked kernel, so both stay covered on any host.
+    """
 
     # several chunks with the last one partial, and (200, 3, 200): an output
     # above the budget, one inner index per chunk. (8, 20, 455) is the widest
@@ -162,6 +175,133 @@ class TestChunkedMatmul:
             assert_bits_equal(matmul(a, column), np.ones(a.shape[:-1] + (1,)))
             # two columns: an output `matmul` adds with one reduce per chunk
             assert_bits_equal(matmul(a, np.hstack([column, column])), np.ones(a.shape[:-1] + (2,)))
+
+
+class TestChunkedFallback(TestChunkedMatmul):
+    """`TestChunkedMatmul` on the chunked kernel, as on a host whose einsum fails the probe."""
+
+    @pytest.fixture(autouse=True)
+    def chunked_kernel(self, monkeypatch):
+        def not_taken(rows, b):
+            raise AssertionError("the einsum kernel ran with the probe's result False")
+
+        monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", False)
+        monkeypatch.setattr(tensor, "_summing_einsum", not_taken)
+
+
+def fused_multiply_add_loop(a, b):
+    """The triple loop with each multiply-add fused into one rounding, via exact fractions."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i, j in np.ndindex(out.shape):
+        acc = 0.0
+        for x, y in zip(a[i], b[:, j]):
+            acc = float(Fraction(x) * Fraction(y) + Fraction(acc))
+        out[i, j] = acc
+    return out
+
+
+def pairwise_sum(a, b):
+    """Each output element is `np.sum` of its products: pairwise along the fast axis."""
+    products = np.ascontiguousarray(a[:, np.newaxis, :] * b.T[np.newaxis, :, :])
+    return np.sum(products, axis=-1)
+
+
+def sum_from_first_product(a, b):
+    """In index order, but started from the first product rather than +0.0."""
+    products = np.ascontiguousarray(a[:, np.newaxis, :] * b.T[np.newaxis, :, :])
+    return np.add.accumulate(products, axis=-1)[..., -1]
+
+
+class TestEinsumProbe:
+    """`_sums_in_order` accepts the triple loop and rejects kernels that round differently."""
+
+    def test_accepts_triple_loop(self):
+        assert _sums_in_order(matmul_oracle)
+
+    def test_agrees_with_this_numpys_einsum(self):
+        assert tensor._EINSUM_IN_ORDER == _sums_in_order(_summing_einsum)
+
+    # each stand-in misses on its own trap row, in every column: the SIMD
+    # bulk (column 0) and the tail (the last of 35) alike
+    @pytest.mark.parametrize(
+        "kernel, trap_row",
+        [(fused_multiply_add_loop, 0), (pairwise_sum, 1), (sum_from_first_product, 2)],
+        ids=["fused-multiply-add", "pairwise", "from-first-product"],
+    )
+    def test_rejects(self, kernel, trap_row):
+        assert not _sums_in_order(kernel)
+        a, b = _probe_operands()
+        missed = kernel(a, b).view(np.uint64) != matmul_oracle(a, b).view(np.uint64)
+        assert missed[trap_row].all() and np.count_nonzero(missed) == b.shape[1]
+
+    def test_einsum_adds_no_buffer(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((8, 513)), rng.standard_normal((513, 128))
+        tracemalloc.start()
+        try:
+            _summing_einsum(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 128 * 8 + 4096
+
+
+def reversed_copy(x):
+    """`x` as a view with negative strides along both axes, holding the same values."""
+    return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+
+
+# operands as other than C-contiguous arrays; `k_h.T` in the attention
+# scores is a transposed view like "transposed-b"
+LAYOUTS = {
+    "transposed-b": lambda a, b: (a, np.ascontiguousarray(b.T).T),
+    "fortran-a": lambda a, b: (np.asfortranarray(a), b),
+    "fortran-b": lambda a, b: (a, np.asfortranarray(b)),
+    "negative-stride-a": lambda a, b: (reversed_copy(a), b),
+    "negative-stride-b": lambda a, b: (a, reversed_copy(b)),
+    "negative-stride-both": lambda a, b: (reversed_copy(a), reversed_copy(b)),
+}
+
+
+class TestMatmulLayouts:
+    """Operand layouts and edge shapes, bit-equal to the triple loop.
+
+    numpy's summing einsum runs the inner dimension in index order for
+    C-contiguous operands and n >= 2. The transposed and Fortran-order `b`
+    cases, and n == 1, fail if `_summing_einsum` passes them to numpy
+    unchanged; the negative-stride cases pass even then on numpy 2.4, and
+    stay as coverage.
+    """
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_layout(self, layout):
+        a, b = adversarial_operands(np.random.default_rng(14), 8, 100, 9)
+        x, y = layout(a, b)
+        assert not (x.flags.c_contiguous and y.flags.c_contiguous)
+        assert_bits_equal(matmul(x, y), matmul_oracle(a, b))
+
+    # the products are exact, so only the order of the sum shows, and the
+    # einsum kernel must keep it whatever the probe found on this build
+    @pytest.mark.parametrize(
+        "layout, n",
+        [(layout, 4) for layout in LAYOUTS.values()] + [(lambda a, b: (a, b), 1)],
+        ids=[*LAYOUTS.keys(), "one-column"],
+    )
+    def test_einsum_kernel_sums_in_index_order(self, layout, n):
+        b = np.full((100, n), 2.0**-53)
+        b[0] = 1.0
+        for m in (1, 3):
+            assert_bits_equal(_summing_einsum(*layout(np.ones((m, 100)), b)), np.ones((m, n)))
+
+    # n == 1, m*n == 1, k == 1, a wide row, and a long narrow inner dimension
+    @pytest.mark.parametrize("shape", [(8, 100, 1), (1, 100, 1), (8, 1, 9), (1, 3000, 3072), (9, 2**16 + 5, 2)])
+    def test_edge_shape(self, shape):
+        m, k, n = shape
+        a, b = adversarial_operands(np.random.default_rng(k), m, k, n)
+        expected = matmul_oracle(a, b)
+        assert_bits_equal(matmul(a, b), expected)
+        if m == 1:
+            assert_bits_equal(matmul(a[0], b), expected[0])
 
 
 class TestOneRowMatmul:
