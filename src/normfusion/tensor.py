@@ -32,6 +32,14 @@ probe shows that it does not.
 Neither order is a documented numpy promise, so the bitwise tests against
 the triple loop, run on both kernels, are the guarantee.
 
+`matmul` rejects non-finite operands, but on the einsum kernel it scans
+only its m x n output: every operand value enters a whole row or column
+of products, so with m, n >= 1 a finite output proves finite operands
+(see `matmul`). That needs a kernel that adds every product and raises
+no floating-point error; the chunked kernel adds with ufuncs, which can
+raise, so it scans its operands first. The rejection tests, run on both
+kernels with non-finite values beside zero partners, are the guarantee.
+
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
 (row-major). Activations are rows multiplying weights on the right: like
 every `norms` and `fusion` kernel, `matmul` takes one row (1-D), giving a
@@ -62,13 +70,39 @@ _CHUNK_ELEMENTS = 1 << 15
 _REDUCE_MIN_PRODUCTS = 8
 
 
-def as_row_vector(x) -> np.ndarray:
-    """Validate and return `x` as a finite 1-D float64 array."""
+def _row_vector(x) -> np.ndarray:
+    """`x` as a 1-D float64 array of length >= 1; its values are not checked."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D row vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("row vector must have length >= 1")
+    return v
+
+
+def _matrix(a) -> np.ndarray:
+    """`a` as a 2-D float64 array with both dimensions >= 1; its values are not checked."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.shape[0] == 0 or m.shape[1] == 0:
+        raise ValueError("matrix dimensions must be >= 1")
+    return m
+
+
+def _rows(x) -> np.ndarray:
+    """`x` as `_matrix` (a stack of rows) or `_row_vector` (one row); its values are not checked."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 2:
+        return _matrix(v)
+    if v.ndim == 1:
+        return _row_vector(v)
+    raise ValueError(f"expected one row (1-D) or a stack of rows (2-D), got shape {v.shape}")
+
+
+def as_row_vector(x) -> np.ndarray:
+    """Validate and return `x` as a finite 1-D float64 array."""
+    v = _row_vector(x)
     if not np.all(np.isfinite(v)):
         raise ValueError("row vector contains non-finite elements")
     return v
@@ -76,11 +110,7 @@ def as_row_vector(x) -> np.ndarray:
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a finite 2-D float64 array."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError("matrix dimensions must be >= 1")
+    m = _matrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite elements")
     return m
@@ -88,12 +118,8 @@ def as_matrix(a) -> np.ndarray:
 
 def as_rows(x) -> np.ndarray:
     """Validate `x` as one row (1-D) or a stack of rows (2-D), returned as given."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 2:
-        return as_matrix(v)
-    if v.ndim == 1:
-        return as_row_vector(v)
-    raise ValueError(f"expected one row (1-D) or a stack of rows (2-D), got shape {v.shape}")
+    v = _rows(x)
+    return as_matrix(v) if v.ndim == 2 else as_row_vector(v)
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -135,14 +161,45 @@ def matmul(a, b) -> np.ndarray:
     its inner loop, which it reassociates. Elsewhere `matmul` is
     `_chunked_matmul`, which forms the products a chunk at a time in a
     buffer and adds them in index order.
+
+    Both operands must be finite. The shape checks run first. On the
+    einsum kernel, finiteness is then checked on the m x n output, not on
+    the operands: each a[i, k] enters every out[i, :] and each b[k, j]
+    every out[:, j] (m, n >= 1), a NaN or infinite operand makes each of
+    those products NaN or infinite (inf * 0 is NaN), and a sum of every
+    product stays NaN or infinite once one term is. So a finite output
+    proves finite operands. Only a non-finite output runs `as_rows(a)` and
+    `as_matrix(b)`: they raise for a non-finite operand, and where finite
+    products overflowed the output is returned. This needs a kernel that
+    adds every product and raises no floating-point error, as the summing
+    einsum does even under `np.errstate(all="raise")`. The chunked kernel
+    adds with ufuncs, which can raise there, so it checks its operands
+    before computing. Operands that are both misshapen or mismatched and
+    non-finite raise what `as_rows(a)` and then `as_matrix(b)` raise.
     """
-    a = as_rows(a)
-    b = as_matrix(b)
-    if a.shape[-1] != b.shape[0]:
+    try:
+        a, b = _rows(a), _matrix(b)
+        shapes_agree = a.shape[-1] == b.shape[0]
+    except (TypeError, ValueError):
+        shapes_agree = False
+    if not shapes_agree:
+        _check_operands(a, b)  # raises the first error in the validators' order
         raise ValueError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
     rows = a.reshape(-1, b.shape[0])
-    out = _summing_einsum(rows, b) if _EINSUM_IN_ORDER else _chunked_matmul(rows, b)
+    if _EINSUM_IN_ORDER:
+        out = _summing_einsum(rows, b)
+        if not np.isfinite(out).all():
+            _check_operands(a, b)
+    else:
+        _check_operands(a, b)
+        out = _chunked_matmul(rows, b)
     return out.reshape(a.shape[:-1] + (b.shape[1],))
+
+
+def _check_operands(a, b) -> None:
+    """`matmul`'s full operand checks, in order: `as_rows(a)`, then `as_matrix(b)`."""
+    as_rows(a)
+    as_matrix(b)
 
 
 def _summing_einsum(rows: np.ndarray, b: np.ndarray) -> np.ndarray:

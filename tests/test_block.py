@@ -224,6 +224,25 @@ def test_batched_rms_zero_row_without_epsilon_rejected():
         rmsnorm(rows, p)
 
 
+@pytest.mark.parametrize("case", ["w_q-scaled", "fc1-scaled", "rows-shifted"])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_overflow_inside_the_block_rejected(run, case):
+    """Finite weights or rows whose projections overflow end in a non-finite rejection."""
+    cfg = BlockConfig(d_model=128, n_heads=4, seq_len=8, mlp_hidden=512)
+    rng = np.random.default_rng(51)
+    w = random_block_weights(cfg, rng)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    if case == "w_q-scaled":
+        w = dataclasses.replace(w, w_q=w.w_q * 5e307)
+    elif case == "fc1-scaled":
+        w = dataclasses.replace(w, fc1=w.fc1 * 5e307)
+    else:
+        x = x + np.where(np.arange(cfg.seq_len) % 2 == 0, 1.7e308, -1.7e308)[:, np.newaxis]
+    assert np.isfinite(x).all() and all(np.isfinite(m).all() for m in (w.w_q, w.fc1))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        run(cfg, w, x)
+
+
 @pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
 def test_fused_uses_the_weights_epsilon(variant, epsilon):
     """Both paths scale each norm by its own parameters' epsilon, not the config's."""

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import normfusion
+from normfusion import cli
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
 from normfusion.fusion import (
@@ -77,6 +78,17 @@ class TestVerify:
         assert code == 1
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
+        assert report["pass"] is False
+
+    def test_nan_in_a_later_trial_fails_the_site(self, tmp_path, capsys, monkeypatch):
+        errors = iter([1e-15, float("nan")])
+        monkeypatch.setitem(cli.VERIFY_SITES, "softmax_matmul", lambda rc, trial: next(errors))
+        code, out, _ = run_cli(capsys, "verify", small_config(tmp_path, trials=2), "--quiet")
+        assert code == 1
+        report = json.loads(out)
+        site = report["equivalence"]["softmax_matmul"]
+        assert np.isnan(site["max_rel_err"]) and site["pass"] is False
+        assert report["equivalence"]["layernorm_linear"]["pass"] is True
         assert report["pass"] is False
 
     def test_indivisible_heads_is_config_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Kernel tests: oracles are naive scalar loops written independently."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -177,16 +178,20 @@ class TestChunkedMatmul:
             assert_bits_equal(matmul(a, np.hstack([column, column])), np.ones(a.shape[:-1] + (2,)))
 
 
+@pytest.fixture
+def chunked_kernel(monkeypatch):
+    """`matmul` on the chunked kernel, as on a host whose einsum fails the probe."""
+
+    def not_taken(rows, b):
+        raise AssertionError("the einsum kernel ran with the probe's result False")
+
+    monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", False)
+    monkeypatch.setattr(tensor, "_summing_einsum", not_taken)
+
+
+@pytest.mark.usefixtures("chunked_kernel")
 class TestChunkedFallback(TestChunkedMatmul):
     """`TestChunkedMatmul` on the chunked kernel, as on a host whose einsum fails the probe."""
-
-    @pytest.fixture(autouse=True)
-    def chunked_kernel(self, monkeypatch):
-        def not_taken(rows, b):
-            raise AssertionError("the einsum kernel ran with the probe's result False")
-
-        monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", False)
-        monkeypatch.setattr(tensor, "_summing_einsum", not_taken)
 
 
 def fused_multiply_add_loop(a, b):
@@ -332,6 +337,113 @@ class TestOneRowMatmul:
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             matmul(np.ones(3), np.ones((2, 2)))
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+ROWS_MESSAGE = "^matrix contains non-finite elements$"
+ROW_MESSAGE = "^row vector contains non-finite elements$"
+
+
+@pytest.fixture
+def strict_fp():
+    """Floating-point errors raise and warnings are errors, so a check may not lean on either."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def with_bad(x, index, value):
+    x = x.copy()
+    x[index] = value
+    return x
+
+
+@pytest.mark.usefixtures("strict_fp")
+class TestNonFiniteOperands:
+    """`matmul` rejects a NaN or infinite operand and lets overflowed finite products through.
+
+    These run on the kernel the probe picked, and in
+    `TestNonFiniteOperandsChunked` on the chunked kernel.
+    """
+
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    def test_rejected(self, operand, where, value):
+        rng = np.random.default_rng(20)
+        a, b = rng.standard_normal((5, 7)), rng.standard_normal((7, 6))
+        x = a if operand == "a" else b
+        index = {"first": (0, 0), "middle": (x.shape[0] // 2, x.shape[1] // 2), "last": (-1, -1)}[where]
+        if operand == "a":
+            a = with_bad(a, index, value)
+        else:
+            b = with_bad(b, index, value)
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(a, b)
+
+    # every product of the bad value is non-finite * 0; all the others are 0
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("shape", [(5, 7, 6), (5, 7, 1), (1, 7, 1)], ids=["stack", "n=1", "mn=1"])
+    def test_rejected_beside_zero_partners(self, shape, value):
+        m, k, n = shape
+        zeros_a, zeros_b = np.zeros((m, k)), np.zeros((k, n))
+        for index in [(0, 0), (m // 2, k // 2), (m - 1, k - 1)]:
+            with pytest.raises(ValueError, match=ROWS_MESSAGE):
+                matmul(with_bad(zeros_a, index, value), zeros_b)
+        for index in [(0, 0), (k // 2, n // 2), (k - 1, n - 1)]:
+            with pytest.raises(ValueError, match=ROWS_MESSAGE):
+                matmul(zeros_a, with_bad(zeros_b, index, value))
+
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_row_rejected(self, n, value):
+        row, b = np.zeros(7), np.zeros((7, n))
+        for index in [0, 3, 6]:
+            with pytest.raises(ValueError, match=ROW_MESSAGE):
+                matmul(with_bad(row, index, value), b)
+            with pytest.raises(ValueError, match=ROWS_MESSAGE):
+                matmul(row, with_bad(b, (index, 0), value))
+
+    def test_overflowing_products_return_infinities(self):
+        a = np.array([[1e200, 1e200], [-1e200, 1.0]])
+        b = np.array([[1e200, -1e200, 1.0], [1e200, -1e200, 0.0]])
+        expected = np.array([[np.inf, -np.inf, 1e200], [-np.inf, np.inf, -1e200]])
+        assert_bits_equal(matmul(a, b), expected)
+        assert_bits_equal(matmul(a[0], b), expected[0])
+        assert_bits_equal(matmul(a[:1], b[:, :1]), expected[:1, :1])
+
+    def test_non_finite_named_before_a_shape_error(self):
+        bad_a, bad_b = np.array([[np.nan, 1.0, 1.0]]), np.array([[1.0, np.inf], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(bad_a, np.ones((2, 2)))  # mismatched
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(np.ones((1, 3)), bad_b)  # mismatched
+        with pytest.raises(ValueError, match=ROW_MESSAGE):
+            matmul(bad_a[0], np.ones(3))  # b not 2-D
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(bad_a, np.ones((3, 0)))  # b empty
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(bad_a, {})  # b not numeric
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(3,\)$"):
+            matmul(np.ones((1, 3)), np.full(3, np.nan))  # b's own shape comes before its values
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+class TestNonFiniteOperandsChunked(TestNonFiniteOperands):
+    """`TestNonFiniteOperands` on the chunked kernel."""
+
+
+def test_einsum_kernel_scans_only_the_output(monkeypatch):
+    def scanned(x):
+        raise AssertionError("an operand was scanned")
+
+    monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", True)
+    for name in ("as_rows", "as_matrix", "as_row_vector"):
+        monkeypatch.setattr(tensor, name, scanned)
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((8, 128)), rng.standard_normal((128, 64))
+    assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
+    assert_bits_equal(matmul(a[0], b[:, :1]), matmul_oracle(a[:1], b[:, :1])[0])
 
 
 class TestDiag:
