@@ -222,7 +222,11 @@ _GELU_SQRT_2_OVER_PI = 0.7978845608028654
 def gelu(z) -> np.ndarray:
     """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call."""
     z = np.asarray(z, dtype=np.float64)
-    return 0.5 * z * (1.0 + np.tanh(_GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))))
+    # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
+    # and the result is the exact limit, z or -0.0.
+    with np.errstate(over="ignore"):
+        inner = _GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))
+    return 0.5 * z * (1.0 + np.tanh(inner))
 
 
 def _split_heads(m: np.ndarray, cfg: BlockConfig) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -193,7 +194,9 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     if csv_base is not None:
         for name, graph in graphs.items():
             out = _csv_path(csv_base, name, both=(mode == "both"))
-            out.write_text(timeline_csv(graph, schedule(graph, rc.cost_model)))
+            if mode == "both":  # `compare` does not return its timelines; one mode reuses its own
+                timeline = schedule(graph, rc.cost_model)
+            out.write_text(timeline_csv(graph, timeline))
             report.setdefault("csv", []).append(str(out))
 
     sys.stdout.write(dumps_report(report))
@@ -219,6 +222,10 @@ def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> i
     return 0
 
 
+# Built on first use, not at import, and shared by every later `main` call:
+# it depends on no run-time input, and `parse_args` returns a fresh Namespace
+# without changing the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normfusion",

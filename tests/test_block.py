@@ -8,6 +8,7 @@ invariants the simulator relies on.
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -351,6 +352,32 @@ def test_gelu_against_extended_precision():
                         for z in map(mpmath.mpf, zs)])
     err = np.abs(gelu(zs) - ref) / np.maximum(1.0, np.abs(zs))
     assert np.max(err) <= 4 * np.finfo(np.float64).eps
+
+
+@pytest.fixture
+def strict_floats():
+    """Every floating-point error, and every warning, raises."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        yield
+
+
+def test_gelu_past_the_cube_overflow_is_the_exact_limit(strict_floats):
+    # beyond |z| ~ 5.6e102 z*z*z overflows; tanh has saturated there, so the
+    # result is z for positive z and -0.0 for negative
+    z = np.array([5.7e102, -5.7e102, 1e200, -1e200, 1.7e308, -1.7e308])
+    assert_array_equal(gelu(z).view(np.uint64), np.where(z > 0, z, -0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [5.7e102, 1e200, 5e307])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_block_with_an_overflowing_gelu_cube_is_finite(strict_floats, run, scale):
+    """fc1 scaled so the pre-activations' cubes overflow: the block output stays finite."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12)
+    rng = np.random.default_rng(51)
+    w = random_block_weights(cfg, rng)
+    w = dataclasses.replace(w, fc1=w.fc1 * scale)
+    assert np.isfinite(run(cfg, w, rng.standard_normal((cfg.seq_len, cfg.d_model)))).all()
 
 
 def test_wrong_norm_params_for_variant_rejected():

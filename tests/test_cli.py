@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report shape/determinism, folding round-trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from normfusion.jsonio import (
     load_folded_weights,
     save_block_weights,
 )
+from normfusion.simulator import schedule
 
 SCHEMA = json.loads((default_config_path().parent / "report.schema.json").read_text())
 
@@ -56,6 +58,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports normfusion from the same sources as this one."""
+    src = str(Path(normfusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestVerify:
@@ -216,6 +225,21 @@ class TestSimulate:
             assert engine in ("vector", "matrix")
             assert int(end) >= int(start) >= 0
 
+    @pytest.mark.parametrize("mode", ["fused", "conventional"])
+    def test_one_mode_csv_schedules_once(self, tmp_path, capsys, monkeypatch, mode):
+        # the CSV is written from the timeline the report was made from
+        calls = []
+
+        def counting_schedule(*args):
+            calls.append(args)
+            return schedule(*args)
+
+        monkeypatch.setattr(cli, "schedule", counting_schedule)
+        code, _, _ = run_cli(capsys, "simulate", small_config(tmp_path), f"--{mode}",
+                             "--csv", str(tmp_path / "tl.csv"), "--quiet")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_csv_both_writes_two_files(self, tmp_path, capsys):
         path = small_config(tmp_path)
         base = tmp_path / "tl.csv"
@@ -356,14 +380,66 @@ class TestUsage:
         assert code == 2
 
 
+class TestRepeatedCalls:
+    """`main` may be called again and again in one process: the parser is
+    built on the first call and shared, and nothing else carries over."""
+
+    def test_each_report_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width in both
+        cfg_path = small_config(tmp_path, block={"variant": "standard-gelu"})
+        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24)
+        win, wout, csv = tmp_path / "weights.json", tmp_path / "folded.json", tmp_path / "tl.csv"
+        save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
+        # each call changes a mode, seed or csv key from the one before
+        calls = [
+            (["simulate", cfg_path, "--fused", "--seed", "3", "--csv", str(csv)], [csv]),
+            (["simulate", cfg_path], []),
+            (["simulate"], []),
+            (["verify", cfg_path, "--quiet"], []),
+            (["fold", cfg_path, str(win), str(wout)], [wout]),
+        ]
+        codes = []
+        for argv, written in calls:
+            code, out, err = run_cli(capsys, *argv)
+            files = [f.read_bytes() for f in written]
+            proc = run_python("-m", "normfusion.cli", *argv)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert files == [f.read_bytes() for f in written], argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0, 0]
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = small_config(tmp_path)
+        for mode in ("--both", "--fused", "--conventional"):
+            assert run_cli(capsys, "simulate", path, mode, "--quiet")[0] == 0
+        assert len(built) <= 4  # at most one top-level parser and its three subparsers
+
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import normfusion.cli
+print(len(built))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+
 class TestModuleEntryPoint:
     """`python -m normfusion.cli` runs the CLI, as the installed `normfusion` script does."""
 
     def run_module(self, *argv):
-        src = str(Path(normfusion.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-m", "normfusion.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return run_python("-m", "normfusion.cli", *argv)
 
     def test_verify_prints_its_report(self):
         proc = self.run_module("verify", str(default_config_path("verify_small")), "--quiet")
