@@ -157,17 +157,11 @@ class BlockWeights:
         mlp_in = {"fc1": self.fc1} if self.mlp is None else {"w_gate": self.mlp.w_gate, "w_up": self.mlp.w_up}
         return {"ln1": {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}, "ln2": mlp_in}
 
-    def fold_projections(self) -> dict[str, FoldedLinear | RmsFoldedLinear]:
-        """Each of `projections` folded on its own, keyed "<site>.<weight>"."""
-        fold = fold_layernorm_linear if isinstance(self.ln1, LayerNormParams) else fold_rmsnorm_linear
-        return {f"{site}.{name}": fold(getattr(self, site), m)
-                for site, mats in self.projections.items() for name, m in mats.items()}
-
     @cached_property
     def folded(self) -> FoldedBlock:
-        """`fold_projections` joined per site, computed once per weights."""
-        folds = self.fold_projections()
-        return FoldedBlock(**{site: _join_columns([folds[f"{site}.{name}"] for name in mats])
+        """Each of `projections` folded on its own, then joined per site; computed once per weights."""
+        fold = fold_layernorm_linear if isinstance(self.ln1, LayerNormParams) else fold_rmsnorm_linear
+        return FoldedBlock(**{site: _join_columns([fold(getattr(self, site), m) for m in mats.values()])
                               for site, mats in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:

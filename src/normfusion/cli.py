@@ -170,6 +170,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     }
     if mode == "both":
         rep = compare(graphs["conventional"], graphs["fused"], rc.cost_model)
+        timelines = {"conventional": rep.conventional_timeline, "fused": rep.fused_timeline}
         report["latency"] = latency_dict(rep)
         if not quiet:
             print(
@@ -179,6 +180,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     else:
         graph = graphs[mode]
         timeline = schedule(graph, rc.cost_model)
+        timelines = {mode: timeline}
         nodes = {n.id: n for n in graph.nodes}
         report["latency"] = {
             "total": timeline.total,
@@ -194,9 +196,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     if csv_base is not None:
         for name, graph in graphs.items():
             out = _csv_path(csv_base, name, both=(mode == "both"))
-            if mode == "both":  # `compare` does not return its timelines; one mode reuses its own
-                timeline = schedule(graph, rc.cost_model)
-            out.write_text(timeline_csv(graph, timeline))
+            out.write_text(timeline_csv(graph, timelines[name]))
             report.setdefault("csv", []).append(str(out))
 
     sys.stdout.write(dumps_report(report))
@@ -205,8 +205,8 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
 
 def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> int:
     cfg = rc.block
-    w = load_block_weights(weights_in, cfg)
-    sites = w.fold_projections()
+    # exactly the per-site folds `run_fused` multiplies by
+    sites = vars(load_block_weights(weights_in, cfg).folded)
     save_folded_weights(weights_out, cfg, sites)
     if not quiet:
         print(f"fold: wrote {len(sites)} folded site(s) to {weights_out}", file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "save_block_weights",
     "load_block_weights",
     "save_folded_weights",
-    "load_folded_weights",
     "dumps_report",
     "timeline_csv",
 ]
@@ -204,6 +203,7 @@ def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
 
 def save_folded_weights(path: str, cfg: BlockConfig,
                         sites: dict[str, FoldedLinear | RmsFoldedLinear]) -> None:
+    """Write folds for inspection or export; the package never reads this file back."""
     entries = {}
     for name, fold in sites.items():
         entry = {"folded_weight": _matrix_json(fold.folded_weight)}
@@ -219,27 +219,6 @@ def save_folded_weights(path: str, cfg: BlockConfig,
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-
-
-def load_folded_weights(path: str) -> dict[str, FoldedLinear | RmsFoldedLinear]:
-    doc = _read_json(path, "folded-weight file")
-    _take(doc, "folded", required=("schema_version", "kind", "variant", "sites"), optional=())
-    if doc["kind"] != "folded-weights":
-        raise ConfigError(f"expected a folded-weights file, got kind {doc['kind']!r}")
-    out: dict[str, FoldedLinear | RmsFoldedLinear] = {}
-    for name, entry in doc["sites"].items():
-        _take(entry, f"folded.sites.{name}", required=("folded_weight",), optional=("folded_bias",))
-        try:
-            weight = _matrix_from_json(entry["folded_weight"], f"folded.sites.{name}.folded_weight")
-            if "folded_bias" in entry:
-                out[name] = FoldedLinear(folded_weight=weight, folded_bias=entry["folded_bias"])
-            else:
-                out[name] = RmsFoldedLinear(folded_weight=weight)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:  # a non-numeric or non-finite entry
-            raise ConfigError(f"folded.sites.{name}: {e}") from e
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -118,6 +118,8 @@ def _moments(x: np.ndarray) -> MomentStats:
     mean = ordered_sum(x, axis=-1) / n
     dev = x - mean[..., np.newaxis]
     variance = ordered_sum(dev * dev, axis=-1) / n
+    if not np.isfinite(variance).all():  # a finite row can overflow its sums
+        raise ValueError("layernorm: a row's mean or variance is non-finite (float64 overflow)")
     return MomentStats(mean=mean, variance=variance)
 
 
@@ -138,6 +140,8 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
 def _root_mean_square(x: np.ndarray, epsilon: float) -> float | np.ndarray:
     """`root_mean_square` of a row or stack `as_rows` has already validated."""
     mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
+    if not np.isfinite(mean_sq).all():  # a finite row can overflow its squares
+        raise ValueError("rmsnorm: a row's mean square is non-finite (float64 overflow)")
     if np.any(mean_sq + epsilon == 0.0):
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
     return np.sqrt(mean_sq + epsilon)

@@ -82,7 +82,7 @@ class SiteSaving:
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Conventional vs fused makespans for one block.
+    """Conventional vs fused makespans for one block, and the two full-graph timelines.
 
     fused_total <= conventional_total (and hence a non-negative speedup)
     holds whenever the collective startup dominates the deferred-scale
@@ -94,6 +94,8 @@ class LatencyReport:
     fused_total: int
     per_site_savings: tuple[SiteSaving, ...]
     speedup_percent: float
+    conventional_timeline: Timeline
+    fused_timeline: Timeline
 
 
 def node_latency(node: Node, cm: CostModel) -> int:
@@ -182,8 +184,9 @@ def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> Latency
     if graph_conv.config != graph_fused.config:
         raise ValueError("graphs were built from different block configs")
 
-    conv_total = schedule(graph_conv, cm).total
-    fused_total = schedule(graph_fused, cm).total
+    conv_timeline = schedule(graph_conv, cm)
+    fused_timeline = schedule(graph_fused, cm)
+    conv_total, fused_total = conv_timeline.total, fused_timeline.total
     savings = []
     for site in SITES:
         conv_site = schedule(site_subgraph(graph_conv, site), cm).total
@@ -196,4 +199,6 @@ def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> Latency
         fused_total=fused_total,
         per_site_savings=tuple(savings),
         speedup_percent=speedup,
+        conventional_timeline=conv_timeline,
+        fused_timeline=fused_timeline,
     )

@@ -25,6 +25,7 @@ from normfusion.block import (
 )
 from normfusion.cli import default_config_path, main
 from normfusion.fusion import (
+    FoldedLinear,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -32,7 +33,7 @@ from normfusion.fusion import (
     fused_softmax_matmul,
     silu,
 )
-from normfusion.jsonio import load_config, load_folded_weights, save_folded_weights
+from normfusion.jsonio import load_config, save_folded_weights
 from normfusion.norms import (
     LayerNormParams,
     RmsNormParams,
@@ -45,6 +46,7 @@ from normfusion.simulator import CostModel, compare, schedule
 from normfusion.tensor import matmul, max_rel_error
 
 from test_block import zero_weights
+from test_cli import fold_file_entries
 
 EQUIV_TOL = 1e-10
 SIZES = (8, 16, 64, 256, 1024)
@@ -201,12 +203,15 @@ def test_criterion_fold_correctness(tmp_path):
     cfg = BlockConfig(d_model=64, n_heads=4, seq_len=8, mlp_hidden=128)
     path = tmp_path / "folded.json"
     save_folded_weights(str(path), cfg, folds)
-    loaded = load_folded_weights(str(path))
-    bit_exact = True
+    parsed = fold_file_entries(path)  # plain `json`, not a package loader
+    bit_exact = list(parsed) == list(folds)
     for name, fl in folds.items():
-        n = fl.folded_weight.shape[0]
-        x = rng.standard_normal(n)
-        from_disk = fused_layernorm_matmul(x, loaded[name], 1e-5)
+        entry = parsed[name]
+        bit_exact = (bit_exact
+                     and np.array_equal(entry["folded_weight"].view(np.uint64), fl.folded_weight.view(np.uint64))
+                     and np.array_equal(entry["folded_bias"].view(np.uint64), fl.folded_bias.view(np.uint64)))
+        x = rng.standard_normal(fl.folded_weight.shape[0])
+        from_disk = fused_layernorm_matmul(x, FoldedLinear(**entry), 1e-5)
         in_memory = fused_layernorm_matmul(x, fl, 1e-5)
         bit_exact = bit_exact and np.array_equal(from_disk, in_memory)
 

@@ -244,6 +244,19 @@ def test_overflow_inside_the_block_rejected(run, case):
         run(cfg, w, x)
 
 
+@pytest.mark.parametrize("variant,norm", [("standard-gelu", "layernorm"), ("llama-swiglu", "rmsnorm")])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_overflowing_rows_name_the_norm(run, variant, norm):
+    """A finite row of ±1e200, whose variance or mean square overflows, is rejected by its norm."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    rng = np.random.default_rng(52)
+    w = random_block_weights(cfg, rng)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    x[1] = np.where(np.arange(cfg.d_model) % 2 == 0, 1e200, -1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=f"{norm}: .*non-finite"):
+        run(cfg, w, x)
+
+
 @pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
 def test_fused_uses_the_weights_epsilon(variant, epsilon):
     """Both paths scale each norm by its own parameters' epsilon, not the config's."""

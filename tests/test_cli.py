@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report shape/determinism, folding round-trips."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,19 +17,8 @@ import normfusion
 from normfusion import cli
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
-from normfusion.fusion import (
-    FoldedLinear,
-    fold_layernorm_linear,
-    fold_rmsnorm_linear,
-    fused_layernorm_matmul,
-)
-from normfusion.jsonio import (
-    ConfigError,
-    load_block_weights,
-    load_config,
-    load_folded_weights,
-    save_block_weights,
-)
+from normfusion.fusion import FoldedLinear, RmsFoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
+from normfusion.jsonio import ConfigError, load_block_weights, load_config, save_block_weights
 from normfusion.simulator import schedule
 
 SCHEMA = json.loads((default_config_path().parent / "report.schema.json").read_text())
@@ -52,6 +42,17 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def fold_file_entries(path) -> dict[str, dict[str, np.ndarray]]:
+    """A fold file's entries as float64 arrays, parsed with plain `json`: {site: {field: array}}."""
+    def array(value):
+        if isinstance(value, dict):  # a matrix: shape header plus row-major data
+            return np.array(value["data"], dtype=np.float64).reshape(value["rows"], value["cols"])
+        return np.array(value, dtype=np.float64)
+
+    sites = json.loads(Path(path).read_text())["sites"]
+    return {site: {field: array(value) for field, value in entry.items()} for site, entry in sites.items()}
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,22 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 1
 
+    def test_both_csv_schedules_each_graph_once(self, tmp_path, capsys, monkeypatch):
+        # `compare` schedules the two graphs and their six site subgraphs, and
+        # the CSVs are written from its two full-graph timelines
+        calls = []
+
+        def counting_schedule(*args):
+            calls.append(args)
+            return schedule(*args)
+
+        monkeypatch.setattr(cli, "schedule", counting_schedule)
+        monkeypatch.setattr(normfusion.simulator, "schedule", counting_schedule)
+        code, _, _ = run_cli(capsys, "simulate", small_config(tmp_path), "--both",
+                             "--csv", str(tmp_path / "tl.csv"), "--quiet")
+        assert code == 0
+        assert len(calls) == 8
+
     def test_csv_both_writes_two_files(self, tmp_path, capsys):
         path = small_config(tmp_path)
         base = tmp_path / "tl.csv"
@@ -274,41 +291,34 @@ class TestFold:
         return cfg_path, cfg, weights, win, tmp_path / "folded.json"
 
     def test_fold_round_trip_is_bit_exact(self, setup, capsys):
+        # a fused run through the file's parsed arrays is bit-equal to the in-memory one
         cfg_path, cfg, weights, win, wout = setup
         code, out, _ = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
         assert code == 0
         jsonschema.validate(json.loads(out), SCHEMA)
 
-        loaded = load_folded_weights(str(wout))
-        fold = fold_layernorm_linear if cfg.variant == "standard-gelu" else fold_rmsnorm_linear
-        for name, matrix in (("w_q", weights.w_q), ("w_k", weights.w_k), ("w_v", weights.w_v)):
-            in_memory = fold(weights.ln1, matrix)
-            assert_array_equal(loaded[f"ln1.{name}"].folded_weight, in_memory.folded_weight)
-            if isinstance(in_memory, FoldedLinear):
-                assert_array_equal(loaded[f"ln1.{name}"].folded_bias, in_memory.folded_bias)
-
         if cfg.variant == "standard-gelu":
-            # a fused run through the deserialized fold is bit-equal to the
-            # in-memory one
-            x = np.random.default_rng(5).standard_normal(cfg.d_model)
-            in_memory = fold_layernorm_linear(weights.ln1, weights.w_q)
-            assert_array_equal(
-                fused_layernorm_matmul(x, loaded["ln1.w_q"], cfg.epsilon_ln),
-                fused_layernorm_matmul(x, in_memory, cfg.epsilon_ln),
-            )
+            fold_type, fused_norm_matmul = FoldedLinear, fused_layernorm_matmul
+        else:
+            fold_type, fused_norm_matmul = RmsFoldedLinear, fused_rmsnorm_matmul
+        x = np.random.default_rng(5).standard_normal((cfg.seq_len, cfg.d_model))
+        for site, entry in fold_file_entries(wout).items():
+            assert_array_equal(fused_norm_matmul(x, fold_type(**entry), cfg.epsilon_ln),
+                               fused_norm_matmul(x, getattr(weights.folded, site), cfg.epsilon_ln))
 
     def test_fold_file_matches_compiled_block(self, setup, capsys):
-        # the fold file and the fused executor come from one per-projection fold
+        # the file holds exactly the per-site folds the fused block multiplies by
         cfg_path, _, weights, win, wout = setup
-        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        loaded = load_folded_weights(str(wout))
-        for site in ("ln1", "ln2"):
-            parts = [fold for name, fold in loaded.items() if name.startswith(f"{site}.")]
+        code, out, _ = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        assert code == 0
+        assert json.loads(out)["sites"] == ["ln1", "ln2"]
+        parsed = fold_file_entries(wout)
+        assert list(parsed) == ["ln1", "ln2"]
+        for site, entry in parsed.items():
             compiled = getattr(weights.folded, site)
-            assert_array_equal(np.hstack([f.folded_weight for f in parts]), compiled.folded_weight)
-            if isinstance(compiled, FoldedLinear):
-                assert_array_equal(np.hstack([f.folded_bias for f in parts]), compiled.folded_bias)
-        assert [name for name in loaded if name.startswith("ln1.")] == ["ln1.w_q", "ln1.w_k", "ln1.w_v"]
+            assert list(entry) == [f.name for f in dataclasses.fields(compiled)]
+            for field, array in entry.items():
+                assert_array_equal(array.view(np.uint64), getattr(compiled, field).view(np.uint64))
 
     def test_fold_is_idempotent(self, setup, capsys):
         cfg_path, _, _, win, wout = setup
@@ -347,18 +357,6 @@ class TestFold:
         code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
         assert code == 2
         assert err
-
-    def test_non_numeric_fold_entry_is_config_error(self, setup, capsys):
-        cfg_path, _, _, win, wout = setup
-        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        clean = wout.read_text()
-        for field in json.loads(clean)["sites"]["ln1.w_k"]:  # folded_weight, and folded_bias for layernorm
-            doc = json.loads(clean)
-            entry = doc["sites"]["ln1.w_k"]
-            (entry[field]["data"] if field == "folded_weight" else entry[field])[3] = "x"
-            wout.write_text(json.dumps(doc))
-            with pytest.raises(ConfigError, match="folded.sites.ln1.w_k: could not convert string to float"):
-                load_folded_weights(str(wout))
 
     def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
         cfg_path, cfg, weights, win, wout = setup

@@ -112,6 +112,16 @@ class TestLayernorm:
         with pytest.raises(ValueError, match="epsilon"):
             LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=0.0)
 
+    @pytest.mark.parametrize("row", [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]])
+    def test_overflowing_row_names_the_norm(self, row):
+        # the variance (or the mean) of a finite row overflows: an error, not beta
+        p = LayerNormParams(gamma=np.ones(4), beta=np.full(4, 0.5), epsilon=1e-5)
+        stack = np.array([[1.0, 2.0, 3.0, 4.0], row])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (row, stack):
+                with pytest.raises(ValueError, match="layernorm: .*non-finite"):
+                    layernorm(x, p)
+
 
 class TestRmsnorm:
     def test_unit_rms_passthrough(self):
@@ -139,6 +149,16 @@ class TestRmsnorm:
     def test_zero_vector_with_epsilon_ok(self):
         p = RmsNormParams(gamma=[1.0, 1.0], epsilon=1e-6)
         assert_array_equal(rmsnorm([0.0, 0.0], p), [0.0, 0.0])
+
+    @pytest.mark.parametrize("row", [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]])
+    def test_overflowing_row_names_the_norm(self, row):
+        # the mean square of a finite row overflows: an error, not zeros
+        p = RmsNormParams(gamma=np.ones(4), epsilon=1e-6)
+        stack = np.array([[1.0, 2.0, 3.0, 4.0], row])
+        with np.errstate(over="ignore"):
+            for x in (row, stack):
+                with pytest.raises(ValueError, match="rmsnorm: .*non-finite"):
+                    rmsnorm(x, p)
 
 
 class TestSoftmax:
