@@ -130,7 +130,8 @@ def cmd_verify(rc: RunConfig, quiet: bool) -> int:
         worst = float(np.max([check(rc, trial) for trial in range(rc.trials)]))
         ok = worst <= rc.tolerance
         all_pass = all_pass and ok
-        sites[name] = {"max_rel_err": worst, "pass": ok}
+        # JSON has no NaN or infinity: a non-finite error is written as null
+        sites[name] = {"max_rel_err": worst if np.isfinite(worst) else None, "pass": ok}
         if not quiet:
             print(f"verify: {name}: max_rel_err={worst:.3e} "
                   f"({'ok' if ok else 'FAIL'} at tolerance {rc.tolerance:g})", file=sys.stderr)

@@ -26,8 +26,9 @@ The fused evaluators take one row (1-D) or a stack of rows (2-D), as
 `norms` and `tensor.matmul` do, and return the same rank. They keep no
 reduction of their own: the collective scalar comes from the same `norms`
 reduction the conventional form calls (`moments`, `root_mean_square`,
-`softmax_numerators`), through its private twin, as the evaluator has
-already validated the rows. Every reduction runs left to right along the
+`softmax_numerators`), after checking only the shapes, so the reduction
+proves the rows finite as it does for the conventional form (see the
+one finiteness rule in `tensor`). Every reduction runs left to right along the
 row and the product's columns are independent, so a row's result is
 bit-identical either way; the deferred scale is one scalar per row,
 applied along the last axis as `norms` applies it.
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, _moments, _root_mean_square, _softmax_numerators
-from .tensor import as_matrix, as_row_vector, as_rows, frozen_copy, matmul, ordered_sum
+from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
+from .tensor import _reject, _rows, as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum
 
 __all__ = [
     "FoldedLinear",
@@ -147,16 +148,16 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     The variance reduction and the x @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias.
     """
-    rows = as_rows(x)
+    rows = _rows(x)
     n = rows.shape[-1]
     if n != fl.folded_weight.shape[0]:
-        raise ValueError(
-            f"input length {n} does not match folded weight rows {fl.folded_weight.shape[0]}"
+        _reject(
+            rows, f"input length {n} does not match folded weight rows {fl.folded_weight.shape[0]}"
         )
     if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be a positive finite scalar, got {epsilon}")
+        _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
-    variance = _moments(rows).variance          # collective task
+    variance = moments(rows).variance           # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
     return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
 
@@ -167,13 +168,14 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     Numerators are max-shifted, so the path is overflow-safe for any
     finite logits; the shift cancels between numerator and denominator.
     """
-    rows = as_rows(x)
+    rows = _rows(x)
     if np.shape(v)[:1] != rows.shape[-1:]:
-        raise ValueError(f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
+        _reject(rows, f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
 
-    numerators, denominator = _softmax_numerators(rows)  # denominator: collective task
-    projected = matmul(numerators, v)                    # matmul task, overlappable
-    return projected / denominator[..., np.newaxis]
+    numerators, denominator = softmax_numerators(rows)  # denominator: collective task
+    projected = matmul(numerators, v)                   # matmul task, overlappable
+    with np.errstate(under="ignore"):  # a product of subnormal numerators
+        return projected / denominator[..., np.newaxis]
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
@@ -199,13 +201,13 @@ def _join_columns(folds: list) -> FoldedLinear | RmsFoldedLinear:
 
 def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.ndarray:
     """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
-    rows = as_rows(x)
+    rows = _rows(x)
     if rows.shape[-1] != rfl.folded_weight.shape[0]:
-        raise ValueError(
-            f"input length {rows.shape[-1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
+        _reject(
+            rows, f"input length {rows.shape[-1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
         )
-    r = _root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
-    projected = matmul(rows, rfl.folded_weight)            # matmul task, overlappable
+    r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
+    projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
     return projected / r
 
 
@@ -214,9 +216,10 @@ def silu(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = z[pos] / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = z[~pos] * ez / (1.0 + ez)
+    with np.errstate(under="ignore"):  # past |z| ~ 708, exp's subnormal or 0 is correctly rounded
+        out[pos] = z[pos] / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = z[~pos] * ez / (1.0 + ez)
     return out
 
 

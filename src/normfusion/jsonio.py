@@ -58,9 +58,9 @@ class RunConfig:
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         # tolerance 0 is accepted (and will fail verification numerically);
-        # only negatives are malformed.
-        if not self.tolerance >= 0:
-            raise ConfigError(f"tolerance must be non-negative, got {self.tolerance!r}")
+        # negatives are malformed, and so is infinity, which would pass every site.
+        if not (self.tolerance >= 0 and self.tolerance < np.inf):
+            raise ConfigError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
 
 
 def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
@@ -238,8 +238,8 @@ def latency_dict(rep: LatencyReport) -> dict:
 
 
 def dumps_report(report: dict) -> str:
-    """Stable serialization used for all stdout reports."""
-    return json.dumps(report, indent=2) + "\n"
+    """Stable serialization used for all stdout reports; a NaN or infinity raises, as JSON has none."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def timeline_csv(graph, timeline: Timeline) -> str:

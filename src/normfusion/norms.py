@@ -13,10 +13,12 @@ a row's result is bit-identical either way. The fused evaluators take
 their collective values from these same functions, so the conventional
 and fused paths divide by bit-identical scalars by construction.
 
-Each public function validates its input once. Where a function here or
-in `fusion` has already validated an array and hands it to one of these
-reductions, it calls the reduction's private twin (`_moments`,
-`_root_mean_square`, `_softmax_numerators`), which skips the check.
+Those three are the only implementations of the reductions: `layernorm`,
+`rmsnorm` and the fused evaluators check shapes and call them. By the one
+finiteness rule (see `tensor`), `moments` and `root_mean_square` scan
+their per-row results, computed under `np.errstate(all="ignore")`, as a
+NaN or infinity makes its row's result non-finite for good; softmax
+scans its input, as a -inf logit gives a finite result.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_row_vector, as_rows, frozen_copy, ordered_sum
+from .tensor import _reject, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -92,14 +94,10 @@ class MomentStats:
     mean: float | np.ndarray
     variance: float | np.ndarray
 
-    def __post_init__(self):
-        if np.any(self.variance < 0):
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
-
 
 def _check_width(x: np.ndarray, n: int) -> None:
     if x.shape[-1] != n:
-        raise ValueError(f"input length {x.shape[-1]} does not match params length {n}")
+        _reject(x, f"input length {x.shape[-1]} does not match params length {n}")
 
 
 def moments(x) -> MomentStats:
@@ -109,39 +107,33 @@ def moments(x) -> MomentStats:
     same sqrt(variance + eps), and a sample-variance mismatch here would
     silently break fused/conventional equivalence.
     """
-    return _moments(as_rows(x))
-
-
-def _moments(x: np.ndarray) -> MomentStats:
-    """`moments` of a row or stack `as_rows` has already validated."""
+    x = _rows(x)
     n = x.shape[-1]
-    mean = ordered_sum(x, axis=-1) / n
-    dev = x - mean[..., np.newaxis]
-    variance = ordered_sum(dev * dev, axis=-1) / n
-    if not np.isfinite(variance).all():  # a finite row can overflow its sums
-        raise ValueError("layernorm: a row's mean or variance is non-finite (float64 overflow)")
+    with np.errstate(all="ignore"):
+        mean = ordered_sum(x, axis=-1) / n
+        dev = x - mean[..., np.newaxis]
+        variance = ordered_sum(dev * dev, axis=-1) / n
+    if not np.isfinite(variance).all():  # a non-finite input, or a finite row's sums overflowed
+        _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
     return MomentStats(mean=mean, variance=variance)
 
 
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
     """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
-    x = as_rows(x)
+    x = _rows(x)
     _check_width(x, p.n)
-    st = _moments(x)
+    st = moments(x)
     denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
     return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     """sqrt(mean(x**2) + eps) of a row, per row of a stack."""
-    return _root_mean_square(as_rows(x), epsilon)
-
-
-def _root_mean_square(x: np.ndarray, epsilon: float) -> float | np.ndarray:
-    """`root_mean_square` of a row or stack `as_rows` has already validated."""
-    mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
-    if not np.isfinite(mean_sq).all():  # a finite row can overflow its squares
-        raise ValueError("rmsnorm: a row's mean square is non-finite (float64 overflow)")
+    x = _rows(x)
+    with np.errstate(all="ignore"):
+        mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
+    if not np.isfinite(mean_sq).all():  # a non-finite input, or a finite row's squares overflowed
+        _reject(x, "rmsnorm: a row's mean square is non-finite (float64 overflow)")
     if np.any(mean_sq + epsilon == 0.0):
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
     return np.sqrt(mean_sq + epsilon)
@@ -149,9 +141,9 @@ def _root_mean_square(x: np.ndarray, epsilon: float) -> float | np.ndarray:
 
 def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
     """x / sqrt(mean(x**2) + eps) * gamma, per row."""
-    x = as_rows(x)
+    x = _rows(x)
     _check_width(x, p.n)
-    return (x / _root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
+    return (x / root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
 
 
 def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
@@ -163,16 +155,16 @@ def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
     is the left-to-right sum of the numerators, which makes
     `numerators @ ones == denominator` bit-exact.
     """
-    return _softmax_numerators(as_rows(x))
-
-
-def _softmax_numerators(x: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """`softmax_numerators` of a row or stack `as_rows` has already validated."""
-    numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    x = as_rows(x)
+    # far below the max a numerator rounds to a subnormal or 0, and a shift
+    # past -1.8e308 to -inf gives 0: each correctly rounded, not an error
+    with np.errstate(over="ignore", under="ignore"):
+        numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return numerators, ordered_sum(numerators, axis=-1)
 
 
 def softmax_stable(x) -> np.ndarray:
     """Softmax with max-subtraction, per row; finite for any finite input."""
     numerators, denominator = softmax_numerators(x)
-    return numerators / denominator[..., np.newaxis]
+    with np.errstate(under="ignore"):  # a subnormal numerator
+        return numerators / denominator[..., np.newaxis]

@@ -104,23 +104,20 @@ def node_latency(node: Node, cm: CostModel) -> int:
     matmul:      MACs / matrix rate
     elementwise: elements / vector rate
     collective:  alpha + beta * ceil(log2 n) + n / vector rate
-    The sum is rounded up to whole cycles.
+    The sum is rounded up to whole cycles. `Node` has already rejected
+    any other kind and non-positive work.
     """
-    if node.work <= 0:
-        raise ValueError(f"node {node.id} has non-positive work {node.work}")
     if node.kind == "matmul":
         raw = node.work / cm.matrix_macs_per_cycle
     elif node.kind == "elementwise":
         raw = node.work / cm.vector_elems_per_cycle
-    elif node.kind == "collective":
+    else:
         tree_levels = math.ceil(math.log2(node.work)) if node.work > 1 else 0
         raw = (
             cm.collective_alpha
             + cm.collective_beta * tree_levels
             + node.work / cm.vector_elems_per_cycle
         )
-    else:
-        raise ValueError(f"unknown node kind {node.kind!r}")
     return math.ceil(raw)
 
 

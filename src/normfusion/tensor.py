@@ -32,12 +32,18 @@ probe shows that it does not.
 Neither order is a documented numpy promise, so the bitwise tests against
 the triple loop, run on both kernels, are the guarantee.
 
-`matmul` rejects non-finite operands, but on the einsum kernel it scans
-only its m x n output: every operand value enters a whole row or column
-of products, so with m, n >= 1 a finite output proves finite operands
-(see `matmul`). That needs a kernel that adds every product and raises
-no floating-point error; the chunked kernel adds with ufuncs, which can
-raise, so it scans its operands first. The rejection tests, run on both
+One finiteness rule holds for every public kernel here and in `norms`
+and `fusion`: check shapes, then prove the input finite once, on the
+smallest array that proves it. Where a NaN or infinity in the input
+makes some element of the result non-finite, and computing it raises no
+floating-point error, a finite result proves finite input. Only a
+non-finite one runs `as_rows`/`as_matrix`, which name a bad input before
+an overflow is reported; `_reject` names it before a mismatch with the
+other arguments (a width, an epsilon). `matmul` scans its m x n output:
+each operand value enters a whole row or column of products (m, n >= 1),
+`inf * 0` is NaN, and a sum stays non-finite once one term is. The
+summing einsum raises no floating-point error, and the chunked kernel
+runs under `np.errstate(all="ignore")`. The rejection tests, run on both
 kernels with non-finite values beside zero partners, are the guarantee.
 
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
@@ -122,6 +128,12 @@ def as_rows(x) -> np.ndarray:
     return as_matrix(v) if v.ndim == 2 else as_row_vector(v)
 
 
+def _reject(x: np.ndarray, message: str):
+    """Raise `ValueError(message)` about a well-shaped `x`, after `as_rows(x)` names a non-finite value."""
+    as_rows(x)
+    raise ValueError(message)
+
+
 def frozen_copy(a: np.ndarray) -> np.ndarray:
     """A private, read-only copy of `a`: later writes to `a` cannot reach it."""
     out = a.copy()
@@ -162,20 +174,13 @@ def matmul(a, b) -> np.ndarray:
     `_chunked_matmul`, which forms the products a chunk at a time in a
     buffer and adds them in index order.
 
-    Both operands must be finite. The shape checks run first. On the
-    einsum kernel, finiteness is then checked on the m x n output, not on
-    the operands: each a[i, k] enters every out[i, :] and each b[k, j]
-    every out[:, j] (m, n >= 1), a NaN or infinite operand makes each of
-    those products NaN or infinite (inf * 0 is NaN), and a sum of every
-    product stays NaN or infinite once one term is. So a finite output
-    proves finite operands. Only a non-finite output runs `as_rows(a)` and
+    Both operands must be finite. The shape checks run first; then the
+    product is computed and its output scanned once (see the module
+    docstring). Only a non-finite output runs `as_rows(a)` and
     `as_matrix(b)`: they raise for a non-finite operand, and where finite
-    products overflowed the output is returned. This needs a kernel that
-    adds every product and raises no floating-point error, as the summing
-    einsum does even under `np.errstate(all="raise")`. The chunked kernel
-    adds with ufuncs, which can raise there, so it checks its operands
-    before computing. Operands that are both misshapen or mismatched and
-    non-finite raise what `as_rows(a)` and then `as_matrix(b)` raise.
+    products overflowed the output is returned. Operands that are both
+    misshapen or mismatched and non-finite raise what `as_rows(a)` and
+    then `as_matrix(b)` raise.
     """
     try:
         a, b = _rows(a), _matrix(b)
@@ -188,11 +193,11 @@ def matmul(a, b) -> np.ndarray:
     rows = a.reshape(-1, b.shape[0])
     if _EINSUM_IN_ORDER:
         out = _summing_einsum(rows, b)
-        if not np.isfinite(out).all():
-            _check_operands(a, b)
     else:
+        with np.errstate(all="ignore"):
+            out = _chunked_matmul(rows, b)
+    if not np.isfinite(out).all():
         _check_operands(a, b)
-        out = _chunked_matmul(rows, b)
     return out.reshape(a.shape[:-1] + (b.shape[1],))
 
 

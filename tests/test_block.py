@@ -8,7 +8,6 @@ invariants the simulator relies on.
 
 import dataclasses
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -257,6 +256,33 @@ def test_overflowing_rows_name_the_norm(run, variant, norm):
         run(cfg, w, x)
 
 
+@pytest.mark.parametrize("variant,norm", [("standard-gelu", "layernorm"), ("llama-swiglu", "rmsnorm")])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_overflowing_rows_name_the_norm_under_strict_errors(strict_fp, run, variant, norm):
+    """`test_overflowing_rows_name_the_norm` with every floating-point error raising."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    rng = np.random.default_rng(52)
+    w = random_block_weights(cfg, rng)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    x[1] = np.where(np.arange(cfg.d_model) % 2 == 0, 1e200, -1e200)
+    with pytest.raises(ValueError, match=f"{norm}: .*non-finite"):
+        run(cfg, w, x)
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_exp_underflow_gives_the_same_bits_under_strict_errors(run, variant):
+    """Attention logits spanning more than ~745 underflow exp, which rounds correctly: not an error."""
+    cfg = BlockConfig(d_model=16, n_heads=2, seq_len=8, mlp_hidden=24, variant=variant)
+    rng = np.random.default_rng(53)
+    w = random_block_weights(cfg, rng)
+    w = dataclasses.replace(w, w_q=w.w_q * 300)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    expected = run(cfg, w, x)
+    with np.errstate(all="raise"):
+        assert_array_equal(run(cfg, w, x).view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
 def test_fused_uses_the_weights_epsilon(variant, epsilon):
     """Both paths scale each norm by its own parameters' epsilon, not the config's."""
@@ -367,15 +393,7 @@ def test_gelu_against_extended_precision():
     assert np.max(err) <= 4 * np.finfo(np.float64).eps
 
 
-@pytest.fixture
-def strict_floats():
-    """Every floating-point error, and every warning, raises."""
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        yield
-
-
-def test_gelu_past_the_cube_overflow_is_the_exact_limit(strict_floats):
+def test_gelu_past_the_cube_overflow_is_the_exact_limit(strict_fp):
     # beyond |z| ~ 5.6e102 z*z*z overflows; tanh has saturated there, so the
     # result is z for positive z and -0.0 for negative
     z = np.array([5.7e102, -5.7e102, 1e200, -1e200, 1.7e308, -1.7e308])
@@ -384,7 +402,7 @@ def test_gelu_past_the_cube_overflow_is_the_exact_limit(strict_floats):
 
 @pytest.mark.parametrize("scale", [5.7e102, 1e200, 5e307])
 @pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
-def test_block_with_an_overflowing_gelu_cube_is_finite(strict_floats, run, scale):
+def test_block_with_an_overflowing_gelu_cube_is_finite(strict_fp, run, scale):
     """fc1 scaled so the pre-activations' cubes overflow: the block output stays finite."""
     cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12)
     rng = np.random.default_rng(51)

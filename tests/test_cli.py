@@ -18,7 +18,7 @@ from normfusion import cli
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
 from normfusion.fusion import FoldedLinear, RmsFoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
-from normfusion.jsonio import ConfigError, load_block_weights, load_config, save_block_weights
+from normfusion.jsonio import ConfigError, dumps_report, load_block_weights, load_config, save_block_weights
 from normfusion.simulator import schedule
 
 SCHEMA = json.loads((default_config_path().parent / "report.schema.json").read_text())
@@ -53,6 +53,14 @@ def fold_file_entries(path) -> dict[str, dict[str, np.ndarray]]:
 
     sites = json.loads(Path(path).read_text())["sites"]
     return {site: {field: array(value) for field, value in entry.items()} for site, entry in sites.items()}
+
+
+def strict_json(text):
+    """`json.loads` that rejects the non-JSON tokens NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(capsys, *argv):
@@ -95,11 +103,24 @@ class TestVerify:
         monkeypatch.setitem(cli.VERIFY_SITES, "softmax_matmul", lambda rc, trial: next(errors))
         code, out, _ = run_cli(capsys, "verify", small_config(tmp_path, trials=2), "--quiet")
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
+        jsonschema.validate(report, SCHEMA)
         site = report["equivalence"]["softmax_matmul"]
-        assert np.isnan(site["max_rel_err"]) and site["pass"] is False
+        assert site["max_rel_err"] is None and site["pass"] is False
         assert report["equivalence"]["layernorm_linear"]["pass"] is True
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, tolerance):
+        # json accepts Infinity; a tolerance of Infinity would pass every site
+        code, out, err = run_cli(capsys, "verify", small_config(tmp_path, tolerance=tolerance))
+        assert code == 2
+        assert out == ""
+        assert f"tolerance must be non-negative and finite, got {tolerance!r}" in err
+
+    def test_report_with_a_non_finite_value_is_not_written(self):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dumps_report({"max_rel_err": float("nan")})
 
     def test_indivisible_heads_is_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, block={"d_model": 15})

@@ -6,6 +6,7 @@ is always the conventional normalize-then-multiply path.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,7 +27,16 @@ from normfusion.fusion import (
     silu,
     swiglu,
 )
-from normfusion.norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
+from normfusion.norms import (
+    LayerNormParams,
+    RmsNormParams,
+    layernorm,
+    moments,
+    rmsnorm,
+    root_mean_square,
+    softmax_numerators,
+    softmax_stable,
+)
 from normfusion.tensor import matmul, max_rel_error
 
 
@@ -190,6 +200,13 @@ class TestFusedSoftmaxMatmul:
         with pytest.raises(ValueError, match="length"):
             fused_softmax_matmul([1.0, 2.0, 3.0], np.eye(2))
 
+    def test_subnormal_numerators_are_exact_under_strict_errors(self):
+        # exp(-740) is subnormal; scaled by 1/(1 + exp(-1)) it rounds, correctly: not an error
+        x = np.array([[0.0, -1.0, -740.0, -745.0], [0.0, -740.0, -1.0, -1e3]])
+        expected = fused_softmax_matmul(x, np.eye(4))
+        with np.errstate(all="raise"):
+            assert_array_equal(fused_softmax_matmul(x, np.eye(4)).view(np.uint64), expected.view(np.uint64))
+
 
 class TestFoldRmsnormLinear:
     def test_unit_gamma_returns_weight(self):
@@ -236,6 +253,13 @@ class TestSilu:
 
     def test_zero(self):
         assert silu(np.array([0.0]))[0] == 0.0
+
+    def test_exp_underflow_is_exact_under_strict_errors(self):
+        # past |z| ~ 708 exp is subnormal or 0, the correctly rounded value, not an error
+        z = np.array([800.0, -800.0, 745.0, -745.0, 709.0, -709.0, 1e300, -1e300])
+        expected = silu(z)
+        with np.errstate(all="raise"):
+            assert_array_equal(silu(z).view(np.uint64), expected.view(np.uint64))
 
 
 class TestFusedRmsnormLlamaMlp:
@@ -355,3 +379,78 @@ class TestScaleDeferral:
         deferred = matmul(u, w) * (1.0 / s)
         eager = matmul(u * (1.0 / s), w)
         assert max_rel_error(deferred, eager) <= 1e-12
+
+
+def _rows_kernels():
+    """Every norm reduction and fused evaluator, as a function of its rows alone (width 6)."""
+    rng = np.random.default_rng(60)
+    ln = LayerNormParams(gamma=rng.uniform(0.5, 1.5, 6), beta=rng.standard_normal(6), epsilon=1e-5)
+    rms = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 6), epsilon=1e-6)
+    folded = fold_layernorm_linear(ln, rng.standard_normal((6, 4)))
+    rms_folded, gate, up = (fold_rmsnorm_linear(rms, rng.standard_normal((6, 5))) for _ in range(3))
+    v, w_down = rng.standard_normal((6, 3)), rng.standard_normal((5, 6))
+    return {
+        "moments": moments,
+        "layernorm": lambda x: layernorm(x, ln),
+        "rmsnorm": lambda x: rmsnorm(x, rms),
+        "root_mean_square": lambda x: root_mean_square(x, 0.0),
+        "softmax_numerators": softmax_numerators,
+        "softmax_stable": softmax_stable,
+        "fused_layernorm_matmul": lambda x: fused_layernorm_matmul(x, folded, 1e-5),
+        "fused_softmax_matmul": lambda x: fused_softmax_matmul(x, v),
+        "fused_rmsnorm_matmul": lambda x: fused_rmsnorm_matmul(x, rms_folded, 1e-6),
+        "fused_rmsnorm_llama_mlp": lambda x: fused_rmsnorm_llama_mlp(x, gate, up, w_down, 1e-6),
+    }
+
+
+ROWS_KERNELS = _rows_kernels()
+
+
+@pytest.mark.parametrize("errors", ["default", "strict"])
+@pytest.mark.parametrize("where", ["row element", "stack element", "stack row"])
+@pytest.mark.parametrize("name,kernel", [
+    pytest.param(name, kernel, id=name if kernel == "einsum" else f"{name}-chunked")
+    for name in ROWS_KERNELS
+    for kernel in (("einsum", "chunked") if name.startswith("fused") else ("einsum",))
+])
+def test_non_finite_rows_rejected(request, name, kernel, where, errors):
+    """A NaN or infinity in the rows raises the validators' own message, in either error mode."""
+    if kernel == "chunked":
+        request.getfixturevalue("chunked_kernel")
+    if errors == "strict":
+        request.getfixturevalue("strict_fp")
+    stack = np.random.default_rng(61).standard_normal((3, 6))
+    x, index, message = {
+        "row element": (stack[1], 2, "^row vector contains non-finite elements$"),
+        "stack element": (stack, (1, 2), "^matrix contains non-finite elements$"),
+        "stack row": (stack, 1, "^matrix contains non-finite elements$"),
+    }[where]
+    for value in (np.nan, np.inf, -np.inf):
+        bad = x.copy()
+        bad[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ROWS_KERNELS[name](bad)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("layernorm", lambda x: layernorm(x, LayerNormParams(gamma=np.ones(5), beta=np.zeros(5), epsilon=1e-5))),
+    ("rmsnorm", lambda x: rmsnorm(x, RmsNormParams(gamma=np.ones(5)))),
+    ("fused_layernorm_matmul", lambda x: fused_layernorm_matmul(
+        x, FoldedLinear(folded_weight=np.ones((5, 2)), folded_bias=np.zeros(2)), 1e-5)),
+    ("fused_layernorm_matmul-epsilon", lambda x: fused_layernorm_matmul(
+        x, FoldedLinear(folded_weight=np.ones((6, 2)), folded_bias=np.zeros(2)), 0.0)),
+    ("fused_softmax_matmul", lambda x: fused_softmax_matmul(x, np.ones((5, 2)))),
+    ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, RmsFoldedLinear(folded_weight=np.ones((5, 2))))),
+])
+def test_non_finite_rows_named_before_a_mismatch(name, call):
+    """Rows that are non-finite and do not fit the parameters raise the non-finite error first."""
+    rows = np.ones((3, 6))
+    with pytest.raises(ValueError, match="length|epsilon"):
+        call(rows)
+    rows[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+        call(rows)
+    with pytest.raises(ValueError, match="^row vector contains non-finite elements$"):
+        call(rows[1])

@@ -31,6 +31,10 @@ finite_vectors = st.lists(
 )
 
 
+# finite rows whose variance (or mean) and mean square overflow float64
+OVERFLOWING_ROWS = [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]]
+
+
 def moments_oracle(x):
     """Independent two-pass mean/variance with exact (fsum) accumulation."""
     n = len(x)
@@ -122,6 +126,13 @@ class TestLayernorm:
                 with pytest.raises(ValueError, match="layernorm: .*non-finite"):
                     layernorm(x, p)
 
+    @pytest.mark.parametrize("row", OVERFLOWING_ROWS)
+    def test_overflowing_row_names_the_norm_under_strict_errors(self, strict_fp, row):
+        p = LayerNormParams(gamma=np.ones(4), beta=np.full(4, 0.5), epsilon=1e-5)
+        for x in (row, np.array([[1.0, 2.0, 3.0, 4.0], row])):
+            with pytest.raises(ValueError, match="layernorm: .*non-finite"):
+                layernorm(x, p)
+
 
 class TestRmsnorm:
     def test_unit_rms_passthrough(self):
@@ -160,6 +171,13 @@ class TestRmsnorm:
                 with pytest.raises(ValueError, match="rmsnorm: .*non-finite"):
                     rmsnorm(x, p)
 
+    @pytest.mark.parametrize("row", OVERFLOWING_ROWS)
+    def test_overflowing_row_names_the_norm_under_strict_errors(self, strict_fp, row):
+        p = RmsNormParams(gamma=np.ones(4), epsilon=1e-6)
+        for x in (row, np.array([[1.0, 2.0, 3.0, 4.0], row])):
+            with pytest.raises(ValueError, match="rmsnorm: .*non-finite"):
+                rmsnorm(x, p)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -168,6 +186,17 @@ class TestSoftmax:
     def test_huge_logits_do_not_overflow(self):
         y = softmax_stable([1000.0, 1000.0])
         assert_array_equal(y, [0.5, 0.5])
+
+    @pytest.mark.parametrize("x", [[0.0, -1.0, -740.0, -745.0, -800.0], [[1.0, 2.0, -740.0], [0.0, -1.0, -1e3]],
+                                   [1e308, -1e308]],
+                             ids=["subnormal-and-zero", "stack", "shift-overflows"])
+    def test_underflowing_numerators_are_exact_under_strict_errors(self, x):
+        # a numerator far below the max rounds to a subnormal or 0, correctly: not an error
+        expected = softmax_numerators(x), softmax_stable(x)
+        with np.errstate(all="raise"):
+            (num, den), y = softmax_numerators(x), softmax_stable(x)
+        for actual, want in ((num, expected[0][0]), (den, expected[0][1]), (y, expected[1])):
+            assert_array_equal(np.asarray(actual).view(np.uint64), np.asarray(want).view(np.uint64))
 
     def test_against_extended_precision_oracle(self):
         rng = np.random.default_rng(15)

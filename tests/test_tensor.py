@@ -1,7 +1,6 @@
 """Kernel tests: oracles are naive scalar loops written independently."""
 
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -178,17 +177,6 @@ class TestChunkedMatmul:
             assert_bits_equal(matmul(a, np.hstack([column, column])), np.ones(a.shape[:-1] + (2,)))
 
 
-@pytest.fixture
-def chunked_kernel(monkeypatch):
-    """`matmul` on the chunked kernel, as on a host whose einsum fails the probe."""
-
-    def not_taken(rows, b):
-        raise AssertionError("the einsum kernel ran with the probe's result False")
-
-    monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", False)
-    monkeypatch.setattr(tensor, "_summing_einsum", not_taken)
-
-
 @pytest.mark.usefixtures("chunked_kernel")
 class TestChunkedFallback(TestChunkedMatmul):
     """`TestChunkedMatmul` on the chunked kernel, as on a host whose einsum fails the probe."""
@@ -344,14 +332,6 @@ ROWS_MESSAGE = "^matrix contains non-finite elements$"
 ROW_MESSAGE = "^row vector contains non-finite elements$"
 
 
-@pytest.fixture
-def strict_fp():
-    """Floating-point errors raise and warnings are errors, so a check may not lean on either."""
-    with np.errstate(all="raise"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-
 def with_bad(x, index, value):
     x = x.copy()
     x[index] = value
@@ -412,6 +392,12 @@ class TestNonFiniteOperands:
         assert_bits_equal(matmul(a[0], b), expected[0])
         assert_bits_equal(matmul(a[:1], b[:, :1]), expected[:1, :1])
 
+    def test_products_overflowing_both_ways_return_nan(self):
+        # inf + -inf: NaN from finite operands, returned by both kernels alike
+        a, b = np.array([[1e200, 1e200], [1.0, 1.0]]), np.array([[1e200, 1.0], [-1e200, 2.0]])
+        out = matmul(a, b)
+        assert np.isnan(out[0, 0]) and np.isfinite(out.flat[1:]).all()
+
     def test_non_finite_named_before_a_shape_error(self):
         bad_a, bad_b = np.array([[np.nan, 1.0, 1.0]]), np.array([[1.0, np.inf], [1.0, 1.0]])
         with pytest.raises(ValueError, match=ROWS_MESSAGE):
@@ -433,17 +419,27 @@ class TestNonFiniteOperandsChunked(TestNonFiniteOperands):
     """`TestNonFiniteOperands` on the chunked kernel."""
 
 
-def test_einsum_kernel_scans_only_the_output(monkeypatch):
+def assert_only_the_output_is_scanned(monkeypatch):
+    """`matmul` on finite operands gives the triple loop's bits without an operand scan."""
     def scanned(x):
         raise AssertionError("an operand was scanned")
 
-    monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", True)
     for name in ("as_rows", "as_matrix", "as_row_vector"):
         monkeypatch.setattr(tensor, name, scanned)
     rng = np.random.default_rng(21)
     a, b = rng.standard_normal((8, 128)), rng.standard_normal((128, 64))
     assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
     assert_bits_equal(matmul(a[0], b[:, :1]), matmul_oracle(a[:1], b[:, :1])[0])
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+def test_chunked_kernel_scans_only_the_output(monkeypatch):
+    assert_only_the_output_is_scanned(monkeypatch)
+
+
+def test_einsum_kernel_scans_only_the_output(monkeypatch):
+    monkeypatch.setattr(tensor, "_EINSUM_IN_ORDER", True)
+    assert_only_the_output_is_scanned(monkeypatch)
 
 
 class TestDiag:
