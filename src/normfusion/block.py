@@ -6,7 +6,7 @@ rmsnorm by variant) and the attention softmax, and each one feeds a
 matrix multiplication, so each is a fusion site:
 
     site "ln1":     norm1 -> Q/K/V projections
-    site "softmax": attention probabilities -> @ V (per head)
+    site "softmax": attention probabilities -> @ V (all heads at once)
     site "ln2":     norm2 -> first MLP projection(s)
 
 `run_conventional` and `run_fused` are one block body; `fused` changes
@@ -17,15 +17,19 @@ only how each of the three sites meets its matmul:
               column-wise; fused makes one `fused_*norm_matmul` over the
               site's folded, joined projections (`BlockWeights.folded`),
               folded once per set of weights.
-    softmax:  per head, conventional multiplies `softmax_stable(scores)`
-              by V; fused makes one `fused_softmax_matmul(scores, v_h)`.
+    softmax:  one evaluation over all heads: conventional multiplies
+              `softmax_stable(scores)` by V; fused makes one
+              `fused_softmax_matmul(scores, v)`. `scores` and `v` are
+              stacks per head (heads, seq, ...), as `build_graph`'s one
+              softmax collective covers every head.
 
 The Q/K/V split, the heads, the residuals and the MLP tail (`gelu` then
 `fc2`, or `fusion.swiglu`) are written once, so the two outputs differ
 only in operation order at the sites (identical algebra, numerically
-equivalent). Both paths run each site over all rows at once, taking
-every collective from the same `norms` reduction, and each is
-bit-identical to evaluating the rows one at a time.
+equivalent). Both paths run each site over all rows, and attention over
+all heads, at once, taking every collective from the same `norms`
+reduction, and each is bit-identical to evaluating the rows, and the
+heads, one at a time.
 
 `build_graph` emits the dependency graph the latency simulator schedules;
 the fused graph differs from the conventional one only by cutting the
@@ -223,10 +227,6 @@ def gelu(z) -> np.ndarray:
     return 0.5 * z * (1.0 + np.tanh(inner))
 
 
-def _split_heads(m: np.ndarray, cfg: BlockConfig) -> list[np.ndarray]:
-    return [m[:, i * cfg.d_head : (i + 1) * cfg.d_head] for i in range(cfg.n_heads)]
-
-
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     """The block, written once; `fused` changes only how each site meets its matmul."""
     x = as_matrix(x)
@@ -245,14 +245,11 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
         normed = (layernorm if gelu_block else rmsnorm)(rows, p)
         return np.hstack([matmul(normed, m) for m in w.projections[site].values()])
 
-    qkv = norm_site(x, "ln1")
-    q, k, v = qkv[:, :n], qkv[:, n : 2 * n], qkv[:, 2 * n :]
-    head_outs = []
-    for q_h, k_h, v_h in zip(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg)):
-        scores = matmul(q_h, k_h.T) * (1.0 / math.sqrt(cfg.d_head))
-        head_outs.append(fused_softmax_matmul(scores, v_h) if fused
-                         else matmul(softmax_stable(scores), v_h))
-    hidden = x + matmul(np.hstack(head_outs), w.w_o)
+    # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
+    q, k, v = norm_site(x, "ln1").reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
+    scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
+    heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
+    hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
 
     pre_act = norm_site(hidden, "ln2")
     if gelu_block:

@@ -23,7 +23,10 @@ conventional paths agree to rounding (~1e-13 relative), well inside the
 1e-10 contract.
 
 The fused evaluators take one row (1-D) or a stack of rows (2-D), as
-`norms` and `tensor.matmul` do, and return the same rank. They keep no
+`norms` and `tensor.matmul` do, and return the same rank;
+`fused_softmax_matmul` also takes every head's scores as one stack per
+head (3-D) with `v` as one matrix per head, so attention's softmax site
+is one fused evaluation for all heads, as in the op graph. They keep no
 reduction of their own: the collective scalar comes from the same `norms`
 reduction the conventional form calls (`moments`, `root_mean_square`,
 `softmax_numerators`), after checking only the shapes, so the reduction
@@ -165,11 +168,13 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
 def fused_softmax_matmul(x, v) -> np.ndarray:
     """Evaluate softmax(x) @ V per row of `x`, the denominator deferred past the matmul.
 
-    Numerators are max-shifted, so the path is overflow-safe for any
-    finite logits; the shift cancels between numerator and denominator.
+    `x` is a row or a stack of rows times a matrix `v`, or a stack per
+    head (h, m, k) times one matrix per head (h, k, n). Numerators are
+    max-shifted, so the path is overflow-safe for any finite logits; the
+    shift cancels between numerator and denominator.
     """
     rows = _rows(x)
-    if np.shape(v)[:1] != rows.shape[-1:]:
+    if np.shape(v)[-2:-1] != rows.shape[-1:]:
         _reject(rows, f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
 
     numerators, denominator = softmax_numerators(rows)  # denominator: collective task

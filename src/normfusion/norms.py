@@ -7,11 +7,13 @@ sum) that needs every element of the vector in one place (the
 `root_mean_square` and `softmax_numerators` expose the collective part;
 the fusion module defers it past the matmul.
 
-Every function takes one row (1-D) or a stack of rows (2-D) and reduces
-each row left to right along the last axis with `tensor.ordered_sum`, so
-a row's result is bit-identical either way. The fused evaluators take
-their collective values from these same functions, so the conventional
-and fused paths divide by bit-identical scalars by construction.
+Every function takes one row (1-D), a stack of rows (2-D) or a stack per
+head (3-D, as attention's scores come) and reduces each row left to right
+along the last axis with `tensor.ordered_sum`, so a row's result is
+bit-identical whichever form carries it: one softmax call serves every
+head. The fused evaluators take their collective values from these same
+functions, so the conventional and fused paths divide by bit-identical
+scalars by construction.
 
 Those three are the only implementations of the reductions: `layernorm`,
 `rmsnorm` and the fused evaluators check shapes and call them. By the one
@@ -128,8 +130,16 @@ def layernorm(x, p: LayerNormParams) -> np.ndarray:
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:
-    """sqrt(mean(x**2) + eps) of a row, per row of a stack."""
+    """sqrt(mean(x**2) + eps) of a row, per row of a stack.
+
+    `epsilon` must be a non-negative finite scalar, as `RmsNormParams`
+    requires: a negative or NaN one would give NaN. Both RMSNorm paths
+    reach it through here, so the check sits here; a non-finite row is
+    named before it.
+    """
     x = _rows(x)
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
     with np.errstate(all="ignore"):
         mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
     if not np.isfinite(mean_sq).all():  # a non-finite input, or a finite row's squares overflowed

@@ -9,8 +9,9 @@ multiply-add; the one kernel here that might fuse them runs only where a
 probe shows that it does not.
 
 `matmul` has two exact kernels, picked once at import:
-- `_summing_einsum` is one `np.einsum("mk,kn->mn")`. With C-contiguous
-  operands and n >= 2, numpy's iterator runs k outside an inner loop of
+- `_summing_einsum` is one `np.einsum("hmk,hkn->hmn")`, a 2-D product
+  lifted to a batch of one. With C-contiguous operands and n >= 2,
+  numpy's iterator runs k outside an inner loop of
   `out[j] += a * b[j]`, so each product goes straight into its output
   element in index order, starting from +0.0. A transposed view, a
   Fortran-order operand or n == 1 would make k the inner loop, whose sum
@@ -22,13 +23,15 @@ probe shows that it does not.
   operands: a product whose fused and unfused sums differ, a sum that any
   other order rounds differently, and all -0.0 products, each in its own
   output element, in the bulk and the tail of the vector loop, with
-  n == 1 and with one output element. It compares the bits with a Python
-  triple loop, and `_EINSUM_IN_ORDER` records the answer.
+  n == 1, with one output element, and in a batch of two slices that
+  differ. It compares the bits with a Python triple loop per slice, and
+  `_EINSUM_IN_ORDER` records the answer.
 - Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
   build: it forms the products a chunk of the inner dimension at a time
   into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
   output-sized slice if the output is larger), and adds the chunk's
-  slices into the output in index order.
+  slices into the output in index order, one slice of a batch after the
+  other.
 Neither order is a documented numpy promise, so the bitwise tests against
 the triple loop, run on both kernels, are the guarantee.
 
@@ -39,18 +42,22 @@ makes some element of the result non-finite, and computing it raises no
 floating-point error, a finite result proves finite input. Only a
 non-finite one runs `as_rows`/`as_matrix`, which name a bad input before
 an overflow is reported; `_reject` names it before a mismatch with the
-other arguments (a width, an epsilon). `matmul` scans its m x n output:
-each operand value enters a whole row or column of products (m, n >= 1),
-`inf * 0` is NaN, and a sum stays non-finite once one term is. The
-summing einsum raises no floating-point error, and the chunked kernel
-runs under `np.errstate(all="ignore")`. The rejection tests, run on both
-kernels with non-finite values beside zero partners, are the guarantee.
+other arguments (a width, an epsilon). `matmul` scans its m x n output,
+each slice's in a batch: each operand value enters a whole row or column
+of its slice's products (m, n >= 1), `inf * 0` is NaN, and a sum stays
+non-finite once one term is. The summing einsum raises no floating-point
+error, and the chunked kernel runs under `np.errstate(all="ignore")`.
+The rejection tests, run on both kernels with non-finite values beside
+zero partners, are the guarantee.
 
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
 (row-major). Activations are rows multiplying weights on the right: like
 every `norms` and `fusion` kernel, `matmul` takes one row (1-D), giving a
-1-D result, or a stack of rows (2-D). The rows of a stack are
-independent, so a row's result is bit-identical either way.
+1-D result, or a stack of rows (2-D). Attention takes a third form, a
+stack per head (3-D, heads first): `matmul` multiplies it by a stack of
+matrices, one per head, and the norms reduce each row of it. The rows of
+a stack and the slices of a batch are independent, so a row's result is
+bit-identical whichever form carries it.
 """
 
 from __future__ import annotations
@@ -86,24 +93,26 @@ def _row_vector(x) -> np.ndarray:
     return v
 
 
-def _matrix(a) -> np.ndarray:
-    """`a` as a 2-D float64 array with both dimensions >= 1; its values are not checked."""
+def _matrix(a, ndim: int = 2) -> np.ndarray:
+    """`a` as a 2-D float64 array, or with `ndim=3` a stack of them, every dimension >= 1; values unchecked."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    if m.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D matrix, got shape {m.shape}")
+    if 0 in m.shape:
         raise ValueError("matrix dimensions must be >= 1")
     return m
 
 
 def _rows(x) -> np.ndarray:
-    """`x` as `_matrix` (a stack of rows) or `_row_vector` (one row); its values are not checked."""
+    """`x` as `_row_vector` (one row) or `_matrix` (a stack of rows, 2-D, or a stack per head, 3-D); values unchecked."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 2:
-        return _matrix(v)
     if v.ndim == 1:
         return _row_vector(v)
-    raise ValueError(f"expected one row (1-D) or a stack of rows (2-D), got shape {v.shape}")
+    if v.ndim in (2, 3):
+        return _matrix(v, v.ndim)
+    raise ValueError(
+        f"expected one row (1-D), a stack of rows (2-D) or a stack per head (3-D), got shape {v.shape}"
+    )
 
 
 def as_row_vector(x) -> np.ndarray:
@@ -123,9 +132,15 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_rows(x) -> np.ndarray:
-    """Validate `x` as one row (1-D) or a stack of rows (2-D), returned as given."""
+    """Validate `x` as one row (1-D), a stack of rows (2-D) or a stack per head (3-D), returned as given.
+
+    A 3-D stack is scanned as one matrix of all its heads' rows.
+    """
     v = _rows(x)
-    return as_matrix(v) if v.ndim == 2 else as_row_vector(v)
+    if v.ndim == 1:
+        return as_row_vector(v)
+    as_matrix(v.reshape(-1, v.shape[-1]))
+    return v
 
 
 def _reject(x: np.ndarray, message: str):
@@ -156,41 +171,45 @@ def ordered_sum(a: np.ndarray, axis: int | None = None):
 
 
 def matmul(a, b) -> np.ndarray:
-    """Operator product A @ B with a fixed summation order; `a` is a row or a stack.
+    """Operator product A @ B with a fixed summation order; `a` is a row, a stack, or a stack per head.
 
     Each output element is the left-to-right sum of its products over the
     inner dimension, starting from +0.0, bit-equal to the naive triple loop.
-    One row runs as a one-row stack.
+    `a` is one row (1-D) or a stack of rows (2-D) times a matrix `b`, or a
+    batch of stacks (h, m, k) times a batch of matrices (h, k, n), giving
+    (h, m, n): each slice is multiplied on its own, bit-equal to a loop of
+    2-D products over the batch. One row runs as a one-row stack.
 
     Where the import-time probe found numpy's summing `einsum` exact
     (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call, which writes
     each product straight into its output element. The probe runs that
-    kernel on traps a fused multiply-add, any other summation order or a
-    -0.0 start would round differently, and compares the bits with a
-    triple loop. The kernel copies operands to C order and pads a
-    one-column `b` to two columns, because a transposed view, a
-    Fortran-order operand or n == 1 makes numpy run the inner dimension as
-    its inner loop, which it reassociates. Elsewhere `matmul` is
-    `_chunked_matmul`, which forms the products a chunk at a time in a
+    kernel on traps a fused multiply-add, any other summation order, a
+    -0.0 start or mixing slices of a batch would round differently, and
+    compares the bits with a triple loop. The kernel copies operands to C
+    order and pads a one-column `b` to two columns, because a transposed
+    view, a Fortran-order operand or n == 1 makes numpy run the inner
+    dimension as its inner loop, which it reassociates. Elsewhere `matmul`
+    is `_chunked_matmul`, which forms the products a chunk at a time in a
     buffer and adds them in index order.
 
     Both operands must be finite. The shape checks run first; then the
     product is computed and its output scanned once (see the module
-    docstring). Only a non-finite output runs `as_rows(a)` and
-    `as_matrix(b)`: they raise for a non-finite operand, and where finite
-    products overflowed the output is returned. Operands that are both
-    misshapen or mismatched and non-finite raise what `as_rows(a)` and
-    then `as_matrix(b)` raise.
+    docstring). Only a non-finite output runs `as_rows(a)` and then
+    `as_matrix(b)`, or `as_rows(b)` for a batch: they raise for a
+    non-finite operand, and where finite products overflowed the output is
+    returned. Operands that are both misshapen or mismatched and
+    non-finite raise what those checks raise, in that order.
     """
     try:
-        a, b = _rows(a), _matrix(b)
-        shapes_agree = a.shape[-1] == b.shape[0]
+        a = _rows(a)
+        b = _matrix(b, max(a.ndim, 2))  # a batch of matrices for a stack per head
+        shapes_agree = a.shape[-1] == b.shape[-2] and a.shape[:-2] == b.shape[:-2]
     except (TypeError, ValueError):
         shapes_agree = False
     if not shapes_agree:
         _check_operands(a, b)  # raises the first error in the validators' order
-        raise ValueError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
-    rows = a.reshape(-1, b.shape[0])
+        raise ValueError(f"matmul dimension mismatch: {np.shape(a)} times {np.shape(b)}")
+    rows = a.reshape(1, -1) if a.ndim == 1 else a
     if _EINSUM_IN_ORDER:
         out = _summing_einsum(rows, b)
     else:
@@ -198,23 +217,25 @@ def matmul(a, b) -> np.ndarray:
             out = _chunked_matmul(rows, b)
     if not np.isfinite(out).all():
         _check_operands(a, b)
-    return out.reshape(a.shape[:-1] + (b.shape[1],))
+    return out.reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def _check_operands(a, b) -> None:
-    """`matmul`'s full operand checks, in order: `as_rows(a)`, then `as_matrix(b)`."""
-    as_rows(a)
-    as_matrix(b)
+    """`matmul`'s full operand checks, in order: `as_rows(a)`, then `as_matrix(b)`, or `as_rows(b)` for a batch."""
+    a = as_rows(a)
+    (as_rows if a.ndim == 3 else as_matrix)(b)
 
 
-def _summing_einsum(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rows @ b as one `einsum("mk,kn->mn")`, in index order where the probe says so.
+def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one `einsum("hmk,hkn->hmn")`, in index order where the probe says so.
 
-    `einsum` starts the output at +0.0. With both operands C-contiguous
-    and n >= 2, numpy's iterator orders the axes (m, k, n): its inner loop
-    is `out[j] += a * b[j]` over n, and k runs outside it in ascending
-    order. Unless the loop fuses the multiply and the add, those are the
-    triple loop's IEEE operations. Other layouts can make k the inner
+    `a` and `b` are both 2-D, lifted to a batch of one, or both 3-D, and
+    the result has their rank. `einsum` starts the output at +0.0. With
+    both operands C-contiguous and n >= 2, numpy's iterator orders the
+    axes (h, m, k, n): its inner loop is `out[j] += a * b[j]` over n, and k
+    runs outside it in ascending order, each slice of the batch on its own
+    operands. Unless the loop fuses the multiply and the add, those are
+    the triple loop's IEEE operations. Other layouts can make k the inner
     loop, where the sum is reassociated: a transposed view or a
     Fortran-order operand does, and so does n == 1. So both operands are
     copied to C order where they are not in it, and a one-column `b` is
@@ -222,15 +243,21 @@ def _summing_einsum(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     the output is those copies, and none for C-contiguous operands with
     n >= 2. No BLAS call is made (`optimize=False`).
     """
-    n = b.shape[1]
+    x, y = (a[np.newaxis], b[np.newaxis]) if a.ndim == 2 else (a, b)
+    n = y.shape[-1]
     if n == 1:
-        b = np.concatenate([b, np.zeros_like(b)], axis=1)
-    out = np.einsum("mk,kn->mn", np.ascontiguousarray(rows), np.ascontiguousarray(b), optimize=False)
-    return out[:, :1].copy() if n == 1 else out
+        y = np.concatenate([y, np.zeros_like(y)], axis=-1)
+    out = np.einsum("hmk,hkn->hmn", np.ascontiguousarray(x), np.ascontiguousarray(y), optimize=False)
+    if n == 1:
+        out = out[..., :1].copy()
+    return out.reshape(a.shape[:-1] + (n,))
 
 
-def _chunked_matmul(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rows @ b, adding chunks of formed products in index order; exact on any build.
+def _chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, adding chunks of formed products in index order; exact on any build.
+
+    `a` and `b` are both 2-D or both 3-D, and the result has their rank;
+    the slices of a batch run one after the other through one buffer.
 
     The inner dimension is taken in chunks. For each chunk one
     `einsum("km,kn->kmn")` forms its rank-1 slices a[:, i] * b[i, :] into
@@ -265,23 +292,24 @@ def _chunked_matmul(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     float64 (c = budget // (m*n), less the running sum's slot when
     reducing), or one m x n slice when m*n is larger (c = 1).
     """
-    (m, k), n = rows.shape, b.shape[1]
+    (m, k), n = a.shape[-2:], b.shape[-1]
     slots = _CHUNK_ELEMENTS // (m * n)  # m x n slices the budget holds
     reduce = m * n > 1 and slots > _REDUCE_MIN_PRODUCTS
     first = 1 if reduce else 0  # slot 0 carries the running sum into the reduce
     c = max(1, min(k, slots - first))
-    out = np.zeros((m, n))
+    out = np.zeros(a.shape[:-1] + (n,))
     buf = np.empty((first + c, m, n))
-    for start in range(0, k, c):
-        stop = min(start + c, k)
-        chunk = buf[first : first + stop - start]
-        np.einsum("km,kn->kmn", rows.T[start:stop], b[start:stop], out=chunk)
-        if reduce:
-            buf[0] = out
-            np.add.reduce(buf[: 1 + stop - start], axis=0, out=out)
-        else:
-            for product in chunk:
-                np.add(out, product, out=out)
+    for rows, mat, acc in zip(a, b, out) if a.ndim == 3 else ((a, b, out),):
+        for start in range(0, k, c):
+            stop = min(start + c, k)
+            chunk = buf[first : first + stop - start]
+            np.einsum("km,kn->kmn", rows.T[start:stop], mat[start:stop], out=chunk)
+            if reduce:
+                buf[0] = acc
+                np.add.reduce(buf[: 1 + stop - start], axis=0, out=acc)
+            else:
+                for product in chunk:
+                    np.add(acc, product, out=acc)
     return out
 
 
@@ -310,11 +338,13 @@ def _probe_operands() -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _triple_loop(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The reference order, in Python floats: acc = 0.0, then acc += a * b per index."""
-    out = np.zeros((rows.shape[0], b.shape[1]))
+def _triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reference order, in Python floats: acc = 0.0, then acc += a * b per index; per slice of a batch."""
+    if a.ndim == 3:
+        return np.stack([_triple_loop(x, y) for x, y in zip(a, b)])
+    out = np.zeros((a.shape[0], b.shape[1]))
     columns = b.T.tolist()
-    for i, row in enumerate(rows.tolist()):
+    for i, row in enumerate(a.tolist()):
         for j, column in enumerate(columns):
             acc = 0.0
             for x, y in zip(row, column):
@@ -324,14 +354,17 @@ def _triple_loop(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sums_in_order(kernel) -> bool:
-    """Whether `kernel(rows, b)` is bit-equal to the triple loop on the trap operands.
+    """Whether `kernel(a, b)` is bit-equal to the triple loop on the trap operands.
 
-    It is run on the full traps, on their first column alone (n == 1) and
-    on one trap element (m*n == 1); the one-column `b` is a column view, as
-    `matmul` may be given, not a C-contiguous array.
+    It is run on the full traps, on their first column alone (n == 1), on
+    one trap element (m*n == 1), and on a batch of two slices: the traps,
+    then their rows reversed times `b` doubled (each product doubles
+    exactly, so the traps still hold). The slices differ in both operands,
+    so a kernel that mixes or reorders slices fails. The one-column `b` is
+    a column view, as `matmul` may be given, not a C-contiguous array.
     """
     a, b = _probe_operands()
-    cases = ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:]))
+    cases = ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:]), (np.stack([a, a[::-1]]), np.stack([b, 2.0 * b])))
     return all(
         np.array_equal(kernel(x, y).view(np.uint64), _triple_loop(x, y).view(np.uint64)) for x, y in cases
     )

@@ -214,6 +214,20 @@ def test_row_batched_fused_is_bit_identical_to_per_row(variant, case, seq_len):
     assert_array_equal(run_conventional(cfg, w, x), per_row_conventional(cfg, w, x))
 
 
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+@pytest.mark.parametrize("n_heads,seq_len", [(1, 5), (3, 1), (4, 6)])
+def test_both_matmul_kernels_give_the_same_block(request, variant, n_heads, seq_len):
+    """All heads run as one batch per step; both kernels give its bits, one head and seq 1 too."""
+    cfg = BlockConfig(d_model=4 * n_heads, n_heads=n_heads, seq_len=seq_len, mlp_hidden=10, variant=variant)
+    rng = np.random.default_rng(48)
+    w = random_block_weights(cfg, rng)
+    x = _rows("dc-offset", rng, seq_len, cfg.d_model)
+    expected = run_conventional(cfg, w, x), run_fused(cfg, w, x)
+    request.getfixturevalue("chunked_kernel")
+    assert_array_equal(run_conventional(cfg, w, x).view(np.uint64), expected[0].view(np.uint64))
+    assert_array_equal(run_fused(cfg, w, x).view(np.uint64), expected[1].view(np.uint64))
+
+
 def test_batched_rms_zero_row_without_epsilon_rejected():
     p = RmsNormParams(gamma=[1.0, 1.0])
     fl = fold_rmsnorm_linear(p, np.ones((2, 3)))

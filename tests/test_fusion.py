@@ -208,6 +208,49 @@ class TestFusedSoftmaxMatmul:
             assert_array_equal(fused_softmax_matmul(x, np.eye(4)).view(np.uint64), expected.view(np.uint64))
 
 
+class TestFusedSoftmaxPerHead:
+    """Every head's scores and values as 3-D stacks: bit for bit the per-head 2-D results.
+
+    These run on the kernel the probe picked, and in `TestFusedSoftmaxPerHeadChunked`
+    on the chunked kernel.
+    """
+
+    # seq 1 and one head, as blocks may have
+    @pytest.mark.parametrize("shape", [(4, 8, 32), (1, 5, 7), (3, 1, 4), (2, 6, 1)])
+    def test_matches_per_head_calls(self, shape):
+        heads, seq, d_head = shape
+        rng = np.random.default_rng(seq * d_head)
+        scores = rng.uniform(-1e3, 1e3, (heads, seq, seq))
+        v = rng.standard_normal((heads, seq, d_head))
+        fused = fused_softmax_matmul(scores, v)
+        conventional = matmul(softmax_stable(scores), v)
+        assert fused.shape == conventional.shape == (heads, seq, d_head)
+        for h in range(heads):
+            assert_array_equal(fused[h].view(np.uint64), fused_softmax_matmul(scores[h], v[h]).view(np.uint64))
+            assert_array_equal(conventional[h].view(np.uint64),
+                               matmul(softmax_stable(scores[h]), v[h]).view(np.uint64))
+
+    @pytest.mark.parametrize("v_shape", [(4, 6, 3), (3, 5, 3), (5, 3)], ids=["inner", "heads", "one-matrix"])
+    def test_mismatched_values_rejected(self, v_shape):
+        with pytest.raises(ValueError, match="length|dimension mismatch"):
+            fused_softmax_matmul(np.zeros((4, 5, 5)), np.ones(v_shape))
+
+    def test_non_finite_head_named(self, strict_fp):
+        scores = np.zeros((3, 4, 4))
+        scores[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            fused_softmax_matmul(scores, np.ones((3, 4, 2)))
+        v = np.ones((3, 4, 2))
+        v[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            fused_softmax_matmul(np.zeros((3, 4, 4)), v)
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+class TestFusedSoftmaxPerHeadChunked(TestFusedSoftmaxPerHead):
+    """`TestFusedSoftmaxPerHead` on the chunked kernel."""
+
+
 class TestFoldRmsnormLinear:
     def test_unit_gamma_returns_weight(self):
         rng = np.random.default_rng(29)
@@ -240,6 +283,17 @@ class TestFusedRmsnormMatmul:
             expected = matmul(rmsnorm(x, p), f)
             actual = fused_rmsnorm_matmul(x, fold_rmsnorm_linear(p, f), p.epsilon)
             assert max_rel_error(actual, expected) <= 1e-10
+
+    # a negative or NaN epsilon gave NaN with a RuntimeWarning, and raised
+    # FloatingPointError under strict errors
+    @pytest.mark.parametrize("errors", ["default", "strict"])
+    @pytest.mark.parametrize("epsilon", [-5.0, np.nan])
+    def test_bad_epsilon_rejected(self, request, errors, epsilon):
+        if errors == "strict":
+            request.getfixturevalue("strict_fp")
+        folded = RmsFoldedLinear(folded_weight=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="epsilon must be a non-negative finite scalar"):
+            fused_rmsnorm_matmul(np.ones(3), folded, epsilon)
 
 
 class TestSilu:
@@ -443,6 +497,9 @@ def test_non_finite_rows_rejected(request, name, kernel, where, errors):
         x, FoldedLinear(folded_weight=np.ones((6, 2)), folded_bias=np.zeros(2)), 0.0)),
     ("fused_softmax_matmul", lambda x: fused_softmax_matmul(x, np.ones((5, 2)))),
     ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, RmsFoldedLinear(folded_weight=np.ones((5, 2))))),
+    ("fused_rmsnorm_matmul-epsilon", lambda x: fused_rmsnorm_matmul(
+        x, RmsFoldedLinear(folded_weight=np.ones((6, 2))), -5.0)),
+    ("root_mean_square-epsilon", lambda x: root_mean_square(x, np.nan)),
 ])
 def test_non_finite_rows_named_before_a_mismatch(name, call):
     """Rows that are non-finite and do not fit the parameters raise the non-finite error first."""

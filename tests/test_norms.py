@@ -21,6 +21,7 @@ from normfusion.norms import (
     layernorm,
     moments,
     rmsnorm,
+    root_mean_square,
     softmax_numerators,
     softmax_stable,
 )
@@ -178,6 +179,22 @@ class TestRmsnorm:
             with pytest.raises(ValueError, match="rmsnorm: .*non-finite"):
                 rmsnorm(x, p)
 
+    # a negative or NaN epsilon gave NaN (or a FloatingPointError from sqrt)
+    @pytest.mark.parametrize("epsilon", [-5.0, -1e-300, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        for x in (np.ones(3), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="epsilon must be a non-negative finite scalar"):
+                root_mean_square(x, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [-5.0, np.nan])
+    def test_bad_epsilon_rejected_under_strict_errors(self, strict_fp, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be a non-negative finite scalar"):
+            root_mean_square(np.ones(3), epsilon)
+
+    def test_non_finite_row_named_before_a_bad_epsilon(self, strict_fp):
+        with pytest.raises(ValueError, match="^row vector contains non-finite elements$"):
+            root_mean_square(np.array([1.0, np.nan, 2.0]), -5.0)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -277,3 +294,15 @@ class TestStackOfRows:
     def test_softmax_stable(self, case):
         x = _stack(case, np.random.default_rng(21))
         assert_array_equal(softmax_stable(x), np.stack([softmax_stable(row) for row in x]))
+
+    def test_stack_per_head(self, case):
+        # every head's scores as one 3-D stack: bit for bit the per-head 2-D results
+        rng = np.random.default_rng(22)
+        x = np.stack([_stack(case, rng) for _ in range(4)])
+        assert_array_equal(softmax_stable(x), np.stack([softmax_stable(head) for head in x]))
+        num, den = softmax_numerators(x)
+        per_head = [softmax_numerators(head) for head in x]
+        assert_array_equal(num, np.stack([n for n, _ in per_head]))
+        assert_array_equal(den, np.stack([d for _, d in per_head]))
+        st_ = moments(x)
+        assert_array_equal(st_.variance, np.stack([moments(head).variance for head in x]))

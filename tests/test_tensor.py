@@ -23,11 +23,13 @@ from normfusion.tensor import (
 
 
 def matmul_oracle(a, b):
-    """Naive triple loop, left-to-right over the inner dimension.
+    """Naive triple loop, left-to-right over the inner dimension; each slice of a batch on its own.
 
     It runs on Python floats, whose `*` and `+` are each one rounded IEEE
     float64 operation, so that shapes of millions of products stay quick.
     """
+    if a.ndim == 3:
+        return np.stack([matmul_oracle(x, y) for x, y in zip(a, b)])
     rows, columns = a.tolist(), b.T.tolist()
     out = np.zeros((len(rows), len(columns)))
     for i, row in enumerate(rows):
@@ -205,6 +207,17 @@ def sum_from_first_product(a, b):
     return np.add.accumulate(products, axis=-1)[..., -1]
 
 
+def slices_reversed(a, b):
+    """The triple loop on each slice, with a batch's results returned in reverse slice order."""
+    out = matmul_oracle(a, b)
+    return out[::-1] if a.ndim == 3 else out
+
+
+def first_slice_weights(a, b):
+    """The triple loop, with every slice of a batch multiplied by the first slice of `b`."""
+    return np.stack([matmul_oracle(x, b[0]) for x in a]) if a.ndim == 3 else matmul_oracle(a, b)
+
+
 class TestEinsumProbe:
     """`_sums_in_order` accepts the triple loop and rejects kernels that round differently."""
 
@@ -226,6 +239,14 @@ class TestEinsumProbe:
         a, b = _probe_operands()
         missed = kernel(a, b).view(np.uint64) != matmul_oracle(a, b).view(np.uint64)
         assert missed[trap_row].all() and np.count_nonzero(missed) == b.shape[1]
+
+    # exact on every 2-D case: only the probe's two-slice batch tells
+    @pytest.mark.parametrize("kernel", [slices_reversed, first_slice_weights], ids=["reordered", "mixed"])
+    def test_rejects_a_kernel_wrong_only_on_a_batch(self, kernel):
+        a, b = _probe_operands()
+        for x, y in ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:])):
+            assert_bits_equal(kernel(x, y), matmul_oracle(x, y))
+        assert not _sums_in_order(kernel)
 
     def test_einsum_adds_no_buffer(self):
         rng = np.random.default_rng(13)
@@ -313,9 +334,11 @@ class TestOneRowMatmul:
     def test_negative_zero_products_sum_to_positive_zero(self):
         assert_bits_equal(matmul([-0.0, 0.0], [[1.0], [-1.0]]), np.zeros(1))
 
-    @pytest.mark.parametrize("a", [np.float64(2.0), np.ones((1, 2, 2))], ids=["0-D", "3-D"])
+    # a 3-D `a` is a stack per head (see `TestBatchedMatmul`)
+    @pytest.mark.parametrize("a", [np.float64(2.0), np.ones((1, 1, 2, 2))], ids=["0-D", "4-D"])
     def test_a_neither_row_nor_stack_rejected(self, a):
-        with pytest.raises(ValueError, match=r"expected one row \(1-D\) or a stack of rows \(2-D\), got shape"):
+        expected = r"expected one row \(1-D\), a stack of rows \(2-D\) or a stack per head \(3-D\), got shape"
+        with pytest.raises(ValueError, match=expected):
             matmul(a, np.ones((2, 2)))
 
     def test_1d_b_rejected(self):
@@ -336,6 +359,126 @@ def with_bad(x, index, value):
     x = x.copy()
     x[index] = value
     return x
+
+
+def batch_operands(rng, h, m, k, n):
+    """`adversarial_operands` for each of h slices, stacked: (h, m, k) and (h, k, n)."""
+    pairs = [adversarial_operands(rng, m, k, n) for _ in range(h)]
+    return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+
+
+class TestBatchedMatmul:
+    """A batch (h, m, k) times (h, k, n): each slice bit-equal to the triple loop on its own.
+
+    These run on the kernel the probe picked, and in `TestBatchedMatmulChunked`
+    on the chunked kernel.
+    """
+
+    # n == 1, m*n == 1, k == 1, one slice, and attention's shapes at seq 8
+    @pytest.mark.parametrize(
+        "shape", [(3, 5, 7, 4), (2, 8, 100, 1), (4, 1, 100, 1), (2, 8, 1, 9), (1, 7, 5, 4), (4, 8, 32, 8),
+                  (4, 8, 8, 32)],
+    )
+    def test_matches_per_slice_oracle_bitwise(self, shape):
+        h, m, k, n = shape
+        a, b = batch_operands(np.random.default_rng(k), h, m, k, n)
+        out = matmul(a, b)
+        assert out.shape == (h, m, n)
+        assert_bits_equal(out, matmul_oracle(a, b))
+        for i in range(h):
+            assert_bits_equal(out[i], matmul(a[i], b[i]))
+
+    # several product chunks with the last one partial, added by one reduce
+    # per chunk and by one add per index (see `TestChunkedMatmul`)
+    @pytest.mark.parametrize("shape", [(2, 8, 513, 9), (3, 8, 20, 456)])
+    def test_inner_dimension_spanning_chunks(self, shape):
+        h, m, k, n = shape
+        c = chunk_rows(m, n)
+        assert k > c and k % c != 0
+        a, b = batch_operands(np.random.default_rng(k), h, m, k, n)
+        assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
+
+    def test_attention_views_match_per_head_products(self):
+        # the block's layout: Q|K|V columns viewed as (3, heads, seq, d_head)
+        seq, heads, d_head = 6, 4, 5
+        qkv = np.random.default_rng(30).standard_normal((seq, 3 * heads * d_head))
+        q, k, v = qkv.reshape(seq, 3, heads, d_head).transpose(1, 2, 0, 3)
+        scores = matmul(q, k.transpose(0, 2, 1))
+        probs = np.abs(scores)
+        av = matmul(probs, v)
+        for h in range(heads):
+            columns = slice(h * d_head, (h + 1) * d_head)
+            q_h, k_h, v_h = (qkv[:, j * heads * d_head :][:, columns] for j in range(3))
+            assert_bits_equal(scores[h], matmul(q_h, k_h.T))
+            assert_bits_equal(av[h], matmul(probs[h], v_h))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((2, 3, 4), (3, 4, 5)), ((3, 3, 4), (2, 4, 5)), ((2, 3, 4), (2, 5, 5)), ((2, 3, 4), (4, 5))],
+        ids=["fewer-in-a", "fewer-in-b", "inner", "b-not-a-batch"],
+    )
+    def test_mismatch_rejected(self, shapes):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmul(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    def test_batch_b_for_a_stack_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape \(2, 4, 5\)"):
+            matmul(np.ones((3, 4)), np.ones((2, 4, 5)))
+
+    @pytest.mark.parametrize("shapes", [((0, 3, 4), (0, 4, 5)), ((2, 3, 4), (2, 4, 0))], ids=["no-slices", "empty-b"])
+    def test_empty_dimension_rejected(self, shapes):
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            matmul(np.ones(shapes[0]), np.ones(shapes[1]))
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+class TestBatchedMatmulChunked(TestBatchedMatmul):
+    """`TestBatchedMatmul` on the chunked kernel."""
+
+
+@pytest.mark.usefixtures("strict_fp")
+class TestNonFiniteBatch:
+    """A NaN or infinity in slice 1 of either operand of a batch is named, as in a 2-D product.
+
+    These run on the kernel the probe picked, and in `TestNonFiniteBatchChunked`
+    on the chunked kernel.
+    """
+
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    def test_rejected(self, operand, value):
+        a, b = batch_operands(np.random.default_rng(31), 3, 5, 7, 6)
+        if operand == "a":
+            a = with_bad(a, (1, 2, 3), value)
+        else:
+            b = with_bad(b, (1, 3, 2), value)
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(a, b)
+
+    # every product of the bad value is non-finite * 0; all the others are 0
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 6), (2, 5, 7, 1), (2, 1, 7, 1)], ids=["stack", "n=1", "mn=1"])
+    def test_rejected_beside_zero_partners(self, shape, value):
+        h, m, k, n = shape
+        zeros_a, zeros_b = np.zeros((h, m, k)), np.zeros((h, k, n))
+        for index in [(1, 0, 0), (1, m // 2, k // 2), (1, m - 1, k - 1)]:
+            with pytest.raises(ValueError, match=ROWS_MESSAGE):
+                matmul(with_bad(zeros_a, index, value), zeros_b)
+        for index in [(1, 0, 0), (1, k // 2, n // 2), (1, k - 1, n - 1)]:
+            with pytest.raises(ValueError, match=ROWS_MESSAGE):
+                matmul(zeros_a, with_bad(zeros_b, index, value))
+
+    def test_non_finite_named_before_a_batch_mismatch(self):
+        bad = with_bad(np.ones((2, 3, 4)), (1, 0, 0), np.nan)
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(bad, np.ones((3, 4, 5)))
+        with pytest.raises(ValueError, match=ROWS_MESSAGE):
+            matmul(np.ones((2, 3, 4)), with_bad(np.ones((3, 4, 5)), (1, 0, 0), np.inf))
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+class TestNonFiniteBatchChunked(TestNonFiniteBatch):
+    """`TestNonFiniteBatch` on the chunked kernel."""
 
 
 @pytest.mark.usefixtures("strict_fp")
