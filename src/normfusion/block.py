@@ -42,7 +42,7 @@ the product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,7 +82,6 @@ VARIANTS = ("standard-gelu", "llama-swiglu")
 SITES = ("ln1", "softmax", "ln2")
 
 NODE_KINDS = ("elementwise", "collective", "matmul")
-ENGINES = ("vector", "matrix")
 
 
 @dataclass(frozen=True)
@@ -282,14 +281,15 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
 class Node:
     """One schedulable operation.
 
-    work counts elements for vector-engine kinds and MACs for matmuls.
-    site tags the fusion site ("ln1" | "softmax" | "ln2") or None for
-    common work (residuals, activations, unfused projections).
+    The kind fixes the engine: matmul runs on the matrix engine, the rest
+    on the vector engine. work counts elements for vector-engine kinds and
+    MACs for matmuls. site tags the fusion site ("ln1" | "softmax" | "ln2")
+    or None for common work (residuals, activations, unfused projections).
     """
 
     id: int
     kind: str
-    engine: str
+    engine: str = field(init=False)
     work: int
     name: str
     site: str | None = None
@@ -297,8 +297,7 @@ class Node:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
+        object.__setattr__(self, "engine", "matrix" if self.kind == "matmul" else "vector")
         if self.work <= 0:
             raise ValueError(f"node work must be positive, got {self.work}")
 
@@ -316,9 +315,9 @@ class _GraphBuilder:
         self.nodes: list[Node] = []
         self.edges: list[tuple[int, int]] = []
 
-    def add(self, kind, engine, work, name, site=None, deps=()) -> int:
+    def add(self, kind, work, name, site=None, deps=()) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(id=nid, kind=kind, engine=engine, work=int(work), name=name, site=site))
+        self.nodes.append(Node(id=nid, kind=kind, work=int(work), name=name, site=site))
         for d in deps:
             self.edges.append((d, nid))
         return nid
@@ -334,13 +333,13 @@ def _add_site(b: _GraphBuilder, site: str, ew_work: int, coll_work: int,
     Returns the node downstream consumers should depend on.
     """
     deps = [entry] if entry is not None else []
-    ew = b.add("elementwise", "vector", ew_work, f"{site}.elementwise", site, deps=deps)
-    coll = b.add("collective", "vector", coll_work, f"{site}.collective", site, deps=[ew])
+    ew = b.add("elementwise", ew_work, f"{site}.elementwise", site, deps=deps)
+    coll = b.add("collective", coll_work, f"{site}.collective", site, deps=[ew])
     if not fused:
-        mm = b.add("matmul", "matrix", mm_work, f"{site}.matmul", site, deps=[coll])
+        mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[coll])
         return mm
-    mm = b.add("matmul", "matrix", mm_work, f"{site}.matmul", site, deps=[ew])
-    scale = b.add("elementwise", "vector", mm_out, f"{site}.scale", site, deps=[coll, mm])
+    mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[ew])
+    scale = b.add("elementwise", mm_out, f"{site}.scale", site, deps=[coll, mm])
     return scale
 
 
@@ -360,15 +359,15 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
         mm_work=3 * seq * n * n, mm_out=3 * seq * n,
         fused=fused, entry=None,
     )
-    logits = b.add("matmul", "matrix", seq * seq * n, "attn.logits_matmul", deps=[qkv])
+    logits = b.add("matmul", seq * seq * n, "attn.logits_matmul", deps=[qkv])
     av = _add_site(
         b, "softmax",
         ew_work=heads * seq * seq, coll_work=heads * seq * seq,
         mm_work=seq * seq * n, mm_out=seq * n,
         fused=fused, entry=logits,
     )
-    out_proj = b.add("matmul", "matrix", seq * n * n, "attn.out_matmul", deps=[av])
-    res1 = b.add("elementwise", "vector", seq * n, "residual1.add", deps=[out_proj])
+    out_proj = b.add("matmul", seq * n * n, "attn.out_matmul", deps=[av])
+    res1 = b.add("elementwise", seq * n, "residual1.add", deps=[out_proj])
 
     if cfg.variant == "standard-gelu":
         mlp_mm_work, mlp_mm_out = seq * n * h, seq * h
@@ -380,9 +379,9 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
         mm_work=mlp_mm_work, mm_out=mlp_mm_out,
         fused=fused, entry=res1,
     )
-    act = b.add("elementwise", "vector", seq * h, "mlp.activation", deps=[fc1])
-    down = b.add("matmul", "matrix", seq * h * n, "mlp.down_matmul", deps=[act])
-    b.add("elementwise", "vector", seq * n, "residual2.add", deps=[down, res1])
+    act = b.add("elementwise", seq * h, "mlp.activation", deps=[fc1])
+    down = b.add("matmul", seq * h * n, "mlp.down_matmul", deps=[act])
+    b.add("elementwise", seq * n, "residual2.add", deps=[down, res1])
 
     return OpGraph(nodes=tuple(b.nodes), edges=tuple(b.edges), fused=fused, config=cfg)
 

@@ -37,6 +37,7 @@ from .jsonio import (
     load_config,
     save_folded_weights,
     timeline_csv,
+    timeline_rows,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
 from .simulator import compare, schedule
@@ -182,15 +183,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
         graph = graphs[mode]
         timeline = schedule(graph, rc.cost_model)
         timelines = {mode: timeline}
-        nodes = {n.id: n for n in graph.nodes}
-        report["latency"] = {
-            "total": timeline.total,
-            "timeline": [
-                {"node_id": e.node_id, "kind": nodes[e.node_id].kind, "engine": e.engine,
-                 "start_cycle": e.start, "end_cycle": e.end}
-                for e in timeline.entries
-            ],
-        }
+        report["latency"] = {"total": timeline.total, "timeline": timeline_rows(graph, timeline)}
         if not quiet:
             print(f"simulate: {mode} total={timeline.total} cycles", file=sys.stderr)
 

@@ -33,6 +33,7 @@ __all__ = [
     "load_block_weights",
     "save_folded_weights",
     "dumps_report",
+    "timeline_rows",
     "timeline_csv",
 ]
 
@@ -242,9 +243,14 @@ def dumps_report(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
+def timeline_rows(graph, timeline: Timeline) -> list[dict]:
+    """One row per timeline entry, in schedule order: the single-mode report's and the CSV's fields."""
+    kinds = {n.id: n.kind for n in graph.nodes}
+    return [{"node_id": e.node_id, "kind": kinds[e.node_id], "engine": e.engine,
+             "start_cycle": e.start, "end_cycle": e.end} for e in timeline.entries]
+
+
 def timeline_csv(graph, timeline: Timeline) -> str:
     lines = ["node_id,kind,engine,start_cycle,end_cycle"]
-    nodes = {n.id: n for n in graph.nodes}
-    for e in timeline.entries:
-        lines.append(f"{e.node_id},{nodes[e.node_id].kind},{e.engine},{e.start},{e.end}")
+    lines += [",".join(str(v) for v in row.values()) for row in timeline_rows(graph, timeline)]
     return "\n".join(lines) + "\n"

@@ -144,7 +144,9 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
         mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
     if not np.isfinite(mean_sq).all():  # a non-finite input, or a finite row's squares overflowed
         _reject(x, "rmsnorm: a row's mean square is non-finite (float64 overflow)")
-    if np.any(mean_sq + epsilon == 0.0):
+    if np.any(zero := mean_sq + epsilon == 0.0):
+        if np.any(x[zero]):  # a nonzero row whose squares all underflowed
+            raise ValueError("rmsnorm: a row's mean square underflows to zero (float64) with epsilon=0")
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
     return np.sqrt(mean_sq + epsilon)
 

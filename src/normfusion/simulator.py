@@ -7,11 +7,11 @@ from a parameterized cost model. This is logical time, not wall clock: the
 latency-hiding claim is isolated from host noise and every run is
 bit-reproducible.
 
-Scheduling is plain list scheduling: nodes start as soon as their
-dependencies (plus cross-engine sync) and their engine allow, processed
-in topological order with ascending-id tie-break. Fused sites have
-width-2 parallelism, for which this greedy policy is optimal (the test
-suite checks it against a brute-force scheduler on small graphs).
+List scheduling: nodes start as soon as their dependencies (plus
+cross-engine sync) and their engine allow, in ascending id order, which
+every edge must follow (lower id to higher, as `build_graph` numbers
+them). Fused sites have width-2 parallelism, where this greedy policy is
+optimal (tests check it against a brute-force scheduler on small graphs).
 """
 
 from __future__ import annotations
@@ -124,27 +124,23 @@ def node_latency(node: Node, cm: CostModel) -> int:
 def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     """List-schedule the graph on the two engines.
 
-    Nodes are processed in topological order (ready set, ascending-id
-    tie-break). Each starts at the max of its engine's free time and its
-    dependencies' ends, plus sync_overhead on cross-engine edges. Raises
-    on cyclic graphs. Fully deterministic.
+    Nodes run in ascending id order. Each starts at the max of its
+    engine's free time and its dependencies' ends, plus sync_overhead on
+    cross-engine edges. Raises on an edge that does not run from a lower
+    id to a higher one, as every cycle has. Fully deterministic.
     """
     nodes = {n.id: n for n in graph.nodes}
     preds: dict[int, list[int]] = {nid: [] for nid in nodes}
-    succs: dict[int, list[int]] = {nid: [] for nid in nodes}
     for a, b in graph.edges:
+        if a >= b:
+            raise ValueError(f"edge ({a}, {b}) does not run from a lower id to a higher one; a cycle needs such an edge")
         preds[b].append(a)
-        succs[a].append(b)
 
     sync = math.ceil(cm.sync_overhead)
-    indeg = {nid: len(ps) for nid, ps in preds.items()}
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
     engine_free = {"vector": 0, "matrix": 0}
     finish: dict[int, int] = {}
     entries: list[TimelineEntry] = []
-
-    while ready:
-        nid = ready.pop(0)
+    for nid in sorted(nodes):
         node = nodes[nid]
         dep_ready = 0
         for p in preds[nid]:
@@ -155,14 +151,6 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
         engine_free[node.engine] = end
         finish[nid] = end
         entries.append(TimelineEntry(node_id=nid, engine=node.engine, start=start, end=end))
-        for s in succs[nid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-        ready.sort()
-
-    if len(entries) != len(nodes):
-        raise ValueError("operation graph contains a cycle")
     return Timeline(entries=tuple(entries), total=max(e.end for e in entries))
 
 

@@ -3,7 +3,7 @@
 import itertools
 import math
 
-from normfusion.simulator import node_latency
+from normfusion.simulator import Timeline, TimelineEntry, node_latency
 
 
 def brute_force_makespan(graph, cm):
@@ -36,6 +36,47 @@ def brute_force_makespan(graph, cm):
         makespan = max(finish.values())
         best = makespan if best is None else min(best, makespan)
     return best
+
+
+def kahn_schedule(graph, cm):
+    """The list schedule in Kahn's topological order, with an ascending-id tie-break.
+
+    A ready set of nodes whose predecessors are all done; the smallest id
+    runs next. It accepts any acyclic graph, whatever its numbering, and
+    serves as the reference `schedule` must equal on id-ordered graphs.
+    """
+    nodes = {n.id: n for n in graph.nodes}
+    preds = {nid: [] for nid in nodes}
+    succs = {nid: [] for nid in nodes}
+    for a, b in graph.edges:
+        preds[b].append(a)
+        succs[a].append(b)
+    sync = math.ceil(cm.sync_overhead)
+    indeg = {nid: len(ps) for nid, ps in preds.items()}
+    ready = sorted(nid for nid, d in indeg.items() if d == 0)
+    engine_free = {"vector": 0, "matrix": 0}
+    finish = {}
+    entries = []
+    while ready:
+        nid = ready.pop(0)
+        node = nodes[nid]
+        dep_ready = 0
+        for p in preds[nid]:
+            arrival = finish[p] + (sync if nodes[p].engine != node.engine else 0)
+            dep_ready = max(dep_ready, arrival)
+        start = max(engine_free[node.engine], dep_ready)
+        end = start + node_latency(node, cm)
+        engine_free[node.engine] = end
+        finish[nid] = end
+        entries.append(TimelineEntry(node_id=nid, engine=node.engine, start=start, end=end))
+        for s in succs[nid]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+        ready.sort()
+    if len(entries) != len(nodes):
+        raise ValueError("operation graph contains a cycle")
+    return Timeline(entries=tuple(entries), total=max(e.end for e in entries))
 
 
 def check_timeline_invariants(graph, timeline, cm):

@@ -228,6 +228,32 @@ def test_both_matmul_kernels_give_the_same_block(request, variant, n_heads, seq_
     assert_array_equal(run_fused(cfg, w, x).view(np.uint64), expected[1].view(np.uint64))
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("path", ["rmsnorm", "fused", "block-conventional", "block-fused"])
+def test_rms_underflow_without_epsilon_named(request, path, strict):
+    """A finite nonzero row whose squares all underflow is named as such, not as an all-zero row.
+
+    Its RMSNorm is well defined ([0.53, -1.07, 1.60, 0]) but float64 cannot
+    reach it with epsilon 0; an all-zero row keeps its own message.
+    """
+    if strict:
+        request.getfixturevalue("strict_fp")
+    p = RmsNormParams(gamma=np.ones(4))
+    cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=6, variant="llama-swiglu")
+    w = dataclasses.replace(random_block_weights(cfg, np.random.default_rng(54)), ln1=p)
+    run = {
+        "rmsnorm": lambda rows: rmsnorm(rows, p),
+        "fused": lambda rows: fused_rmsnorm_matmul(rows, fold_rmsnorm_linear(p, np.ones((4, 3))), 0.0),
+        "block-conventional": lambda rows: run_conventional(cfg, w, rows),
+        "block-fused": lambda rows: run_fused(cfg, w, rows),
+    }[path]
+    tiny = np.array([[1.0, 2.0, 3.0, 4.0], [1e-170, -2e-170, 3e-170, 0.0]])
+    with pytest.raises(ValueError, match=r"^rmsnorm: a row's mean square underflows to zero \(float64\) with epsilon=0$"):
+        run(tiny)
+    with pytest.raises(ValueError, match="^rms of an all-zero vector with epsilon=0 divides by zero$"):
+        run(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
 def test_batched_rms_zero_row_without_epsilon_rejected():
     p = RmsNormParams(gamma=[1.0, 1.0])
     fl = fold_rmsnorm_linear(p, np.ones((2, 3)))
@@ -494,12 +520,15 @@ class TestGraph:
     def test_graphs_are_acyclic(self):
         # the scheduler raises on a cycle; its entries come in a topological order
         cm = CostModel(matrix_macs_per_cycle=1.0, vector_elems_per_cycle=1.0)
-        for fused in (False, True):
-            g = build_graph(self.cfg, fused=fused)
-            entries = schedule(g, cm).entries
-            assert len(entries) == len(g.nodes)
-            pos = {e.node_id: i for i, e in enumerate(entries)}
-            assert all(pos[a] < pos[b] for a, b in g.edges)
+        for variant in ("standard-gelu", "llama-swiglu"):
+            for fused in (False, True):
+                g = build_graph(dataclasses.replace(self.cfg, variant=variant), fused=fused)
+                # ids are a dependency order, the one `schedule` runs in
+                assert all(a < b for a, b in g.edges)
+                entries = schedule(g, cm).entries
+                assert len(entries) == len(g.nodes)
+                pos = {e.node_id: i for i, e in enumerate(entries)}
+                assert all(pos[a] < pos[b] for a, b in g.edges)
 
     def test_qkv_projection_mac_count(self):
         # per matmul: seq * n * m MACs; Q, K and V: 3 * 4 * 8 * 8 = 768

@@ -2,13 +2,15 @@
 
 The oracle is a brute-force scheduler that tries every valid topological
 ordering under the same placement rule and keeps the best makespan; on the
-small site graphs the greedy list schedule must match it exactly. Hand
-schedules below are worked out cycle-by-cycle in the comments.
+small site graphs the greedy list schedule must match it exactly. On
+random id-ordered graphs, the id-order walk must equal Kahn's ready-set
+order (`kahn_schedule`) entry for entry. Hand schedules below are worked
+out cycle-by-cycle in the comments.
 """
 
 import numpy as np
 import pytest
-from sched_helpers import brute_force_makespan, check_timeline_invariants
+from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
 
 from normfusion.block import BlockConfig, Node, OpGraph, build_graph, site_subgraph
 from normfusion.simulator import CostModel, compare, node_latency, schedule
@@ -29,40 +31,47 @@ def site_graph(ew, coll, mm, scale=None):
     collective node with work w costs exactly w cycles.
     """
     nodes = [
-        Node(id=0, kind="elementwise", engine="vector", work=ew, name="ew"),
-        Node(id=1, kind="collective", engine="vector", work=coll, name="coll"),
-        Node(id=2, kind="matmul", engine="matrix", work=mm, name="mm"),
+        Node(id=0, kind="elementwise", work=ew, name="ew"),
+        Node(id=1, kind="collective", work=coll, name="coll"),
+        Node(id=2, kind="matmul", work=mm, name="mm"),
     ]
     if scale is None:
         return make_graph(nodes, [(0, 1), (1, 2)])
-    nodes.append(Node(id=3, kind="elementwise", engine="vector", work=scale, name="scale"))
+    nodes.append(Node(id=3, kind="elementwise", work=scale, name="scale"))
     return make_graph(nodes, [(0, 1), (0, 2), (1, 3), (2, 3)], fused=True)
 
 
 class TestNodeLatency:
     def test_elementwise(self):
-        node = Node(id=0, kind="elementwise", engine="vector", work=100, name="ew")
+        node = Node(id=0, kind="elementwise", work=100, name="ew")
         assert node_latency(node, CostModel(1.0, 10.0)) == 10
 
     def test_collective_single_element(self):
         # log2(1) = 0 tree levels: alpha + ceil(1/rate) = 5 + 1 = 6
-        node = Node(id=0, kind="collective", engine="vector", work=1, name="c")
+        node = Node(id=0, kind="collective", work=1, name="c")
         cm = CostModel(1.0, 10.0, collective_alpha=5.0, collective_beta=2.0)
         assert node_latency(node, cm) == 6
 
     def test_collective_tree_term(self):
         # 8 elements: alpha + beta*3 + 8/4 = 5 + 6 + 2 = 13
-        node = Node(id=0, kind="collective", engine="vector", work=8, name="c")
+        node = Node(id=0, kind="collective", work=8, name="c")
         cm = CostModel(1.0, 4.0, collective_alpha=5.0, collective_beta=2.0)
         assert node_latency(node, cm) == 13
 
     def test_matmul(self):
-        node = Node(id=0, kind="matmul", engine="matrix", work=1536, name="mm")
+        node = Node(id=0, kind="matmul", work=1536, name="mm")
         assert node_latency(node, CostModel(256.0, 1.0)) == 6
 
     def test_rounds_up(self):
-        node = Node(id=0, kind="matmul", engine="matrix", work=100, name="mm")
+        node = Node(id=0, kind="matmul", work=100, name="mm")
         assert node_latency(node, CostModel(64.0, 1.0)) == 2
+
+    def test_kind_fixes_engine(self):
+        engines = {kind: Node(id=0, kind=kind, work=1, name="n").engine
+                   for kind in ("elementwise", "collective", "matmul")}
+        assert engines == {"elementwise": "vector", "collective": "vector", "matmul": "matrix"}
+        with pytest.raises(TypeError, match="engine"):
+            Node(id=0, kind="matmul", engine="vector", work=1, name="mm")
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -100,12 +109,50 @@ class TestSchedule:
 
     def test_cycle_rejected(self):
         nodes = [
-            Node(id=0, kind="elementwise", engine="vector", work=1, name="a"),
-            Node(id=1, kind="elementwise", engine="vector", work=1, name="b"),
+            Node(id=0, kind="elementwise", work=1, name="a"),
+            Node(id=1, kind="elementwise", work=1, name="b"),
         ]
         g = make_graph(nodes, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="cycle"):
             schedule(g, UNIT_CM)
+
+    def test_acyclic_edge_against_id_order_rejected(self):
+        # acyclic, but node 1 runs before node 0: id order is not a dependency order
+        nodes = [
+            Node(id=0, kind="elementwise", work=1, name="a"),
+            Node(id=1, kind="matmul", work=1, name="b"),
+            Node(id=2, kind="elementwise", work=1, name="c"),
+        ]
+        g = make_graph(nodes, [(0, 2), (1, 0)])
+        assert kahn_schedule(g, UNIT_CM).total == 3
+        with pytest.raises(ValueError, match=r"^edge \(1, 0\) does not run from a lower id to a higher one; a cycle needs such an edge$"):
+            schedule(g, UNIT_CM)
+        # a self-loop, the shortest cycle, is named the same way
+        with pytest.raises(ValueError, match=r"^edge \(2, 2\) does not run from a lower id to a higher one"):
+            schedule(make_graph(nodes, [(0, 2), (2, 2)]), UNIT_CM)
+
+    def test_id_order_equals_kahn_on_random_dags(self):
+        # random DAGs whose edges all run from a lower id to a higher one; ids
+        # have gaps and the node tuple is shuffled, so only the ids give the order
+        rng = np.random.default_rng(53)
+        kinds = ("elementwise", "collective", "matmul")
+        for _ in range(300):
+            size = int(rng.integers(1, 31))
+            ids = sorted(int(i) for i in rng.choice(100, size=size, replace=False))
+            nodes = [Node(id=i, kind=str(rng.choice(kinds)), work=int(rng.integers(1, 5000)), name=f"n{i}")
+                     for i in ids]
+            rng.shuffle(nodes)
+            density = rng.uniform(0.0, 0.5)
+            edges = [(a, b) for j, b in enumerate(ids) for a in ids[:j] if rng.random() < density]
+            cm = CostModel(
+                matrix_macs_per_cycle=float(rng.uniform(0.5, 64.0)),
+                vector_elems_per_cycle=float(rng.uniform(0.5, 64.0)),
+                collective_alpha=float(rng.integers(0, 200)),
+                collective_beta=float(rng.uniform(0.0, 20.0)),
+                sync_overhead=float(rng.uniform(0.0, 10.0)),
+            )
+            g = make_graph(nodes, edges)
+            assert schedule(g, cm) == kahn_schedule(g, cm)
 
     def test_invariants_on_block_timelines(self):
         rng = np.random.default_rng(50)

@@ -156,6 +156,7 @@ class TestChunkedMatmul:
         m, k, n = shape
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        matmul(a, b)  # numpy's one-time einsum caches are not the kernel's memory
         tracemalloc.start()
         try:
             matmul(a, b)
