@@ -28,7 +28,6 @@ from .block import (
 from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
-    RmsFoldedLinear,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -75,7 +74,6 @@ __all__ = [
     "MomentStats",
     "Node",
     "OpGraph",
-    "RmsFoldedLinear",
     "RmsNormParams",
     "RunConfig",
     "Timeline",

@@ -50,7 +50,6 @@ import numpy as np
 from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
-    RmsFoldedLinear,
     _join_columns,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
@@ -120,8 +119,8 @@ class FoldedBlock:
     ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
     """
 
-    ln1: FoldedLinear | RmsFoldedLinear
-    ln2: FoldedLinear | RmsFoldedLinear
+    ln1: FoldedLinear
+    ln2: FoldedLinear
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ matrix ahead of time:
     layernorm(x) @ F  ==  (x @ W_folded) / sqrt(var(x) + eps) + bias_folded
         with W_folded = (I - E/n) @ diag(gamma) @ F,  bias_folded = beta @ F
 
+    rmsnorm(x) @ F    ==  (x @ W_folded) / rms(x),  with W_folded = diag(gamma) @ F
+
     softmax(x) @ V    ==  (exp(x - max) @ V) / sum(exp(x - max))
 
 The reduction producing the scalar and the big matmul have no data
@@ -20,7 +22,8 @@ overlap them, and the simulator module quantifies the win.
 
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
-1e-10 contract.
+1e-10 contract. Both norms' folds are one `FoldedLinear`; an RMSNorm fold
+has no bias, and each fused norm evaluator rejects the other norm's fold.
 
 The fused evaluators take one row (1-D) or a stack of rows (2-D), as
 `norms` and `tensor.matmul` do, and return the same rank;
@@ -54,7 +57,6 @@ from .tensor import _reject, _rows, as_matrix, as_row_vector, frozen_copy, matmu
 
 __all__ = [
     "FoldedLinear",
-    "RmsFoldedLinear",
     "LlamaMlpWeights",
     "fold_layernorm_linear",
     "fused_layernorm_matmul",
@@ -73,33 +75,26 @@ _FOLD_ANNIHILATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FoldedLinear:
-    """Layernorm folded into a linear layer, built once at compile time.
+    """A normalization folded into a linear layer, built once at compile time.
 
-    folded_weight = (I - E/n) @ diag(gamma) @ F     (n x m)
-    folded_bias   = beta @ F                        (length m)
+    layernorm: folded_weight = (I - E/n) @ diag(gamma) @ F   (n x m)
+               folded_bias   = beta @ F                      (length m)
+    RMSNorm:   folded_weight = diag(gamma) @ F, no folded_bias (None)
     """
 
     folded_weight: np.ndarray
-    folded_bias: np.ndarray
+    folded_bias: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "folded_weight", as_matrix(self.folded_weight))
+        if self.folded_bias is None:
+            return
         object.__setattr__(self, "folded_bias", as_row_vector(self.folded_bias))
         if self.folded_weight.shape[1] != self.folded_bias.size:
             raise ValueError(
                 f"folded bias length {self.folded_bias.size} does not match "
                 f"folded weight columns {self.folded_weight.shape[1]}"
             )
-
-
-@dataclass(frozen=True)
-class RmsFoldedLinear:
-    """RMSNorm scale folded into a linear layer: folded_weight = diag(gamma) @ F."""
-
-    folded_weight: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "folded_weight", as_matrix(self.folded_weight))
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,14 @@ class LlamaMlpWeights:
             raise ValueError(f"w_down shape {self.w_down.shape}, expected {(h, n)}")
 
 
+def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
+    """diag(gamma) @ F, the static piece both norms fold into the weight."""
+    f = as_matrix(f)
+    if f.shape[0] != p.n:
+        raise ValueError(f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")
+    return p.gamma[:, np.newaxis] * f
+
+
 def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     """Fold layernorm's static pieces into the downstream weight matrix.
 
@@ -129,12 +132,7 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     reduction here, and the result is checked against the row-space
     annihilation invariant: the all-ones vector must map to ~0.
     """
-    f = as_matrix(f)
-    if f.shape[0] != p.n:
-        raise ValueError(
-            f"weight rows {f.shape[0]} do not match normalized dimension {p.n}"
-        )
-    scaled = p.gamma[:, np.newaxis] * f
+    scaled = _scale_rows(p, f)
     folded_weight = scaled - ordered_sum(scaled, axis=0) / p.n
     folded_bias = matmul(p.beta, f)
 
@@ -145,24 +143,52 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
 
 
+def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
+    """Fold the RMSNorm scale vector into the downstream weight matrix; no bias."""
+    return FoldedLinear(folded_weight=_scale_rows(p, f))
+
+
+def _join_columns(folds: list) -> FoldedLinear:
+    """Folded projections side by side as one read-only fold: the same columns, in one product."""
+    weight = np.hstack([f.folded_weight for f in folds])
+    weight.setflags(write=False)
+    biases = [f.folded_bias for f in folds if f.folded_bias is not None]
+    return FoldedLinear(folded_weight=weight, folded_bias=frozen_copy(np.hstack(biases)) if biases else None)
+
+
+def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
+    """`x` as rows, checked to fit `fold`, and `fold` checked to be the norm's kind."""
+    rows = _rows(x)
+    n = fold.folded_weight.shape[0]
+    if rows.shape[-1] != n:
+        _reject(rows, f"input length {rows.shape[-1]} does not match folded weight rows {n}")
+    if (fold.folded_bias is not None) != layernorm:
+        kinds = ("an RMSNorm fold (no folded_bias)", "a layernorm fold (with folded_bias)")
+        _reject(rows, f"expected {kinds[layernorm]}, got {kinds[not layernorm]}")
+    return rows
+
+
 def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
     The variance reduction and the x @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias.
     """
-    rows = _rows(x)
-    n = rows.shape[-1]
-    if n != fl.folded_weight.shape[0]:
-        _reject(
-            rows, f"input length {n} does not match folded weight rows {fl.folded_weight.shape[0]}"
-        )
+    rows = _fold_rows(x, fl, layernorm=True)
     if not (np.isfinite(epsilon) and epsilon > 0):
         _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
     variance = moments(rows).variance           # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
     return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
+
+
+def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
+    """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
+    rows = _fold_rows(x, rfl, layernorm=False)
+    r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
+    projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
+    return projected / r
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -181,39 +207,6 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     projected = matmul(numerators, v)                   # matmul task, overlappable
     with np.errstate(under="ignore"):  # a product of subnormal numerators
         return projected / denominator[..., np.newaxis]
-
-
-def fold_rmsnorm_linear(p: RmsNormParams, f) -> RmsFoldedLinear:
-    """Fold the RMSNorm scale vector into the downstream weight matrix."""
-    f = as_matrix(f)
-    if f.shape[0] != p.n:
-        raise ValueError(
-            f"weight rows {f.shape[0]} do not match normalized dimension {p.n}"
-        )
-    return RmsFoldedLinear(folded_weight=p.gamma[:, np.newaxis] * f)
-
-
-def _join_columns(folds: list) -> FoldedLinear | RmsFoldedLinear:
-    """Folded projections side by side as one read-only fold: the same columns, in one product."""
-    weight = np.hstack([f.folded_weight for f in folds])
-    weight.setflags(write=False)
-    if isinstance(folds[0], RmsFoldedLinear):
-        return RmsFoldedLinear(folded_weight=weight)
-    bias = np.hstack([f.folded_bias for f in folds])
-    bias.setflags(write=False)
-    return FoldedLinear(folded_weight=weight, folded_bias=bias)
-
-
-def fused_rmsnorm_matmul(x, rfl: RmsFoldedLinear, epsilon: float = 0.0) -> np.ndarray:
-    """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
-    rows = _rows(x)
-    if rows.shape[-1] != rfl.folded_weight.shape[0]:
-        _reject(
-            rows, f"input length {rows.shape[-1]} does not match folded weight rows {rfl.folded_weight.shape[0]}"
-        )
-    r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
-    projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
-    return projected / r
 
 
 def silu(z) -> np.ndarray:
@@ -241,13 +234,8 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
 
 
-def fused_rmsnorm_llama_mlp(
-    x,
-    gate_folded: RmsFoldedLinear,
-    up_folded: RmsFoldedLinear,
-    w_down,
-    epsilon: float = 0.0,
-) -> np.ndarray:
+def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,
+                            epsilon: float = 0.0) -> np.ndarray:
     """Gated MLP, per row of `x`, with RMSNorm folded into the gate and up projections.
 
     Both projections consume raw x, so the rms reduction can overlap them.

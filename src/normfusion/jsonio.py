@@ -9,7 +9,7 @@ making repeated runs byte-identical.
 Config files use exactly the field names of RunConfig and its BlockConfig
 and CostModel (snake_case), and take their defaults from those fields;
 unknown keys anywhere are rejected so typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults. No key takes a boolean.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .block import BlockConfig, BlockWeights
-from .fusion import FoldedLinear, LlamaMlpWeights, RmsFoldedLinear
+from .fusion import FoldedLinear, LlamaMlpWeights
 from .norms import LayerNormParams, RmsNormParams
 from .simulator import CostModel, LatencyReport, Timeline
 
@@ -73,6 +73,9 @@ def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tupl
     missing = [k for k in required if k not in mapping]
     if missing:
         raise ConfigError(f"missing key(s) in {context}: {', '.join(missing)}")
+    for key, value in mapping.items():
+        if isinstance(value, bool):  # a JSON true/false would pass as the number 1/0
+            raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
     return mapping
 
 
@@ -202,13 +205,12 @@ def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
     return w
 
 
-def save_folded_weights(path: str, cfg: BlockConfig,
-                        sites: dict[str, FoldedLinear | RmsFoldedLinear]) -> None:
+def save_folded_weights(path: str, cfg: BlockConfig, sites: dict[str, FoldedLinear]) -> None:
     """Write folds for inspection or export; the package never reads this file back."""
     entries = {}
     for name, fold in sites.items():
         entry = {"folded_weight": _matrix_json(fold.folded_weight)}
-        if isinstance(fold, FoldedLinear):
+        if fold.folded_bias is not None:
             entry["folded_bias"] = _vector_json(fold.folded_bias)
         entries[name] = entry
     doc = {

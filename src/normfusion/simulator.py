@@ -126,12 +126,20 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
 
     Nodes run in ascending id order. Each starts at the max of its
     engine's free time and its dependencies' ends, plus sync_overhead on
-    cross-engine edges. Raises on an edge that does not run from a lower
+    cross-engine edges. Raises on an empty graph, a repeated node id, an
+    edge naming an absent node, and an edge that does not run from a lower
     id to a higher one, as every cycle has. Fully deterministic.
     """
     nodes = {n.id: n for n in graph.nodes}
+    if len(nodes) < len(graph.nodes):
+        repeated = next(n.id for n in graph.nodes if nodes[n.id] is not n)  # `nodes` kept each id's last node
+        raise ValueError(f"node id {repeated} appears more than once")
+    if not nodes:
+        raise ValueError("the graph has no nodes")
     preds: dict[int, list[int]] = {nid: [] for nid in nodes}
     for a, b in graph.edges:
+        if a not in preds or b not in preds:
+            raise ValueError(f"edge ({a}, {b}) names a node that is not in the graph")
         if a >= b:
             raise ValueError(f"edge ({a}, {b}) does not run from a lower id to a higher one; a cycle needs such an edge")
         preds[b].append(a)

@@ -8,6 +8,7 @@ invariants the simulator relies on.
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -457,6 +458,41 @@ def test_wrong_norm_params_for_variant_rejected():
     bad_cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant="standard-gelu")
     with pytest.raises(ValueError, match="LayerNormParams"):
         run_conventional(bad_cfg, w, np.zeros((2, 4)))
+
+
+def _misfit_weights(cfg: BlockConfig, case: str) -> tuple[BlockWeights, str]:
+    """Weights for `cfg` with one field that does not fit it, and the message that names it."""
+    w = random_block_weights(cfg, np.random.default_rng(47))
+    n, h, gelu_block = cfg.d_model, cfg.mlp_hidden, cfg.variant == "standard-gelu"
+    layer_norm = lambda k: LayerNormParams(gamma=np.ones(k), beta=np.zeros(k), epsilon=cfg.epsilon_ln)
+    rms_norm = lambda k: RmsNormParams(gamma=np.ones(k), epsilon=cfg.epsilon_ln)
+    own_norm, other_norm = (layer_norm, rms_norm) if gelu_block else (rms_norm, layer_norm)
+    if case == "projection shape":
+        return dataclasses.replace(w, w_k=np.ones((n, n + 1))), f"w_k shape {(n, n + 1)}, expected {(n, n)}"
+    if case == "norm length":
+        return dataclasses.replace(w, ln2=own_norm(n + 1)), "norm parameter length does not match d_model"
+    if case == "norm type":
+        return dataclasses.replace(w, ln1=other_norm(n)), f"{cfg.variant} blocks use {type(own_norm(n)).__name__}"
+    if case == "mlp presence":
+        if gelu_block:
+            return dataclasses.replace(w, fc2=None), "standard-gelu blocks carry fc1/fc2 and no gated MLP"
+        return dataclasses.replace(w, fc1=np.ones((n, h))), "llama-swiglu blocks carry a gated MLP and no fc1/fc2"
+    if gelu_block:  # mlp shapes
+        return dataclasses.replace(w, fc2=np.ones((h + 1, n))), "fc1/fc2 shapes do not match config"
+    mlp = LlamaMlpWeights(w_gate=np.ones((n, h + 1)), w_up=np.ones((n, h + 1)), w_down=np.ones((h + 1, n)))
+    return dataclasses.replace(w, mlp=mlp), "gated MLP shapes do not match config"
+
+
+@pytest.mark.parametrize("case", ["projection shape", "norm length", "norm type", "mlp presence", "mlp shapes"])
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_weights_that_do_not_fit_the_config_rejected(variant, case):
+    # every raise of `BlockWeights.validate`, which both block paths run first
+    cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant)
+    w, message = _misfit_weights(cfg, case)
+    x = np.zeros((cfg.seq_len, cfg.d_model))
+    for check in (w.validate, lambda c: run_conventional(c, w, x), lambda c: run_fused(c, w, x)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(cfg)
 
 
 def test_config_validation():

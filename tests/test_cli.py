@@ -17,7 +17,7 @@ import normfusion
 from normfusion import cli
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
-from normfusion.fusion import FoldedLinear, RmsFoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
+from normfusion.fusion import FoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
 from normfusion.jsonio import ConfigError, dumps_report, load_block_weights, load_config, save_block_weights
 from normfusion.simulator import schedule
 
@@ -117,6 +117,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"tolerance must be non-negative and finite, got {tolerance!r}" in err
+
+    # JSON true/false passed as the number 1/0: "trials": true with "seed": false
+    # exited 0, "n_heads": true raised a TypeError, "seq_len": true ran a 1-token block
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "trials", True), (None, "seed", False), ("block", "n_heads", True),
+        ("block", "seq_len", True), ("cost_model", "sync_overhead", False),
+    ])
+    def test_boolean_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = small_config(tmp_path, **({key: value} if section is None else {section: {key: value}}))
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 2
+        assert out == ""
+        context = "config" if section is None else f"config.{section}"
+        assert f"{context}.{key} must not be a boolean, got {json.dumps(value)}" in err
 
     def test_report_with_a_non_finite_value_is_not_written(self):
         with pytest.raises(ValueError, match="JSON compliant"):
@@ -321,7 +335,7 @@ class TestFold:
         if cfg.variant == "standard-gelu":
             fold_type, fused_norm_matmul = FoldedLinear, fused_layernorm_matmul
         else:
-            fold_type, fused_norm_matmul = RmsFoldedLinear, fused_rmsnorm_matmul
+            fold_type, fused_norm_matmul = FoldedLinear, fused_rmsnorm_matmul
         x = np.random.default_rng(5).standard_normal((cfg.seq_len, cfg.d_model))
         for site, entry in fold_file_entries(wout).items():
             assert_array_equal(fused_norm_matmul(x, fold_type(**entry), cfg.epsilon_ln),
@@ -337,7 +351,7 @@ class TestFold:
         assert list(parsed) == ["ln1", "ln2"]
         for site, entry in parsed.items():
             compiled = getattr(weights.folded, site)
-            assert list(entry) == [f.name for f in dataclasses.fields(compiled)]
+            assert list(entry) == [f.name for f in dataclasses.fields(compiled) if getattr(compiled, f.name) is not None]
             for field, array in entry.items():
                 assert_array_equal(array.view(np.uint64), getattr(compiled, field).view(np.uint64))
 
@@ -378,6 +392,15 @@ class TestFold:
         code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
         assert code == 2
         assert err
+
+    def test_boolean_weight_entry_is_config_error(self, setup, capsys):
+        cfg_path, _, _, win, wout = setup
+        doc = json.loads(win.read_text())
+        doc["norms"]["ln1"]["epsilon"] = True
+        win.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        assert code == 2
+        assert "weights.norms.ln1.epsilon must not be a boolean, got true" in err
 
     def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
         cfg_path, cfg, weights, win, wout = setup

@@ -6,6 +6,7 @@ is always the conventional normalize-then-multiply path.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -17,7 +18,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from normfusion.fusion import (
     FoldedLinear,
-    RmsFoldedLinear,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -291,9 +291,61 @@ class TestFusedRmsnormMatmul:
     def test_bad_epsilon_rejected(self, request, errors, epsilon):
         if errors == "strict":
             request.getfixturevalue("strict_fp")
-        folded = RmsFoldedLinear(folded_weight=np.ones((3, 2)))
+        folded = FoldedLinear(folded_weight=np.ones((3, 2)))
         with pytest.raises(ValueError, match="epsilon must be a non-negative finite scalar"):
             fused_rmsnorm_matmul(np.ones(3), folded, epsilon)
+
+
+class TestFoldKind:
+    """One `FoldedLinear` for both norms; each fused norm evaluator takes only its own norm's fold."""
+
+    KINDS = ("a layernorm fold (with folded_bias)", "an RMSNorm fold (no folded_bias)")
+    # each evaluator, and the index in KINDS and `folds()` of the fold it takes
+    EVALUATORS = {
+        "fused_layernorm_matmul": (lambda x, fold: fused_layernorm_matmul(x, fold, 1e-5), 0),
+        "fused_rmsnorm_matmul": (lambda x, fold: fused_rmsnorm_matmul(x, fold, 1e-6), 1),
+    }
+
+    @staticmethod
+    def folds(n=4, m=3):
+        rng = np.random.default_rng(62)
+        f = rng.standard_normal((n, m))
+        gamma = rng.uniform(0.5, 1.5, n)
+        ln = fold_layernorm_linear(LayerNormParams(gamma=gamma, beta=rng.standard_normal(n), epsilon=1e-5), f)
+        return ln, fold_rmsnorm_linear(RmsNormParams(gamma=gamma), f)
+
+    def test_only_the_layernorm_fold_has_a_bias(self):
+        ln, rms = self.folds()
+        assert ln.folded_bias.shape == (3,)
+        assert rms.folded_bias is None
+
+    # the other norm's fold gave a silently wrong value (a layernorm fold in the
+    # RMSNorm evaluator) or a bare AttributeError (an RMSNorm fold in the layernorm one)
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["row", "stack"])
+    @pytest.mark.parametrize("evaluator", list(EVALUATORS))
+    def test_other_norms_fold_rejected(self, evaluator, shape):
+        call, own = self.EVALUATORS[evaluator]
+        folds = self.folds()
+        x = np.random.default_rng(63).standard_normal(shape)
+        assert call(x, folds[own]).shape == shape[:-1] + (3,)
+        message = f"expected {self.KINDS[own]}, got {self.KINDS[1 - own]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(x, folds[1 - own])
+
+    @pytest.mark.parametrize("evaluator", list(EVALUATORS))
+    def test_non_finite_rows_and_a_misfit_width_named_before_the_fold_kind(self, evaluator):
+        call, own = self.EVALUATORS[evaluator]
+        wrong = self.folds()[1 - own]
+        rows = np.ones((3, 4))
+        with pytest.raises(ValueError, match="^expected "):
+            call(rows, wrong)
+        with pytest.raises(ValueError, match="^input length 5 does not match folded weight rows 4$"):
+            call(np.ones((3, 5)), wrong)
+        rows[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            call(rows, wrong)
+        with pytest.raises(ValueError, match="^row vector contains non-finite elements$"):
+            call(rows[1], wrong)
 
 
 class TestSilu:
@@ -396,7 +448,7 @@ class TestFusedRmsnormLlamaMlp:
     @pytest.mark.parametrize("up_shape", [(3, 3), (2, 4)], ids=["rows", "hidden"])
     def test_mismatched_gate_up_folds_rejected(self, up_shape):
         gate = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
-        up = RmsFoldedLinear(folded_weight=np.ones(up_shape))
+        up = FoldedLinear(folded_weight=np.ones(up_shape))
         with pytest.raises(ValueError, match="up projection shape"):
             fused_rmsnorm_llama_mlp([1.0, 2.0], gate, up, np.ones((3, 2)))
 
@@ -496,9 +548,9 @@ def test_non_finite_rows_rejected(request, name, kernel, where, errors):
     ("fused_layernorm_matmul-epsilon", lambda x: fused_layernorm_matmul(
         x, FoldedLinear(folded_weight=np.ones((6, 2)), folded_bias=np.zeros(2)), 0.0)),
     ("fused_softmax_matmul", lambda x: fused_softmax_matmul(x, np.ones((5, 2)))),
-    ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, RmsFoldedLinear(folded_weight=np.ones((5, 2))))),
+    ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, FoldedLinear(folded_weight=np.ones((5, 2))))),
     ("fused_rmsnorm_matmul-epsilon", lambda x: fused_rmsnorm_matmul(
-        x, RmsFoldedLinear(folded_weight=np.ones((6, 2))), -5.0)),
+        x, FoldedLinear(folded_weight=np.ones((6, 2))), -5.0)),
     ("root_mean_square-epsilon", lambda x: root_mean_square(x, np.nan)),
 ])
 def test_non_finite_rows_named_before_a_mismatch(name, call):

@@ -131,6 +131,28 @@ class TestSchedule:
         with pytest.raises(ValueError, match=r"^edge \(2, 2\) does not run from a lower id to a higher one"):
             schedule(make_graph(nodes, [(0, 2), (2, 2)]), UNIT_CM)
 
+    def test_repeated_node_id_rejected(self):
+        # the second node under id 0 was silently dropped: one timeline entry
+        nodes = [
+            Node(id=0, kind="elementwise", work=1, name="a"),
+            Node(id=1, kind="matmul", work=1, name="b"),
+            Node(id=0, kind="elementwise", work=2, name="c"),
+        ]
+        with pytest.raises(ValueError, match=r"^node id 0 appears more than once$"):
+            schedule(make_graph(nodes, [(0, 1)]), UNIT_CM)
+
+    @pytest.mark.parametrize("edge", [(0, 1), (1, 2)], ids=["absent-head", "absent-tail"])
+    def test_edge_naming_an_absent_node_rejected(self, edge):
+        # either end absent raised a bare KeyError
+        nodes = [Node(id=0, kind="elementwise", work=1, name="a"), Node(id=2, kind="matmul", work=1, name="c")]
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]}, {edge[1]}\) names a node that is not in the graph$"):
+            schedule(make_graph(nodes, [edge]), UNIT_CM)
+
+    def test_empty_graph_rejected(self):
+        # it raised "max() arg is an empty sequence"
+        with pytest.raises(ValueError, match="^the graph has no nodes$"):
+            schedule(make_graph([], []), UNIT_CM)
+
     def test_id_order_equals_kahn_on_random_dags(self):
         # random DAGs whose edges all run from a lower id to a higher one; ids
         # have gaps and the node tuple is shuffled, so only the ids give the order
