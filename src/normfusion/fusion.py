@@ -231,7 +231,8 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     h = np.shape(w_down)[0]
     if gate_up.shape[-1:] != (2 * h,):
         raise ValueError(f"gate|up shape {gate_up.shape} does not match down projection rows {h}")
-    return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
+    with np.errstate(under="ignore"):  # a subnormal silu(gate) * up is correctly rounded
+        return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
 
 
 def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,

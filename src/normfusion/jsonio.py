@@ -3,13 +3,13 @@
 Numbers round-trip exactly: floats are serialized with Python's
 shortest-round-trip repr (what `json` emits) and parsed back with
 correctly-rounded `float()`, so a save/load cycle is bit-lossless. Report
-dicts are built in a fixed key order and serialized with a fixed layout,
+dicts are built in a fixed key order and serialized as one line of JSON,
 making repeated runs byte-identical.
 
 Config files use exactly the field names of RunConfig and its BlockConfig
 and CostModel (snake_case), and take their defaults from those fields;
 unknown keys anywhere are rejected so typos fail loudly instead of
-silently falling back to defaults. No key takes a boolean.
+silently falling back to defaults. No key or array element takes a boolean.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tupl
     for key, value in mapping.items():
         if isinstance(value, bool):  # a JSON true/false would pass as the number 1/0
             raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
+        if isinstance(value, list) and bool in set(map(type, value)):  # so would one in an array
+            i = next(i for i, v in enumerate(value) if type(v) is bool)
+            raise ConfigError(f"{context}.{key}[{i}] must not be a boolean, got {json.dumps(value[i])}")
     return mapping
 
 
@@ -241,8 +244,8 @@ def latency_dict(rep: LatencyReport) -> dict:
 
 
 def dumps_report(report: dict) -> str:
-    """Stable serialization used for all stdout reports; a NaN or infinity raises, as JSON has none."""
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """Every stdout report as one line of JSON, by json's C encoder; a NaN or infinity raises."""
+    return json.dumps(report, allow_nan=False) + "\n"
 
 
 def timeline_rows(graph, timeline: Timeline) -> list[dict]:

@@ -148,18 +148,14 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     engine_free = {"vector": 0, "matrix": 0}
     finish: dict[int, int] = {}
     entries: list[TimelineEntry] = []
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        dep_ready = 0
+    for nid, node in sorted(nodes.items()):  # ids are unique, so no two Nodes are compared
+        engine = node.engine
+        start = engine_free[engine]
         for p in preds[nid]:
-            arrival = finish[p] + (sync if nodes[p].engine != node.engine else 0)
-            dep_ready = max(dep_ready, arrival)
-        start = max(engine_free[node.engine], dep_ready)
-        end = start + node_latency(node, cm)
-        engine_free[node.engine] = end
-        finish[nid] = end
-        entries.append(TimelineEntry(node_id=nid, engine=node.engine, start=start, end=end))
-    return Timeline(entries=tuple(entries), total=max(e.end for e in entries))
+            start = max(start, finish[p] + (sync if nodes[p].engine != engine else 0))
+        engine_free[engine] = finish[nid] = end = start + node_latency(node, cm)
+        entries.append(TimelineEntry(nid, engine, start, end))
+    return Timeline(entries=tuple(entries), total=max(finish.values()))
 
 
 def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> LatencyReport:

@@ -324,6 +324,20 @@ def test_exp_underflow_gives_the_same_bits_under_strict_errors(run, variant):
         assert_array_equal(run(cfg, w, x).view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_subnormal_gated_product_gives_the_same_bits_under_strict_errors(run):
+    """Gate and up projections near 1e-155 make silu(gate) * up subnormal, which rounds correctly: not an error."""
+    cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24, variant="llama-swiglu")
+    rng = np.random.default_rng(54)
+    w = random_block_weights(cfg, rng)
+    mlp = dataclasses.replace(w.mlp, w_gate=w.mlp.w_gate * 1e-155, w_up=w.mlp.w_up * 1e-155)
+    w = dataclasses.replace(w, mlp=mlp)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    expected = run(cfg, w, x)
+    with np.errstate(all="raise"):
+        assert_array_equal(run(cfg, w, x).view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
 def test_fused_uses_the_weights_epsilon(variant, epsilon):
     """Both paths scale each norm by its own parameters' epsilon, not the config's."""

@@ -132,9 +132,10 @@ class TestVerify:
         context = "config" if section is None else f"config.{section}"
         assert f"{context}.{key} must not be a boolean, got {json.dumps(value)}" in err
 
-    def test_report_with_a_non_finite_value_is_not_written(self):
+    @pytest.mark.parametrize("report", [{"max_rel_err": float("nan")}, {"rows": [{"a": 1.0}, {"b": -float("inf")}]}])
+    def test_report_with_a_non_finite_value_is_not_written(self, report):
         with pytest.raises(ValueError, match="JSON compliant"):
-            dumps_report({"max_rel_err": float("nan")})
+            dumps_report(report)
 
     def test_indivisible_heads_is_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path, block={"d_model": 15})
@@ -402,6 +403,21 @@ class TestFold:
         assert code == 2
         assert "weights.norms.ln1.epsilon must not be a boolean, got true" in err
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("section,entry,field", [("matrices", "w_q", "data"), ("norms", "ln2", "gamma")])
+    def test_boolean_in_a_weight_array_is_config_error(self, setup, capsys, section, entry, field, value):
+        # float() would read true/false as 1.0/0.0
+        cfg_path, cfg, _, win, wout = setup
+        doc = json.loads(win.read_text())
+        doc[section][entry][field][1] = value
+        win.write_text(json.dumps(doc))
+        message = f"weights.{section}.{entry}.{field}[1] must not be a boolean, got {json.dumps(value)}"
+        with pytest.raises(ConfigError) as raised:
+            load_block_weights(str(win), cfg)
+        assert str(raised.value) == message
+        code, out, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
         cfg_path, cfg, weights, win, wout = setup
         other_cfg = small_config(tmp_path, block={"d_model": 32, "variant": cfg.variant})
@@ -475,6 +491,36 @@ print(len(built))
 """)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+class TestReportLayout:
+    """Every stdout report is one line: `json.dumps` of its own content, with no indent."""
+
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        *(["simulate", mode, *csv] for csv in ([], ["--csv"]) for mode in ("--both", "--fused", "--conventional")),
+        ["fold"],
+    ], ids=" ".join)
+    def test_report_is_one_canonical_line(self, tmp_path, capsys, command):
+        cfg_path = small_config(tmp_path)
+        if command == ["fold"]:
+            cfg = load_config(cfg_path).block
+            win = tmp_path / "weights.json"
+            save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
+            argv = ["fold", cfg_path, str(win), str(tmp_path / "folded.json")]
+        else:
+            argv = [command[0], cfg_path, *command[1:]]
+            if "--csv" in argv:
+                argv.append(str(tmp_path / "tl.csv"))
+        argv.append("--quiet")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(strict_json(out), allow_nan=False) + "\n"
+        assert out.count("\n") == 1
+        # a second in-process call and a fresh process write the same bytes
+        assert run_cli(capsys, *argv) == (code, out, err)
+        proc = run_python("-m", "normfusion.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 class TestModuleEntryPoint:

@@ -378,6 +378,16 @@ class TestFusedRmsnormLlamaMlp:
         w_down = rng.standard_normal((h, n)) / math.sqrt(h)
         return x, p, w_gate, w_up, w_down
 
+    def test_tiny_rows_are_exact_under_strict_errors(self):
+        # rows near 1e-160 with epsilon 1e-6 make gate and up near 1e-157: their product is subnormal
+        rng = np.random.default_rng(37)
+        x, p, w_gate, w_up, w_down = self._random_instance(rng, 8)
+        x, p = np.stack([x, -x]) * 1e-160, RmsNormParams(gamma=p.gamma, epsilon=1e-6)
+        args = (x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down, p.epsilon)
+        expected = fused_rmsnorm_llama_mlp(*args)
+        with np.errstate(all="raise"):
+            assert_array_equal(fused_rmsnorm_llama_mlp(*args).view(np.uint64), expected.view(np.uint64))
+
     def test_zero_input_with_epsilon(self):
         rng = np.random.default_rng(32)
         p = RmsNormParams(gamma=np.ones(4), epsilon=1e-6)
@@ -469,6 +479,16 @@ class TestSwiglu:
     def test_width_other_than_twice_down_rows_rejected(self):
         with pytest.raises(ValueError, match="does not match down projection rows 4"):
             swiglu(np.ones((2, 7)), np.ones((4, 5)))
+
+    def test_subnormal_gate_times_up_is_exact_under_strict_errors(self, strict_fp):
+        # silu(gate) * up below 2.2e-308 rounds to the correctly rounded subnormal, not an error
+        rng = np.random.default_rng(36)
+        gate_up, w_down = rng.standard_normal((3, 8)) * 1e-155, rng.standard_normal((4, 5))
+        with np.errstate(all="ignore"):
+            gated = silu(gate_up[:, :4]) * gate_up[:, 4:]
+            expected = matmul(gated, w_down)
+        assert np.any((gated != 0) & (np.abs(gated) < np.finfo(np.float64).tiny))
+        assert_array_equal(swiglu(gate_up, w_down).view(np.uint64), expected.view(np.uint64))
 
 
 class TestScaleDeferral:
