@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
-from .tensor import _reject, _rows, as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum
+from .tensor import _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum
 
 __all__ = [
     "FoldedLinear",
@@ -159,9 +159,7 @@ def _join_columns(folds: list) -> FoldedLinear:
 def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
     """`x` as rows, checked to fit `fold`, and `fold` checked to be the norm's kind."""
     rows = _rows(x)
-    n = fold.folded_weight.shape[0]
-    if rows.shape[-1] != n:
-        _reject(rows, f"input length {rows.shape[-1]} does not match folded weight rows {n}")
+    _require_width(rows, fold.folded_weight.shape[0], "folded weight rows")
     if (fold.folded_bias is not None) != layernorm:
         kinds = ("an RMSNorm fold (no folded_bias)", "a layernorm fold (with folded_bias)")
         _reject(rows, f"expected {kinds[layernorm]}, got {kinds[not layernorm]}")

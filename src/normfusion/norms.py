@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _reject, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
+from .tensor import _reject, _require_width, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -97,11 +97,6 @@ class MomentStats:
     variance: float | np.ndarray
 
 
-def _check_width(x: np.ndarray, n: int) -> None:
-    if x.shape[-1] != n:
-        _reject(x, f"input length {x.shape[-1]} does not match params length {n}")
-
-
 def moments(x) -> MomentStats:
     """Mean and population variance (divisor n) of a row, per row of a stack.
 
@@ -123,7 +118,7 @@ def moments(x) -> MomentStats:
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
     """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
     x = _rows(x)
-    _check_width(x, p.n)
+    _require_width(x, p.n, "params length")
     st = moments(x)
     denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
     return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
@@ -154,7 +149,7 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
 def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
     """x / sqrt(mean(x**2) + eps) * gamma, per row."""
     x = _rows(x)
-    _check_width(x, p.n)
+    _require_width(x, p.n, "params length")
     return (x / root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
 
 

@@ -37,12 +37,14 @@ the triple loop, run on both kernels, are the guarantee.
 
 One finiteness rule holds for every public kernel here and in `norms`
 and `fusion`: check shapes, then prove the input finite once, on the
-smallest array that proves it. Where a NaN or infinity in the input
-makes some element of the result non-finite, and computing it raises no
-floating-point error, a finite result proves finite input. Only a
-non-finite one runs `as_rows`/`as_matrix`, which name a bad input before
-an overflow is reported; `_reject` names it before a mismatch with the
-other arguments (a width, an epsilon). `matmul` scans its m x n output,
+smallest array that proves it. `_rows` is the one shape check and
+`_finite` the one scan; `as_row_vector`, `as_matrix` and `as_rows` are
+the two in turn. Where a NaN or infinity in the input makes some element
+of the result non-finite, and computing it raises no floating-point
+error, a finite result proves finite input. Only a non-finite one runs
+the input scan, which names a bad input before an overflow is reported;
+`_reject` runs it before naming a mismatch with the other arguments (a
+width through `_require_width`, an epsilon). `matmul` scans its m x n output,
 each slice's in a batch: each operand value enters a whole row or column
 of its slice's products (m, n >= 1), `inf * 0` is NaN, and a sum stays
 non-finite once one term is. The summing einsum raises no floating-point
@@ -83,70 +85,57 @@ _CHUNK_ELEMENTS = 1 << 15
 _REDUCE_MIN_PRODUCTS = 8
 
 
-def _row_vector(x) -> np.ndarray:
-    """`x` as a 1-D float64 array of length >= 1; its values are not checked."""
+def _rows(x, ndim: int | None = None) -> np.ndarray:
+    """`x` as float64 with every dimension >= 1; its values are not checked.
+
+    With no `ndim`, `x` is one row (1-D), a stack of rows (2-D) or a stack
+    per head (3-D); with one, `x` has exactly that rank.
+    """
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D row vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("row vector must have length >= 1")
+    if ndim is None and v.ndim not in (1, 2, 3):
+        raise ValueError(
+            f"expected one row (1-D), a stack of rows (2-D) or a stack per head (3-D), got shape {v.shape}"
+        )
+    if ndim is not None and v.ndim != ndim:
+        kind = "1-D row vector" if ndim == 1 else f"{ndim}-D matrix"
+        raise ValueError(f"expected a {kind}, got shape {v.shape}")
+    if 0 in v.shape:
+        raise ValueError("row vector must have length >= 1" if v.ndim == 1 else "matrix dimensions must be >= 1")
     return v
 
 
-def _matrix(a, ndim: int = 2) -> np.ndarray:
-    """`a` as a 2-D float64 array, or with `ndim=3` a stack of them, every dimension >= 1; values unchecked."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-D matrix, got shape {m.shape}")
-    if 0 in m.shape:
-        raise ValueError("matrix dimensions must be >= 1")
-    return m
-
-
-def _rows(x) -> np.ndarray:
-    """`x` as `_row_vector` (one row) or `_matrix` (a stack of rows, 2-D, or a stack per head, 3-D); values unchecked."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 1:
-        return _row_vector(v)
-    if v.ndim in (2, 3):
-        return _matrix(v, v.ndim)
-    raise ValueError(
-        f"expected one row (1-D), a stack of rows (2-D) or a stack per head (3-D), got shape {v.shape}"
-    )
+def _finite(v: np.ndarray) -> np.ndarray:
+    """`v`, after proving every element finite; a stack per head is scanned as one matrix of its rows."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"{'row vector' if v.ndim == 1 else 'matrix'} contains non-finite elements")
+    return v
 
 
 def as_row_vector(x) -> np.ndarray:
     """Validate and return `x` as a finite 1-D float64 array."""
-    v = _row_vector(x)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("row vector contains non-finite elements")
-    return v
+    return _finite(_rows(x, 1))
 
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a finite 2-D float64 array."""
-    m = _matrix(a)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite elements")
-    return m
+    return _finite(_rows(a, 2))
 
 
 def as_rows(x) -> np.ndarray:
-    """Validate `x` as one row (1-D), a stack of rows (2-D) or a stack per head (3-D), returned as given.
-
-    A 3-D stack is scanned as one matrix of all its heads' rows.
-    """
-    v = _rows(x)
-    if v.ndim == 1:
-        return as_row_vector(v)
-    as_matrix(v.reshape(-1, v.shape[-1]))
-    return v
+    """Validate `x` as finite: one row (1-D), a stack of rows (2-D) or a stack per head (3-D)."""
+    return _finite(_rows(x))
 
 
 def _reject(x: np.ndarray, message: str):
     """Raise `ValueError(message)` about a well-shaped `x`, after `as_rows(x)` names a non-finite value."""
     as_rows(x)
     raise ValueError(message)
+
+
+def _require_width(x: np.ndarray, n: int, what: str) -> None:
+    """Reject rows `x` that are not `n` wide, `what` naming the `n`, through `_reject`."""
+    if x.shape[-1] != n:
+        _reject(x, f"input length {x.shape[-1]} does not match {what} {n}")
 
 
 def frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -202,7 +191,7 @@ def matmul(a, b) -> np.ndarray:
     """
     try:
         a = _rows(a)
-        b = _matrix(b, max(a.ndim, 2))  # a batch of matrices for a stack per head
+        b = _rows(b, max(a.ndim, 2))  # a batch of matrices for a stack per head
         shapes_agree = a.shape[-1] == b.shape[-2] and a.shape[:-2] == b.shape[:-2]
     except (TypeError, ValueError):
         shapes_agree = False
