@@ -219,10 +219,12 @@ def gelu(z) -> np.ndarray:
     """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call."""
     z = np.asarray(z, dtype=np.float64)
     # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
-    # and the result is the exact limit, z or -0.0.
-    with np.errstate(over="ignore"):
+    # and the result is the exact limit, z or -0.0. Below |z| ~ 2.8e-103 the
+    # cube, and near the subnormal range 0.5 * z, round to a subnormal or 0:
+    # correctly rounded, not an error.
+    with np.errstate(over="ignore", under="ignore"):
         inner = _GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))
-    return 0.5 * z * (1.0 + np.tanh(inner))
+        return 0.5 * z * (1.0 + np.tanh(inner))
 
 
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
@@ -245,7 +247,8 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
 
     # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
     q, k, v = norm_site(x, "ln1").reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
-    scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
+    with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
+        scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
     heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
     hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
 

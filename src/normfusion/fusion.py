@@ -248,5 +248,7 @@ def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinea
         raise ValueError(f"up projection shape {up_folded.folded_weight.shape}, expected gate's {(n, h)}")
     if np.shape(w_down) != (h, n):
         raise ValueError(f"down projection shape {np.shape(w_down)}, expected {(h, n)}")
+    for fold in (gate_folded, up_folded):  # a layernorm fold is named by its kind, not by the join
+        _fold_rows(x, fold, layernorm=False)
     gate_up = _join_columns([gate_folded, up_folded])
     return swiglu(fused_rmsnorm_matmul(x, gate_up, epsilon), w_down)

@@ -121,7 +121,8 @@ def layernorm(x, p: LayerNormParams) -> np.ndarray:
     _require_width(x, p.n, "params length")
     st = moments(x)
     denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
-    return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
+    with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
+        return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:
@@ -150,7 +151,9 @@ def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
     """x / sqrt(mean(x**2) + eps) * gamma, per row."""
     x = _rows(x)
     _require_width(x, p.n, "params length")
-    return (x / root_mean_square(x, p.epsilon)[..., np.newaxis]) * p.gamma
+    r = root_mean_square(x, p.epsilon)[..., np.newaxis]
+    with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
+        return (x / r) * p.gamma
 
 
 def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:

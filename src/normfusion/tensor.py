@@ -44,13 +44,13 @@ of the result non-finite, and computing it raises no floating-point
 error, a finite result proves finite input. Only a non-finite one runs
 the input scan, which names a bad input before an overflow is reported;
 `_reject` runs it before naming a mismatch with the other arguments (a
-width through `_require_width`, an epsilon). `matmul` scans its m x n output,
-each slice's in a batch: each operand value enters a whole row or column
-of its slice's products (m, n >= 1), `inf * 0` is NaN, and a sum stays
-non-finite once one term is. The summing einsum raises no floating-point
-error, and the chunked kernel runs under `np.errstate(all="ignore")`.
-The rejection tests, run on both kernels with non-finite values beside
-zero partners, are the guarantee.
+width, through `_require_width`, or an epsilon). `matmul` scans its
+m x n output, each slice's in a batch: each operand value enters a whole
+row or column of its slice's products (m, n >= 1), `inf * 0` is NaN, and
+a sum stays non-finite once one term is. The summing einsum raises no
+floating-point error, and the chunked kernel runs under
+`np.errstate(all="ignore")`. The rejection tests, run on both kernels
+with non-finite values beside zero partners, are the guarantee.
 
 Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
 (row-major). Activations are rows multiplying weights on the right: like
@@ -145,17 +145,15 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def ordered_sum(a: np.ndarray, axis: int | None = None):
-    """Sum with strict left-to-right accumulation order.
+def ordered_sum(a: np.ndarray, axis: int):
+    """Sum along `axis` with strict left-to-right accumulation order.
 
     `np.add.accumulate` applies the operation sequentially, unlike
     `np.sum`, which reassociates (pairwise summation). The last prefix sum
-    is therefore bit-equal to `acc = 0.0; for v in a: acc += v`.
+    is therefore bit-equal to `acc = 0.0; for v in a: acc += v` along the
+    axis.
     """
     a = np.asarray(a, dtype=np.float64)
-    if axis is None:
-        a = a.ravel()
-        axis = 0
     return np.take(np.add.accumulate(a, axis=axis), -1, axis=axis)
 
 

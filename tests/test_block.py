@@ -338,6 +338,24 @@ def test_subnormal_gated_product_gives_the_same_bits_under_strict_errors(run):
         assert_array_equal(run(cfg, w, x).view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("scale,epsilon", [(1e-160, 1e-6), (1e-307, 1.0)])
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_tiny_rows_give_the_same_bits_under_strict_errors(run, variant, scale, epsilon):
+    """Rows near 1e-160 make the attention scores subnormal, rows near 1e-307 the norms' outputs:
+    each correctly rounded, not an error. Zero betas keep the layernorm block's activations tiny."""
+    cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24, variant=variant, epsilon_ln=epsilon)
+    rng = np.random.default_rng(55)
+    w = random_block_weights(cfg, rng)
+    if variant == "standard-gelu":
+        w = dataclasses.replace(w, **{site: dataclasses.replace(getattr(w, site), beta=np.zeros(16))
+                                      for site in ("ln1", "ln2")})
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model)) * scale
+    expected = run(cfg, w, x)
+    with np.errstate(all="raise"):
+        assert_array_equal(run(cfg, w, x).view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("variant,epsilon", [("standard-gelu", 1e-1), ("llama-swiglu", 0.0)])
 def test_fused_uses_the_weights_epsilon(variant, epsilon):
     """Both paths scale each norm by its own parameters' epsilon, not the config's."""

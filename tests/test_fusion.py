@@ -347,6 +347,20 @@ class TestFoldKind:
         with pytest.raises(ValueError, match="^row vector contains non-finite elements$"):
             call(rows[1], wrong)
 
+    # a layernorm fold beside an RMSNorm fold was joined first, and the join's
+    # own bias check raised "folded bias length 3 does not match ..."
+    @pytest.mark.parametrize("layernorm_fold", ["gate", "up"])
+    def test_llama_mlp_rejects_a_layernorm_fold_beside_an_rmsnorm_fold(self, layernorm_fold):
+        ln, rms = self.folds()
+        gate, up = (ln, rms) if layernorm_fold == "gate" else (rms, ln)
+        rows = np.ones((2, 4))
+        message = f"expected {self.KINDS[1]}, got {self.KINDS[0]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)), 1e-6)
+        rows[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)), 1e-6)
+
 
 class TestSilu:
     def test_against_extended_precision(self):

@@ -117,6 +117,15 @@ class TestLayernorm:
         with pytest.raises(ValueError, match="epsilon"):
             LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=0.0)
 
+    def test_tiny_rows_give_the_same_bits_under_strict_errors(self):
+        """Rows near 1e-307 with epsilon 1 scale to subnormals, which round correctly: not an error."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 16)) * 1e-307
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, 16), beta=np.zeros(16), epsilon=1.0)
+        expected = layernorm(x, p)
+        with np.errstate(all="raise"):
+            assert_array_equal(layernorm(x, p).view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("row", [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]])
     def test_overflowing_row_names_the_norm(self, row):
         # the variance (or the mean) of a finite row overflows: an error, not beta
@@ -161,6 +170,15 @@ class TestRmsnorm:
     def test_zero_vector_with_epsilon_ok(self):
         p = RmsNormParams(gamma=[1.0, 1.0], epsilon=1e-6)
         assert_array_equal(rmsnorm([0.0, 0.0], p), [0.0, 0.0])
+
+    def test_tiny_rows_give_the_same_bits_under_strict_errors(self):
+        """Rows near 1e-307 with epsilon 1 scale to subnormals, which round correctly: not an error."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((3, 16)) * 1e-307
+        p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 16), epsilon=1.0)
+        expected = rmsnorm(x, p)
+        with np.errstate(all="raise"):
+            assert_array_equal(rmsnorm(x, p).view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("row", [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]])
     def test_overflowing_row_names_the_norm(self, row):

@@ -606,7 +606,7 @@ class TestOrderedSum:
         acc = 0.0
         for v in x:
             acc += v
-        assert ordered_sum(x) == acc
+        assert ordered_sum(x, axis=0) == acc
 
     def test_columnwise_bit_equal_to_row_loop(self):
         rng = np.random.default_rng(10)
