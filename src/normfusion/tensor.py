@@ -105,7 +105,7 @@ def _rows(x, ndim: int | None = None) -> np.ndarray:
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
-    """`v`, after proving every element finite; a stack per head is scanned as one matrix of its rows."""
+    """`v`, after proving every element finite; a 1-D `v` is named a row vector, any other a matrix."""
     if not np.isfinite(v).all():
         raise ValueError(f"{'row vector' if v.ndim == 1 else 'matrix'} contains non-finite elements")
     return v

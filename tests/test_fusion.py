@@ -347,8 +347,8 @@ class TestFoldKind:
         with pytest.raises(ValueError, match="^row vector contains non-finite elements$"):
             call(rows[1], wrong)
 
-    # a layernorm fold beside an RMSNorm fold was joined first, and the join's
-    # own bias check raised "folded bias length 3 does not match ..."
+    # each fold's kind is checked before the join, whose bias-length check
+    # would otherwise reject a layernorm fold beside an RMSNorm fold
     @pytest.mark.parametrize("layernorm_fold", ["gate", "up"])
     def test_llama_mlp_rejects_a_layernorm_fold_beside_an_rmsnorm_fold(self, layernorm_fold):
         ln, rms = self.folds()
