@@ -20,6 +20,11 @@ independence is a contract on the code structure (no shared
 intermediates), not a threading requirement; a two-engine machine can
 overlap them, and the simulator module quantifies the win.
 
+A fold makes no n x n factor and, beside the folded weight, only
+row-sized arrays: the layernorm fold's column sums are `matmul`s by a row
+(see `fold_layernorm_linear`). A finite F whose fold overflows float64
+raises a `ValueError` that names the fold.
+
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
 1e-10 contract. Both norms' folds are one `FoldedLinear`; an RMSNorm fold
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
-from .tensor import _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy, matmul, ordered_sum
+from .tensor import _check_operands, _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy, matmul
 
 __all__ = [
     "FoldedLinear",
@@ -116,11 +121,15 @@ class LlamaMlpWeights:
 
 
 def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
-    """diag(gamma) @ F, the static piece both norms fold into the weight."""
+    """diag(gamma) @ F as a new array, the static piece both norms fold into the weight.
+
+    An overflow is left for the fold to name.
+    """
     f = as_matrix(f)
     if f.shape[0] != p.n:
         raise ValueError(f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")
-    return p.gamma[:, np.newaxis] * f
+    with np.errstate(all="ignore"):
+        return p.gamma[:, np.newaxis] * f
 
 
 def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
@@ -128,24 +137,36 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
 
     Row-scaling by gamma and column-centering realize
     (I - E/n) @ diag(gamma) @ F in O(n*m) without materializing the n x n
-    factors. Column sums use the same left-to-right order as every other
-    reduction here, and the result is checked against the row-space
-    annihilation invariant: the all-ones vector must map to ~0.
+    factors. The column sums of diag(gamma) @ F are `matmul(gamma, F)`:
+    the same rounded products, summed in index order from +0.0. Their
+    means are subtracted in place from the scaled copy, so a column whose
+    scaled entries are all -0.0 folds to -0.0. The result is checked
+    against the row-space annihilation invariant: `matmul` of the all-ones
+    row by it must be ~0. A finite F whose scaled entries, column sums,
+    centred entries or bias overflow float64 raises a `ValueError` naming
+    the overflow.
     """
-    scaled = _scale_rows(p, f)
-    folded_weight = scaled - ordered_sum(scaled, axis=0) / p.n
+    folded_weight = _scale_rows(p, f)
+    with np.errstate(all="ignore"):  # a finite weight's overflow is named below
+        folded_weight -= matmul(p.gamma, f) / p.n
+        w_max = max(folded_weight.max(), -folded_weight.min())  # NaN or inf where any entry is
     folded_bias = matmul(p.beta, f)
+    if not (np.isfinite(w_max) and np.isfinite(folded_bias).all()):
+        raise ValueError("layernorm fold: the folded weight or bias is non-finite (float64 overflow)")
 
-    ones_image = np.abs(ordered_sum(folded_weight, axis=0))
-    limit = _FOLD_ANNIHILATION_TOL * max(1.0, float(np.max(np.abs(folded_weight)))) * p.n
+    ones_image = np.abs(matmul(np.ones(p.n), folded_weight))
+    limit = _FOLD_ANNIHILATION_TOL * max(1.0, float(w_max)) * p.n
     if float(np.max(ones_image)) > limit:
         raise ValueError("folded weight does not annihilate constant inputs")
     return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
-    """Fold the RMSNorm scale vector into the downstream weight matrix; no bias."""
-    return FoldedLinear(folded_weight=_scale_rows(p, f))
+    """Fold the RMSNorm scale vector into the downstream weight matrix; no bias; an overflow is named."""
+    folded_weight = _scale_rows(p, f)
+    if not np.isfinite(folded_weight).all():
+        raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
+    return FoldedLinear(folded_weight=folded_weight)
 
 
 def _join_columns(folds: list) -> FoldedLinear:
@@ -199,7 +220,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     """
     rows = _rows(x)
     if np.shape(v)[-2:-1] != rows.shape[-1:]:
-        _reject(rows, f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
+        _check_operands(rows, v)  # `matmul`'s order: x's checks, then v's rank and finiteness
+        raise ValueError(f"input length {rows.shape[-1]} does not match matrix shape {np.shape(v)}")
 
     numerators, denominator = softmax_numerators(rows)  # denominator: collective task
     projected = matmul(numerators, v)                   # matmul task, overlappable

@@ -3,7 +3,9 @@
 Everything in this package runs in 64-bit floats. The kernels here avoid
 BLAS and numpy's pairwise reductions on purpose: every sum is accumulated
 strictly left-to-right over the reduction axis, so results are
-bit-reproducible across runs and bit-equal to a naive scalar loop. numpy's
+bit-reproducible across runs and bit-equal to a naive scalar loop: one
+started from +0.0 for `matmul`, and one started from the first element
+for `ordered_sum`, which differ only on a sum of all -0.0 terms. numpy's
 elementwise `*` and `+` round separately, never as one fused
 multiply-add; the one kernel here that might fuse them runs only where a
 probe shows that it does not.
@@ -23,9 +25,10 @@ probe shows that it does not.
   operands: a product whose fused and unfused sums differ, a sum that any
   other order rounds differently, and all -0.0 products, each in its own
   output element, in the bulk and the tail of the vector loop, with
-  n == 1, with one output element, and in a batch of two slices that
-  differ. It compares the bits with a Python triple loop per slice, and
-  `_EINSUM_IN_ORDER` records the answer.
+  n == 1, with one row (a row vector times a matrix), with one output
+  element, and in a batch of two slices that differ. It compares the
+  bits with a Python triple loop per slice, and `_EINSUM_IN_ORDER`
+  records the answer.
 - Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
   build: it forms the products a chunk of the inner dimension at a time
   into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
@@ -149,9 +152,11 @@ def ordered_sum(a: np.ndarray, axis: int):
     """Sum along `axis` with strict left-to-right accumulation order.
 
     `np.add.accumulate` applies the operation sequentially, unlike
-    `np.sum`, which reassociates (pairwise summation). The last prefix sum
-    is therefore bit-equal to `acc = 0.0; for v in a: acc += v` along the
-    axis.
+    `np.sum`, which reassociates (pairwise summation). It starts from the
+    first element, so the last prefix sum is bit-equal to
+    `acc = a[0]; for v in a[1:]: acc += v` along the axis. That is the
+    loop from `acc = 0.0` except where every term is -0.0: there the sum
+    is -0.0, where the loop from +0.0, like `matmul`, gives +0.0.
     """
     a = np.asarray(a, dtype=np.float64)
     return np.take(np.add.accumulate(a, axis=axis), -1, axis=axis)
@@ -344,14 +349,17 @@ def _sums_in_order(kernel) -> bool:
     """Whether `kernel(a, b)` is bit-equal to the triple loop on the trap operands.
 
     It is run on the full traps, on their first column alone (n == 1), on
-    one trap element (m*n == 1), and on a batch of two slices: the traps,
-    then their rows reversed times `b` doubled (each product doubles
-    exactly, so the traps still hold). The slices differ in both operands,
-    so a kernel that mixes or reorders slices fails. The one-column `b` is
-    a column view, as `matmul` may be given, not a C-contiguous array.
+    each trap row alone against every column (m == 1, a row vector times
+    a matrix), on one trap element (m*n == 1), and on a batch of two
+    slices: the traps, then their rows reversed times `b` doubled (each
+    product doubles exactly, so the traps still hold). The slices differ
+    in both operands, so a kernel that mixes or reorders slices fails. The
+    one-column `b` is a column view, as `matmul` may be given, not a
+    C-contiguous array.
     """
     a, b = _probe_operands()
-    cases = ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:]), (np.stack([a, a[::-1]]), np.stack([b, 2.0 * b])))
+    cases = ((a, b), (a, b[:, :1]), *((a[i : i + 1], b) for i in range(len(a))), (a[1:2], b[:, -1:]),
+             (np.stack([a, a[::-1]]), np.stack([b, 2.0 * b])))
     return all(
         np.array_equal(kernel(x, y).view(np.uint64), _triple_loop(x, y).view(np.uint64)) for x, y in cases
     )

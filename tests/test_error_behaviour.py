@@ -149,9 +149,8 @@ EXPECTED = {
         width=FOLD_WIDTH, epsilon="epsilon must be a positive finite scalar, got -1.0"),
     "fused_rmsnorm_matmul": _rows_entry(width=FOLD_WIDTH, epsilon=RMS_EPSILON),
     "fused_softmax_matmul x": _rows_entry(width="input length 5 does not match matrix shape (4, 2)"),
-    # v's shape is checked against the rows before any scan, and only a 2-D v reaches `matmul`
-    "fused_softmax_matmul v": ("input length 4 does not match matrix shape {shape}",) * 6 + (MATRIX, MATRIX)
-    + (MATRIX_SHAPE,) * 2 + ("input length 4 does not match matrix shape {shape}",) * 2 + (None, MATRIX, None),
+    # v is checked as `matmul` checks its b: its rank, then its values, before the mismatch
+    "fused_softmax_matmul v": _matrix_entry(width="input length 4 does not match matrix shape (2, 5)"),
     "fused_rmsnorm_llama_mlp": _rows_entry(width=FOLD_WIDTH, epsilon=RMS_EPSILON),
     # the width check runs first and `matmul` scans the product; silu(-inf) is -inf * 0, which
     # warns before that scan names the input

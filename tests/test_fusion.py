@@ -7,6 +7,7 @@ is always the conventional normalize-then-multiply path.
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -117,6 +118,115 @@ class TestFoldLayernormLinear:
         p = LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], epsilon=1e-5)
         with pytest.raises(ValueError, match="rows"):
             fold_layernorm_linear(p, np.ones((3, 2)))
+
+
+def fold_by_column_loop(p: LayerNormParams, f: np.ndarray) -> np.ndarray:
+    """diag(gamma) @ F less its column sums / n, each sum a Python loop from +0.0 in row order."""
+    scaled = p.gamma[:, np.newaxis] * f
+    out = scaled.copy()
+    for j, column in enumerate(scaled.T.tolist()):
+        acc = 0.0
+        for v in column:
+            acc += v
+        out[:, j] = scaled[:, j] - acc / f.shape[0]
+    return out
+
+
+class TestFoldColumnSums:
+    """The layernorm fold's centering, bit for bit a column loop from +0.0.
+
+    These run on the kernel the probe picked, and in `TestFoldColumnSumsChunked`
+    on the chunked kernel.
+    """
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (19, 35), (128, 512)])
+    def test_bit_equal_to_column_loop(self, shape):
+        n, m = shape
+        rng = np.random.default_rng(n * m)
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5)
+        f = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        folded = fold_layernorm_linear(p, f).folded_weight
+        assert_array_equal(folded.view(np.uint64), fold_by_column_loop(p, f).view(np.uint64))
+
+    def test_all_negative_zero_column_folds_to_negative_zero(self):
+        # the column's sum starts from +0.0, so it is +0.0 and -0.0 - 0.0 / n is -0.0
+        rng = np.random.default_rng(30)
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, 6), beta=rng.standard_normal(6), epsilon=1e-5)
+        f = rng.standard_normal((6, 4))
+        f[:, 2] = -0.0
+        folded = fold_layernorm_linear(p, f).folded_weight
+        assert_array_equal(folded.view(np.uint64), fold_by_column_loop(p, f).view(np.uint64))
+        assert np.signbit(folded[:, 2]).all()
+
+    def test_fold_makes_no_second_weight_sized_array(self):
+        rng = np.random.default_rng(31)
+        n, m = 256, 512
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5)
+        f = rng.standard_normal((n, m))
+        fold_layernorm_linear(p, f)
+        tracemalloc.start()
+        try:
+            fold_layernorm_linear(p, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.nbytes
+
+
+@pytest.mark.usefixtures("chunked_kernel")
+class TestFoldColumnSumsChunked(TestFoldColumnSums):
+    """`TestFoldColumnSums` on the chunked kernel."""
+
+
+LN_FOLD_OVERFLOW = "^layernorm fold: the folded weight or bias is non-finite \\(float64 overflow\\)$"
+RMS_FOLD_OVERFLOW = "^rmsnorm fold: the folded weight is non-finite \\(float64 overflow\\)$"
+
+# name -> (gamma, beta, F), every value finite; n = len(gamma)
+FOLD_OVERFLOWS = {
+    # 4e308 overflows the column sums; RMSNorm folds it, as it sums no column
+    "column sums": (np.ones(4), np.zeros(4), np.full((4, 2), 1e308)),
+    # 1e310 overflows the scaled entries
+    "scale": (np.full(4, 1e300), np.zeros(4), np.full((4, 2), 1e10)),
+    # the sum is finite, -1.7e308, but 1.7e308 less the mean -5.7e307 is not
+    "centred entry": (np.ones(3), np.zeros(3), np.array([[1.7e308], [-1.7e308], [-1.7e308]])),
+    # beta @ F is 4e310
+    "bias": (np.ones(4), np.full(4, 1e300), np.full((4, 2), 1e10)),
+}
+
+
+@pytest.mark.parametrize("errors", ["default", "strict"])
+@pytest.mark.parametrize("case", FOLD_OVERFLOWS)
+class TestFoldOverflow:
+    """A finite weight whose fold overflows float64 is named by the fold, in either error mode."""
+
+    def test_layernorm_fold(self, request, case, errors):
+        if errors == "strict":
+            request.getfixturevalue("strict_fp")
+        gamma, beta, f = FOLD_OVERFLOWS[case]
+        with pytest.raises(ValueError, match=LN_FOLD_OVERFLOW):
+            fold_layernorm_linear(LayerNormParams(gamma=gamma, beta=beta, epsilon=1e-5), f)
+
+    def test_rmsnorm_fold(self, request, case, errors):
+        if errors == "strict":
+            request.getfixturevalue("strict_fp")
+        gamma, _, f = FOLD_OVERFLOWS[case]
+        p = RmsNormParams(gamma=gamma)
+        if case == "scale":
+            with pytest.raises(ValueError, match=RMS_FOLD_OVERFLOW):
+                fold_rmsnorm_linear(p, f)
+        else:
+            assert_array_equal(fold_rmsnorm_linear(p, f).folded_weight, f)
+
+    def test_non_finite_weight_named_first(self, request, case, errors):
+        if errors == "strict":
+            request.getfixturevalue("strict_fp")
+        gamma, beta, f = FOLD_OVERFLOWS[case]
+        f = f.copy()
+        f[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            fold_layernorm_linear(LayerNormParams(gamma=gamma, beta=beta, epsilon=1e-5), f)
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            fold_rmsnorm_linear(RmsNormParams(gamma=gamma), f)
 
 
 class TestFusedLayernormMatmul:

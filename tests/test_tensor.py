@@ -208,6 +208,13 @@ def sum_from_first_product(a, b):
     return np.add.accumulate(products, axis=-1)[..., -1]
 
 
+def one_row_pairwise(a, b):
+    """`pairwise_sum` on a one-row product with n >= 2; the triple loop on any other."""
+    if a.ndim == 2 and a.shape[0] == 1 and b.shape[1] > 1:
+        return pairwise_sum(a, b)
+    return matmul_oracle(a, b)
+
+
 def slices_reversed(a, b):
     """The triple loop on each slice, with a batch's results returned in reverse slice order."""
     out = matmul_oracle(a, b)
@@ -248,6 +255,14 @@ class TestEinsumProbe:
         for x, y in ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:])):
             assert_bits_equal(kernel(x, y), matmul_oracle(x, y))
         assert not _sums_in_order(kernel)
+
+    # exact on every case but a row vector times a matrix, the shape of a fold's column sums
+    def test_rejects_a_kernel_wrong_only_on_one_row(self):
+        a, b = _probe_operands()
+        for x, y in ((a, b), (a, b[:, :1]), (a[1:2], b[:, -1:]), (np.stack([a, a[::-1]]), np.stack([b, 2.0 * b]))):
+            assert_bits_equal(one_row_pairwise(x, y), matmul_oracle(x, y))
+        assert not np.array_equal(one_row_pairwise(a[1:2], b), matmul_oracle(a[1:2], b))
+        assert not _sums_in_order(one_row_pairwise)
 
     def test_einsum_adds_no_buffer(self):
         rng = np.random.default_rng(13)
@@ -607,6 +622,15 @@ class TestOrderedSum:
         for v in x:
             acc += v
         assert ordered_sum(x, axis=0) == acc
+
+    def test_starts_from_the_first_element(self):
+        # the loop from acc = 0.0 gives +0.0 here; accumulate starts from -0.0
+        total = ordered_sum(np.array([-0.0, -0.0]), axis=0)
+        assert total == 0.0 and np.signbit(total)
+        acc = 0.0
+        for v in (-0.0, -0.0):
+            acc += v
+        assert not np.signbit(acc)
 
     def test_columnwise_bit_equal_to_row_loop(self):
         rng = np.random.default_rng(10)
