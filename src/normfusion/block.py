@@ -15,8 +15,8 @@ only how each of the three sites meets its matmul:
     ln1, ln2: conventional normalizes the rows, multiplies them by each of
               the site's `BlockWeights.projections` and joins the outputs
               column-wise; fused makes one `fused_*norm_matmul` over the
-              site's folded, joined projections (`BlockWeights.folded`),
-              folded once per set of weights.
+              site's joined projections, folded in one call per site
+              (`BlockWeights.folded`), once per set of weights.
     softmax:  one evaluation over all heads: conventional multiplies
               `softmax_stable(scores)` by V; fused makes one
               `fused_softmax_matmul(scores, v)`. `scores` and `v` are
@@ -50,7 +50,6 @@ import numpy as np
 from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
-    _join_columns,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -113,7 +112,7 @@ class BlockConfig:
 
 @dataclass(frozen=True)
 class FoldedBlock:
-    """A block's norm-fed projections, folded and joined column-wise per site.
+    """A block's norm-fed projections, joined column-wise and folded, one read-only fold per site.
 
     ln1: Q|K|V (d_model x 3 d_model).
     ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
@@ -150,20 +149,20 @@ class BlockWeights:
                 object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
 
     @property
-    def projections(self) -> dict[str, dict[str, np.ndarray]]:
-        """Each norm-fed site's projections, keyed by weight name, in column order.
+    def projections(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Each norm-fed site's projections, in column order.
 
         standard-gelu: ln1 -> w_q, w_k, w_v; ln2 -> fc1.
         llama-swiglu:  ln1 -> w_q, w_k, w_v; ln2 -> w_gate, w_up.
         """
-        mlp_in = {"fc1": self.fc1} if self.mlp is None else {"w_gate": self.mlp.w_gate, "w_up": self.mlp.w_up}
-        return {"ln1": {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}, "ln2": mlp_in}
+        mlp_in = (self.fc1,) if self.mlp is None else (self.mlp.w_gate, self.mlp.w_up)
+        return {"ln1": (self.w_q, self.w_k, self.w_v), "ln2": mlp_in}
 
     @cached_property
     def folded(self) -> FoldedBlock:
-        """Each of `projections` folded on its own, then joined per site; computed once per weights."""
+        """Each site's `projections` joined column-wise and folded in one call; computed once per weights."""
         fold = fold_layernorm_linear if isinstance(self.ln1, LayerNormParams) else fold_rmsnorm_linear
-        return FoldedBlock(**{site: _join_columns([fold(getattr(self, site), m) for m in mats.values()])
+        return FoldedBlock(**{site: fold(getattr(self, site), np.hstack(mats))
                               for site, mats in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:
@@ -243,7 +242,7 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
             fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
             return fused_norm_matmul(rows, getattr(w.folded, site), p.epsilon)
         normed = (layernorm if gelu_block else rmsnorm)(rows, p)
-        return np.hstack([matmul(normed, m) for m in w.projections[site].values()])
+        return np.hstack([matmul(normed, m) for m in w.projections[site]])
 
     # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
     q, k, v = norm_site(x, "ln1").reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)

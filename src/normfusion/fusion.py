@@ -22,8 +22,10 @@ overlap them, and the simulator module quantifies the win.
 
 A fold makes no n x n factor and, beside the folded weight, only
 row-sized arrays: the layernorm fold's column sums are `matmul`s by a row
-(see `fold_layernorm_linear`). A finite F whose fold overflows float64
-raises a `ValueError` that names the fold.
+(see `fold_layernorm_linear`). Every step, and the layernorm fold's
+annihilation limit, is per column, so a norm site folds its joined
+projections (Q|K|V) in one call. A fold is read-only, and a finite F
+whose fold overflows float64 raises a `ValueError` that names the fold.
 
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
@@ -133,7 +135,7 @@ def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
 
 
 def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
-    """Fold layernorm's static pieces into the downstream weight matrix.
+    """Fold layernorm's static pieces into the downstream weight matrix, read-only.
 
     Row-scaling by gamma and column-centering realize
     (I - E/n) @ diag(gamma) @ F in O(n*m) without materializing the n x n
@@ -141,40 +143,36 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     the same rounded products, summed in index order from +0.0. Their
     means are subtracted in place from the scaled copy, so a column whose
     scaled entries are all -0.0 folds to -0.0. The result is checked
-    against the row-space annihilation invariant: `matmul` of the all-ones
-    row by it must be ~0. A finite F whose scaled entries, column sums,
-    centred entries or bias overflow float64 raises a `ValueError` naming
-    the overflow.
+    against the row-space annihilation invariant: column j of `matmul` of
+    the all-ones row by it must be at most 1e-10 * n * max(1, max |column j|).
+    Each step and limit is per column, so projections joined column-wise
+    fold to the bits of each folded alone. A finite F whose scaled entries,
+    column sums, centred entries, bias or ones-row sums overflow float64
+    raises a `ValueError` naming the overflow.
     """
     folded_weight = _scale_rows(p, f)
     with np.errstate(all="ignore"):  # a finite weight's overflow is named below
         folded_weight -= matmul(p.gamma, f) / p.n
-        w_max = max(folded_weight.max(), -folded_weight.min())  # NaN or inf where any entry is
+        col_max = np.maximum(folded_weight.max(axis=0), -folded_weight.min(axis=0))  # NaN or inf where any entry is
     folded_bias = matmul(p.beta, f)
-    if not (np.isfinite(w_max) and np.isfinite(folded_bias).all()):
+    if not (np.isfinite(col_max).all() and np.isfinite(folded_bias).all()
+            and np.isfinite(ones_image := matmul(np.ones(p.n), folded_weight)).all()):
         raise ValueError("layernorm fold: the folded weight or bias is non-finite (float64 overflow)")
 
-    ones_image = np.abs(matmul(np.ones(p.n), folded_weight))
-    limit = _FOLD_ANNIHILATION_TOL * max(1.0, float(w_max)) * p.n
-    if float(np.max(ones_image)) > limit:
+    if (np.abs(ones_image) > _FOLD_ANNIHILATION_TOL * p.n * np.maximum(1.0, col_max)).any():
         raise ValueError("folded weight does not annihilate constant inputs")
+    folded_weight.setflags(write=False)
+    folded_bias.setflags(write=False)
     return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
-    """Fold the RMSNorm scale vector into the downstream weight matrix; no bias; an overflow is named."""
+    """Fold the RMSNorm scale vector into the downstream weight matrix, read-only; no bias; an overflow is named."""
     folded_weight = _scale_rows(p, f)
     if not np.isfinite(folded_weight).all():
         raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
+    folded_weight.setflags(write=False)
     return FoldedLinear(folded_weight=folded_weight)
-
-
-def _join_columns(folds: list) -> FoldedLinear:
-    """Folded projections side by side as one read-only fold: the same columns, in one product."""
-    weight = np.hstack([f.folded_weight for f in folds])
-    weight.setflags(write=False)
-    biases = [f.folded_bias for f in folds if f.folded_bias is not None]
-    return FoldedLinear(folded_weight=weight, folded_bias=frozen_copy(np.hstack(biases)) if biases else None)
 
 
 def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
@@ -230,11 +228,11 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
 
 
 def silu(z) -> np.ndarray:
-    """z * sigmoid(z), branch-selected so exp never overflows."""
+    """z * sigmoid(z), branch-selected so exp never overflows; silu(-inf) is -inf * 0, NaN."""
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
-    with np.errstate(under="ignore"):  # past |z| ~ 708, exp's subnormal or 0 is correctly rounded
+    with np.errstate(under="ignore", invalid="ignore"):  # exp's subnormal or 0 past |z| ~ 708 is correctly rounded
         out[pos] = z[pos] / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
         out[~pos] = z[~pos] * ez / (1.0 + ez)
@@ -272,5 +270,5 @@ def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinea
         raise ValueError(f"down projection shape {np.shape(w_down)}, expected {(h, n)}")
     for fold in (gate_folded, up_folded):  # a layernorm fold is named by its kind, not by the join
         _fold_rows(x, fold, layernorm=False)
-    gate_up = _join_columns([gate_folded, up_folded])
+    gate_up = FoldedLinear(folded_weight=np.hstack([gate_folded.folded_weight, up_folded.folded_weight]))
     return swiglu(fused_rmsnorm_matmul(x, gate_up, epsilon), w_down)

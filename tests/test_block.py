@@ -386,11 +386,32 @@ def test_weights_fold_once(monkeypatch, variant):
     assert w.folded is w.folded
     first = run_fused(cfg, w, x)
     assert_array_equal(run_fused(cfg, w, x), first)
-    # each projection folded once, in its site's column order: Q, K, V, then fc1 or gate, up
+    # one fold per site, on its projections joined in column order: Q|K|V, then fc1 or gate|up
     mlp_in = [w.fc1] if variant == "standard-gelu" else [w.mlp.w_gate, w.mlp.w_up]
-    assert len(calls) == 3 + len(mlp_in)
-    for folded_from, m in zip(calls, [w.w_q, w.w_k, w.w_v, *mlp_in]):
-        assert_array_equal(folded_from, m)
+    assert len(calls) == 2
+    assert_array_equal(calls[0], np.hstack([w.w_q, w.w_k, w.w_v]))
+    assert_array_equal(calls[1], np.hstack(mlp_in))
+
+
+@pytest.mark.parametrize("kernel", ["einsum", "chunked"])
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_joined_fold_is_the_per_projection_folds_joined(request, variant, kernel):
+    """Each site folded in one call has the bits of each projection folded on its own, then joined."""
+    if kernel == "chunked":
+        request.getfixturevalue("chunked_kernel")
+    cfg = BlockConfig(d_model=12, n_heads=3, seq_len=2, mlp_hidden=20, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(52))
+    fold = fold_layernorm_linear if variant == "standard-gelu" else fold_rmsnorm_linear
+    for site, mats in w.projections.items():
+        folds = [fold(getattr(w, site), m) for m in mats]
+        compiled = getattr(w.folded, site)
+        expected = np.hstack([f.folded_weight for f in folds])
+        assert_array_equal(compiled.folded_weight.view(np.uint64), expected.view(np.uint64))
+        if variant == "standard-gelu":
+            expected = np.hstack([f.folded_bias for f in folds])
+            assert_array_equal(compiled.folded_bias.view(np.uint64), expected.view(np.uint64))
+        else:
+            assert compiled.folded_bias is None
 
 
 def _rebuilt_from_copies(w: BlockWeights) -> tuple[BlockWeights, list[np.ndarray]]:
@@ -430,8 +451,12 @@ def test_weights_are_private_and_read_only(variant):
         w.w_q[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         w.ln1.gamma[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        w.folded.ln2.folded_weight[0, 0] = 1.0
+    for site in ("ln1", "ln2"):
+        fold = getattr(w.folded, site)
+        for array in (fold.folded_weight, fold.folded_bias):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, ...] = 1.0
 
 
 def test_single_key_attention_is_value_projection():

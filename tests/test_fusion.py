@@ -120,6 +120,34 @@ class TestFoldLayernormLinear:
             fold_layernorm_linear(p, np.ones((3, 2)))
 
 
+def small_beside_large(seed: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """A (64, 8) projection of N(0,1)/8 plus a DC `offset`, and a (64, 8) neighbour of N(0,1)*1e6."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((64, 8)) / 8.0 + offset, rng.standard_normal((64, 8)) * 1e6
+
+
+class TestFoldAnnihilationLimit:
+    """Each column is checked against its own max, so a joined fold checks each projection as alone."""
+
+    P = LayerNormParams(gamma=np.ones(64), beta=np.zeros(64), epsilon=1e-5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_projection_rejected_beside_a_larger_one(self, seed):
+        # a DC offset of 1e6 leaves ones-row sums of a few times 1e-10 * n: past the small
+        # projection's own limit, not past one scaled by its neighbour's max of about 3e6
+        small, large = small_beside_large(seed, 1e6)
+        for f in (small, np.hstack([small, large])):
+            with pytest.raises(ValueError, match="^folded weight does not annihilate constant inputs$"):
+                fold_layernorm_linear(self.P, f)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_offset_folds_alone_and_joined_to_the_same_bits(self, seed):
+        small, large = small_beside_large(seed, 1e4)
+        joined = fold_layernorm_linear(self.P, np.hstack([small, large])).folded_weight
+        alone = fold_layernorm_linear(self.P, small).folded_weight
+        assert_array_equal(joined[:, :8].view(np.uint64), alone.view(np.uint64))
+
+
 def fold_by_column_loop(p: LayerNormParams, f: np.ndarray) -> np.ndarray:
     """diag(gamma) @ F less its column sums / n, each sum a Python loop from +0.0 in row order."""
     scaled = p.gamma[:, np.newaxis] * f
@@ -191,6 +219,8 @@ FOLD_OVERFLOWS = {
     "centred entry": (np.ones(3), np.zeros(3), np.array([[1.7e308], [-1.7e308], [-1.7e308]])),
     # beta @ F is 4e310
     "bias": (np.ones(4), np.full(4, 1e300), np.full((4, 2), 1e10)),
+    # the fold is finite, +-1.275e308, but the annihilation check's ones-row sum overflows
+    "ones-row sum": (np.ones(4), np.zeros(4), np.array([[0.85e308], [0.85e308], [-1.7e308], [-1.7e308]])),
 }
 
 
@@ -381,6 +411,16 @@ class TestFoldRmsnormLinear:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((3, 2)))
+
+
+def test_folds_are_read_only():
+    rng = np.random.default_rng(32)
+    f = rng.standard_normal((4, 3))
+    ln = fold_layernorm_linear(LayerNormParams(gamma=rng.uniform(0.5, 1.5, 4), beta=np.ones(4), epsilon=1e-5), f)
+    rms = fold_rmsnorm_linear(RmsNormParams(gamma=rng.uniform(0.5, 1.5, 4)), f)
+    for array in (ln.folded_weight, ln.folded_bias, rms.folded_weight):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 1.0
 
 
 class TestFusedRmsnormMatmul:
@@ -603,6 +643,15 @@ class TestSwiglu:
     def test_width_other_than_twice_down_rows_rejected(self):
         with pytest.raises(ValueError, match="does not match down projection rows 4"):
             swiglu(np.ones((2, 7)), np.ones((4, 5)))
+
+    @pytest.mark.parametrize("errors", ["default", "strict"])
+    def test_negative_infinite_gate_named_by_the_product_scan(self, request, errors):
+        # silu(-inf) is -inf * 0: NaN, quietly, so `matmul`'s output scan names the input
+        if errors == "strict":
+            request.getfixturevalue("strict_fp")
+        assert not np.isfinite(silu(np.array([-np.inf]))).any()
+        with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+            swiglu(np.array([[-np.inf, 1.0, 2.0, 3.0]]), np.ones((2, 3)))
 
     def test_subnormal_gate_times_up_is_exact_under_strict_errors(self, strict_fp):
         # silu(gate) * up below 2.2e-308 rounds to the correctly rounded subnormal, not an error
