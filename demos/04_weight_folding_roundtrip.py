@@ -49,7 +49,7 @@ for site, entry in sites.items():
     m = entry["folded_weight"]
     from_disk = FoldedLinear(folded_weight=np.array(m["data"]).reshape(m["rows"], m["cols"]),
                              folded_bias=np.array(entry["folded_bias"]))
-    in_memory = getattr(weights.folded, site)
+    in_memory = weights.folded[site]
     exact = (np.array_equal(from_disk.folded_weight.view(np.uint64), in_memory.folded_weight.view(np.uint64))
              and np.array_equal(from_disk.folded_bias.view(np.uint64), in_memory.folded_bias.view(np.uint64)))
     run_exact = np.array_equal(fused_layernorm_matmul(x, from_disk, cfg.epsilon_ln),

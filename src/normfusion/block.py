@@ -12,11 +12,12 @@ matrix multiplication, so each is a fusion site:
 `run_conventional` and `run_fused` are one block body; `fused` changes
 only how each of the three sites meets its matmul:
 
-    ln1, ln2: conventional normalizes the rows, multiplies them by each of
-              the site's `BlockWeights.projections` and joins the outputs
-              column-wise; fused makes one `fused_*norm_matmul` over the
-              site's joined projections, folded in one call per site
-              (`BlockWeights.folded`), once per set of weights.
+    ln1, ln2: `_norm_site`: conventional normalizes the rows, multiplies
+              them by each of the site's `BlockWeights.projections` and
+              joins the outputs column-wise; fused makes one
+              `fused_*norm_matmul` by the site's `_fold_site`, made once per
+              set of weights (`BlockWeights.folded`). `normfusion verify`
+              checks each norm site through these two functions.
     softmax:  one evaluation over all heads: conventional multiplies
               `softmax_stable(scores)` by V; fused makes one
               `fused_softmax_matmul(scores, v)`. `scores` and `v` are
@@ -42,8 +43,10 @@ the product.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +68,6 @@ __all__ = [
     "SITES",
     "BlockConfig",
     "BlockWeights",
-    "FoldedBlock",
     "random_block_weights",
     "run_conventional",
     "run_fused",
@@ -111,18 +113,6 @@ class BlockConfig:
 
 
 @dataclass(frozen=True)
-class FoldedBlock:
-    """A block's norm-fed projections, joined column-wise and folded, one read-only fold per site.
-
-    ln1: Q|K|V (d_model x 3 d_model).
-    ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
-    """
-
-    ln1: FoldedLinear
-    ln2: FoldedLinear
-
-
-@dataclass(frozen=True)
 class BlockWeights:
     """Projection weights plus per-variant norm params and MLP weights.
 
@@ -159,11 +149,14 @@ class BlockWeights:
         return {"ln1": (self.w_q, self.w_k, self.w_v), "ln2": mlp_in}
 
     @cached_property
-    def folded(self) -> FoldedBlock:
-        """Each site's `projections` joined column-wise and folded in one call; computed once per weights."""
-        fold = fold_layernorm_linear if isinstance(self.ln1, LayerNormParams) else fold_rmsnorm_linear
-        return FoldedBlock(**{site: fold(getattr(self, site), np.hstack(mats))
-                              for site, mats in self.projections.items()})
+    def folded(self) -> Mapping[str, FoldedLinear]:
+        """Read-only {site: `_fold_site` of its norm and `projections`}; computed once per weights.
+
+        ln1: Q|K|V (d_model x 3 d_model).
+        ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
+        """
+        return MappingProxyType({site: _fold_site(getattr(self, site), mats)
+                                 for site, mats in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:
         n, h = cfg.d_model, cfg.mlp_hidden
@@ -226,6 +219,28 @@ def gelu(z) -> np.ndarray:
         return 0.5 * z * (1.0 + np.tanh(inner))
 
 
+# A norm site's algebra, written once for the block, its folds and `normfusion verify`.
+# Each call goes through this module's globals, so a rebound fold, norm or matmul reaches all three.
+def _fold_site(p: LayerNormParams | RmsNormParams, mats) -> FoldedLinear:
+    """The norm's fold of the site's projections joined column-wise; the type of `p` picks the fold."""
+    fold = fold_layernorm_linear if isinstance(p, LayerNormParams) else fold_rmsnorm_linear
+    return fold(p, np.hstack(mats))
+
+
+def _norm_site(rows, p: LayerNormParams | RmsNormParams, mats, fold: FoldedLinear | None = None) -> np.ndarray:
+    """The site's projections `mats` of its rows normalized by `p`, joined column-wise.
+
+    Conventional, with no `fold`: the norm, then `matmul` by each
+    projection, joined. Given the site's fold, `_fold_site(p, mats)`: one
+    fused evaluation, the norm deferred past the product.
+    """
+    is_layernorm = isinstance(p, LayerNormParams)
+    if fold is not None:
+        return (fused_layernorm_matmul if is_layernorm else fused_rmsnorm_matmul)(rows, fold, p.epsilon)
+    normed = (layernorm if is_layernorm else rmsnorm)(rows, p)
+    return np.hstack([matmul(normed, m) for m in mats])
+
+
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     """The block, written once; `fused` changes only how each site meets its matmul."""
     x = as_matrix(x)
@@ -233,28 +248,20 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
         raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
     w.validate(cfg)
     n = cfg.d_model
-    gelu_block = cfg.variant == "standard-gelu"
-
-    def norm_site(rows: np.ndarray, site: str) -> np.ndarray:
-        """The site's projections of its normalized rows, joined column-wise."""
-        p = getattr(w, site)
-        if fused:
-            fused_norm_matmul = fused_layernorm_matmul if gelu_block else fused_rmsnorm_matmul
-            return fused_norm_matmul(rows, getattr(w.folded, site), p.epsilon)
-        normed = (layernorm if gelu_block else rmsnorm)(rows, p)
-        return np.hstack([matmul(normed, m) for m in w.projections[site]])
+    projections, folds = w.projections, (w.folded if fused else {})
 
     # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
-    q, k, v = norm_site(x, "ln1").reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
+    qkv = _norm_site(x, w.ln1, projections["ln1"], folds.get("ln1"))
+    q, k, v = qkv.reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
     with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
         scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
     heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
     hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
 
-    pre_act = norm_site(hidden, "ln2")
-    if gelu_block:
+    pre_act = _norm_site(hidden, w.ln2, projections["ln2"], folds.get("ln2"))
+    if cfg.variant == "standard-gelu":
         return hidden + matmul(gelu(pre_act), w.fc2)
-    # fused, the deferred 1/rms is already applied, as silu needs (see fused_rmsnorm_llama_mlp)
+    # fused, the deferred 1/rms is already applied, as silu needs: scalars do not commute past it
     return hidden + swiglu(pre_act, w.mlp.w_down)
 
 

@@ -3,7 +3,8 @@ and compile-time weight folding.
 
 All reports are JSON on stdout; progress chatter goes to stderr and can be
 silenced with --quiet. Exit codes: 0 success, 1 numerical/acceptance
-failure, 2 usage or config error. Given the same config and seed, repeated
+failure, 2 usage or config error, an input that cannot be read or an output
+that cannot be written included. Given the same config and seed, repeated
 runs produce byte-identical reports.
 """
 
@@ -17,15 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import build_graph, random_block_weights, run_conventional, run_fused
-from .fusion import (
-    fold_layernorm_linear,
-    fold_rmsnorm_linear,
-    fused_layernorm_matmul,
-    fused_rmsnorm_llama_mlp,
-    fused_softmax_matmul,
-    swiglu,
-)
+from .block import _fold_site, _norm_site, build_graph, random_block_weights, run_conventional, run_fused
+from .fusion import fused_softmax_matmul, swiglu
 from .jsonio import (
     SCHEMA_VERSION,
     ConfigError,
@@ -38,8 +32,9 @@ from .jsonio import (
     save_folded_weights,
     timeline_csv,
     timeline_rows,
+    write_text,
 )
-from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
+from .norms import LayerNormParams, RmsNormParams, softmax_stable
 from .simulator import compare, schedule
 from .tensor import matmul, max_rel_error
 
@@ -56,79 +51,62 @@ def default_config_path(name: str = "llama7b_sim") -> Path:
     return path
 
 
-def _site_rng(seed: int, site_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, site_index, trial])
+def _norm_site_pair(x, p, mats) -> tuple[np.ndarray, np.ndarray]:
+    """A norm site through the block's own site code: conventional, then fused on its fold."""
+    return _norm_site(x, p, mats), _norm_site(x, p, mats, _fold_site(p, mats))
 
 
-def _verify_layernorm_linear(rc: RunConfig, trial: int) -> float:
-    rng = _site_rng(rc.seed, 0, trial)
-    n = rc.block.d_model
+def _layernorm_linear(rng, cfg):
+    n = cfg.d_model
     x = rng.standard_normal(n)
     params = LayerNormParams(
         gamma=rng.uniform(0.5, 1.5, size=n),
         beta=rng.standard_normal(n) * 0.1,
-        epsilon=rc.block.epsilon_ln,
+        epsilon=cfg.epsilon_ln,
     )
-    f = rng.standard_normal((n, n)) / np.sqrt(n)
-    expected = matmul(layernorm(x, params), f)
-    actual = fused_layernorm_matmul(x, fold_layernorm_linear(params, f), params.epsilon)
-    return max_rel_error(actual, expected)
+    return _norm_site_pair(x, params, (rng.standard_normal((n, n)) / np.sqrt(n),))
 
 
-def _verify_softmax_matmul(rc: RunConfig, trial: int) -> float:
-    rng = _site_rng(rc.seed, 1, trial)
-    n = rc.block.d_model
+def _softmax_matmul(rng, cfg):
+    n = cfg.d_model
     x = rng.uniform(-1e3, 1e3, size=n)
     v = rng.standard_normal((n, n)) / np.sqrt(n)
-    expected = matmul(softmax_stable(x), v)
-    actual = fused_softmax_matmul(x, v)
-    return max_rel_error(actual, expected)
+    return matmul(softmax_stable(x), v), fused_softmax_matmul(x, v)
 
 
-def _verify_rmsnorm_llama_mlp(rc: RunConfig, trial: int) -> float:
-    rng = _site_rng(rc.seed, 2, trial)
-    n, h = rc.block.d_model, rc.block.mlp_hidden
+def _rmsnorm_llama_mlp(rng, cfg):
+    n, h = cfg.d_model, cfg.mlp_hidden
     x = rng.standard_normal(n)
-    params = RmsNormParams(gamma=rng.uniform(0.5, 1.5, size=n), epsilon=rc.block.epsilon_ln)
+    params = RmsNormParams(gamma=rng.uniform(0.5, 1.5, size=n), epsilon=cfg.epsilon_ln)
     w_gate = rng.standard_normal((n, h)) / np.sqrt(n)
     w_up = rng.standard_normal((n, h)) / np.sqrt(n)
     w_down = rng.standard_normal((h, n)) / np.sqrt(h)
-
-    normed = rmsnorm(x, params)  # conventional: normalize, project, then the shared tail
-    expected = swiglu(np.hstack([matmul(normed, w_gate), matmul(normed, w_up)]), w_down)
-    actual = fused_rmsnorm_llama_mlp(
-        x,
-        fold_rmsnorm_linear(params, w_gate),
-        fold_rmsnorm_linear(params, w_up),
-        w_down,
-        params.epsilon,
-    )
-    return max_rel_error(actual, expected)
+    return tuple(swiglu(out, w_down) for out in _norm_site_pair(x, params, (w_gate, w_up)))  # the shared tail
 
 
-def _verify_full_block(rc: RunConfig, trial: int) -> float:
-    rng = _site_rng(rc.seed, 3, trial)
-    cfg = rc.block
+def _full_block(rng, cfg):
     weights = random_block_weights(cfg, rng)
     x = rng.standard_normal((cfg.seq_len, cfg.d_model))
-    return max_rel_error(run_fused(cfg, weights, x), run_conventional(cfg, weights, x))
+    return run_conventional(cfg, weights, x), run_fused(cfg, weights, x)
 
 
-# The verified sites and their checks, in report order.
+# The verified sites, in report order. Each entry draws a trial's inputs from its
+# rng, keyed [seed, site index, trial], and returns the site's (conventional, fused) pair.
 VERIFY_SITES = {
-    "layernorm_linear": _verify_layernorm_linear,
-    "softmax_matmul": _verify_softmax_matmul,
-    "rmsnorm_llama_mlp": _verify_rmsnorm_llama_mlp,
-    "full_block": _verify_full_block,
+    "layernorm_linear": _layernorm_linear,
+    "softmax_matmul": _softmax_matmul,
+    "rmsnorm_llama_mlp": _rmsnorm_llama_mlp,
+    "full_block": _full_block,
 }
 
 
 def cmd_verify(rc: RunConfig, quiet: bool) -> int:
     sites = {}
     all_pass = True
-    for name, check in VERIFY_SITES.items():
+    for index, (name, site_pair) in enumerate(VERIFY_SITES.items()):
+        pairs = (site_pair(np.random.default_rng([rc.seed, index, trial]), rc.block) for trial in range(rc.trials))
         # np.max, unlike max(), propagates a NaN from any trial, so the site fails
-        worst = float(np.max([check(rc, trial) for trial in range(rc.trials)]))
+        worst = float(np.max([max_rel_error(fused, conventional) for conventional, fused in pairs]))
         ok = worst <= rc.tolerance
         all_pass = all_pass and ok
         # JSON has no NaN or infinity: a non-finite error is written as null
@@ -190,7 +168,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     if csv_base is not None:
         for name, graph in graphs.items():
             out = _csv_path(csv_base, name, both=(mode == "both"))
-            out.write_text(timeline_csv(graph, timelines[name]))
+            write_text(out, timeline_csv(graph, timelines[name]), "timeline CSV")
             report.setdefault("csv", []).append(str(out))
 
     sys.stdout.write(dumps_report(report))
@@ -200,7 +178,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
 def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> int:
     cfg = rc.block
     # exactly the per-site folds `run_fused` multiplies by
-    sites = vars(load_block_weights(weights_in, cfg).folded)
+    sites = dict(load_block_weights(weights_in, cfg).folded)
     save_folded_weights(weights_out, cfg, sites)
     if not quiet:
         print(f"fold: wrote {len(sites)} folded site(s) to {weights_out}", file=sys.stderr)

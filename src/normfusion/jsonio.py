@@ -62,6 +62,8 @@ class RunConfig:
         # negatives are malformed, and so is infinity, which would pass every site.
         if not (self.tolerance >= 0 and self.tolerance < np.inf):
             raise ConfigError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
+        if not isinstance(self.notes, str):  # every report echoes it as a string
+            raise ConfigError(f"notes must be a string, got {self.notes!r}")
 
 
 def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
@@ -90,6 +92,15 @@ def _read_json(path: str, what: str) -> Any:
         raise ConfigError(f"cannot read {what}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{what} is not valid JSON: {e}") from e
+
+
+def write_text(path, text: str, what: str) -> None:
+    """Write `text` to `path`; a path that cannot be written is a ConfigError naming `what`."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {what}: {e}") from e
 
 
 def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -163,19 +174,20 @@ def _norm_json(p: LayerNormParams | RmsNormParams) -> dict:
     return entry
 
 
+def _save_weight_file(path: str, cfg: BlockConfig, kind: str, **sections) -> None:
+    """One weight document: the shared envelope, then `sections`, indented by 2, with a trailing newline."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "variant": cfg.variant, **sections}
+    write_text(path, json.dumps(doc, indent=2) + "\n", f"{kind} file")
+
+
 def save_block_weights(path: str, cfg: BlockConfig, w: BlockWeights) -> None:
     w.validate(cfg)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "block-weights",
-        "variant": cfg.variant,
-        "matrices": {name: _matrix_json(getattr(w.mlp if name in _GATED_MLP else w, name))
-                     for name in _MATRICES[cfg.variant]},
-        "norms": {"ln1": _norm_json(w.ln1), "ln2": _norm_json(w.ln2)},
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _save_weight_file(
+        path, cfg, "block-weights",
+        matrices={name: _matrix_json(getattr(w.mlp if name in _GATED_MLP else w, name))
+                  for name in _MATRICES[cfg.variant]},
+        norms={"ln1": _norm_json(w.ln1), "ln2": _norm_json(w.ln2)},
+    )
 
 
 def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
@@ -216,15 +228,7 @@ def save_folded_weights(path: str, cfg: BlockConfig, sites: dict[str, FoldedLine
         if fold.folded_bias is not None:
             entry["folded_bias"] = _vector_json(fold.folded_bias)
         entries[name] = entry
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "folded-weights",
-        "variant": cfg.variant,
-        "sites": entries,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _save_weight_file(path, cfg, "folded-weights", sites=entries)
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,8 @@ import normfusion.block
 from normfusion.block import (
     BlockConfig,
     BlockWeights,
+    _fold_site,
+    _norm_site,
     build_graph,
     gelu,
     random_block_weights,
@@ -404,7 +406,7 @@ def test_joined_fold_is_the_per_projection_folds_joined(request, variant, kernel
     fold = fold_layernorm_linear if variant == "standard-gelu" else fold_rmsnorm_linear
     for site, mats in w.projections.items():
         folds = [fold(getattr(w, site), m) for m in mats]
-        compiled = getattr(w.folded, site)
+        compiled = w.folded[site]
         expected = np.hstack([f.folded_weight for f in folds])
         assert_array_equal(compiled.folded_weight.view(np.uint64), expected.view(np.uint64))
         if variant == "standard-gelu":
@@ -412,6 +414,48 @@ def test_joined_fold_is_the_per_projection_folds_joined(request, variant, kernel
             assert_array_equal(compiled.folded_bias.view(np.uint64), expected.view(np.uint64))
         else:
             assert compiled.folded_bias is None
+
+
+@pytest.mark.parametrize("kernel", ["einsum", "chunked"])
+@pytest.mark.parametrize("rank", [1, 2], ids=["row", "stack"])
+@pytest.mark.parametrize("norm", ["layernorm", "rmsnorm"])
+def test_norm_site_is_the_public_kernels(request, norm, rank, kernel):
+    """The block's site evaluation has the bits of the public norm, matmul, fold and fused evaluator."""
+    if kernel == "chunked":
+        request.getfixturevalue("chunked_kernel")
+    rng = np.random.default_rng(54)
+    n = 12
+    if norm == "layernorm":
+        p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5)
+        norm_fn, fold_fn, fused_fn = layernorm, fold_layernorm_linear, fused_layernorm_matmul
+    else:
+        p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, n), epsilon=1e-5)
+        norm_fn, fold_fn, fused_fn = rmsnorm, fold_rmsnorm_linear, fused_rmsnorm_matmul
+    mats = tuple(rng.standard_normal((n, m)) for m in (5, 7, 3))
+    x = rng.standard_normal((4, n)[2 - rank:]) + 100.0
+
+    normed = norm_fn(x, p)
+    expected = np.hstack([matmul(normed, m) for m in mats])
+    assert_array_equal(_norm_site(x, p, mats).view(np.uint64), expected.view(np.uint64))
+
+    fold, public_fold = _fold_site(p, mats), fold_fn(p, np.hstack(mats))
+    assert_array_equal(fold.folded_weight.view(np.uint64), public_fold.folded_weight.view(np.uint64))
+    assert (fold.folded_bias is None) == (public_fold.folded_bias is None)
+    if fold.folded_bias is not None:
+        assert_array_equal(fold.folded_bias.view(np.uint64), public_fold.folded_bias.view(np.uint64))
+    expected = fused_fn(x, public_fold, p.epsilon)
+    assert_array_equal(_norm_site(x, p, mats, fold).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_folded_is_a_read_only_site_mapping(variant):
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(55))
+    assert list(w.folded) == list(w.projections)
+    with pytest.raises(TypeError):
+        w.folded["ln1"] = w.folded["ln2"]
+    with pytest.raises(TypeError):
+        del w.folded["ln2"]
 
 
 def _rebuilt_from_copies(w: BlockWeights) -> tuple[BlockWeights, list[np.ndarray]]:
@@ -452,7 +496,7 @@ def test_weights_are_private_and_read_only(variant):
     with pytest.raises(ValueError, match="read-only"):
         w.ln1.gamma[0] = 1.0
     for site in ("ln1", "ln2"):
-        fold = getattr(w.folded, site)
+        fold = w.folded[site]
         for array in (fold.folded_weight, fold.folded_bias):
             if array is not None:
                 with pytest.raises(ValueError, match="read-only"):

@@ -17,8 +17,15 @@ import normfusion
 from normfusion import cli
 from normfusion.block import BlockConfig, random_block_weights
 from normfusion.cli import default_config_path, main
-from normfusion.fusion import FoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
+from normfusion.fusion import (
+    FoldedLinear,
+    fold_rmsnorm_linear,
+    fused_layernorm_matmul,
+    fused_rmsnorm_llama_mlp,
+    fused_rmsnorm_matmul,
+)
 from normfusion.jsonio import ConfigError, dumps_report, load_block_weights, load_config, save_block_weights
+from normfusion.norms import RmsNormParams
 from normfusion.simulator import schedule
 
 SCHEMA = json.loads((default_config_path().parent / "report.schema.json").read_text())
@@ -99,8 +106,9 @@ class TestVerify:
         assert report["pass"] is False
 
     def test_nan_in_a_later_trial_fails_the_site(self, tmp_path, capsys, monkeypatch):
-        errors = iter([1e-15, float("nan")])
-        monkeypatch.setitem(cli.VERIFY_SITES, "softmax_matmul", lambda rc, trial: next(errors))
+        # a (conventional, fused) pair with error about 1e-15, then one whose fused result is NaN
+        pairs = iter([(np.ones(2), np.ones(2) + 1e-15), (np.ones(2), np.full(2, np.nan))])
+        monkeypatch.setitem(cli.VERIFY_SITES, "softmax_matmul", lambda rng, cfg: next(pairs))
         code, out, _ = run_cli(capsys, "verify", small_config(tmp_path, trials=2), "--quiet")
         assert code == 1
         report = strict_json(out)
@@ -109,6 +117,45 @@ class TestVerify:
         assert site["max_rel_err"] is None and site["pass"] is False
         assert report["equivalence"]["layernorm_linear"]["pass"] is True
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("notes", [5, None, [], {}], ids=["number", "null", "array", "object"])
+    def test_non_string_notes_is_config_error(self, tmp_path, capsys, notes):
+        # every report echoes notes, and the report schema takes only a string
+        path = Path(small_config(tmp_path))
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), notes=notes)))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"notes must be a string, got {notes!r}" in err
+
+    @pytest.mark.parametrize("kernel", ["einsum", "chunked"])
+    def test_rmsnorm_llama_mlp_is_the_public_fused_mlp(self, request, kernel):
+        """The site's fused value, through the block's site code, has the bits of `fused_rmsnorm_llama_mlp`."""
+        if kernel == "chunked":
+            request.getfixturevalue("chunked_kernel")
+        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24, variant="llama-swiglu")
+        for trial in range(3):
+            _, fused = cli.VERIFY_SITES["rmsnorm_llama_mlp"](np.random.default_rng([7, 2, trial]), cfg)
+            rng = np.random.default_rng([7, 2, trial])  # the same draws, in the same order
+            n, h = cfg.d_model, cfg.mlp_hidden
+            x = rng.standard_normal(n)
+            params = RmsNormParams(gamma=rng.uniform(0.5, 1.5, size=n), epsilon=cfg.epsilon_ln)
+            w_gate, w_up = (rng.standard_normal((n, h)) / np.sqrt(n) for _ in range(2))
+            w_down = rng.standard_normal((h, n)) / np.sqrt(h)
+            expected = fused_rmsnorm_llama_mlp(x, fold_rmsnorm_linear(params, w_gate),
+                                               fold_rmsnorm_linear(params, w_up), w_down, params.epsilon)
+            assert_array_equal(fused.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+    def test_report_is_the_same_on_the_chunked_kernel(self, request, tmp_path, capsys, variant):
+        doc = json.loads(default_config_path("verify_small").read_text())
+        doc["block"]["variant"], doc["trials"] = variant, 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path), "--quiet")
+        assert (code, err) == (0, "")
+        request.getfixturevalue("chunked_kernel")
+        assert run_cli(capsys, "verify", str(path), "--quiet") == (code, out, err)
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -float("inf")])
     def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, tolerance):
@@ -343,7 +390,7 @@ class TestFold:
         x = np.random.default_rng(5).standard_normal((cfg.seq_len, cfg.d_model))
         for site, entry in fold_file_entries(wout).items():
             assert_array_equal(fused_norm_matmul(x, fold_type(**entry), cfg.epsilon_ln),
-                               fused_norm_matmul(x, getattr(weights.folded, site), cfg.epsilon_ln))
+                               fused_norm_matmul(x, weights.folded[site], cfg.epsilon_ln))
 
     def test_fold_file_matches_compiled_block(self, setup, capsys):
         # the file holds exactly the per-site folds the fused block multiplies by
@@ -354,7 +401,7 @@ class TestFold:
         parsed = fold_file_entries(wout)
         assert list(parsed) == ["ln1", "ln2"]
         for site, entry in parsed.items():
-            compiled = getattr(weights.folded, site)
+            compiled = weights.folded[site]
             assert list(entry) == [f.name for f in dataclasses.fields(compiled) if getattr(compiled, f.name) is not None]
             for field, array in entry.items():
                 assert_array_equal(array.view(np.uint64), getattr(compiled, field).view(np.uint64))
@@ -439,6 +486,35 @@ class TestUsage:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "verify", small_config(tmp_path), "--seed", "-3")
         assert code == 2
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error: named on stderr, no report."""
+
+    @pytest.mark.parametrize("command", [
+        ["fold"], ["simulate", "--both", "--csv"], ["simulate", "--fused", "--csv"],
+    ], ids=" ".join)
+    def test_missing_directory_exits_2(self, tmp_path, capsys, command):
+        cfg_path = small_config(tmp_path)
+        missing = tmp_path / "missing"
+        if command == ["fold"]:
+            cfg = load_config(cfg_path).block
+            win = tmp_path / "weights.json"
+            save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
+            argv = ["fold", cfg_path, str(win), str(missing / "folded.json")]
+        else:
+            argv = [command[0], cfg_path, *command[1:], str(missing / "tl.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+        assert not missing.exists()
+
+    def test_weight_writer_names_the_file(self, tmp_path):
+        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24)
+        with pytest.raises(ConfigError, match="cannot write block-weights file"):
+            save_block_weights(str(tmp_path / "missing" / "w.json"), cfg,
+                               random_block_weights(cfg, np.random.default_rng(99)))
 
 
 class TestRepeatedCalls:
