@@ -12,17 +12,21 @@ matrix multiplication, so each is a fusion site:
 `run_conventional` and `run_fused` are one block body; `fused` changes
 only how each of the three sites meets its matmul:
 
-    ln1, ln2: `_norm_site`: conventional normalizes the rows, multiplies
-              them by each of the site's `BlockWeights.projections` and
-              joins the outputs column-wise; fused makes one
-              `fused_*norm_matmul` by the site's `_fold_site`, made once per
-              set of weights (`BlockWeights.folded`). `normfusion verify`
-              checks each norm site through these two functions.
+    ln1, ln2: `_norm_site`: conventional normalizes the rows and makes
+              one product by the site's matrix in `BlockWeights.projections`
+              (Q|K|V, or the MLP's input projections, stored joined); fused
+              makes one `fused_*norm_matmul` by the site's `_fold_site`,
+              made once per set of weights (`BlockWeights.folded`).
+              `normfusion verify` checks each norm site through these two
+              functions.
     softmax:  one evaluation over all heads: conventional multiplies
               `softmax_stable(scores)` by V; fused makes one
               `fused_softmax_matmul(scores, v)`. `scores` and `v` are
               stacks per head (heads, seq, ...), as `build_graph`'s one
               softmax collective covers every head.
+
+No score is masked: every token attends to every token, later ones
+included, so the block is bidirectional, not causal.
 
 The Q/K/V split, the heads, the residuals and the MLP tail (`gelu` then
 `fc2`, or `fusion.swiglu`) are written once, so the two outputs differ
@@ -43,6 +47,7 @@ the product.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,6 +89,20 @@ SITES = ("ln1", "softmax", "ln2")
 NODE_KINDS = ("elementwise", "collective", "matmul")
 
 
+def _integer(v) -> int | None:
+    """`v` as a plain int where it is an integer (`operator.index` takes it) and not a bool, else None.
+
+    A bool is an int to Python but not a count, and a numpy integer is
+    stored as a plain int, so a config echoes as JSON integers.
+    """
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class BlockConfig:
     d_model: int
@@ -96,8 +115,9 @@ class BlockConfig:
     def __post_init__(self):
         for name in ("d_model", "n_heads", "seq_len", "mlp_hidden"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if (i := _integer(v)) is None or i < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, i)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
@@ -120,7 +140,9 @@ class BlockWeights:
     llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights.
 
     Every array is a private read-only copy, so `folded`, computed on
-    first use, can never go stale.
+    first use, can never go stale. Q, K and V are copied once, joined:
+    `w_qkv` is the (n, 3n) Q|K|V matrix the ln1 site multiplies by, and
+    `w_q`, `w_k` and `w_v` are its column views.
     """
 
     w_q: np.ndarray
@@ -132,31 +154,40 @@ class BlockWeights:
     fc1: np.ndarray | None = None
     fc2: np.ndarray | None = None
     mlp: LlamaMlpWeights | None = None
+    w_qkv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("w_q", "w_k", "w_v", "w_o", "fc1", "fc2"):
+        qkv = [as_matrix(getattr(self, name)) for name in ("w_q", "w_k", "w_v")]
+        if len({m.shape[0] for m in qkv}) > 1:
+            raise ValueError(f"w_q, w_k and w_v row counts differ: {[m.shape[0] for m in qkv]}")
+        joined = np.hstack(qkv)  # a new array: the private copy
+        joined.setflags(write=False)
+        object.__setattr__(self, "w_qkv", joined)
+        views = np.split(joined, np.cumsum([m.shape[1] for m in qkv[:2]]), axis=1)
+        for name, view in zip(("w_q", "w_k", "w_v"), views):
+            object.__setattr__(self, name, view)
+        for name in ("w_o", "fc1", "fc2"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
 
     @property
-    def projections(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """Each norm-fed site's projections, in column order.
+    def projections(self) -> dict[str, np.ndarray]:
+        """Each norm-fed site's one matrix: its projections joined in column order, stored so.
 
-        standard-gelu: ln1 -> w_q, w_k, w_v; ln2 -> fc1.
-        llama-swiglu:  ln1 -> w_q, w_k, w_v; ln2 -> w_gate, w_up.
+        standard-gelu: ln1 -> w_qkv (Q|K|V); ln2 -> fc1.
+        llama-swiglu:  ln1 -> w_qkv (Q|K|V); ln2 -> mlp.w_gate_up (gate|up).
         """
-        mlp_in = (self.fc1,) if self.mlp is None else (self.mlp.w_gate, self.mlp.w_up)
-        return {"ln1": (self.w_q, self.w_k, self.w_v), "ln2": mlp_in}
+        return {"ln1": self.w_qkv, "ln2": self.fc1 if self.mlp is None else self.mlp.w_gate_up}
 
     @cached_property
     def folded(self) -> Mapping[str, FoldedLinear]:
-        """Read-only {site: `_fold_site` of its norm and `projections`}; computed once per weights.
+        """Read-only {site: `_fold_site` of its norm and `projections` matrix}; computed once per weights.
 
         ln1: Q|K|V (d_model x 3 d_model).
         ln2: fc1 (d_model x mlp_hidden), or gate|up (d_model x 2 mlp_hidden).
         """
-        return MappingProxyType({site: _fold_site(getattr(self, site), mats)
-                                 for site, mats in self.projections.items()})
+        return MappingProxyType({site: _fold_site(getattr(self, site), mat)
+                                 for site, mat in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:
         n, h = cfg.d_model, cfg.mlp_hidden
@@ -208,37 +239,46 @@ _GELU_SQRT_2_OVER_PI = 0.7978845608028654
 
 
 def gelu(z) -> np.ndarray:
-    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call."""
+    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call.
+
+    Two new arrays carry every step, in the formula's order; `z` is never written.
+    """
     z = np.asarray(z, dtype=np.float64)
     # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
     # and the result is the exact limit, z or -0.0. Below |z| ~ 2.8e-103 the
     # cube, and near the subnormal range 0.5 * z, round to a subnormal or 0:
     # correctly rounded, not an error.
     with np.errstate(over="ignore", under="ignore"):
-        inner = _GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))
-        return 0.5 * z * (1.0 + np.tanh(inner))
+        t = z * z
+        t *= z
+        t *= 0.044715
+        t += z
+        t *= _GELU_SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+        t += 1.0
+        out = 0.5 * z
+        out *= t
+    return out
 
 
 # A norm site's algebra, written once for the block, its folds and `normfusion verify`.
 # Each call goes through this module's globals, so a rebound fold, norm or matmul reaches all three.
-def _fold_site(p: LayerNormParams | RmsNormParams, mats) -> FoldedLinear:
-    """The norm's fold of the site's projections joined column-wise; the type of `p` picks the fold."""
-    fold = fold_layernorm_linear if isinstance(p, LayerNormParams) else fold_rmsnorm_linear
-    return fold(p, np.hstack(mats))
+def _fold_site(p: LayerNormParams | RmsNormParams, mat) -> FoldedLinear:
+    """The norm's fold of the site's matrix, its projections joined column-wise; the type of `p` picks the fold."""
+    return (fold_layernorm_linear if isinstance(p, LayerNormParams) else fold_rmsnorm_linear)(p, mat)
 
 
-def _norm_site(rows, p: LayerNormParams | RmsNormParams, mats, fold: FoldedLinear | None = None) -> np.ndarray:
-    """The site's projections `mats` of its rows normalized by `p`, joined column-wise.
+def _norm_site(rows, p: LayerNormParams | RmsNormParams, mat, fold: FoldedLinear | None = None) -> np.ndarray:
+    """The site's matrix `mat` applied to its rows normalized by `p`: one product either way.
 
-    Conventional, with no `fold`: the norm, then `matmul` by each
-    projection, joined. Given the site's fold, `_fold_site(p, mats)`: one
-    fused evaluation, the norm deferred past the product.
+    Conventional, with no `fold`: the norm, then one `matmul` by `mat`.
+    Given the site's fold, `_fold_site(p, mat)`: one fused evaluation, the
+    norm deferred past the product.
     """
     is_layernorm = isinstance(p, LayerNormParams)
     if fold is not None:
         return (fused_layernorm_matmul if is_layernorm else fused_rmsnorm_matmul)(rows, fold, p.epsilon)
-    normed = (layernorm if is_layernorm else rmsnorm)(rows, p)
-    return np.hstack([matmul(normed, m) for m in mats])
+    return matmul((layernorm if is_layernorm else rmsnorm)(rows, p), mat)
 
 
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
@@ -254,15 +294,17 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     qkv = _norm_site(x, w.ln1, projections["ln1"], folds.get("ln1"))
     q, k, v = qkv.reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
     with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
-        scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
+        scores = matmul(q, k.transpose(0, 2, 1))
+        scores *= 1.0 / math.sqrt(cfg.d_head)
     heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
-    hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
+    hidden = matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
+    hidden += x  # the residual: x + attention, IEEE addition being commutative
 
     pre_act = _norm_site(hidden, w.ln2, projections["ln2"], folds.get("ln2"))
-    if cfg.variant == "standard-gelu":
-        return hidden + matmul(gelu(pre_act), w.fc2)
     # fused, the deferred 1/rms is already applied, as silu needs: scalars do not commute past it
-    return hidden + swiglu(pre_act, w.mlp.w_down)
+    out = matmul(gelu(pre_act), w.fc2) if cfg.variant == "standard-gelu" else swiglu(pre_act, w.mlp.w_down)
+    out += hidden
+    return out
 
 
 def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:

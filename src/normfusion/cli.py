@@ -51,9 +51,9 @@ def default_config_path(name: str = "llama7b_sim") -> Path:
     return path
 
 
-def _norm_site_pair(x, p, mats) -> tuple[np.ndarray, np.ndarray]:
+def _norm_site_pair(x, p, mat) -> tuple[np.ndarray, np.ndarray]:
     """A norm site through the block's own site code: conventional, then fused on its fold."""
-    return _norm_site(x, p, mats), _norm_site(x, p, mats, _fold_site(p, mats))
+    return _norm_site(x, p, mat), _norm_site(x, p, mat, _fold_site(p, mat))
 
 
 def _layernorm_linear(rng, cfg):
@@ -64,7 +64,7 @@ def _layernorm_linear(rng, cfg):
         beta=rng.standard_normal(n) * 0.1,
         epsilon=cfg.epsilon_ln,
     )
-    return _norm_site_pair(x, params, (rng.standard_normal((n, n)) / np.sqrt(n),))
+    return _norm_site_pair(x, params, rng.standard_normal((n, n)) / np.sqrt(n))
 
 
 def _softmax_matmul(rng, cfg):
@@ -78,10 +78,9 @@ def _rmsnorm_llama_mlp(rng, cfg):
     n, h = cfg.d_model, cfg.mlp_hidden
     x = rng.standard_normal(n)
     params = RmsNormParams(gamma=rng.uniform(0.5, 1.5, size=n), epsilon=cfg.epsilon_ln)
-    w_gate = rng.standard_normal((n, h)) / np.sqrt(n)
-    w_up = rng.standard_normal((n, h)) / np.sqrt(n)
+    w_gate_up = np.hstack([rng.standard_normal((n, h)) / np.sqrt(n) for _ in range(2)])  # gate, then up
     w_down = rng.standard_normal((h, n)) / np.sqrt(h)
-    return tuple(swiglu(out, w_down) for out in _norm_site_pair(x, params, (w_gate, w_up)))  # the shared tail
+    return tuple(swiglu(out, w_down) for out in _norm_site_pair(x, params, w_gate_up))  # the shared tail
 
 
 def _full_block(rng, cfg):

@@ -55,7 +55,7 @@ the same steps the block's fused path takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,20 +106,30 @@ class FoldedLinear:
 
 @dataclass(frozen=True)
 class LlamaMlpWeights:
-    """Gated MLP weights: up-projection, gate, and down-projection."""
+    """Gated MLP weights: up-projection, gate, and down-projection.
+
+    Gate and up are stored once, joined: `w_gate_up` is a private
+    read-only (n, 2h) copy, and `w_gate` and `w_up` are its column views,
+    so the site's one product reads the join with no further copy.
+    """
 
     w_gate: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
+    w_gate_up: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("w_gate", "w_up", "w_down"):
-            object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
-        n, h = self.w_gate.shape
-        if self.w_up.shape != (n, h):
-            raise ValueError(f"w_up shape {self.w_up.shape} != w_gate shape {(n, h)}")
-        if self.w_down.shape != (h, n):
-            raise ValueError(f"w_down shape {self.w_down.shape}, expected {(h, n)}")
+        gate, up, down = (as_matrix(getattr(self, name)) for name in ("w_gate", "w_up", "w_down"))
+        n, h = gate.shape
+        if up.shape != (n, h):
+            raise ValueError(f"w_up shape {up.shape} != w_gate shape {(n, h)}")
+        if down.shape != (h, n):
+            raise ValueError(f"w_down shape {down.shape}, expected {(h, n)}")
+        gate_up = np.hstack([gate, up])  # a new array: the private copy
+        gate_up.setflags(write=False)
+        for name, value in (("w_gate_up", gate_up), ("w_gate", gate_up[:, :h]), ("w_up", gate_up[:, h:]),
+                            ("w_down", frozen_copy(down))):
+            object.__setattr__(self, name, value)
 
 
 def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
@@ -197,7 +207,9 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
 
     variance = moments(rows).variance           # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
-    return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
+    projected /= np.sqrt(variance + epsilon)[..., np.newaxis]
+    projected += fl.folded_bias
+    return projected
 
 
 def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
@@ -205,7 +217,8 @@ def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarr
     rows = _fold_rows(x, rfl, layernorm=False)
     r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
     projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
-    return projected / r
+    projected /= r
+    return projected
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -224,7 +237,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     numerators, denominator = softmax_numerators(rows)  # denominator: collective task
     projected = matmul(numerators, v)                   # matmul task, overlappable
     with np.errstate(under="ignore"):  # a product of subnormal numerators
-        return projected / denominator[..., np.newaxis]
+        projected /= denominator[..., np.newaxis]
+    return projected
 
 
 def silu(z) -> np.ndarray:
@@ -249,8 +263,10 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     h = np.shape(w_down)[0]
     if gate_up.shape[-1:] != (2 * h,):
         raise ValueError(f"gate|up shape {gate_up.shape} does not match down projection rows {h}")
+    gated = silu(gate_up[..., :h])
     with np.errstate(under="ignore"):  # a subnormal silu(gate) * up is correctly rounded
-        return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
+        gated *= gate_up[..., h:]
+    return matmul(gated, w_down)
 
 
 def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .block import BlockConfig, BlockWeights
+from .block import BlockConfig, BlockWeights, _integer
 from .fusion import FoldedLinear, LlamaMlpWeights
 from .norms import LayerNormParams, RmsNormParams
 from .simulator import CostModel, LatencyReport, Timeline
@@ -54,10 +54,11 @@ class RunConfig:
     notes: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        for name, least, kind in (("seed", 0, "non-negative"), ("trials", 1, "positive")):
+            v = getattr(self, name)
+            if (i := _integer(v)) is None or i < least:
+                raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
+            object.__setattr__(self, name, i)
         # tolerance 0 is accepted (and will fail verification numerically);
         # negatives are malformed, and so is infinity, which would pass every site.
         if not (self.tolerance >= 0 and self.tolerance < np.inf):

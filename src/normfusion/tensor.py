@@ -11,14 +11,16 @@ multiply-add; the one kernel here that might fuse them runs only where a
 probe shows that it does not.
 
 `matmul` has two exact kernels, picked once at import:
-- `_summing_einsum` is one `np.einsum("hmk,hkn->hmn")`, a 2-D product
-  lifted to a batch of one. With C-contiguous operands and n >= 2,
-  numpy's iterator runs k outside an inner loop of
-  `out[j] += a * b[j]`, so each product goes straight into its output
-  element in index order, starting from +0.0. A transposed view, a
-  Fortran-order operand or n == 1 would make k the inner loop, whose sum
-  is reassociated, so operands are copied to C order where they are not
-  in it, and a one-column `b` is padded with a zero column.
+- `_summing_einsum` is one `np.einsum("hkm,hkn->hmn")`, a 2-D product
+  lifted to a batch of one, with `a` copied to C order as (h, k, m). With
+  n >= 2, numpy's iterator orders the axes (h, k, m, n): k runs
+  outermost and an inner loop of `out[j] += a * b[j]` runs over n, so
+  each product goes straight into its output element in index order,
+  starting from +0.0, and each row of `b` is read once for all m rows of
+  `a`. The copy of `a` is the activations', never the weight's. A
+  transposed view or Fortran-order `b`, or n == 1, would make k the inner
+  loop, whose sum is reassociated, so `b` is copied to C order where it
+  is not in it, and a one-column `b` is padded with a zero column.
 - That is the triple loop's arithmetic only if the loop does not fuse the
   multiply and the add, and some builds do (NEON implements it with a
   fused multiply-add). So `_sums_in_order` runs the einsum kernel on trap
@@ -173,16 +175,15 @@ def matmul(a, b) -> np.ndarray:
     2-D products over the batch. One row runs as a one-row stack.
 
     Where the import-time probe found numpy's summing `einsum` exact
-    (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call, which writes
-    each product straight into its output element. The probe runs that
-    kernel on traps a fused multiply-add, any other summation order, a
-    -0.0 start or mixing slices of a batch would round differently, and
-    compares the bits with a triple loop. The kernel copies operands to C
-    order and pads a one-column `b` to two columns, because a transposed
-    view, a Fortran-order operand or n == 1 makes numpy run the inner
-    dimension as its inner loop, which it reassociates. Elsewhere `matmul`
-    is `_chunked_matmul`, which forms the products a chunk at a time in a
-    buffer and adds them in index order.
+    (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call. It runs the
+    inner dimension outermost, in the axis order (h, k, m, n), on a copy
+    of `a` as (h, k, m), so each row of `b` is read once for all rows of
+    `a` and each product goes straight into its output element. The probe
+    runs that kernel on traps a fused multiply-add, any other summation
+    order, a -0.0 start or mixing slices of a batch would round
+    differently, and compares the bits with a triple loop. Elsewhere
+    `matmul` is `_chunked_matmul`, which forms the products a chunk at a
+    time in a buffer and adds them in index order.
 
     Both operands must be finite. The shape checks run first; then the
     product is computed and its output scanned once (see the module
@@ -219,27 +220,31 @@ def _check_operands(a, b) -> None:
 
 
 def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as one `einsum("hmk,hkn->hmn")`, in index order where the probe says so.
+    """a @ b as one `einsum("hkm,hkn->hmn")`, in index order where the probe says so.
 
     `a` and `b` are both 2-D, lifted to a batch of one, or both 3-D, and
-    the result has their rank. `einsum` starts the output at +0.0. With
-    both operands C-contiguous and n >= 2, numpy's iterator orders the
-    axes (h, m, k, n): its inner loop is `out[j] += a * b[j]` over n, and k
-    runs outside it in ascending order, each slice of the batch on its own
-    operands. Unless the loop fuses the multiply and the add, those are
-    the triple loop's IEEE operations. Other layouts can make k the inner
+    the result has their rank. `a` is copied to C order as (h, k, m), its
+    rows' transpose, and `b` is C order. `einsum` starts the output at
+    +0.0, and numpy's iterator orders the axes (h, k, m, n): its inner
+    loop is `out[j] += a * b[j]` over n, and k runs outermost in ascending
+    order, each slice of the batch on its own operands. So each row of
+    `b` is read once for all m rows, while the m x n output block stays in
+    cache. Unless the loop fuses the multiply and the add, those are the
+    triple loop's IEEE operations. Other layouts can make k the inner
     loop, where the sum is reassociated: a transposed view or a
-    Fortran-order operand does, and so does n == 1. So both operands are
-    copied to C order where they are not in it, and a one-column `b` is
-    padded with a zero column, whose results are dropped. Memory beyond
-    the output is those copies, and none for C-contiguous operands with
-    n >= 2. No BLAS call is made (`optimize=False`).
+    Fortran-order `b` does, and so can n == 1 (with m == 1 too, k is the
+    only axis left). So `b` is copied to C order where it is not in it, and
+    a one-column `b` is padded with a zero column, whose results are
+    dropped. Memory beyond the output is the copy of `a` (m*k float64 per
+    slice) and those of `b`, none for a C-contiguous `b` with n >= 2. No
+    BLAS call is made (`optimize=False`).
     """
     x, y = (a[np.newaxis], b[np.newaxis]) if a.ndim == 2 else (a, b)
     n = y.shape[-1]
     if n == 1:
         y = np.concatenate([y, np.zeros_like(y)], axis=-1)
-    out = np.einsum("hmk,hkn->hmn", np.ascontiguousarray(x), np.ascontiguousarray(y), optimize=False)
+    out = np.einsum("hkm,hkn->hmn", np.ascontiguousarray(x.transpose(0, 2, 1)), np.ascontiguousarray(y),
+                    optimize=False)
     if n == 1:
         out = out[..., :1].copy()
     return out.reshape(a.shape[:-1] + (n,))

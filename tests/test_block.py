@@ -404,7 +404,8 @@ def test_joined_fold_is_the_per_projection_folds_joined(request, variant, kernel
     cfg = BlockConfig(d_model=12, n_heads=3, seq_len=2, mlp_hidden=20, variant=variant)
     w = random_block_weights(cfg, np.random.default_rng(52))
     fold = fold_layernorm_linear if variant == "standard-gelu" else fold_rmsnorm_linear
-    for site, mats in w.projections.items():
+    mlp_in = (w.fc1,) if variant == "standard-gelu" else (w.mlp.w_gate, w.mlp.w_up)
+    for site, mats in {"ln1": (w.w_q, w.w_k, w.w_v), "ln2": mlp_in}.items():
         folds = [fold(getattr(w, site), m) for m in mats]
         compiled = w.folded[site]
         expected = np.hstack([f.folded_weight for f in folds])
@@ -432,19 +433,20 @@ def test_norm_site_is_the_public_kernels(request, norm, rank, kernel):
         p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, n), epsilon=1e-5)
         norm_fn, fold_fn, fused_fn = rmsnorm, fold_rmsnorm_linear, fused_rmsnorm_matmul
     mats = tuple(rng.standard_normal((n, m)) for m in (5, 7, 3))
+    joined = np.hstack(mats)  # a site's one matrix, its projections joined column-wise
     x = rng.standard_normal((4, n)[2 - rank:]) + 100.0
 
     normed = norm_fn(x, p)
     expected = np.hstack([matmul(normed, m) for m in mats])
-    assert_array_equal(_norm_site(x, p, mats).view(np.uint64), expected.view(np.uint64))
+    assert_array_equal(_norm_site(x, p, joined).view(np.uint64), expected.view(np.uint64))
 
-    fold, public_fold = _fold_site(p, mats), fold_fn(p, np.hstack(mats))
+    fold, public_fold = _fold_site(p, joined), fold_fn(p, joined)
     assert_array_equal(fold.folded_weight.view(np.uint64), public_fold.folded_weight.view(np.uint64))
     assert (fold.folded_bias is None) == (public_fold.folded_bias is None)
     if fold.folded_bias is not None:
         assert_array_equal(fold.folded_bias.view(np.uint64), public_fold.folded_bias.view(np.uint64))
     expected = fused_fn(x, public_fold, p.epsilon)
-    assert_array_equal(_norm_site(x, p, mats, fold).view(np.uint64), expected.view(np.uint64))
+    assert_array_equal(_norm_site(x, p, joined, fold).view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
@@ -501,6 +503,38 @@ def test_weights_are_private_and_read_only(variant):
             if array is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, ...] = 1.0
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_joined_projections_are_read_only_views_of_one_buffer(variant):
+    """Q|K|V and gate|up are each stored once; each site's `projections` entry is that one matrix."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    rng = np.random.default_rng(56)
+    q, k, v, gate, up = (rng.standard_normal((8, cols)) for cols in (8, 8, 8, 12, 12))
+    w = random_block_weights(cfg, rng)
+    mlp = None if w.mlp is None else LlamaMlpWeights(w_gate=gate, w_up=up, w_down=w.mlp.w_down)
+    w = dataclasses.replace(w, w_q=q, w_k=k, w_v=v, mlp=mlp)
+    assert w.w_qkv.shape == (8, 24) and not w.w_qkv.flags.writeable
+    for view, source in zip((w.w_q, w.w_k, w.w_v), (q, k, v)):
+        assert np.shares_memory(view, w.w_qkv) and not view.flags.writeable
+        assert_array_equal(view, source)
+    assert_array_equal(w.w_qkv, np.hstack([q, k, v]))
+    ln2 = w.fc1
+    if variant == "llama-swiglu":
+        assert mlp.w_gate_up.shape == (8, 24) and not mlp.w_gate_up.flags.writeable
+        for view, source in zip((mlp.w_gate, mlp.w_up), (gate, up)):
+            assert np.shares_memory(view, mlp.w_gate_up) and not view.flags.writeable
+            assert_array_equal(view, source)
+        ln2 = mlp.w_gate_up
+    assert list(w.projections) == ["ln1", "ln2"]
+    assert w.projections["ln1"] is w.w_qkv and w.projections["ln2"] is ln2
+
+
+def test_projections_with_differing_row_counts_rejected():
+    ln = LayerNormParams(gamma=np.ones(4), beta=np.zeros(4), epsilon=1e-5)
+    with pytest.raises(ValueError, match=re.escape("w_q, w_k and w_v row counts differ: [4, 4, 5]")):
+        BlockWeights(w_q=np.ones((4, 4)), w_k=np.ones((4, 4)), w_v=np.ones((5, 4)), w_o=np.ones((4, 4)),
+                     ln1=ln, ln2=ln, fc1=np.ones((4, 8)), fc2=np.ones((8, 4)))
 
 
 def test_single_key_attention_is_value_projection():
@@ -603,6 +637,23 @@ def test_config_validation():
         BlockConfig(d_model=8, n_heads=4, seq_len=2, mlp_hidden=8, variant="post-ln")
     with pytest.raises(ValueError, match="positive"):
         BlockConfig(d_model=8, n_heads=4, seq_len=0, mlp_hidden=8)
+
+
+COUNTS = {"d_model": 8, "n_heads": 4, "seq_len": 2, "mlp_hidden": 8}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0])
+@pytest.mark.parametrize("name", COUNTS)
+def test_config_count_that_is_not_an_integer_rejected(name, value):
+    # a bool is an int to Python: True was accepted as 1
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+        BlockConfig(**dict(COUNTS, **{name: value}))
+
+
+def test_config_counts_take_numpy_integers_as_plain_ints():
+    cfg = BlockConfig(**{name: np.int64(v) if name != "n_heads" else np.uint8(v) for name, v in COUNTS.items()})
+    assert [type(getattr(cfg, name)) for name in COUNTS] == [int] * 4
+    assert dataclasses.astuple(cfg)[:4] == tuple(COUNTS.values()) and cfg.d_head == 2
 
 
 # --------------------------------------------------------------------------

@@ -257,6 +257,28 @@ class TestVerify:
         assert "verify:" in err
 
 
+class TestIntegerFields:
+    """Run-config counts: a bool is refused, and any integer `operator.index` takes is stored as a plain int."""
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("name,kind", [("seed", "non-negative"), ("trials", "positive")])
+    def test_boolean_rejected(self, tmp_path, name, kind, value):
+        # "seed": true in a report is not an integer to report.schema.json
+        rc = load_config(small_config(tmp_path))
+        with pytest.raises(ConfigError, match=f"^{name} must be a {kind} integer, got {value!r}$"):
+            dataclasses.replace(rc, **{name: value})
+
+    def test_numpy_integers_give_a_valid_report(self, tmp_path, capsys):
+        rc = load_config(small_config(tmp_path))
+        rc = dataclasses.replace(rc, seed=np.int64(7), trials=np.uint8(2),
+                                 block=dataclasses.replace(rc.block, d_model=np.int64(16), seq_len=np.int32(4)))
+        assert [type(v) for v in (rc.seed, rc.trials, rc.block.d_model, rc.block.seq_len)] == [int] * 4
+        assert cli.cmd_verify(rc, quiet=True) == 0
+        report = strict_json(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert (report["seed"], report["trials"], report["config"]["block"]["d_model"]) == (7, 2, 16)
+
+
 class TestSimulate:
     def test_default_config_hits_target_band(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", str(default_config_path("llama7b_sim")), "--quiet")

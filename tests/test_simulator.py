@@ -10,6 +10,8 @@ out cycle-by-cycle in the comments.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
 
 from normfusion.block import BlockConfig, Node, OpGraph, build_graph, site_subgraph
@@ -288,6 +290,26 @@ class TestCompare:
             rep = compare(build_graph(cfg, fused=False), build_graph(cfg, fused=True), cm)
             assert rep.fused_total <= rep.conventional_total
             assert 0.0 <= rep.speedup_percent < 100.0
+
+    # Deferral can hide at most the collectives' own latency: in integers,
+    # conventional - fused <= the sum of the conventional graph's collective
+    # latencies, whatever the shape and cost model, with or without sync.
+    @given(
+        variant=st.sampled_from(["standard-gelu", "llama-swiglu"]),
+        heads=st.integers(1, 8), d_head=st.integers(1, 32), seq=st.integers(1, 256),
+        mlp_hidden=st.integers(1, 1024),
+        matrix_rate=st.floats(1.0, 1e5), vector_rate=st.floats(1.0, 1e4),
+        alpha=st.floats(0.0, 1e6), beta=st.floats(0.0, 1e5),
+        sync=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    )
+    def test_saving_is_at_most_the_conventional_collectives(self, variant, heads, d_head, seq, mlp_hidden,
+                                                            matrix_rate, vector_rate, alpha, beta, sync):
+        cfg = BlockConfig(d_model=heads * d_head, n_heads=heads, seq_len=seq, mlp_hidden=mlp_hidden, variant=variant)
+        cm = CostModel(matrix_macs_per_cycle=matrix_rate, vector_elems_per_cycle=vector_rate,
+                       collective_alpha=alpha, collective_beta=beta, sync_overhead=sync)
+        conv = build_graph(cfg, fused=False)
+        collectives = sum(node_latency(n, cm) for n in conv.nodes if n.kind == "collective")
+        assert schedule(conv, cm).total - schedule(build_graph(cfg, fused=True), cm).total <= collectives
 
     def test_mismatched_inputs_rejected(self):
         cfg = BlockConfig(d_model=8, n_heads=2, seq_len=4, mlp_hidden=16)
