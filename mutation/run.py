@@ -61,23 +61,22 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "joined_projections"),
            "Q|K|V is joined in that order and its views are the constructor's inputs"),
     Mutant("gate-up-join-order", "fusion.py",
-           "np.hstack([gate, up])", "np.hstack([up, gate])",
+           "frozen_join([gate, up])", "frozen_join([up, gate])",
            ("tests/test_block.py", "-k", "joined_projections"),
            "gate|up is joined in that order and its views are the constructor's inputs"),
     Mutant("gelu-writes-its-input", "block.py",
-           "        out = 0.5 * z\n", "        out = np.multiply(z, 0.5, out=z)\n",
-           ("tests/test_in_place.py", "-k", "gelu"),
-           "gelu's in-place steps write only the arrays it made"),
-    Mutant("layernorm-scales-x-in-place", "norms.py",
-           "        dev = x - mean[..., np.newaxis]\n",
-           "        dev = np.subtract(x, mean[..., np.newaxis], out=x)\n",
-           ("tests/test_in_place.py", "-k", "layernorm and never_written"),
-           "layernorm scales its own deviations, never the caller's rows"),
+           "return 0.5 * z * (", "return np.multiply(z, 0.5, out=z) * (",
+           ("tests/test_inputs_kept.py", "-k", "gelu"),
+           "gelu never writes its caller's array"),
+    Mutant("layernorm-centres-x-in-place", "norms.py",
+           "(x - st.mean[..., np.newaxis])", "np.subtract(x, st.mean[..., np.newaxis], out=x)",
+           ("tests/test_inputs_kept.py", "-k", "layernorm"),
+           "layernorm centres a new array, never the caller's rows"),
     Mutant("softmax-shifts-x-in-place", "norms.py",
-           "numerators = x - np.max(x, axis=-1, keepdims=True)",
-           "numerators = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=x)",
-           ("tests/test_in_place.py", "-k", "softmax and never_written"),
-           "the softmax exponentiates its own shifted copy, never the caller's logits"),
+           "np.exp(x - np.max(x, axis=-1, keepdims=True))",
+           "np.exp(np.subtract(x, np.max(x, axis=-1, keepdims=True), out=x))",
+           ("tests/test_inputs_kept.py", "-k", "softmax"),
+           "the softmax shifts a new array, never the caller's logits"),
     Mutant("whole-matrix-softmax-max", "norms.py",
            "np.max(x, axis=-1, keepdims=True)", "np.max(x)",
            ("tests/test_norms.py", "tests/test_fusion.py", "-k", "softmax"),
@@ -95,8 +94,8 @@ MUTANTS = (
            "        if False:  # a JSON true/false",
            ("tests/test_cli.py", "-k", "boolean"),
            "a JSON true/false is not the number 1/0"),
-    Mutant("booleans-pass-as-config-counts", "block.py",
-           "    if isinstance(v, bool):\n        return None\n", "",
+    Mutant("booleans-pass-as-config-counts", "tensor.py",
+           "    if isinstance(v, (bool, np.bool_)):\n        return None\n", "",
            ("tests/test_block.py", "tests/test_cli.py", "-k", "count or IntegerFields"),
            "a bool is not a count, in a config file or in code"),
     Mutant("numpy-integer-stored-as-is", "block.py",

@@ -47,7 +47,6 @@ the product.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,7 +65,7 @@ from .fusion import (
     swiglu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import as_matrix, frozen_copy, matmul
+from .tensor import _integer, as_matrix, frozen_copy, frozen_join, matmul
 
 __all__ = [
     "VARIANTS",
@@ -87,20 +86,6 @@ VARIANTS = ("standard-gelu", "llama-swiglu")
 SITES = ("ln1", "softmax", "ln2")
 
 NODE_KINDS = ("elementwise", "collective", "matmul")
-
-
-def _integer(v) -> int | None:
-    """`v` as a plain int where it is an integer (`operator.index` takes it) and not a bool, else None.
-
-    A bool is an int to Python but not a count, and a numpy integer is
-    stored as a plain int, so a config echoes as JSON integers.
-    """
-    if isinstance(v, bool):
-        return None
-    try:
-        return operator.index(v)
-    except TypeError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -160,10 +145,8 @@ class BlockWeights:
         qkv = [as_matrix(getattr(self, name)) for name in ("w_q", "w_k", "w_v")]
         if len({m.shape[0] for m in qkv}) > 1:
             raise ValueError(f"w_q, w_k and w_v row counts differ: {[m.shape[0] for m in qkv]}")
-        joined = np.hstack(qkv)  # a new array: the private copy
-        joined.setflags(write=False)
+        joined, views = frozen_join(qkv)
         object.__setattr__(self, "w_qkv", joined)
-        views = np.split(joined, np.cumsum([m.shape[1] for m in qkv[:2]]), axis=1)
         for name, view in zip(("w_q", "w_k", "w_v"), views):
             object.__setattr__(self, name, view)
         for name in ("w_o", "fc1", "fc2"):
@@ -239,26 +222,15 @@ _GELU_SQRT_2_OVER_PI = 0.7978845608028654
 
 
 def gelu(z) -> np.ndarray:
-    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call.
-
-    Two new arrays carry every step, in the formula's order; `z` is never written.
-    """
+    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call."""
     z = np.asarray(z, dtype=np.float64)
     # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
     # and the result is the exact limit, z or -0.0. Below |z| ~ 2.8e-103 the
     # cube, and near the subnormal range 0.5 * z, round to a subnormal or 0:
     # correctly rounded, not an error.
     with np.errstate(over="ignore", under="ignore"):
-        t = z * z
-        t *= z
-        t *= 0.044715
-        t += z
-        t *= _GELU_SQRT_2_OVER_PI
-        np.tanh(t, out=t)
-        t += 1.0
-        out = 0.5 * z
-        out *= t
-    return out
+        inner = _GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))
+        return 0.5 * z * (1.0 + np.tanh(inner))
 
 
 # A norm site's algebra, written once for the block, its folds and `normfusion verify`.
@@ -294,17 +266,15 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     qkv = _norm_site(x, w.ln1, projections["ln1"], folds.get("ln1"))
     q, k, v = qkv.reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
     with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
-        scores = matmul(q, k.transpose(0, 2, 1))
-        scores *= 1.0 / math.sqrt(cfg.d_head)
+        scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
     heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
-    hidden = matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
-    hidden += x  # the residual: x + attention, IEEE addition being commutative
+    hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
 
     pre_act = _norm_site(hidden, w.ln2, projections["ln2"], folds.get("ln2"))
+    if cfg.variant == "standard-gelu":
+        return hidden + matmul(gelu(pre_act), w.fc2)
     # fused, the deferred 1/rms is already applied, as silu needs: scalars do not commute past it
-    out = matmul(gelu(pre_act), w.fc2) if cfg.variant == "standard-gelu" else swiglu(pre_act, w.mlp.w_down)
-    out += hidden
-    return out
+    return hidden + swiglu(pre_act, w.mlp.w_down)
 
 
 def run_conventional(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:

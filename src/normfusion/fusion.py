@@ -60,7 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
-from .tensor import _check_operands, _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy, matmul
+from .tensor import (_check_operands, _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy,
+                     frozen_join, matmul)
 
 __all__ = [
     "FoldedLinear",
@@ -125,10 +126,8 @@ class LlamaMlpWeights:
             raise ValueError(f"w_up shape {up.shape} != w_gate shape {(n, h)}")
         if down.shape != (h, n):
             raise ValueError(f"w_down shape {down.shape}, expected {(h, n)}")
-        gate_up = np.hstack([gate, up])  # a new array: the private copy
-        gate_up.setflags(write=False)
-        for name, value in (("w_gate_up", gate_up), ("w_gate", gate_up[:, :h]), ("w_up", gate_up[:, h:]),
-                            ("w_down", frozen_copy(down))):
+        gate_up, (gate, up) = frozen_join([gate, up])
+        for name, value in (("w_gate_up", gate_up), ("w_gate", gate), ("w_up", up), ("w_down", frozen_copy(down))):
             object.__setattr__(self, name, value)
 
 
@@ -207,9 +206,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
 
     variance = moments(rows).variance           # collective task
     projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
-    projected /= np.sqrt(variance + epsilon)[..., np.newaxis]
-    projected += fl.folded_bias
-    return projected
+    return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
 
 
 def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
@@ -217,8 +214,7 @@ def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarr
     rows = _fold_rows(x, rfl, layernorm=False)
     r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
     projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
-    projected /= r
-    return projected
+    return projected / r
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -237,8 +233,7 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     numerators, denominator = softmax_numerators(rows)  # denominator: collective task
     projected = matmul(numerators, v)                   # matmul task, overlappable
     with np.errstate(under="ignore"):  # a product of subnormal numerators
-        projected /= denominator[..., np.newaxis]
-    return projected
+        return projected / denominator[..., np.newaxis]
 
 
 def silu(z) -> np.ndarray:
@@ -263,10 +258,8 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     h = np.shape(w_down)[0]
     if gate_up.shape[-1:] != (2 * h,):
         raise ValueError(f"gate|up shape {gate_up.shape} does not match down projection rows {h}")
-    gated = silu(gate_up[..., :h])
     with np.errstate(under="ignore"):  # a subnormal silu(gate) * up is correctly rounded
-        gated *= gate_up[..., h:]
-    return matmul(gated, w_down)
+        return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
 
 
 def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,

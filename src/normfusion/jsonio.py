@@ -20,10 +20,11 @@ from typing import Any
 
 import numpy as np
 
-from .block import BlockConfig, BlockWeights, _integer
+from .block import BlockConfig, BlockWeights
 from .fusion import FoldedLinear, LlamaMlpWeights
 from .norms import LayerNormParams, RmsNormParams
 from .simulator import CostModel, LatencyReport, Timeline
+from .tensor import _integer
 
 __all__ = [
     "ConfigError",

@@ -15,15 +15,12 @@ head. The fused evaluators take their collective values from these same
 functions, so the conventional and fused paths divide by bit-identical
 scalars by construction.
 
-Those three are the only implementations of the reductions: `rmsnorm` and
-the fused evaluators check shapes and call them, and `layernorm` calls
-`_moments`, the body of `moments`, to scale the deviations it already
-formed. The element-wise passes write only arrays the kernel has just
-made, never the caller's input. By the one finiteness rule (see
-`tensor`), `moments` and `root_mean_square` scan their per-row results,
-computed under `np.errstate(all="ignore")`, as a NaN or infinity makes
-its row's result non-finite for good; softmax scans its input, as a -inf
-logit gives a finite result.
+Those three are the only implementations of the reductions: `layernorm`,
+`rmsnorm` and the fused evaluators check shapes and call them. By the one
+finiteness rule (see `tensor`), `moments` and `root_mean_square` scan
+their per-row results, computed under `np.errstate(all="ignore")`, as a
+NaN or infinity makes its row's result non-finite for good; softmax
+scans its input, as a -inf logit gives a finite result.
 """
 
 from __future__ import annotations
@@ -100,22 +97,6 @@ class MomentStats:
     variance: float | np.ndarray
 
 
-def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of `x`: the mean, the deviations x - mean as a new array, and the population variance.
-
-    The one implementation of layernorm's reduction: `moments` reports the
-    mean and variance, and `layernorm` scales the deviations in place.
-    """
-    n = x.shape[-1]
-    with np.errstate(all="ignore"):
-        mean = ordered_sum(x, axis=-1) / n
-        dev = x - mean[..., np.newaxis]
-        variance = ordered_sum(dev * dev, axis=-1) / n
-    if not np.isfinite(variance).all():  # a non-finite input, or a finite row's sums overflowed
-        _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
-    return mean, dev, variance
-
-
 def moments(x) -> MomentStats:
     """Mean and population variance (divisor n) of a row, per row of a stack.
 
@@ -123,24 +104,25 @@ def moments(x) -> MomentStats:
     same sqrt(variance + eps), and a sample-variance mismatch here would
     silently break fused/conventional equivalence.
     """
-    mean, _, variance = _moments(_rows(x))
+    x = _rows(x)
+    n = x.shape[-1]
+    with np.errstate(all="ignore"):
+        mean = ordered_sum(x, axis=-1) / n
+        dev = x - mean[..., np.newaxis]
+        variance = ordered_sum(dev * dev, axis=-1) / n
+    if not np.isfinite(variance).all():  # a non-finite input, or a finite row's sums overflowed
+        _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
     return MomentStats(mean=mean, variance=variance)
 
 
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
-    """(x - mean) / sqrt(variance + eps) * gamma + beta, per row.
-
-    The deviations are a new array, scaled in place: the caller's `x` is
-    never written.
-    """
+    """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
     x = _rows(x)
     _require_width(x, p.n, "params length")
-    _, out, variance = _moments(x)
+    st = moments(x)
+    denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
     with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
-        out /= np.sqrt(variance + p.epsilon)[..., np.newaxis]
-        out *= p.gamma
-        out += p.beta
-    return out
+        return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:
@@ -171,9 +153,7 @@ def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
     _require_width(x, p.n, "params length")
     r = root_mean_square(x, p.epsilon)[..., np.newaxis]
     with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
-        out = x / r
-        out *= p.gamma
-    return out
+        return (x / r) * p.gamma
 
 
 def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
@@ -189,8 +169,7 @@ def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
     # far below the max a numerator rounds to a subnormal or 0, and a shift
     # past -1.8e308 to -inf gives 0: each correctly rounded, not an error
     with np.errstate(over="ignore", under="ignore"):
-        numerators = x - np.max(x, axis=-1, keepdims=True)  # a new array, exponentiated in place
-        np.exp(numerators, out=numerators)
+        numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return numerators, ordered_sum(numerators, axis=-1)
 
 
@@ -198,5 +177,4 @@ def softmax_stable(x) -> np.ndarray:
     """Softmax with max-subtraction, per row; finite for any finite input."""
     numerators, denominator = softmax_numerators(x)
     with np.errstate(under="ignore"):  # a subnormal numerator
-        numerators /= denominator[..., np.newaxis]
-    return numerators
+        return numerators / denominator[..., np.newaxis]

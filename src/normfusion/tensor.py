@@ -69,6 +69,8 @@ bit-identical whichever form carries it.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -76,6 +78,7 @@ __all__ = [
     "as_matrix",
     "as_rows",
     "frozen_copy",
+    "frozen_join",
     "matmul",
     "ordered_sum",
     "max_rel_error",
@@ -148,6 +151,33 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out.setflags(write=False)
     return out
+
+
+def frozen_join(mats) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One private, read-only copy of the matrices `mats` joined column-wise, and each one's column view of it."""
+    joined = np.hstack(mats)  # a new array: the private copy
+    joined.setflags(write=False)
+    return joined, np.split(joined, np.cumsum([m.shape[1] for m in mats[:-1]]), axis=1)
+
+
+def _integer(v) -> int | None:
+    """`v` as a plain int where it is an integer (`operator.index` takes it) and not a bool, else None.
+
+    A bool is an int to Python but not a count, and a numpy integer is
+    stored as a plain int, so a config echoes as JSON integers. numpy's
+    bool is rejected by type too: numpy before 2.x still lets
+    `operator.index` take it, as 0 or 1, with only a DeprecationWarning.
+    A plain int, the common case, is returned before those checks, as
+    every config load makes several of these calls.
+    """
+    if type(v) is int:
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
 
 
 def ordered_sum(a: np.ndarray, axis: int):

@@ -9,6 +9,7 @@ invariants the simulator relies on.
 import dataclasses
 import math
 import re
+import types
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import normfusion.block
+import normfusion.tensor as tensor
 from normfusion.block import (
     BlockConfig,
     BlockWeights,
@@ -648,6 +650,17 @@ def test_config_count_that_is_not_an_integer_rejected(name, value):
     # a bool is an int to Python: True was accepted as 1
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
         BlockConfig(**dict(COUNTS, **{name: value}))
+
+
+def test_config_count_numpy_bool_rejected_where_index_takes_it(monkeypatch):
+    # numpy before 2.x lets operator.index take a numpy bool, as 0 or 1, with
+    # only a DeprecationWarning: the bool is rejected by its type, not by the index
+    monkeypatch.setattr(tensor, "operator", types.SimpleNamespace(index=int))
+    for value in (np.True_, np.False_, True):
+        assert tensor._integer(value) is None
+        with pytest.raises(ValueError, match=f"^n_heads must be a positive integer, got {re.escape(repr(value))}$"):
+            BlockConfig(**dict(COUNTS, n_heads=value))
+    assert tensor._integer(np.int64(3)) == 3
 
 
 def test_config_counts_take_numpy_integers_as_plain_ints():
