@@ -107,6 +107,23 @@ MUTANTS = (
            'mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[coll])',
            ("tests/test_block.py", "-k", "Graph"),
            "the fused graph cuts the collective -> matmul edge"),
+    Mutant("node-make-unchecked", "block.py",
+           "        id, kind, _engine, work, name, site = iterable\n        return cls(id, kind, work, name, site)\n",
+           "        return tuple.__new__(cls, iterable)\n",
+           ("tests/test_simulator.py", "-k", "Records"),
+           "Node._make, and _replace through it, checks the node as the constructor does"),
+    Mutant("node-getnewargs-removed", "block.py",
+           "    def __getnewargs__(self):\n        return self.id, self.kind, self.work, self.name, self.site\n\n", "",
+           ("tests/test_simulator.py", "-k", "Records"),
+           "a node pickles and copies through its constructor's arguments"),
+    Mutant("every-engine-vector", "block.py",
+           '"matmul": "matrix"}', '"matmul": "vector"}',
+           ("tests/test_simulator.py", "-k", "Records"),
+           "a node's engine follows its kind"),
+    Mutant("node-work-not-made-an-integer", "block.py",
+           '        if type(work) is not int:\n            work = _node_integer("work", work)\n', "",
+           ("tests/test_simulator.py", "-k", "Records"),
+           "node work is an integer, not a bool or a float, stored as a plain int"),
     Mutant("weights-not-copied", "tensor.py",
            "    out = a.copy()\n    out.setflags(write=False)\n", "    out = a\n    out.setflags(write=False)\n",
            ("tests/test_block.py", "-k", "private"),

@@ -51,6 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +85,6 @@ __all__ = [
 
 VARIANTS = ("standard-gelu", "llama-swiglu")
 SITES = ("ln1", "softmax", "ln2")
-
-NODE_KINDS = ("elementwise", "collective", "matmul")
 
 
 @dataclass(frozen=True)
@@ -297,29 +296,71 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
-    """One schedulable operation.
+# `Node` subclasses its fields' named tuple: a NamedTuple body may not
+# define `__new__`, `_make`, `_replace` or `__getnewargs__`.
+class _NodeFields(NamedTuple):
+    id: int
+    kind: str
+    engine: str
+    work: int
+    name: str
+    site: str | None = None
+
+
+# the engine each kind runs on; a kind not here is rejected
+_KIND_ENGINES = {"elementwise": "vector", "collective": "vector", "matmul": "matrix"}
+
+
+def _node_integer(field_name: str, v) -> int:
+    if (i := _integer(v)) is None:
+        raise ValueError(f"node {field_name} must be an integer, got {v!r}")
+    return i
+
+
+class Node(_NodeFields):
+    """One schedulable operation: an immutable named tuple, built as `Node(id, kind, work, name, site=None)`.
 
     The kind fixes the engine: matmul runs on the matrix engine, the rest
     on the vector engine. work counts elements for vector-engine kinds and
     MACs for matmuls. site tags the fusion site ("ln1" | "softmax" | "ln2")
     or None for common work (residuals, activations, unfused projections).
+
+    `engine` is a field derived from `kind`, never given: `Node(...,
+    engine=...)` is a TypeError. `id` and `work` are integers, not bools,
+    stored as plain ints, and work is positive. Every construction path
+    checks this: the constructor, `_make` (the six fields in tuple order,
+    the engine recomputed from kind), `_replace` (which takes no engine),
+    pickling and `copy`. As a tuple, a node iterates, unpacks, orders and
+    compares equal like the tuple of its fields, and assigning a field
+    raises AttributeError.
     """
 
-    id: int
-    kind: str
-    engine: str = field(init=False)
-    work: int
-    name: str
-    site: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        object.__setattr__(self, "engine", "matrix" if self.kind == "matmul" else "vector")
-        if self.work <= 0:
-            raise ValueError(f"node work must be positive, got {self.work}")
+    def __new__(cls, id: int, kind: str, work: int, name: str, site: str | None = None):
+        engine = _KIND_ENGINES.get(kind)
+        if engine is None:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if type(id) is not int:  # a plain int, the common case, costs one check
+            id = _node_integer("id", id)
+        if type(work) is not int:
+            work = _node_integer("work", work)
+        if work <= 0:
+            raise ValueError(f"node work must be positive, got {work}")
+        return tuple.__new__(cls, (id, kind, engine, work, name, site))
+
+    def __getnewargs__(self):
+        return self.id, self.kind, self.work, self.name, self.site
+
+    @classmethod
+    def _make(cls, iterable) -> Node:
+        id, kind, _engine, work, name, site = iterable
+        return cls(id, kind, work, name, site)
+
+    def _replace(self, /, **changes) -> Node:
+        if "engine" in changes:
+            raise TypeError("a node's engine follows its kind and cannot be replaced")
+        return super()._replace(**changes)
 
 
 @dataclass(frozen=True)
@@ -337,7 +378,7 @@ class _GraphBuilder:
 
     def add(self, kind, work, name, site=None, deps=()) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(id=nid, kind=kind, work=int(work), name=name, site=site))
+        self.nodes.append(Node(nid, kind, work, name, site))
         for d in deps:
             self.edges.append((d, nid))
         return nid

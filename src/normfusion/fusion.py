@@ -237,14 +237,25 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
 
 
 def silu(z) -> np.ndarray:
-    """z * sigmoid(z), branch-selected so exp never overflows; silu(-inf) is -inf * 0, NaN."""
+    """z * sigmoid(z), branch-selected so exp never overflows; silu(-inf) is -inf * 0, NaN.
+
+    z >= 0 takes z / (1 + exp(-z)), the rest (NaN included) z * exp(z) /
+    (1 + exp(z)). Each half is gathered once, and the second half's steps
+    run in place on its gathered copy, in the formula's order: the bits
+    are the formula's, with fewer temporaries.
+    """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
+    neg = ~pos
     with np.errstate(under="ignore", invalid="ignore"):  # exp's subnormal or 0 past |z| ~ 708 is correctly rounded
-        out[pos] = z[pos] / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = z[~pos] * ez / (1.0 + ez)
+        half = z[pos]
+        out[pos] = half / (1.0 + np.exp(-half))
+        half = z[neg]
+        ez = np.exp(half)
+        half *= ez
+        ez += 1.0
+        out[neg] = half / ez
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .block import SITES, Node, OpGraph, site_subgraph
 
@@ -60,8 +61,15 @@ class CostModel:
                 raise ValueError(f"{name} must be non-negative and finite, got {v}")
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
+    """One scheduled node: an immutable named tuple of its id, engine and start and end cycles.
+
+    As a tuple, an entry iterates, unpacks, orders and compares equal like
+    the tuple of its fields: `TimelineEntry(0, "vector", 0, 5) == (0,
+    "vector", 0, 5)`. Assigning a field raises AttributeError. It checks
+    nothing: `schedule` builds entries from nodes that checked themselves.
+    """
+
     node_id: int
     engine: str
     start: int
@@ -148,13 +156,14 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     engine_free = {"vector": 0, "matrix": 0}
     finish: dict[int, int] = {}
     entries: list[TimelineEntry] = []
+    make_entry = TimelineEntry._make
     for nid, node in sorted(nodes.items()):  # ids are unique, so no two Nodes are compared
         engine = node.engine
         start = engine_free[engine]
         for p in preds[nid]:
             start = max(start, finish[p] + (sync if nodes[p].engine != engine else 0))
         engine_free[engine] = finish[nid] = end = start + node_latency(node, cm)
-        entries.append(TimelineEntry(nid, engine, start, end))
+        entries.append(make_entry((nid, engine, start, end)))
     return Timeline(entries=tuple(entries), total=max(finish.values()))
 
 

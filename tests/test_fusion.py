@@ -532,6 +532,45 @@ class TestSilu:
             assert_array_equal(silu(z).view(np.uint64), expected.view(np.uint64))
 
 
+    @staticmethod
+    def straight_silu(z):
+        """The reference: the formula written straight, each half gathered where it is used."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        with np.errstate(under="ignore", invalid="ignore"):
+            out[pos] = z[pos] / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = z[~pos] * ez / (1.0 + ez)
+        return out
+
+    @staticmethod
+    def gate():
+        """An (8, 512) gate holding both halves, the exp limits, the extremes and the non-finite values."""
+        z = np.random.default_rng(56).standard_normal((8, 512)) * 30
+        far = [0.0, 708.0, 745.0, 1e308, 5e-324, np.inf]
+        z.flat[:13] = [*far, *(-v for v in far), np.nan]
+        return z
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["default-errors", "strict-errors"])
+    def test_is_the_straight_formula_bitwise(self, strict, request):
+        z = self.gate()
+        expected = self.straight_silu(z)
+        if strict:
+            request.getfixturevalue("strict_fp")
+        assert_array_equal(silu(z).view(np.uint64), expected.view(np.uint64))
+
+    def test_peak_memory_under_three_inputs(self):
+        z = self.gate()
+        silu(z)
+        tracemalloc.start()
+        try:
+            silu(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * z.nbytes
+
+
 class TestFusedRmsnormLlamaMlp:
     def _random_instance(self, rng, n):
         h = round(4 * n / 3)

@@ -8,6 +8,10 @@ order (`kahn_schedule`) entry for entry. Hand schedules below are worked
 out cycle-by-cycle in the comments.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
 
 from normfusion.block import BlockConfig, Node, OpGraph, build_graph, site_subgraph
-from normfusion.simulator import CostModel, compare, node_latency, schedule
+from normfusion.jsonio import dumps_report, timeline_rows
+from normfusion.simulator import CostModel, TimelineEntry, compare, node_latency, schedule
 
 UNIT_CM = CostModel(matrix_macs_per_cycle=1.0, vector_elems_per_cycle=1.0)
 
@@ -321,3 +326,98 @@ class TestCompare:
             compare(conv, conv, UNIT_CM)
         with pytest.raises(ValueError, match="different block configs"):
             compare(conv, build_graph(other, fused=True), UNIT_CM)
+
+
+LLAMA_CFG = BlockConfig(d_model=64, n_heads=4, seq_len=8, mlp_hidden=176, variant="llama-swiglu")
+RECORD_CM = CostModel(256.0, 16.0, collective_alpha=40.0, collective_beta=3.0, sync_overhead=2.0)
+ENGINES = {"elementwise": "vector", "collective": "vector", "matmul": "matrix"}
+
+
+def round_trips(record):
+    """`record` through every pickle protocol, `copy.copy` and `copy.deepcopy`."""
+    yield from (pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    yield copy.copy(record)
+    yield copy.deepcopy(record)
+
+
+class TestRecords:
+    """`Node` and `TimelineEntry` are named tuples; every way of making one keeps their contracts."""
+
+    NODE = Node(id=3, kind="matmul", work=96, name="ln1.matmul", site="ln1")
+
+    def records(self):
+        graph = build_graph(LLAMA_CFG, fused=True)
+        timeline = schedule(graph, RECORD_CM)
+        report = compare(build_graph(LLAMA_CFG, fused=False), graph, RECORD_CM)
+        return [self.NODE, timeline.entries[0], graph, timeline, report]
+
+    def test_records_survive_pickle_and_copy(self):
+        for record in self.records():
+            for copied in round_trips(record):
+                assert type(copied) is type(record)
+                assert copied == record
+
+    @pytest.mark.parametrize("make", [
+        lambda kind, work: Node(0, kind, work, "n"),
+        lambda kind, work: Node._make((0, kind, "vector", work, "n", None)),
+        lambda kind, work: TestRecords.NODE._replace(kind=kind, work=work),
+    ], ids=["constructor", "make", "replace"])
+    def test_every_construction_path_checks(self, make):
+        for kind, engine in ENGINES.items():
+            node = make(kind, 5)
+            assert (type(node), node.kind, node.engine, node.work) == (Node, kind, engine, 5)
+        with pytest.raises(ValueError, match="^unknown node kind 'bogus'$"):
+            make("bogus", 5)
+        for work in (0, -3):
+            with pytest.raises(ValueError, match=f"^node work must be positive, got {work}$"):
+                make("matmul", work)
+
+    def test_engine_is_never_replaced(self):
+        # the constructor's TypeError is `TestNodeLatency::test_kind_fixes_engine`'s
+        with pytest.raises(TypeError, match="engine"):
+            self.NODE._replace(engine="vector")
+        assert self.NODE._replace(kind="collective").engine == "vector"
+        assert Node._make(tuple(self.NODE)) == self.NODE
+
+    def test_fields_cannot_be_assigned(self):
+        for record in (self.NODE, TimelineEntry(0, "vector", 0, 5)):
+            with pytest.raises(AttributeError):
+                record.engine = "matrix"
+
+    def test_records_are_tuples_of_their_fields(self):
+        assert TimelineEntry(0, "vector", 0, 5) == (0, "vector", 0, 5)
+        node_id, engine, start, end = TimelineEntry(0, "vector", 0, 5)
+        assert (node_id, engine, start, end) == (0, "vector", 0, 5)
+        assert tuple(self.NODE) == (3, "matmul", "matrix", 96, "ln1.matmul", "ln1")
+
+    @pytest.mark.parametrize("field", ["id", "work"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 4.0, "4", None], ids=repr)
+    def test_id_and_work_must_be_integers(self, field, value):
+        args = dict(id=0, kind="matmul", work=4, name="mm")
+        with pytest.raises(ValueError, match=f"^node {field} must be an integer, got "):
+            Node(**{**args, field: value})
+
+    def test_numpy_integers_stored_as_plain_ints(self):
+        graph = build_graph(DUMMY_CFG, fused=False)
+        numpy_nodes = tuple(Node(np.int64(n.id), n.kind, np.int32(n.work), n.name, n.site) for n in graph.nodes)
+        assert all(type(n.id) is int and type(n.work) is int for n in numpy_nodes)
+        numpy_graph = make_graph(numpy_nodes, graph.edges)
+        rows = timeline_rows(numpy_graph, schedule(numpy_graph, RECORD_CM))
+        assert dumps_report({"rows": rows}) == dumps_report({"rows": timeline_rows(graph, schedule(graph, RECORD_CM))})
+
+    @pytest.mark.parametrize("cfg", [DUMMY_CFG, LLAMA_CFG])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_equal_configs_give_equal_graphs(self, cfg, fused):
+        a, b = build_graph(cfg, fused), build_graph(BlockConfig(**vars(cfg)), fused)
+        assert a == b and hash(a) == hash(b)
+        assert [hash(n) for n in a.nodes] == [hash(n) for n in b.nodes]
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_round_tripped_nodes_schedule_the_same(self, fused):
+        graph = build_graph(LLAMA_CFG, fused)
+        expected = schedule(graph, RECORD_CM)
+        remade = [[Node._make(tuple(n)) for n in graph.nodes], [n._replace() for n in graph.nodes],
+                  *zip(*(round_trips(n) for n in graph.nodes))]  # one graph per way of remaking a node
+        for nodes in remade:
+            assert all(type(n) is Node for n in nodes)
+            assert schedule(dataclasses.replace(graph, nodes=tuple(nodes)), RECORD_CM) == expected
