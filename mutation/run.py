@@ -94,6 +94,15 @@ MUTANTS = (
            "        if False:  # a JSON true/false",
            ("tests/test_cli.py", "-k", "boolean"),
            "a JSON true/false is not the number 1/0"),
+    Mutant("booleans-pass-as-real-fields", "tensor.py",
+           "    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):\n",
+           "    if not isinstance(v, numbers.Real):\n",
+           ("tests/test_cli.py", "-k", "RealFields"),
+           "a bool is not a tolerance, an epsilon or a cost-model quantity"),
+    Mutant("latency-overflow-unnamed", "simulator.py",
+           "    except OverflowError:  # raw is infinite", "    except ZeroDivisionError:  # raw is infinite",
+           ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
+           "a node latency past float64's range is a ValueError naming the node, and a config error to the CLI"),
     Mutant("booleans-pass-as-config-counts", "tensor.py",
            "    if isinstance(v, (bool, np.bool_)):\n        return None\n", "",
            ("tests/test_block.py", "tests/test_cli.py", "-k", "count or IntegerFields"),

@@ -66,7 +66,7 @@ from .fusion import (
     swiglu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import _integer, as_matrix, frozen_copy, frozen_join, matmul
+from .tensor import _integer, _real, as_matrix, frozen_copy, frozen_join, matmul
 
 __all__ = [
     "VARIANTS",
@@ -108,8 +108,9 @@ class BlockConfig:
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (np.isfinite(self.epsilon_ln) and self.epsilon_ln > 0):
+        if (eps := _real(self.epsilon_ln)) is None or not (np.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon_ln must be positive and finite, got {self.epsilon_ln}")
+        object.__setattr__(self, "epsilon_ln", eps)
 
     @property
     def d_head(self) -> int:

@@ -1,11 +1,10 @@
-"""Command-line interface: equivalence verification, latency simulation,
-and compile-time weight folding.
+"""Command-line interface: equivalence verification and latency simulation.
 
 All reports are JSON on stdout; progress chatter goes to stderr and can be
 silenced with --quiet. Exit codes: 0 success, 1 numerical/acceptance
-failure, 2 usage or config error, an input that cannot be read or an output
-that cannot be written included. Given the same config and seed, repeated
-runs produce byte-identical reports.
+failure, 2 usage or config error (an unreadable config, a cost model that
+overflows a node's latency, an unwritable CSV path). Given the same config
+and seed, repeated runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from .jsonio import (
     config_dict,
     dumps_report,
     latency_dict,
-    load_block_weights,
     load_config,
-    save_folded_weights,
     timeline_csv,
     timeline_rows,
     write_text,
@@ -147,9 +144,15 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
         name: build_graph(rc.block, fused=(name == "fused"))
         for name in (("conventional", "fused") if mode == "both" else (mode,))
     }
+    try:  # a finite cost model can still give a node a latency that overflows float64
+        if mode == "both":
+            rep = compare(graphs["conventional"], graphs["fused"], rc.cost_model)
+            timelines = {"conventional": rep.conventional_timeline, "fused": rep.fused_timeline}
+        else:
+            timelines = {mode: schedule(graphs[mode], rc.cost_model)}
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if mode == "both":
-        rep = compare(graphs["conventional"], graphs["fused"], rc.cost_model)
-        timelines = {"conventional": rep.conventional_timeline, "fused": rep.fused_timeline}
         report["latency"] = latency_dict(rep)
         if not quiet:
             print(
@@ -157,9 +160,7 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
                 f"speedup={rep.speedup_percent:.2f}%", file=sys.stderr,
             )
     else:
-        graph = graphs[mode]
-        timeline = schedule(graph, rc.cost_model)
-        timelines = {mode: timeline}
+        graph, timeline = graphs[mode], timelines[mode]
         report["latency"] = {"total": timeline.total, "timeline": timeline_rows(graph, timeline)}
         if not quiet:
             print(f"simulate: {mode} total={timeline.total} cycles", file=sys.stderr)
@@ -174,25 +175,6 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     return 0
 
 
-def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> int:
-    cfg = rc.block
-    # exactly the per-site folds `run_fused` multiplies by
-    sites = dict(load_block_weights(weights_in, cfg).folded)
-    save_folded_weights(weights_out, cfg, sites)
-    if not quiet:
-        print(f"fold: wrote {len(sites)} folded site(s) to {weights_out}", file=sys.stderr)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fold",
-        "seed": rc.seed,
-        "config": config_dict(rc),
-        "sites": sorted(sites),
-        "output": weights_out,
-    }
-    sys.stdout.write(dumps_report(report))
-    return 0
-
-
 # Built on first use, not at import, and shared by every later `main` call:
 # it depends on no run-time input, and `parse_args` returns a fresh Namespace
 # without changing the parser.
@@ -200,7 +182,7 @@ def cmd_fold(rc: RunConfig, weights_in: str, weights_out: str, quiet: bool) -> i
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normfusion",
-        description="Deferred-normalization fusion: verify equivalence, simulate latency, fold weights.",
+        description="Deferred-normalization fusion: verify equivalence, simulate latency.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -209,8 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress non-JSON stderr output")
 
-    p_verify = sub.add_parser("verify", help="randomized fused-vs-conventional equivalence checks")
-    common(p_verify)
+    common(sub.add_parser("verify", help="randomized fused-vs-conventional equivalence checks"))
 
     p_sim = sub.add_parser("simulate", help="two-engine latency simulation")
     common(p_sim)
@@ -222,11 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(mode="both")
     p_sim.add_argument("--csv", metavar="PATH", default=None,
                        help="write timeline CSV (with --both, writes PATH.conventional.csv and PATH.fused.csv)")
-
-    p_fold = sub.add_parser("fold", help="fold norm parameters into downstream weights")
-    common(p_fold)
-    p_fold.add_argument("weights_in", help="block-weights JSON file")
-    p_fold.add_argument("weights_out", help="output folded-weights JSON file")
     return parser
 
 
@@ -245,9 +221,7 @@ def main(argv: list[str] | None = None) -> int:
             rc = dataclasses.replace(rc, seed=args.seed)
         if args.command == "verify":
             return cmd_verify(rc, args.quiet)
-        if args.command == "simulate":
-            return cmd_simulate(rc, args.mode, args.csv, args.quiet)
-        return cmd_fold(rc, args.weights_in, args.weights_out, args.quiet)
+        return cmd_simulate(rc, args.mode, args.csv, args.quiet)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

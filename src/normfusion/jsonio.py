@@ -1,38 +1,32 @@
-"""JSON config, weight-file, and report serialization.
+"""JSON config and report serialization.
 
-Numbers round-trip exactly: floats are serialized with Python's
-shortest-round-trip repr (what `json` emits) and parsed back with
-correctly-rounded `float()`, so a save/load cycle is bit-lossless. Report
-dicts are built in a fixed key order and serialized as one line of JSON,
-making repeated runs byte-identical.
+Numbers round-trip exactly: a config's floats are parsed with
+correctly-rounded `float()` and echoed in reports with Python's
+shortest-round-trip repr (what `json` emits), so an echoed value reads back
+to the same bits. Report dicts are built in a fixed key order and
+serialized as one line of JSON, making repeated runs byte-identical.
 
 Config files use exactly the field names of RunConfig and its BlockConfig
 and CostModel (snake_case), and take their defaults from those fields;
 unknown keys anywhere are rejected so typos fail loudly instead of
-silently falling back to defaults. No key or array element takes a boolean.
+silently falling back to defaults. No key takes a boolean.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
-from typing import Any
 
 import numpy as np
 
-from .block import BlockConfig, BlockWeights
-from .fusion import FoldedLinear, LlamaMlpWeights
-from .norms import LayerNormParams, RmsNormParams
+from .block import BlockConfig
 from .simulator import CostModel, LatencyReport, Timeline
-from .tensor import _integer
+from .tensor import _integer, _real
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "save_block_weights",
-    "load_block_weights",
-    "save_folded_weights",
     "dumps_report",
     "timeline_rows",
     "timeline_csv",
@@ -42,7 +36,7 @@ SCHEMA_VERSION = "1"
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent configuration / weight file (CLI exit 2)."""
+    """A configuration the CLI cannot run, or an output it cannot write (CLI exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,9 @@ class RunConfig:
             object.__setattr__(self, name, i)
         # tolerance 0 is accepted (and will fail verification numerically);
         # negatives are malformed, and so is infinity, which would pass every site.
-        if not (self.tolerance >= 0 and self.tolerance < np.inf):
+        if (tol := _real(self.tolerance)) is None or not (tol >= 0 and tol < np.inf):
             raise ConfigError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", tol)
         if not isinstance(self.notes, str):  # every report echoes it as a string
             raise ConfigError(f"notes must be a string, got {self.notes!r}")
 
@@ -80,20 +75,7 @@ def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tupl
     for key, value in mapping.items():
         if isinstance(value, bool):  # a JSON true/false would pass as the number 1/0
             raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
-        if isinstance(value, list) and bool in set(map(type, value)):  # so would one in an array
-            i = next(i for i, v in enumerate(value) if type(v) is bool)
-            raise ConfigError(f"{context}.{key}[{i}] must not be a boolean, got {json.dumps(value[i])}")
     return mapping
-
-
-def _read_json(path: str, what: str) -> Any:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read {what}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} is not valid JSON: {e}") from e
 
 
 def write_text(path, text: str, what: str) -> None:
@@ -116,7 +98,13 @@ _KEYS = {cls: _field_keys(cls) for cls in (RunConfig, BlockConfig, CostModel)}
 
 
 def load_config(path: str) -> RunConfig:
-    raw = _read_json(path, "config file")
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read config file: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config file is not valid JSON: {e}") from e
     _take(raw, "config", *_KEYS[RunConfig])
     block_raw = _take(raw["block"], "config.block", *_KEYS[BlockConfig])
     cm_raw = _take(raw["cost_model"], "config.cost_model", *_KEYS[CostModel])
@@ -134,103 +122,6 @@ def config_dict(config) -> dict:
         value = getattr(config, key)
         out[key] = config_dict(value) if type(value) in _KEYS else value
     return out
-
-
-# --------------------------------------------------------------------------
-# Weight files: shape header + row-major full-precision decimal arrays
-# --------------------------------------------------------------------------
-
-
-def _matrix_json(m: np.ndarray) -> dict:
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": [float(v) for v in m.ravel()]}
-
-
-def _matrix_from_json(obj: Any, context: str) -> np.ndarray:
-    _take(obj, context, required=("rows", "cols", "data"), optional=())
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
-        raise ConfigError(f"{context}: rows/cols must be positive integers")
-    if len(data) != rows * cols:
-        raise ConfigError(f"{context}: data length {len(data)} != rows*cols {rows * cols}")
-    return np.array(data, dtype=np.float64).reshape(rows, cols)
-
-
-def _vector_json(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
-
-
-# A weight file's matrices per variant. The gated MLP's three live in
-# `BlockWeights.mlp`; every other name is a `BlockWeights` field.
-_GATED_MLP = ("w_gate", "w_up", "w_down")
-_MATRICES = {
-    "standard-gelu": ("w_q", "w_k", "w_v", "w_o", "fc1", "fc2"),
-    "llama-swiglu": ("w_q", "w_k", "w_v", "w_o", *_GATED_MLP),
-}
-
-
-def _norm_json(p: LayerNormParams | RmsNormParams) -> dict:
-    entry = {"gamma": _vector_json(p.gamma)}
-    if isinstance(p, LayerNormParams):
-        entry["beta"] = _vector_json(p.beta)
-    entry["epsilon"] = float(p.epsilon)
-    return entry
-
-
-def _save_weight_file(path: str, cfg: BlockConfig, kind: str, **sections) -> None:
-    """One weight document: the shared envelope, then `sections`, indented by 2, with a trailing newline."""
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "variant": cfg.variant, **sections}
-    write_text(path, json.dumps(doc, indent=2) + "\n", f"{kind} file")
-
-
-def save_block_weights(path: str, cfg: BlockConfig, w: BlockWeights) -> None:
-    w.validate(cfg)
-    _save_weight_file(
-        path, cfg, "block-weights",
-        matrices={name: _matrix_json(getattr(w.mlp if name in _GATED_MLP else w, name))
-                  for name in _MATRICES[cfg.variant]},
-        norms={"ln1": _norm_json(w.ln1), "ln2": _norm_json(w.ln2)},
-    )
-
-
-def load_block_weights(path: str, cfg: BlockConfig) -> BlockWeights:
-    doc = _read_json(path, "weight file")
-    _take(doc, "weights", required=("schema_version", "kind", "variant", "matrices", "norms"),
-          optional=())
-    if doc["kind"] != "block-weights":
-        raise ConfigError(f"expected a block-weights file, got kind {doc['kind']!r}")
-    if doc["variant"] != cfg.variant:
-        raise ConfigError(
-            f"weight file variant {doc['variant']!r} does not match config {cfg.variant!r}"
-        )
-    _take(doc["matrices"], "weights.matrices", required=_MATRICES[cfg.variant], optional=())
-    _take(doc["norms"], "weights.norms", required=("ln1", "ln2"), optional=())
-    params = LayerNormParams if cfg.variant == "standard-gelu" else RmsNormParams
-    keys = tuple(f.name for f in fields(params))
-
-    def norm_params(key: str):
-        return params(**_take(doc["norms"][key], f"weights.norms.{key}", required=keys, optional=()))
-
-    try:
-        mats = {name: _matrix_from_json(obj, f"weights.matrices.{name}")
-                for name, obj in doc["matrices"].items()}
-        gated = {name: mats.pop(name) for name in _GATED_MLP if name in mats}
-        w = BlockWeights(ln1=norm_params("ln1"), ln2=norm_params("ln2"),
-                         mlp=LlamaMlpWeights(**gated) if gated else None, **mats)
-        w.validate(cfg)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    return w
-
-
-def save_folded_weights(path: str, cfg: BlockConfig, sites: dict[str, FoldedLinear]) -> None:
-    """Write folds for inspection or export; the package never reads this file back."""
-    entries = {}
-    for name, fold in sites.items():
-        entry = {"folded_weight": _matrix_json(fold.folded_weight)}
-        if fold.folded_bias is not None:
-            entry["folded_bias"] = _vector_json(fold.folded_bias)
-        entries[name] = entry
-    _save_weight_file(path, cfg, "folded-weights", sites=entries)
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,11 @@ optimal (tests check it against a brute-force scheduler on small graphs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .block import SITES, Node, OpGraph, site_subgraph
+from .tensor import _real
 
 __all__ = [
     "CostModel",
@@ -51,14 +52,12 @@ class CostModel:
     sync_overhead: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.matrix_macs_per_cycle) and self.matrix_macs_per_cycle > 0):
-            raise ValueError("matrix_macs_per_cycle must be positive and finite")
-        if not (math.isfinite(self.vector_elems_per_cycle) and self.vector_elems_per_cycle > 0):
-            raise ValueError("vector_elems_per_cycle must be positive and finite")
-        for name in ("collective_alpha", "collective_beta", "sync_overhead"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be non-negative and finite, got {v}")
+        for name in (f.name for f in fields(self)):
+            v, rate = getattr(self, name), name.endswith("_per_cycle")  # a rate must be positive
+            if (r := _real(v)) is None or not (math.isfinite(r) and (r > 0 if rate else r >= 0)):
+                raise ValueError(f"{name} must be positive and finite" if rate
+                                 else f"{name} must be non-negative and finite, got {v}")
+            object.__setattr__(self, name, r)
 
 
 class TimelineEntry(NamedTuple):
@@ -113,7 +112,7 @@ def node_latency(node: Node, cm: CostModel) -> int:
     elementwise: elements / vector rate
     collective:  alpha + beta * ceil(log2 n) + n / vector rate
     The sum is rounded up to whole cycles. `Node` has already rejected
-    any other kind and non-positive work.
+    any other kind and non-positive work. An overflow raises a ValueError.
     """
     if node.kind == "matmul":
         raw = node.work / cm.matrix_macs_per_cycle
@@ -126,7 +125,10 @@ def node_latency(node: Node, cm: CostModel) -> int:
             + cm.collective_beta * tree_levels
             + node.work / cm.vector_elems_per_cycle
         )
-    return math.ceil(raw)
+    try:
+        return math.ceil(raw)
+    except OverflowError:  # raw is infinite: the cost model is finite, but not this node's latency
+        raise ValueError(f"node {node.id} ({node.name}): its latency overflows float64 under this cost model") from None
 
 
 def schedule(graph: OpGraph, cm: CostModel) -> Timeline:

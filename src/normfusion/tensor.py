@@ -69,6 +69,7 @@ bit-identical whichever form carries it.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -178,6 +179,17 @@ def _integer(v) -> int | None:
         return operator.index(v)
     except TypeError:
         return None
+
+
+def _real(v) -> int | float | None:
+    """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a real number and not a bool, else None."""
+    if type(v) is float:
+        return v
+    if (i := _integer(v)) is not None:
+        return i
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        return None
+    return float(v)
 
 
 def ordered_sum(a: np.ndarray, axis: int):

@@ -1,9 +1,10 @@
-"""CLI behavior: exit codes, report shape/determinism, folding round-trips."""
+"""CLI behavior: exit codes, report shape and determinism."""
 
 import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +16,10 @@ from numpy.testing import assert_array_equal
 
 import normfusion
 from normfusion import cli
-from normfusion.block import BlockConfig, random_block_weights
+from normfusion.block import BlockConfig
 from normfusion.cli import default_config_path, main
-from normfusion.fusion import (
-    FoldedLinear,
-    fold_rmsnorm_linear,
-    fused_layernorm_matmul,
-    fused_rmsnorm_llama_mlp,
-    fused_rmsnorm_matmul,
-)
-from normfusion.jsonio import ConfigError, dumps_report, load_block_weights, load_config, save_block_weights
+from normfusion.fusion import fold_rmsnorm_linear, fused_rmsnorm_llama_mlp
+from normfusion.jsonio import ConfigError, config_dict, dumps_report, load_config
 from normfusion.norms import RmsNormParams
 from normfusion.simulator import schedule
 
@@ -49,17 +44,6 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-def fold_file_entries(path) -> dict[str, dict[str, np.ndarray]]:
-    """A fold file's entries as float64 arrays, parsed with plain `json`: {site: {field: array}}."""
-    def array(value):
-        if isinstance(value, dict):  # a matrix: shape header plus row-major data
-            return np.array(value["data"], dtype=np.float64).reshape(value["rows"], value["cols"])
-        return np.array(value, dtype=np.float64)
-
-    sites = json.loads(Path(path).read_text())["sites"]
-    return {site: {field: array(value) for field, value in entry.items()} for site, entry in sites.items()}
 
 
 def strict_json(text):
@@ -279,6 +263,63 @@ class TestIntegerFields:
         assert (report["seed"], report["trials"], report["config"]["block"]["d_model"]) == (7, 2, 16)
 
 
+class TestRealFields:
+    """Real-valued config fields: a bool is refused, an integer is stored as a plain int, any other real as a float."""
+
+    # each field's section of the run config (None: the run config itself) and its message for `value`
+    FIELDS = {
+        "tolerance": (None, "tolerance must be non-negative and finite, got {value!r}"),
+        "epsilon_ln": ("block", "epsilon_ln must be positive and finite, got {value}"),
+        "matrix_macs_per_cycle": ("cost_model", "matrix_macs_per_cycle must be positive and finite"),
+        "vector_elems_per_cycle": ("cost_model", "vector_elems_per_cycle must be positive and finite"),
+        "collective_alpha": ("cost_model", "collective_alpha must be non-negative and finite, got {value}"),
+        "collective_beta": ("cost_model", "collective_beta must be non-negative and finite, got {value}"),
+        "sync_overhead": ("cost_model", "sync_overhead must be non-negative and finite, got {value}"),
+    }
+
+    @staticmethod
+    def replaced(rc, **changes):
+        """`rc` with each field in `changes` replaced in its own section."""
+        sections = {}
+        for name, value in changes.items():
+            sections.setdefault(TestRealFields.FIELDS[name][0], {})[name] = value
+        top = sections.pop(None, {})
+        return dataclasses.replace(rc, **top, **{section: dataclasses.replace(getattr(rc, section), **fields)
+                                                 for section, fields in sections.items()})
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_boolean_rejected(self, tmp_path, name, value):
+        # "tolerance": true was accepted and echoed as a JSON boolean, which report.schema.json rejects
+        rc = load_config(small_config(tmp_path))
+        message = self.FIELDS[name][1].format(value=value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.replaced(rc, **{name: value})
+
+    def test_numpy_scalars_give_valid_reports(self, tmp_path, capsys):
+        # a numpy scalar was stored as is, and json could not encode the report's config
+        rc = self.replaced(load_config(small_config(tmp_path)), tolerance=np.float32(1e-10),
+                           epsilon_ln=np.float32(1e-5), collective_alpha=np.int64(5),
+                           matrix_macs_per_cycle=np.float64(256.0), sync_overhead=np.uint8(4))
+        stored = [rc.tolerance, rc.block.epsilon_ln, rc.cost_model.collective_alpha,
+                  rc.cost_model.matrix_macs_per_cycle, rc.cost_model.sync_overhead]
+        assert [type(v) for v in stored] == [float, float, int, float, int]
+        assert stored == [float(np.float32(1e-10)), float(np.float32(1e-5)), 5, 256.0, 4]
+        assert cli.cmd_verify(rc, quiet=True) == 0
+        assert cli.cmd_simulate(rc, "both", None, quiet=True) == 0
+        for out in capsys.readouterr().out.splitlines():
+            report = strict_json(out)
+            jsonschema.validate(report, SCHEMA)
+            assert report["config"]["cost_model"]["collective_alpha"] == 5
+            assert '"collective_alpha": 5, "collective_beta": 10, "sync_overhead": 4}' in out
+
+    @pytest.mark.parametrize("name", ["llama7b_sim", "verify_small"])
+    def test_shipped_configs_echo_as_written(self, name):
+        # integers stay JSON integers: "collective_alpha": 2000, not 2000.0
+        path = default_config_path(name)
+        assert json.dumps(config_dict(load_config(str(path)))) == json.dumps(json.loads(path.read_text()))
+
+
 class TestSimulate:
     def test_default_config_hits_target_band(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", str(default_config_path("llama7b_sim")), "--quiet")
@@ -377,6 +418,21 @@ class TestSimulate:
             [str(tmp_path / "tl.conventional.csv"), str(tmp_path / "tl.fused.csv")]
         )
 
+    @pytest.mark.parametrize("mode", ["--both", "--fused", "--conventional"])
+    @pytest.mark.parametrize("cost_model", [
+        {"matrix_macs_per_cycle": 1e-300}, {"collective_alpha": 1e308, "collective_beta": 1e308},
+    ], ids=["matrix-rate-1e-300", "collective-1e308"])
+    def test_overflowing_latency_is_config_error(self, tmp_path, capsys, cost_model, mode):
+        # a finite cost model whose latencies pass float64's range exited 1 with an OverflowError traceback
+        doc = json.loads(default_config_path("llama7b_sim").read_text())
+        doc["cost_model"].update(cost_model)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", str(path), mode, "--csv", str(tmp_path / "tl.csv"))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: node \d+ \(\S+\): its latency overflows float64 under this cost model\n", err)
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]  # no CSV
+
     def test_zero_collective_zero_speedup(self, tmp_path, capsys):
         path = small_config(
             tmp_path,
@@ -385,117 +441,6 @@ class TestSimulate:
         )
         _, out, _ = run_cli(capsys, "simulate", path, "--quiet")
         assert abs(json.loads(out)["latency"]["speedup_percent"]) <= 0.5
-
-
-class TestFold:
-    @pytest.fixture(params=["standard-gelu", "llama-swiglu"])
-    def setup(self, request, tmp_path):
-        variant = request.param
-        cfg_path = small_config(tmp_path, block={"variant": variant})
-        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24, variant=variant)
-        weights = random_block_weights(cfg, np.random.default_rng(99))
-        win = tmp_path / "weights.json"
-        save_block_weights(str(win), cfg, weights)
-        return cfg_path, cfg, weights, win, tmp_path / "folded.json"
-
-    def test_fold_round_trip_is_bit_exact(self, setup, capsys):
-        # a fused run through the file's parsed arrays is bit-equal to the in-memory one
-        cfg_path, cfg, weights, win, wout = setup
-        code, out, _ = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert code == 0
-        jsonschema.validate(json.loads(out), SCHEMA)
-
-        if cfg.variant == "standard-gelu":
-            fold_type, fused_norm_matmul = FoldedLinear, fused_layernorm_matmul
-        else:
-            fold_type, fused_norm_matmul = FoldedLinear, fused_rmsnorm_matmul
-        x = np.random.default_rng(5).standard_normal((cfg.seq_len, cfg.d_model))
-        for site, entry in fold_file_entries(wout).items():
-            assert_array_equal(fused_norm_matmul(x, fold_type(**entry), cfg.epsilon_ln),
-                               fused_norm_matmul(x, weights.folded[site], cfg.epsilon_ln))
-
-    def test_fold_file_matches_compiled_block(self, setup, capsys):
-        # the file holds exactly the per-site folds the fused block multiplies by
-        cfg_path, _, weights, win, wout = setup
-        code, out, _ = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert code == 0
-        assert json.loads(out)["sites"] == ["ln1", "ln2"]
-        parsed = fold_file_entries(wout)
-        assert list(parsed) == ["ln1", "ln2"]
-        for site, entry in parsed.items():
-            compiled = weights.folded[site]
-            assert list(entry) == [f.name for f in dataclasses.fields(compiled) if getattr(compiled, f.name) is not None]
-            for field, array in entry.items():
-                assert_array_equal(array.view(np.uint64), getattr(compiled, field).view(np.uint64))
-
-    def test_fold_is_idempotent(self, setup, capsys):
-        cfg_path, _, _, win, wout = setup
-        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        first = wout.read_bytes()
-        run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert wout.read_bytes() == first
-
-    def test_weight_block_round_trip(self, setup, capsys):
-        _, cfg, weights, win, _ = setup
-        loaded = load_block_weights(str(win), cfg)
-        assert_array_equal(loaded.w_q, weights.w_q)
-        assert_array_equal(loaded.ln1.gamma, weights.ln1.gamma)
-
-    @pytest.mark.parametrize("section,extra,copied", [("matrices", "w_gaet", "w_q"), ("norms", "ln3", "ln1")])
-    def test_unknown_weight_entry_rejected(self, setup, capsys, section, extra, copied):
-        cfg_path, cfg, _, win, wout = setup
-        doc = json.loads(win.read_text())
-        doc[section][extra] = doc[section][copied]  # a well-formed entry under a misspelt name
-        win.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in weights.{section}: {extra}"):
-            load_block_weights(str(win), cfg)
-        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert code == 2
-        assert extra in err
-
-    @pytest.mark.parametrize("field", ["matrix datum", "norm epsilon"])
-    def test_non_numeric_weight_is_config_error(self, setup, capsys, field):
-        cfg_path, _, _, win, wout = setup
-        doc = json.loads(win.read_text())
-        if field == "matrix datum":
-            doc["matrices"]["w_q"]["data"][0] = "x"
-        else:
-            doc["norms"]["ln1"]["epsilon"] = "x"
-        win.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert code == 2
-        assert err
-
-    def test_boolean_weight_entry_is_config_error(self, setup, capsys):
-        cfg_path, _, _, win, wout = setup
-        doc = json.loads(win.read_text())
-        doc["norms"]["ln1"]["epsilon"] = True
-        win.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert code == 2
-        assert "weights.norms.ln1.epsilon must not be a boolean, got true" in err
-
-    @pytest.mark.parametrize("value", [True, False])
-    @pytest.mark.parametrize("section,entry,field", [("matrices", "w_q", "data"), ("norms", "ln2", "gamma")])
-    def test_boolean_in_a_weight_array_is_config_error(self, setup, capsys, section, entry, field, value):
-        # float() would read true/false as 1.0/0.0
-        cfg_path, cfg, _, win, wout = setup
-        doc = json.loads(win.read_text())
-        doc[section][entry][field][1] = value
-        win.write_text(json.dumps(doc))
-        message = f"weights.{section}.{entry}.{field}[1] must not be a boolean, got {json.dumps(value)}"
-        with pytest.raises(ConfigError) as raised:
-            load_block_weights(str(win), cfg)
-        assert str(raised.value) == message
-        code, out, err = run_cli(capsys, "fold", cfg_path, str(win), str(wout), "--quiet")
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    def test_dimension_mismatch_is_config_error(self, setup, tmp_path, capsys):
-        cfg_path, cfg, weights, win, wout = setup
-        other_cfg = small_config(tmp_path, block={"d_model": 32, "variant": cfg.variant})
-        code, _, err = run_cli(capsys, "fold", other_cfg, str(win), str(wout), "--quiet")
-        assert code == 2
-        assert "shape" in err or "match" in err
 
 
 class TestUsage:
@@ -509,35 +454,30 @@ class TestUsage:
         code, _, err = run_cli(capsys, "verify", small_config(tmp_path), "--seed", "-3")
         assert code == 2
 
+    def test_retired_fold_command_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # `fold` wrote the per-site folds to a file that nothing read; it is no longer a command
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fold", small_config(tmp_path), "w.json", "f.json")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'fold'" in err and "verify" in err and "simulate" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written is a usage error: named on stderr, no report."""
 
     @pytest.mark.parametrize("command", [
-        ["fold"], ["simulate", "--both", "--csv"], ["simulate", "--fused", "--csv"],
+        ["simulate", "--both", "--csv"], ["simulate", "--fused", "--csv"],
     ], ids=" ".join)
     def test_missing_directory_exits_2(self, tmp_path, capsys, command):
         cfg_path = small_config(tmp_path)
         missing = tmp_path / "missing"
-        if command == ["fold"]:
-            cfg = load_config(cfg_path).block
-            win = tmp_path / "weights.json"
-            save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
-            argv = ["fold", cfg_path, str(win), str(missing / "folded.json")]
-        else:
-            argv = [command[0], cfg_path, *command[1:], str(missing / "tl.csv")]
+        argv = [command[0], cfg_path, *command[1:], str(missing / "tl.csv")]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "cannot write" in err
         assert not missing.exists()
-
-    def test_weight_writer_names_the_file(self, tmp_path):
-        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24)
-        with pytest.raises(ConfigError, match="cannot write block-weights file"):
-            save_block_weights(str(tmp_path / "missing" / "w.json"), cfg,
-                               random_block_weights(cfg, np.random.default_rng(99)))
-
 
 class TestRepeatedCalls:
     """`main` may be called again and again in one process: the parser is
@@ -546,16 +486,13 @@ class TestRepeatedCalls:
     def test_each_report_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width in both
         cfg_path = small_config(tmp_path, block={"variant": "standard-gelu"})
-        cfg = BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24)
-        win, wout, csv = tmp_path / "weights.json", tmp_path / "folded.json", tmp_path / "tl.csv"
-        save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
+        csv = tmp_path / "tl.csv"
         # each call changes a mode, seed or csv key from the one before
         calls = [
             (["simulate", cfg_path, "--fused", "--seed", "3", "--csv", str(csv)], [csv]),
             (["simulate", cfg_path], []),
             (["simulate"], []),
             (["verify", cfg_path, "--quiet"], []),
-            (["fold", cfg_path, str(win), str(wout)], [wout]),
         ]
         codes = []
         for argv, written in calls:
@@ -565,7 +502,7 @@ class TestRepeatedCalls:
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
             assert files == [f.read_bytes() for f in written], argv
             codes.append(code)
-        assert codes == [0, 0, 2, 0, 0]
+        assert codes == [0, 0, 2, 0]
 
     def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -600,19 +537,12 @@ class TestReportLayout:
     @pytest.mark.parametrize("command", [
         ["verify"],
         *(["simulate", mode, *csv] for csv in ([], ["--csv"]) for mode in ("--both", "--fused", "--conventional")),
-        ["fold"],
     ], ids=" ".join)
     def test_report_is_one_canonical_line(self, tmp_path, capsys, command):
         cfg_path = small_config(tmp_path)
-        if command == ["fold"]:
-            cfg = load_config(cfg_path).block
-            win = tmp_path / "weights.json"
-            save_block_weights(str(win), cfg, random_block_weights(cfg, np.random.default_rng(99)))
-            argv = ["fold", cfg_path, str(win), str(tmp_path / "folded.json")]
-        else:
-            argv = [command[0], cfg_path, *command[1:]]
-            if "--csv" in argv:
-                argv.append(str(tmp_path / "tl.csv"))
+        argv = [command[0], cfg_path, *command[1:]]
+        if "--csv" in argv:
+            argv.append(str(tmp_path / "tl.csv"))
         argv.append("--quiet")
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")

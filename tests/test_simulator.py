@@ -11,6 +11,7 @@ out cycle-by-cycle in the comments.
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
 
 from normfusion.block import BlockConfig, Node, OpGraph, build_graph, site_subgraph
-from normfusion.jsonio import dumps_report, timeline_rows
+from normfusion.cli import default_config_path
+from normfusion.jsonio import dumps_report, load_config, timeline_rows
 from normfusion.simulator import CostModel, TimelineEntry, compare, node_latency, schedule
 
 UNIT_CM = CostModel(matrix_macs_per_cycle=1.0, vector_elems_per_cycle=1.0)
@@ -85,6 +87,43 @@ class TestNodeLatency:
             CostModel(0.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             CostModel(1.0, -2.0)
+
+
+# Finite cost models under which llama7b_sim.json's block has a latency past float64's
+# range; `math.ceil` of that infinity raised a bare OverflowError. The first node of
+# the named kind is the first whose latency overflows.
+OVERFLOWING_COST_MODELS = {
+    "matrix-rate-1e-300": ({"matrix_macs_per_cycle": 1e-300}, "matmul"),
+    "collective-1e308": ({"collective_alpha": 1e308, "collective_beta": 1e308}, "collective"),
+}
+
+
+class TestLatencyOverflow:
+    """A latency that overflows float64 is a ValueError naming the node, from every scheduling entry point."""
+
+    @staticmethod
+    def overflowing(case, fused):
+        rc = load_config(str(default_config_path("llama7b_sim")))
+        changes, kind = OVERFLOWING_COST_MODELS[case]
+        graph = build_graph(rc.block, fused=fused)
+        node = next(n for n in graph.nodes if n.kind == kind)
+        message = f"^node {node.id} \\({re.escape(node.name)}\\): its latency overflows float64 under this cost model$"
+        return graph, dataclasses.replace(rc.cost_model, **changes), node, message
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["conventional", "fused"])
+    @pytest.mark.parametrize("case", OVERFLOWING_COST_MODELS)
+    def test_node_latency_and_schedule(self, case, fused):
+        graph, cm, node, message = self.overflowing(case, fused)
+        with pytest.raises(ValueError, match=message):
+            node_latency(node, cm)
+        with pytest.raises(ValueError, match=message):
+            schedule(graph, cm)
+
+    @pytest.mark.parametrize("case", OVERFLOWING_COST_MODELS)
+    def test_compare(self, case):
+        conventional, cm, _, message = self.overflowing(case, fused=False)
+        with pytest.raises(ValueError, match=message):
+            compare(conventional, build_graph(conventional.config, fused=True), cm)
 
 
 class TestSchedule:
