@@ -133,6 +133,22 @@ MUTANTS = (
            '        if type(work) is not int:\n            work = _node_integer("work", work)\n', "",
            ("tests/test_simulator.py", "-k", "Records"),
            "node work is an integer, not a bool or a float, stored as a plain int"),
+    Mutant("config-decode-error-unconverted", "jsonio.py",
+           "    except (UnicodeDecodeError, json.JSONDecodeError) as e:\n", "    except json.JSONDecodeError as e:\n",
+           ("tests/test_cli.py", "-k", "Encoding"),
+           "a config file that is not UTF-8 is not valid JSON: a config error, exit 2"),
+    Mutant("huge-integer-taken-as-finite", "tensor.py",
+           "        if abs(i) <= sys.float_info.max:", "        if True:",
+           ("tests/test_cli.py", "-k", "RealFields"),
+           "an integer beyond float64's range is not finite, in every real-valued field"),
+    Mutant("site-split-keeps-cross-site-edge", "block.py",
+           "            if site in sites_of.get(c, ()):\n", "            if c in sites_of:\n",
+           ("tests/test_simulator.py", "-k", "SiteSplit"),
+           "a site's subgraph keeps only the edges whose two ends are in that site"),
+    Mutant("sync-tested-against-own-engine", "simulator.py",
+           "            if p_engine != engine:\n", "            if node.engine != engine:\n",
+           ("tests/test_simulator.py", "-k", "Schedule"),
+           "a dependency pays the sync overhead when its node ran on the other engine"),
     Mutant("weights-not-copied", "tensor.py",
            "    out = a.copy()\n    out.setflags(write=False)\n", "    out = a\n    out.setflags(write=False)\n",
            ("tests/test_block.py", "-k", "private"),

@@ -108,7 +108,7 @@ class BlockConfig:
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if (eps := _real(self.epsilon_ln)) is None or not (np.isfinite(eps) and eps > 0):
+        if (eps := _real(self.epsilon_ln)) is None or not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon_ln must be positive and finite, got {self.epsilon_ln}")
         object.__setattr__(self, "epsilon_ln", eps)
 
@@ -448,11 +448,34 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
     return OpGraph(nodes=tuple(b.nodes), edges=tuple(b.edges), fused=fused, config=cfg)
 
 
+def _site_split(graph: OpGraph) -> dict[str, OpGraph]:
+    """Every fusion site's induced subgraph (node ids preserved), by site, in `SITES` order.
+
+    A node joins a site's subgraph when a node carrying its id is tagged
+    with that site, and an edge when both its ends join; each keeps the
+    graph's order. One pass over the nodes tags the ids, one places the
+    nodes, one places the edges. Where ids are unique, as in every graph
+    `schedule` accepts, a node joins its own site alone.
+    """
+    sites_of: dict[int, dict[str, None]] = {}  # id -> the sites its nodes are tagged with (an ordered set)
+    for n in graph.nodes:
+        if n.site in SITES:
+            sites_of.setdefault(n.id, {})[n.site] = None
+    nodes: dict[str, list[Node]] = {site: [] for site in SITES}
+    for n in graph.nodes:
+        for site in sites_of.get(n.id, ()):
+            nodes[site].append(n)
+    edges: dict[str, list[tuple[int, int]]] = {site: [] for site in SITES}
+    for a, c in graph.edges:
+        for site in sites_of.get(a, ()):
+            if site in sites_of.get(c, ()):
+                edges[site].append((a, c))
+    return {site: OpGraph(nodes=tuple(nodes[site]), edges=tuple(edges[site]), fused=graph.fused, config=graph.config)
+            for site in SITES}
+
+
 def site_subgraph(graph: OpGraph, site: str) -> OpGraph:
-    """Induced subgraph of one fusion site (node ids preserved)."""
+    """Induced subgraph of one fusion site (node ids preserved): its entry in `_site_split`."""
     if site not in SITES:
         raise ValueError(f"unknown fusion site {site!r}")
-    keep = {n.id for n in graph.nodes if n.site == site}
-    nodes = tuple(n for n in graph.nodes if n.id in keep)
-    edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
-    return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)
+    return _site_split(graph)[site]

@@ -63,13 +63,14 @@ class RunConfig:
             raise ConfigError(f"notes must be a string, got {self.notes!r}")
 
 
-def _take(mapping: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...]) -> dict:
+def _take(mapping: dict, context: str, cls) -> dict:
+    """`mapping`, checked as the JSON object of section `cls`: its keys and its values' types."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(mapping) - set(required) - set(optional)
+    unknown = mapping.keys() - _KNOWN[cls]
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
-    missing = [k for k in required if k not in mapping]
+    missing = [k for k in _KEYS[cls][0] if k not in mapping]
     if missing:
         raise ConfigError(f"missing key(s) in {context}: {', '.join(missing)}")
     for key, value in mapping.items():
@@ -95,19 +96,28 @@ def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 # Each config section's keys are its dataclass's fields, and its defaults theirs.
 _KEYS = {cls: _field_keys(cls) for cls in (RunConfig, BlockConfig, CostModel)}
+# every key a section knows, as one set, for `_take`
+_KNOWN = {cls: frozenset(required + optional) for cls, (required, optional) in _KEYS.items()}
 
 
 def load_config(path: str) -> RunConfig:
+    """The run config in the JSON file at `path`; anything the CLI cannot run is a ConfigError.
+
+    The file is read as bytes and decoded as UTF-8, as JSON text is,
+    whatever the locale; a byte order mark is not JSON and is refused.
+    """
     try:
-        with open(path) as f:
-            raw = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
-    except json.JSONDecodeError as e:
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
-    _take(raw, "config", *_KEYS[RunConfig])
-    block_raw = _take(raw["block"], "config.block", *_KEYS[BlockConfig])
-    cm_raw = _take(raw["cost_model"], "config.cost_model", *_KEYS[CostModel])
+    _take(raw, "config", RunConfig)
+    block_raw = _take(raw["block"], "config.block", BlockConfig)
+    cm_raw = _take(raw["cost_model"], "config.cost_model", CostModel)
     try:
         return RunConfig(**dict(raw, block=BlockConfig(**block_raw), cost_model=CostModel(**cm_raw)))
     except (TypeError, ValueError) as e:
@@ -141,8 +151,13 @@ def latency_dict(rep: LatencyReport) -> dict:
 
 
 def dumps_report(report: dict) -> str:
-    """Every stdout report as one line of JSON, by json's C encoder; a NaN or infinity raises."""
-    return json.dumps(report, allow_nan=False) + "\n"
+    """Every stdout report as one line of JSON, by json's C encoder; a NaN or infinity raises.
+
+    `report` must be a tree: no container may hold itself. The encoder's
+    circular-reference check is off, as each report is a fresh tree of
+    dicts and lists.
+    """
+    return json.dumps(report, allow_nan=False, check_circular=False) + "\n"
 
 
 def timeline_rows(graph, timeline: Timeline) -> list[dict]:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .block import SITES, Node, OpGraph, site_subgraph
+from .block import SITES, Node, OpGraph, _site_split
 from .tensor import _real
 
 __all__ = [
@@ -52,12 +52,16 @@ class CostModel:
     sync_overhead: float = 0.0
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            v, rate = getattr(self, name), name.endswith("_per_cycle")  # a rate must be positive
+        for name, rate in _COST_FIELDS:
+            v = getattr(self, name)
             if (r := _real(v)) is None or not (math.isfinite(r) and (r > 0 if rate else r >= 0)):
                 raise ValueError(f"{name} must be positive and finite" if rate
                                  else f"{name} must be non-negative and finite, got {v}")
             object.__setattr__(self, name, r)
+
+
+# each CostModel field's name, and whether it is a rate, which must be positive
+_COST_FIELDS = tuple((f.name, f.name.endswith("_per_cycle")) for f in fields(CostModel))
 
 
 class TimelineEntry(NamedTuple):
@@ -156,17 +160,21 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
 
     sync = math.ceil(cm.sync_overhead)
     engine_free = {"vector": 0, "matrix": 0}
-    finish: dict[int, int] = {}
-    entries: list[TimelineEntry] = []
-    make_entry = TimelineEntry._make
+    scheduled: dict[int, TimelineEntry] = {}  # id -> its entry, which holds its engine and end; in schedule order
+    new_entry = tuple.__new__  # an entry checks nothing, so its fields go straight into the tuple
     for nid, node in sorted(nodes.items()):  # ids are unique, so no two Nodes are compared
         engine = node.engine
         start = engine_free[engine]
         for p in preds[nid]:
-            start = max(start, finish[p] + (sync if nodes[p].engine != engine else 0))
-        engine_free[engine] = finish[nid] = end = start + node_latency(node, cm)
-        entries.append(make_entry((nid, engine, start, end)))
-    return Timeline(entries=tuple(entries), total=max(finish.values()))
+            _, p_engine, _, ready = scheduled[p]
+            if p_engine != engine:
+                ready += sync
+            if ready > start:
+                start = ready
+        engine_free[engine] = end = start + node_latency(node, cm)
+        scheduled[nid] = new_entry(TimelineEntry, (nid, engine, start, end))
+    # a node starts once its engine is free, so each engine is free from the latest end on it
+    return Timeline(entries=tuple(scheduled.values()), total=max(engine_free.values()))
 
 
 def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> LatencyReport:
@@ -187,10 +195,11 @@ def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> Latency
     conv_timeline = schedule(graph_conv, cm)
     fused_timeline = schedule(graph_fused, cm)
     conv_total, fused_total = conv_timeline.total, fused_timeline.total
+    conv_sites, fused_sites = _site_split(graph_conv), _site_split(graph_fused)
     savings = []
     for site in SITES:
-        conv_site = schedule(site_subgraph(graph_conv, site), cm).total
-        fused_site = schedule(site_subgraph(graph_fused, site), cm).total
+        conv_site = schedule(conv_sites[site], cm).total
+        fused_site = schedule(fused_sites[site], cm).total
         savings.append(SiteSaving(site=site, hidden_cycles=conv_site - fused_site))
 
     speedup = 100.0 * (1.0 - fused_total / conv_total)

@@ -69,8 +69,10 @@ bit-identical whichever form carries it.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -182,11 +184,18 @@ def _integer(v) -> int | None:
 
 
 def _real(v) -> int | float | None:
-    """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a real number and not a bool, else None."""
+    """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a real number and not a bool, else None.
+
+    An integer beyond float64's range is not finite: it is returned as
+    the infinity of its sign, which every real-valued field refuses as
+    it refuses a float infinity, where `float()` would raise OverflowError.
+    """
     if type(v) is float:
         return v
     if (i := _integer(v)) is not None:
-        return i
+        if abs(i) <= sys.float_info.max:  # int against float compares exactly
+            return i
+        return math.inf if i > 0 else -math.inf
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
         return None
     return float(v)

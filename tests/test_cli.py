@@ -313,11 +313,74 @@ class TestRealFields:
             assert report["config"]["cost_model"]["collective_alpha"] == 5
             assert '"collective_alpha": 5, "collective_beta": 10, "sync_overhead": 4}' in out
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["+10**400", "-10**400"])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_integer_beyond_float64_is_not_finite(self, tmp_path, capsys, name, sign):
+        # 10**400 raised OverflowError in a cost_model field (exit 1), gave numpy's
+        # ufunc text for epsilon_ln, and was echoed as a tolerance
+        value, section = sign * 10**400, self.FIELDS[name][0]
+        path = small_config(tmp_path, **({name: value} if section is None else {section: {name: value}}))
+        message = self.FIELDS[name][1].format(value=value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert run_cli(capsys, "simulate", path, "--quiet") == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("name", ["llama7b_sim", "verify_small"])
     def test_shipped_configs_echo_as_written(self, name):
         # integers stay JSON integers: "collective_alpha": 2000, not 2000.0
         path = default_config_path(name)
         assert json.dumps(config_dict(load_config(str(path)))) == json.dumps(json.loads(path.read_text()))
+
+
+class TestConfigEncoding:
+    """A config file is JSON text, so UTF-8: it is read as bytes and decoded as UTF-8 whatever the locale."""
+
+    @staticmethod
+    def config_with_notes(tmp_path, notes: bytes) -> str:
+        path = Path(small_config(tmp_path, notes="NOTES"))
+        path.write_bytes(path.read_bytes().replace(b'"NOTES"', b'"' + notes + b'"'))
+        return str(path)
+
+    @staticmethod
+    def assert_not_json(code, out, err, reason):
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file is not valid JSON: {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_byte_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        # a 0xff byte in notes raised UnicodeDecodeError from json.load: exit 1 and a traceback
+        path = self.config_with_notes(tmp_path, b"caf\xff")
+        self.assert_not_json(*run_cli(capsys, "simulate", path, "--quiet"), "'utf-8' codec can't decode byte 0xff")
+
+    def test_byte_that_is_not_utf8_in_a_fresh_process(self, tmp_path):
+        path = self.config_with_notes(tmp_path, b"caf\xff")
+        proc = run_python("-m", "normfusion.cli", "simulate", path, "--quiet")
+        self.assert_not_json(proc.returncode, proc.stdout, proc.stderr, "'utf-8' codec can't decode byte 0xff")
+
+    def test_byte_order_mark_is_not_json(self, tmp_path, capsys):
+        path = Path(small_config(tmp_path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        self.assert_not_json(*run_cli(capsys, "simulate", str(path), "--quiet"), "Unexpected UTF-8 BOM")
+
+    NOTES = "na\u00efve \u2192 \u65e5\u672c\u8a9e \U0001f642"
+
+    def test_non_ascii_notes_are_echoed_exactly(self, tmp_path, capsys):
+        path = self.config_with_notes(tmp_path, self.NOTES.encode("utf-8"))
+        code, out, err = run_cli(capsys, "simulate", path, "--quiet")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["config"]["notes"] == self.NOTES
+
+    def test_non_ascii_notes_under_an_ascii_locale(self, tmp_path, capsys):
+        # the C locale with neither UTF-8 mode nor locale coercion reads text files as ASCII;
+        # a config opened in text mode failed there with UnicodeDecodeError
+        path = self.config_with_notes(tmp_path, self.NOTES.encode("utf-8"))
+        src = str(Path(normfusion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "normfusion.cli", "simulate", path, "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(capsys, "simulate", path, "--quiet")[1]
+        assert strict_json(proc.stdout)["config"]["notes"] == self.NOTES
 
 
 class TestSimulate:

@@ -19,10 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
 
-from normfusion.block import BlockConfig, Node, OpGraph, build_graph, site_subgraph
+from normfusion.block import SITES, BlockConfig, Node, OpGraph, build_graph, site_subgraph
 from normfusion.cli import default_config_path
 from normfusion.jsonio import dumps_report, load_config, timeline_rows
-from normfusion.simulator import CostModel, TimelineEntry, compare, node_latency, schedule
+from normfusion.simulator import CostModel, SiteSaving, TimelineEntry, compare, node_latency, schedule
 
 UNIT_CM = CostModel(matrix_macs_per_cycle=1.0, vector_elems_per_cycle=1.0)
 
@@ -365,6 +365,67 @@ class TestCompare:
             compare(conv, conv, UNIT_CM)
         with pytest.raises(ValueError, match="different block configs"):
             compare(conv, build_graph(other, fused=True), UNIT_CM)
+
+
+def filtered_site_subgraph(graph, site):
+    """A site's induced subgraph by its definition, one filter per site: the reference for the one-pass split."""
+    keep = {n.id for n in graph.nodes if n.site == site}
+    nodes = tuple(n for n in graph.nodes if n.id in keep)
+    edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
+    return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)
+
+
+class TestSiteSplit:
+    """`site_subgraph` reads every site from one split of the graph; it must equal the per-site filter."""
+
+    TAGS = (None, "ln1", "softmax", "ln2", "attention")  # the last is no fusion site
+
+    def test_equals_the_filter_on_random_graphs(self):
+        # shuffled ids with gaps, half the graphs with repeated ids (which `schedule`
+        # refuses); edges across sites, to absent nodes, backwards and repeated
+        rng = np.random.default_rng(61)
+        kinds = ("elementwise", "collective", "matmul")
+        shared_ids = 0  # graphs in which one id is carried by nodes of different tags
+        for trial in range(400):
+            size = int(rng.integers(0, 25))
+            if trial % 2:
+                ids = [int(i) for i in rng.integers(0, size // 2 + 1, size=size)]
+            else:
+                ids = [int(i) for i in rng.choice(60, size=size, replace=False)]
+            nodes = [Node(id=i, kind=str(rng.choice(kinds)), work=int(rng.integers(1, 100)), name=f"n{k}",
+                          site=self.TAGS[int(rng.integers(len(self.TAGS)))]) for k, i in enumerate(ids)]
+            tags_of = {}
+            for n in nodes:
+                tags_of.setdefault(n.id, set()).add(n.site)
+            shared_ids += any(len(tags) > 1 for tags in tags_of.values())
+            edges = [(int(a), int(c)) for a, c in rng.integers(0, 65, size=(int(rng.integers(0, 40)), 2))]
+            edges += edges[: int(rng.integers(0, len(edges) + 1))]
+            rng.shuffle(edges)
+            g = make_graph(nodes, edges, fused=bool(trial % 3 == 0))
+            for site in SITES:
+                sub, want = site_subgraph(g, site), filtered_site_subgraph(g, site)
+                assert sub.nodes == want.nodes and sub.edges == want.edges, (trial, site)
+                assert sub == want
+        assert shared_ids > 100
+
+    def test_compare_schedules_the_filtered_sites(self):
+        rng = np.random.default_rng(62)
+        for trial in range(30):
+            heads = int(rng.choice([1, 2, 4]))
+            cfg = BlockConfig(d_model=heads * int(rng.integers(2, 9)), n_heads=heads,
+                              seq_len=int(rng.integers(1, 17)), mlp_hidden=int(rng.integers(1, 65)),
+                              variant=str(rng.choice(["standard-gelu", "llama-swiglu"])))
+            cm = CostModel(
+                matrix_macs_per_cycle=float(rng.uniform(1.0, 512.0)),
+                vector_elems_per_cycle=float(rng.uniform(1.0, 64.0)),
+                collective_alpha=float(rng.integers(0, 3000)) * (trial % 4 != 0),
+                collective_beta=float(rng.uniform(0.0, 50.0)),
+                sync_overhead=float(rng.integers(0, 20)) * (trial % 3 != 0),
+            )
+            conv, fused = build_graph(cfg, fused=False), build_graph(cfg, fused=True)
+            want = tuple(SiteSaving(site, schedule(filtered_site_subgraph(conv, site), cm).total
+                                    - schedule(filtered_site_subgraph(fused, site), cm).total) for site in SITES)
+            assert compare(conv, fused, cm).per_site_savings == want
 
 
 LLAMA_CFG = BlockConfig(d_model=64, n_heads=4, seq_len=8, mlp_hidden=176, variant="llama-swiglu")
