@@ -141,10 +141,30 @@ MUTANTS = (
            "        if abs(i) <= sys.float_info.max:", "        if True:",
            ("tests/test_cli.py", "-k", "RealFields"),
            "an integer beyond float64's range is not finite, in every real-valued field"),
-    Mutant("site-split-keeps-cross-site-edge", "block.py",
-           "            if site in sites_of.get(c, ()):\n", "            if c in sites_of:\n",
+    Mutant("long-integer-unconverted", "jsonio.py",
+           "    except ValueError as e:  # Python's guard", "    except ZeroDivisionError as e:  # Python's guard",
+           ("tests/test_cli.py", "-k", "LongIntegers"),
+           "a config integer too long for Python to convert is a config error, exit 2"),
+    Mutant("span-starts-at-first-end", "simulator.py",
+           "            bounds[site] = [start, end]\n", "            bounds[site] = [end, end]\n",
            ("tests/test_simulator.py", "-k", "SiteSplit"),
-           "a site's subgraph keeps only the edges whose two ends are in that site"),
+           "a site's span starts at its nodes' earliest start"),
+    Mutant("span-ends-at-last-entry", "simulator.py",
+           "            if end > b[1]:\n                b[1] = end\n", "            b[1] = end\n",
+           ("tests/test_simulator.py", "-k", "SiteSplit"),
+           "a site's span ends at its nodes' latest end, not at its last-scheduled node's"),
+    Mutant("both-spans-from-conventional-timeline", "simulator.py",
+           "_site_spans(graph_fused, fused_timeline)", "_site_spans(graph_conv, conv_timeline)",
+           ("tests/test_simulator.py", "-k", "SiteSplit"),
+           "the fused spans are read from the fused timeline"),
+    Mutant("site-keyed-by-tuple-position", "simulator.py",
+           "site_of = {n.id: n.site for n in graph.nodes}", "site_of = {i: n.site for i, n in enumerate(graph.nodes)}",
+           ("tests/test_simulator.py", "-k", "SiteSplit"),
+           "each timeline entry finds its site by node id, whatever the order of the node tuple"),
+    Mutant("missing-site-spans-zero", "simulator.py",
+           "if (b := bounds.get(site)) is None:", "if (b := bounds.get(site, [0, 0])) is None:",
+           ("tests/test_simulator.py", "-k", "SiteSplit"),
+           "a graph with no node of some site is refused"),
     Mutant("sync-tested-against-own-engine", "simulator.py",
            "            if p_engine != engine:\n", "            if node.engine != engine:\n",
            ("tests/test_simulator.py", "-k", "Schedule"),

@@ -23,7 +23,6 @@ from .block import (
     random_block_weights,
     run_conventional,
     run_fused,
-    site_subgraph,
 )
 from .fusion import (
     FoldedLinear,
@@ -99,7 +98,6 @@ __all__ = [
     "run_fused",
     "schedule",
     "silu",
-    "site_subgraph",
     "softmax_numerators",
     "softmax_stable",
     "swiglu",

@@ -79,7 +79,6 @@ __all__ = [
     "Node",
     "OpGraph",
     "build_graph",
-    "site_subgraph",
     "gelu",
 ]
 
@@ -446,36 +445,3 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
     b.add("elementwise", seq * n, "residual2.add", deps=[down, res1])
 
     return OpGraph(nodes=tuple(b.nodes), edges=tuple(b.edges), fused=fused, config=cfg)
-
-
-def _site_split(graph: OpGraph) -> dict[str, OpGraph]:
-    """Every fusion site's induced subgraph (node ids preserved), by site, in `SITES` order.
-
-    A node joins a site's subgraph when a node carrying its id is tagged
-    with that site, and an edge when both its ends join; each keeps the
-    graph's order. One pass over the nodes tags the ids, one places the
-    nodes, one places the edges. Where ids are unique, as in every graph
-    `schedule` accepts, a node joins its own site alone.
-    """
-    sites_of: dict[int, dict[str, None]] = {}  # id -> the sites its nodes are tagged with (an ordered set)
-    for n in graph.nodes:
-        if n.site in SITES:
-            sites_of.setdefault(n.id, {})[n.site] = None
-    nodes: dict[str, list[Node]] = {site: [] for site in SITES}
-    for n in graph.nodes:
-        for site in sites_of.get(n.id, ()):
-            nodes[site].append(n)
-    edges: dict[str, list[tuple[int, int]]] = {site: [] for site in SITES}
-    for a, c in graph.edges:
-        for site in sites_of.get(a, ()):
-            if site in sites_of.get(c, ()):
-                edges[site].append((a, c))
-    return {site: OpGraph(nodes=tuple(nodes[site]), edges=tuple(edges[site]), fused=graph.fused, config=graph.config)
-            for site in SITES}
-
-
-def site_subgraph(graph: OpGraph, site: str) -> OpGraph:
-    """Induced subgraph of one fusion site (node ids preserved): its entry in `_site_split`."""
-    if site not in SITES:
-        raise ValueError(f"unknown fusion site {site!r}")
-    return _site_split(graph)[site]

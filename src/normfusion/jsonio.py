@@ -15,6 +15,7 @@ silently falling back to defaults. No key takes a boolean.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -115,6 +116,8 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
+    except ValueError as e:  # Python's guard on converting a long digit string to an int
+        raise ConfigError(f"config file holds an integer of more than {sys.get_int_max_str_digits()} digits") from e
     _take(raw, "config", RunConfig)
     block_raw = _take(raw["block"], "config.block", BlockConfig)
     cm_raw = _take(raw["cost_model"], "config.cost_model", CostModel)

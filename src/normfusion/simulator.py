@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .block import SITES, Node, OpGraph, _site_split
+from .block import SITES, Node, OpGraph
 from .tensor import _real
 
 __all__ = [
@@ -177,13 +177,45 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     return Timeline(entries=tuple(scheduled.values()), total=max(engine_free.values()))
 
 
+def _site_spans(graph: OpGraph, timeline: Timeline) -> list[int]:
+    """Each fusion site's span in `graph`'s timeline, in `SITES` order: its nodes' latest end less their earliest start.
+
+    One pass over the entries, each placed by its node's id, whatever the
+    order of the graph's node tuple. A site with no node raises.
+    """
+    site_of = {n.id: n.site for n in graph.nodes}
+    bounds: dict[str | None, list[int]] = {}  # site -> [earliest start, latest end]
+    for nid, _, start, end in timeline.entries:
+        b = bounds.get(site := site_of[nid])
+        if b is None:
+            bounds[site] = [start, end]
+        else:
+            if start < b[0]:
+                b[0] = start
+            if end > b[1]:
+                b[1] = end
+    spans = []
+    for site in SITES:
+        if (b := bounds.get(site)) is None:
+            raise ValueError(f"the {'fused' if graph.fused else 'conventional'} graph has no node of site {site!r}")
+        spans.append(b[1] - b[0])
+    return spans
+
+
 def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> LatencyReport:
     """Schedule both graphs and quantify the latency hidden at each site.
 
-    Per-site savings are the makespan differences of the two site
-    subgraphs scheduled in isolation, which is where the hand-checkable
-    law `hidden = min(collective, overlapped matmul) - scale/sync cost`
-    lives; the headline speedup uses the full-graph makespans.
+    A site's span in a timeline runs from the earliest start to the latest
+    end of its nodes, and its hidden cycles are its conventional span less
+    its fused span, both read from the two full-graph timelines. In a graph
+    from `build_graph`, each site's nodes hold a contiguous id range that
+    meets the rest of the graph through one entry node and one exit node,
+    and every earlier node has ended when the entry node starts; so the
+    site runs as it would alone, and its span is the makespan of its
+    subgraph scheduled in isolation. That is where the hand-checkable law
+    `hidden = min(collective, overlapped matmul) - scale/sync cost` lives.
+    The sites' savings need not add up to the whole saving: the headline
+    speedup uses the full-graph makespans.
     """
     if graph_conv.fused:
         raise ValueError("graph_conv must be a conventional graph")
@@ -195,18 +227,14 @@ def compare(graph_conv: OpGraph, graph_fused: OpGraph, cm: CostModel) -> Latency
     conv_timeline = schedule(graph_conv, cm)
     fused_timeline = schedule(graph_fused, cm)
     conv_total, fused_total = conv_timeline.total, fused_timeline.total
-    conv_sites, fused_sites = _site_split(graph_conv), _site_split(graph_fused)
-    savings = []
-    for site in SITES:
-        conv_site = schedule(conv_sites[site], cm).total
-        fused_site = schedule(fused_sites[site], cm).total
-        savings.append(SiteSaving(site=site, hidden_cycles=conv_site - fused_site))
+    savings = tuple(SiteSaving(site=site, hidden_cycles=conv - fused) for site, conv, fused
+                    in zip(SITES, _site_spans(graph_conv, conv_timeline), _site_spans(graph_fused, fused_timeline)))
 
     speedup = 100.0 * (1.0 - fused_total / conv_total)
     return LatencyReport(
         conventional_total=conv_total,
         fused_total=fused_total,
-        per_site_savings=tuple(savings),
+        per_site_savings=savings,
         speedup_percent=speedup,
         conventional_timeline=conv_timeline,
         fused_timeline=fused_timeline,

@@ -1,8 +1,9 @@
-"""Shared scheduling oracles for the simulator and acceptance tests."""
+"""Shared scheduling oracles and site subgraphs for the simulator, block and acceptance tests."""
 
 import itertools
 import math
 
+from normfusion.block import OpGraph
 from normfusion.simulator import Timeline, TimelineEntry, node_latency
 
 
@@ -92,3 +93,11 @@ def check_timeline_invariants(graph, timeline, cm):
         gap = sync if nodes[a].engine != nodes[b].engine else 0
         assert by_id[b].start >= by_id[a].end + gap
     assert timeline.total == max(e.end for e in timeline.entries)
+
+
+def filtered_site_subgraph(graph, site):
+    """A site's induced subgraph by its definition (node ids preserved): its nodes, and the edges between them."""
+    keep = {n.id for n in graph.nodes if n.site == site}
+    nodes = tuple(n for n in graph.nodes if n.id in keep)
+    edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
+    return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 from numpy.testing import assert_array_equal
-from sched_helpers import brute_force_makespan, check_timeline_invariants
+from sched_helpers import brute_force_makespan, check_timeline_invariants, filtered_site_subgraph
 
 from normfusion.block import (
     BlockConfig,
@@ -21,7 +21,6 @@ from normfusion.block import (
     random_block_weights,
     run_conventional,
     run_fused,
-    site_subgraph,
 )
 from normfusion.cli import default_config_path, main
 from normfusion.fusion import (
@@ -214,7 +213,7 @@ def test_criterion_scheduler_optimal_on_micrographs():
         for fused in (False, True):
             g = build_graph(cfg, fused=fused)
             for site in ("ln1", "softmax", "ln2"):
-                sub = site_subgraph(g, site)
+                sub = filtered_site_subgraph(g, site)
                 assert len(sub.nodes) <= 8
                 for _ in range(5):
                     cm = CostModel(

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from sched_helpers import filtered_site_subgraph
 
 import normfusion.block
 import normfusion.tensor as tensor
@@ -28,7 +29,6 @@ from normfusion.block import (
     random_block_weights,
     run_conventional,
     run_fused,
-    site_subgraph,
 )
 from normfusion.fusion import (
     LlamaMlpWeights,
@@ -698,7 +698,7 @@ class TestGraph:
     def test_conventional_sites_are_chains(self):
         g = build_graph(self.cfg, fused=False)
         for site in ("ln1", "softmax", "ln2"):
-            sub = site_subgraph(g, site)
+            sub = filtered_site_subgraph(g, site)
             ids = [n.id for n in sub.nodes]
             assert len(ids) == 3
             # a chain has exactly one valid topological order
@@ -707,7 +707,7 @@ class TestGraph:
     def test_fused_site_cuts_collective_to_matmul_edge(self):
         g = build_graph(self.cfg, fused=True)
         for site in ("ln1", "softmax", "ln2"):
-            sub = site_subgraph(g, site)
+            sub = filtered_site_subgraph(g, site)
             by_kind = {n.kind: n for n in sub.nodes if n.kind != "elementwise"}
             coll, mm = by_kind["collective"], by_kind["matmul"]
             scale = next(n for n in sub.nodes if n.name.endswith(".scale"))
@@ -765,8 +765,3 @@ class TestGraph:
         assert work["ln1.scale"] == 3 * 4 * 8      # Q, K, V outputs
         assert work["softmax.scale"] == 4 * 8      # attention output
         assert work["ln2.scale"] == 2 * 4 * 16     # gate and up outputs
-
-    def test_site_subgraph_rejects_unknown_site(self):
-        g = build_graph(self.cfg, fused=False)
-        with pytest.raises(ValueError, match="unknown fusion site"):
-            site_subgraph(g, "attention")

@@ -383,6 +383,46 @@ class TestConfigEncoding:
         assert strict_json(proc.stdout)["config"]["notes"] == self.NOTES
 
 
+
+class TestLongIntegers:
+    """Python will not convert a digit string of more than `sys.get_int_max_str_digits()` digits to an int."""
+
+    LIMIT = sys.get_int_max_str_digits()
+    MESSAGE = f"config file holds an integer of more than {LIMIT} digits"
+
+    @staticmethod
+    def config_with(tmp_path, section, key, digits):
+        """`small_config` whose `key` (in `section`, or None for the run config) is a `digits`-long integer."""
+        value = "1" + "0" * (digits - 1)
+        path = Path(small_config(tmp_path, **({section: {key: "X"}} if section else {key: "X"})))
+        path.write_text(path.read_text().replace('"X"', value, 1))
+        return str(path)
+
+    @pytest.mark.parametrize("section,key", [(None, "seed"), (None, "trials"), ("block", "d_model"),
+                                             ("cost_model", "collective_alpha")])
+    def test_through_load_config(self, tmp_path, section, key):
+        # json.loads raised its plain ValueError ("Exceeds the limit (4300 digits) ...")
+        path = self.config_with(tmp_path, section, key, self.LIMIT + 1)
+        with pytest.raises(ConfigError, match=f"^{re.escape(self.MESSAGE)}$"):
+            load_config(path)
+
+    def test_through_main(self, tmp_path, capsys):
+        # it was exit 1 with a traceback
+        code, out, err = run_cli(capsys, "simulate", self.config_with(tmp_path, None, "seed", self.LIMIT + 100),
+                                 "--quiet")
+        assert (code, out, err) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_in_a_fresh_process(self, tmp_path):
+        proc = run_python("-m", "normfusion.cli", "simulate", self.config_with(tmp_path, None, "seed", self.LIMIT + 1),
+                          "--quiet")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_an_integer_at_the_limit_is_echoed(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", self.config_with(tmp_path, None, "seed", self.LIMIT), "--quiet")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["config"]["seed"] == 10 ** (self.LIMIT - 1)
+
+
 class TestSimulate:
     def test_default_config_hits_target_band(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", str(default_config_path("llama7b_sim")), "--quiet")
@@ -454,8 +494,8 @@ class TestSimulate:
         assert len(calls) == 1
 
     def test_both_csv_schedules_each_graph_once(self, tmp_path, capsys, monkeypatch):
-        # `compare` schedules the two graphs and their six site subgraphs, and
-        # the CSVs are written from its two full-graph timelines
+        # `compare` schedules the two graphs and reads each site's saving from
+        # their timelines, and the CSVs are written from those same two timelines
         calls = []
 
         def counting_schedule(*args):
@@ -467,7 +507,7 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", small_config(tmp_path), "--both",
                              "--csv", str(tmp_path / "tl.csv"), "--quiet")
         assert code == 0
-        assert len(calls) == 8
+        assert len(calls) == 2
 
     def test_csv_both_writes_two_files(self, tmp_path, capsys):
         path = small_config(tmp_path)

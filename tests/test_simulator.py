@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sched_helpers import brute_force_makespan, check_timeline_invariants, kahn_schedule
+from sched_helpers import brute_force_makespan, check_timeline_invariants, filtered_site_subgraph, kahn_schedule
 
-from normfusion.block import SITES, BlockConfig, Node, OpGraph, build_graph, site_subgraph
+from normfusion.block import SITES, VARIANTS, BlockConfig, Node, OpGraph, build_graph
 from normfusion.cli import default_config_path
 from normfusion.jsonio import dumps_report, load_config, timeline_rows
 from normfusion.simulator import CostModel, SiteSaving, TimelineEntry, compare, node_latency, schedule
@@ -253,7 +253,7 @@ class TestOptimality:
             for fused in (False, True):
                 g = build_graph(cfg, fused=fused)
                 for site in ("ln1", "softmax", "ln2"):
-                    sub = site_subgraph(g, site)
+                    sub = filtered_site_subgraph(g, site)
                     assert len(sub.nodes) <= 8
                     for _ in range(3):
                         cm = CostModel(
@@ -367,65 +367,97 @@ class TestCompare:
             compare(conv, build_graph(other, fused=True), UNIT_CM)
 
 
-def filtered_site_subgraph(graph, site):
-    """A site's induced subgraph by its definition, one filter per site: the reference for the one-pass split."""
-    keep = {n.id for n in graph.nodes if n.site == site}
-    nodes = tuple(n for n in graph.nodes if n.id in keep)
-    edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
-    return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)
-
-
 class TestSiteSplit:
-    """`site_subgraph` reads every site from one split of the graph; it must equal the per-site filter."""
+    """`compare` reads each site's saving from the site's span in the two full timelines.
 
-    TAGS = (None, "ln1", "softmax", "ln2", "attention")  # the last is no fusion site
+    A span runs from the earliest start to the latest end of the site's
+    nodes. On built graphs it equals the makespan of the site's filtered
+    subgraph scheduled alone, the definition the savings had before.
+    """
 
-    def test_equals_the_filter_on_random_graphs(self):
-        # shuffled ids with gaps, half the graphs with repeated ids (which `schedule`
-        # refuses); edges across sites, to absent nodes, backwards and repeated
-        rng = np.random.default_rng(61)
-        kinds = ("elementwise", "collective", "matmul")
-        shared_ids = 0  # graphs in which one id is carried by nodes of different tags
-        for trial in range(400):
-            size = int(rng.integers(0, 25))
-            if trial % 2:
-                ids = [int(i) for i in rng.integers(0, size // 2 + 1, size=size)]
-            else:
-                ids = [int(i) for i in rng.choice(60, size=size, replace=False)]
-            nodes = [Node(id=i, kind=str(rng.choice(kinds)), work=int(rng.integers(1, 100)), name=f"n{k}",
-                          site=self.TAGS[int(rng.integers(len(self.TAGS)))]) for k, i in enumerate(ids)]
-            tags_of = {}
-            for n in nodes:
-                tags_of.setdefault(n.id, set()).add(n.site)
-            shared_ids += any(len(tags) > 1 for tags in tags_of.values())
-            edges = [(int(a), int(c)) for a, c in rng.integers(0, 65, size=(int(rng.integers(0, 40)), 2))]
-            edges += edges[: int(rng.integers(0, len(edges) + 1))]
-            rng.shuffle(edges)
-            g = make_graph(nodes, edges, fused=bool(trial % 3 == 0))
-            for site in SITES:
-                sub, want = site_subgraph(g, site), filtered_site_subgraph(g, site)
-                assert sub.nodes == want.nodes and sub.edges == want.edges, (trial, site)
-                assert sub == want
-        assert shared_ids > 100
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fused", [False, True], ids=["conventional", "fused"])
+    def test_each_site_is_an_id_range_with_one_entry_and_one_exit(self, variant, fused):
+        g = build_graph(BlockConfig(d_model=16, n_heads=2, seq_len=4, mlp_hidden=24, variant=variant), fused=fused)
+        for site in SITES:
+            ids = sorted(n.id for n in g.nodes if n.site == site)
+            assert ids == list(range(ids[0], ids[-1] + 1)), site
+            inside = set(ids)
+            entering = {b for a, b in g.edges if a not in inside and b in inside}
+            leaving = {a for a, b in g.edges if a in inside and b not in inside}
+            assert entering == (set() if site == "ln1" else {ids[0]}), site
+            assert leaving == {ids[-1]}, site
+            # every other node follows the entry node within the site, and the exit node follows it
+            assert all(any(a in inside and b == nid for a, b in g.edges) for nid in ids[1:]), site
+            assert all(any(a == nid and b in inside for a, b in g.edges) for nid in ids[:-1]), site
 
     def test_compare_schedules_the_filtered_sites(self):
+        # 1,000 seeded configs and cost models, both variants, 1-8 heads, seq up to 4096;
+        # alpha, beta and sync are each zero in some of them
         rng = np.random.default_rng(62)
-        for trial in range(30):
-            heads = int(rng.choice([1, 2, 4]))
-            cfg = BlockConfig(d_model=heads * int(rng.integers(2, 9)), n_heads=heads,
-                              seq_len=int(rng.integers(1, 17)), mlp_hidden=int(rng.integers(1, 65)),
-                              variant=str(rng.choice(["standard-gelu", "llama-swiglu"])))
+        for trial in range(1000):
+            heads = int(rng.integers(1, 9))
+            cfg = BlockConfig(d_model=heads * int(rng.integers(1, 129)), n_heads=heads,
+                              seq_len=int(rng.integers(1, 4097)), mlp_hidden=int(rng.integers(1, 16385)),
+                              variant=VARIANTS[trial % 2])
             cm = CostModel(
-                matrix_macs_per_cycle=float(rng.uniform(1.0, 512.0)),
-                vector_elems_per_cycle=float(rng.uniform(1.0, 64.0)),
-                collective_alpha=float(rng.integers(0, 3000)) * (trial % 4 != 0),
-                collective_beta=float(rng.uniform(0.0, 50.0)),
-                sync_overhead=float(rng.integers(0, 20)) * (trial % 3 != 0),
+                matrix_macs_per_cycle=float(rng.uniform(1.0, 4096.0)),
+                vector_elems_per_cycle=float(rng.uniform(1.0, 512.0)),
+                collective_alpha=float(rng.integers(0, 100_000)) * (trial % 4 != 0),
+                collective_beta=float(rng.uniform(0.0, 5000.0)) * (trial % 5 != 0),
+                sync_overhead=float(rng.integers(0, 500)) * (trial % 3 != 0),
             )
             conv, fused = build_graph(cfg, fused=False), build_graph(cfg, fused=True)
             want = tuple(SiteSaving(site, schedule(filtered_site_subgraph(conv, site), cm).total
                                     - schedule(filtered_site_subgraph(fused, site), cm).total) for site in SITES)
-            assert compare(conv, fused, cm).per_site_savings == want
+            assert compare(conv, fused, cm).per_site_savings == want, trial
+
+    def test_llama7b_sim_savings(self):
+        rc = load_config(str(default_config_path("llama7b_sim")))
+        conv, fused = build_graph(rc.block, fused=False), build_graph(rc.block, fused=True)
+        rep = compare(conv, fused, rc.cost_model)
+        assert (rep.conventional_total, rep.fused_total) == (9_128_352, 7_497_440)
+        assert rep.per_site_savings == (SiteSaving("ln1", 687_840), SiteSaving("softmax", 260_160),
+                                        SiteSaving("ln2", 682_976))
+
+    def test_span_is_the_earliest_start_to_the_latest_end(self):
+        # Under UNIT_CM (latency == work). Conventional:
+        #   ln1:     0 matmul 0-10, 1 elementwise 0-3            -> span 10 (the earlier id ends later)
+        #   softmax: 2 matmul after 1: 10-15, 3 elementwise 3-5  -> span 15 - 3 = 12 (the later id starts first)
+        #   ln2:     4 elementwise after 2 and 3: 15-16          -> span 1
+        conv = make_graph([Node(0, "matmul", 10, "a", "ln1"), Node(1, "elementwise", 3, "b", "ln1"),
+                           Node(2, "matmul", 5, "c", "softmax"), Node(3, "elementwise", 2, "d", "softmax"),
+                           Node(4, "elementwise", 1, "e", "ln2")],
+                          [(1, 2), (2, 4), (3, 4)])
+        # fused: one 4-cycle node per site, a chain -> spans 4, 4, 4
+        fused = make_graph([Node(i, "elementwise", 4, f"f{i}", site) for i, site in enumerate(SITES)],
+                           [(0, 1), (1, 2)], fused=True)
+        rep = compare(conv, fused, UNIT_CM)
+        assert rep.per_site_savings == (SiteSaving("ln1", 6), SiteSaving("softmax", 8), SiteSaving("ln2", -3))
+
+    def test_node_tuple_order_does_not_matter(self):
+        # `schedule` runs the nodes by id, so a shuffled node tuple gives the same report
+        rng = np.random.default_rng(63)
+        cm = CostModel(64.0, 8.0, collective_alpha=300.0, collective_beta=7.0, sync_overhead=3.0)
+        for variant in VARIANTS:
+            cfg = BlockConfig(d_model=32, n_heads=4, seq_len=16, mlp_hidden=96, variant=variant)
+            conv, fused = build_graph(cfg, fused=False), build_graph(cfg, fused=True)
+            shuffled = [dataclasses.replace(g, nodes=tuple(g.nodes[i] for i in rng.permutation(len(g.nodes))))
+                        for g in (conv, fused)]
+            assert [g.nodes for g in shuffled] != [conv.nodes, fused.nodes]
+            assert compare(*shuffled, cm) == compare(conv, fused, cm)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["conventional", "fused"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_a_graph_without_a_site_rejected(self, site, fused):
+        # the site's subgraph had no node, which `schedule` rejected
+        graphs = [build_graph(DUMMY_CFG, fused=False), build_graph(DUMMY_CFG, fused=True)]
+        g = graphs[fused]
+        graphs[fused] = dataclasses.replace(g, nodes=tuple(n._replace(site=None) if n.site == site else n
+                                                          for n in g.nodes))
+        which = "fused" if fused else "conventional"
+        with pytest.raises(ValueError, match=f"^the {which} graph has no node of site '{site}'$"):
+            compare(*graphs, UNIT_CM)
 
 
 LLAMA_CFG = BlockConfig(d_model=64, n_heads=4, seq_len=8, mlp_hidden=176, variant="llama-swiglu")
