@@ -16,10 +16,12 @@ a usage error or no tests collected is not. Before any mutant runs,
 every selection must pass on the unmutated copy, so a kill is the mutant's
 doing. The checkout itself is never written.
 
-Kernel-order mutants of `tensor._summing_einsum` are left out: the import
-probe (`tensor._sums_in_order`) sends a kernel that sums out of order to the
-exact chunked fallback, so the suite rightly passes. CI's "Versions" step
-catches that switch on the latest numpy.
+Kernel-order mutants of `tensor._summing_einsum` that the import probe
+(`tensor._sums_in_order`) reaches are left out: the probe sends a kernel that
+sums out of order on its operands to the exact chunked fallback, so the suite
+rightly passes. CI's "Versions" step catches that switch on the latest numpy.
+The probe's right operands are C order or one column, so a kernel that skips
+the copy of a transposed or Fortran-order `b` passes it, and is a mutant here.
 
 The exit status is 0 when every mutant is killed, 1 otherwise.
 """
@@ -65,22 +67,34 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "joined_projections"),
            "gate|up is joined in that order and its views are the constructor's inputs"),
     Mutant("gelu-writes-its-input", "block.py",
-           "return 0.5 * z * (", "return np.multiply(z, 0.5, out=z) * (",
+           "        half = 0.5 * z\n", "        half = np.multiply(z, 0.5, out=z)\n",
            ("tests/test_inputs_kept.py", "-k", "gelu"),
            "gelu never writes its caller's array"),
+    Mutant("gelu-chain-on-its-input", "block.py",
+           "t = np.multiply(z, z, out=np.empty_like(z))", "t = np.multiply(z, z, out=z)",
+           ("tests/test_inputs_kept.py", "-k", "gelu"),
+           "gelu's in-place chain runs on a buffer it made, never on its caller's array"),
     Mutant("layernorm-centres-x-in-place", "norms.py",
            "(x - st.mean[..., np.newaxis])", "np.subtract(x, st.mean[..., np.newaxis], out=x)",
            ("tests/test_inputs_kept.py", "-k", "layernorm"),
            "layernorm centres a new array, never the caller's rows"),
     Mutant("softmax-shifts-x-in-place", "norms.py",
-           "np.exp(x - np.max(x, axis=-1, keepdims=True))",
-           "np.exp(np.subtract(x, np.max(x, axis=-1, keepdims=True), out=x))",
+           "np.exp(x - x.max(axis=-1, keepdims=True))",
+           "np.exp(np.subtract(x, x.max(axis=-1, keepdims=True), out=x))",
            ("tests/test_inputs_kept.py", "-k", "softmax"),
            "the softmax shifts a new array, never the caller's logits"),
     Mutant("whole-matrix-softmax-max", "norms.py",
-           "np.max(x, axis=-1, keepdims=True)", "np.max(x)",
+           "x.max(axis=-1, keepdims=True)", "x.max()",
            ("tests/test_norms.py", "tests/test_fusion.py", "-k", "softmax"),
            "each row is shifted by its own max"),
+    Mutant("ordered-sum-first-prefix", "tensor.py",
+           "(axis % prefix.ndim) + (-1,)]", "(axis % prefix.ndim) + (0,)]",
+           ("tests/test_tensor.py", "-k", "OrderedSum"),
+           "a sum along any axis is its last prefix"),
+    Mutant("non-c-b-not-copied", "tensor.py",
+           "    elif not b.flags.c_contiguous:\n        b = b.copy()\n", "",
+           ("tests/test_tensor.py", "-k", "EinsumForms or Layouts"),
+           "the summing einsum takes `b` in C order, where k runs outermost; a transposed or Fortran-order `b` is copied"),
     Mutant("reversed-adds-in-a-chunk", "tensor.py",
            "                for product in chunk:\n", "                for product in chunk[::-1]:\n",
            ("tests/test_tensor.py", "-k", "Chunked"),

@@ -221,15 +221,28 @@ _GELU_SQRT_2_OVER_PI = 0.7978845608028654
 
 
 def gelu(z) -> np.ndarray:
-    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call."""
+    """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call.
+
+    The formula runs as one chain of in-place steps on a buffer made here,
+    in its operation order, so the bits are the straight-line formula's
+    with two arrays allocated, not nine; `z` is never written.
+    """
     z = np.asarray(z, dtype=np.float64)
     # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
     # and the result is the exact limit, z or -0.0. Below |z| ~ 2.8e-103 the
     # cube, and near the subnormal range 0.5 * z, round to a subnormal or 0:
     # correctly rounded, not an error.
     with np.errstate(over="ignore", under="ignore"):
-        inner = _GELU_SQRT_2_OVER_PI * (z + 0.044715 * (z * z * z))
-        return 0.5 * z * (1.0 + np.tanh(inner))
+        t = np.multiply(z, z, out=np.empty_like(z))  # an array even for a 0-d z, where z * z is a scalar
+        t *= z
+        t *= 0.044715
+        t += z
+        t *= _GELU_SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+        t += 1.0
+        half = 0.5 * z
+        half *= t
+        return half
 
 
 # A norm site's algebra, written once for the block, its folds and `normfusion verify`.

@@ -55,6 +55,7 @@ the same steps the block's fused path takes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +202,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     independent tasks; they meet only at the final scale-and-bias.
     """
     rows = _fold_rows(x, fl, layernorm=True)
-    if not (np.isfinite(epsilon) and epsilon > 0):
+    if not (math.isfinite(epsilon) and epsilon > 0):
         _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
     variance = moments(rows).variance           # collective task

@@ -25,6 +25,7 @@ scans its input, as a -inf logit gives a finite result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,8 @@ def moments(x) -> MomentStats:
     with np.errstate(all="ignore"):
         mean = ordered_sum(x, axis=-1) / n
         dev = x - mean[..., np.newaxis]
-        variance = ordered_sum(dev * dev, axis=-1) / n
+        dev *= dev
+        variance = ordered_sum(dev, axis=-1) / n
     if not np.isfinite(variance).all():  # a non-finite input, or a finite row's sums overflowed
         _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
     return MomentStats(mean=mean, variance=variance)
@@ -134,7 +136,7 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     named before it.
     """
     x = _rows(x)
-    if not (np.isfinite(epsilon) and epsilon >= 0):
+    if not (math.isfinite(epsilon) and epsilon >= 0):
         _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
     with np.errstate(all="ignore"):
         mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
@@ -169,7 +171,7 @@ def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
     # far below the max a numerator rounds to a subnormal or 0, and a shift
     # past -1.8e308 to -inf gives 0: each correctly rounded, not an error
     with np.errstate(over="ignore", under="ignore"):
-        numerators = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        numerators = np.exp(x - x.max(axis=-1, keepdims=True))
     return numerators, ordered_sum(numerators, axis=-1)
 
 

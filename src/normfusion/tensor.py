@@ -11,13 +11,14 @@ multiply-add; the one kernel here that might fuse them runs only where a
 probe shows that it does not.
 
 `matmul` has two exact kernels, picked once at import:
-- `_summing_einsum` is one `np.einsum("hkm,hkn->hmn")`, a 2-D product
-  lifted to a batch of one, with `a` copied to C order as (h, k, m). With
-  n >= 2, numpy's iterator orders the axes (h, k, m, n): k runs
-  outermost and an inner loop of `out[j] += a * b[j]` runs over n, so
-  each product goes straight into its output element in index order,
-  starting from +0.0, and each row of `b` is read once for all m rows of
-  `a`. The copy of `a` is the activations', never the weight's. A
+- `_summing_einsum` is one `np.einsum("km,kn->mn")` for a 2-D pair, with
+  `a` copied to C order as its transpose (k, m), and one
+  `np.einsum("hkm,hkn->hmn")` for a batch, with `a` copied as (h, k, m).
+  With n >= 2, numpy's iterator orders the axes (k, m, n), or (h, k, m,
+  n): k runs outermost and an inner loop of `out[j] += a * b[j]` runs
+  over n, so each product goes straight into its output element in index
+  order, starting from +0.0, and each row of `b` is read once for all m
+  rows of `a`. The copy of `a` is the activations', never the weight's. A
   transposed view or Fortran-order `b`, or n == 1, would make k the inner
   loop, whose sum is reassociated, so `b` is copied to C order where it
   is not in it, and a one-column `b` is padded with a zero column.
@@ -28,9 +29,9 @@ probe shows that it does not.
   other order rounds differently, and all -0.0 products, each in its own
   output element, in the bulk and the tail of the vector loop, with
   n == 1, with one row (a row vector times a matrix), with one output
-  element, and in a batch of two slices that differ. It compares the
-  bits with a Python triple loop per slice, and `_EINSUM_IN_ORDER`
-  records the answer.
+  element, and in a batch of two slices that differ, so both einsum
+  forms run. It compares the bits with a Python triple loop per slice,
+  and `_EINSUM_IN_ORDER` records the answer.
 - Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
   build: it forms the products a chunk of the inner dimension at a time
   into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
@@ -39,6 +40,17 @@ probe shows that it does not.
   other.
 Neither order is a documented numpy promise, so the bitwise tests against
 the triple loop, run on both kernels, are the guarantee.
+
+Where the time goes: on the benchmark's `prefill-gelu` operation
+(`run_conventional` plus `run_fused` on 8 rows of width 128; 2-vCPU x86
+host, numpy 2.4.6) the 12 summing einsum calls take about two thirds of
+the operation's fastest time, about 0.77 of 1.15-1.25 ms. numpy's einsum
+loops are not among its run-time dispatched kernels, so they run at its
+build baseline, X86_V2 there (SSE4.2, two float64 per vector), on a host
+with AVX-512. The rest is fixed work around the small numpy calls of the
+norms, `gelu`, the softmax and the shape and finiteness checks. So
+`matmul` hands a 2-D pair straight to one einsum, and `ordered_sum`,
+`moments` and `gelu` make no temporary they can do without.
 
 One finiteness rule holds for every public kernel here and in `norms`
 and `fusion`: check shapes, then prove the input finite once, on the
@@ -210,9 +222,12 @@ def ordered_sum(a: np.ndarray, axis: int):
     `acc = a[0]; for v in a[1:]: acc += v` along the axis. That is the
     loop from `acc = 0.0` except where every term is -0.0: there the sum
     is -0.0, where the loop from +0.0, like `matmul`, gives +0.0.
+
+    The last prefix is taken with a basic index, not `np.take`: a view of
+    the prefix array, which is as large as `a`, or a scalar for one row.
     """
-    a = np.asarray(a, dtype=np.float64)
-    return np.take(np.add.accumulate(a, axis=axis), -1, axis=axis)
+    prefix = np.add.accumulate(np.asarray(a, dtype=np.float64), axis=axis)
+    return prefix[(slice(None),) * (axis % prefix.ndim) + (-1,)]
 
 
 def matmul(a, b) -> np.ndarray:
@@ -223,18 +238,19 @@ def matmul(a, b) -> np.ndarray:
     `a` is one row (1-D) or a stack of rows (2-D) times a matrix `b`, or a
     batch of stacks (h, m, k) times a batch of matrices (h, k, n), giving
     (h, m, n): each slice is multiplied on its own, bit-equal to a loop of
-    2-D products over the batch. One row runs as a one-row stack.
+    2-D products over the batch. One row runs as a one-row stack, and its
+    result is that stack's row 0.
 
     Where the import-time probe found numpy's summing `einsum` exact
     (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call. It runs the
-    inner dimension outermost, in the axis order (h, k, m, n), on a copy
-    of `a` as (h, k, m), so each row of `b` is read once for all rows of
-    `a` and each product goes straight into its output element. The probe
-    runs that kernel on traps a fused multiply-add, any other summation
-    order, a -0.0 start or mixing slices of a batch would round
-    differently, and compares the bits with a triple loop. Elsewhere
-    `matmul` is `_chunked_matmul`, which forms the products a chunk at a
-    time in a buffer and adds them in index order.
+    inner dimension outermost, in the axis order (k, m, n), or (h, k, m, n)
+    for a batch, on a C-order copy of `a`'s transpose, so each row of `b` is
+    read once for all rows of `a` and each product goes straight into its
+    output element. The probe runs both of its einsum forms on traps a
+    fused multiply-add, any other summation order, a -0.0 start or mixing
+    slices of a batch would round differently, and compares the bits with
+    a triple loop. Elsewhere `matmul` is `_chunked_matmul`, which forms the
+    products a chunk at a time in a buffer and adds them in index order.
 
     Both operands must be finite. The shape checks run first; then the
     product is computed and its output scanned once (see the module
@@ -253,7 +269,7 @@ def matmul(a, b) -> np.ndarray:
     if not shapes_agree:
         _check_operands(a, b)  # raises the first error in the validators' order
         raise ValueError(f"matmul dimension mismatch: {np.shape(a)} times {np.shape(b)}")
-    rows = a.reshape(1, -1) if a.ndim == 1 else a
+    rows = a[np.newaxis] if a.ndim == 1 else a
     if _EINSUM_IN_ORDER:
         out = _summing_einsum(rows, b)
     else:
@@ -261,7 +277,7 @@ def matmul(a, b) -> np.ndarray:
             out = _chunked_matmul(rows, b)
     if not np.isfinite(out).all():
         _check_operands(a, b)
-    return out.reshape(a.shape[:-1] + b.shape[-1:])
+    return out[0] if a.ndim == 1 else out
 
 
 def _check_operands(a, b) -> None:
@@ -271,34 +287,36 @@ def _check_operands(a, b) -> None:
 
 
 def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as one `einsum("hkm,hkn->hmn")`, in index order where the probe says so.
+    """a @ b as one summing `einsum`, in index order where the probe says so.
 
-    `a` and `b` are both 2-D, lifted to a batch of one, or both 3-D, and
-    the result has their rank. `a` is copied to C order as (h, k, m), its
-    rows' transpose, and `b` is C order. `einsum` starts the output at
-    +0.0, and numpy's iterator orders the axes (h, k, m, n): its inner
-    loop is `out[j] += a * b[j]` over n, and k runs outermost in ascending
-    order, each slice of the batch on its own operands. So each row of
-    `b` is read once for all m rows, while the m x n output block stays in
-    cache. Unless the loop fuses the multiply and the add, those are the
-    triple loop's IEEE operations. Other layouts can make k the inner
-    loop, where the sum is reassociated: a transposed view or a
-    Fortran-order `b` does, and so can n == 1 (with m == 1 too, k is the
-    only axis left). So `b` is copied to C order where it is not in it, and
-    a one-column `b` is padded with a zero column, whose results are
-    dropped. Memory beyond the output is the copy of `a` (m*k float64 per
-    slice) and those of `b`, none for a C-contiguous `b` with n >= 2. No
-    BLAS call is made (`optimize=False`).
+    `a` and `b` are both 2-D, a pair multiplied as `einsum("km,kn->mn")`,
+    or both 3-D, a batch multiplied as `einsum("hkm,hkn->hmn")`, and the
+    result has their rank. `a` is copied to C order as its rows' transpose,
+    (k, m) or (h, k, m), and `b` is C order. `einsum` starts the output at
+    +0.0, and numpy's iterator orders the axes (k, m, n), or (h, k, m, n):
+    its inner loop is `out[j] += a * b[j]` over n, and k runs outermost in
+    ascending order, each slice of a batch on its own operands. So each row
+    of `b` is read once for all m rows, while the m x n output block stays
+    in cache. Unless the loop fuses the multiply and the add, those are the
+    triple loop's IEEE operations. Other layouts can make k the inner loop,
+    where the sum is reassociated: a transposed view or a Fortran-order `b`
+    does, and so can n == 1 (with m == 1 too, k is the only axis left). So
+    `b` is copied to C order where it is not in it, and a one-column `b` is
+    padded with a zero column, whose results are dropped. Memory beyond the
+    output is the copy of `a` (m*k float64 per slice) and those of `b`,
+    none for a C-contiguous `b` with n >= 2. No BLAS call is made
+    (`optimize=False`).
     """
-    x, y = (a[np.newaxis], b[np.newaxis]) if a.ndim == 2 else (a, b)
-    n = y.shape[-1]
+    n = b.shape[-1]
     if n == 1:
-        y = np.concatenate([y, np.zeros_like(y)], axis=-1)
-    out = np.einsum("hkm,hkn->hmn", np.ascontiguousarray(x.transpose(0, 2, 1)), np.ascontiguousarray(y),
-                    optimize=False)
-    if n == 1:
-        out = out[..., :1].copy()
-    return out.reshape(a.shape[:-1] + (n,))
+        b = np.concatenate([b, np.zeros_like(b)], axis=-1)
+    elif not b.flags.c_contiguous:
+        b = b.copy()
+    if a.ndim == 2:
+        out = np.einsum("km,kn->mn", a.T.copy(), b, optimize=False)
+    else:
+        out = np.einsum("hkm,hkn->hmn", a.transpose(0, 2, 1).copy(), b, optimize=False)
+    return out[..., :1].copy() if n == 1 else out
 
 
 def _chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -451,6 +451,40 @@ def test_norm_site_is_the_public_kernels(request, norm, rank, kernel):
     assert_array_equal(_norm_site(x, p, joined, fold).view(np.uint64), expected.view(np.uint64))
 
 
+def longdouble_layernorm_site(x, p: LayerNormParams, mat) -> np.ndarray:
+    """layernorm(x) @ mat per row in np.longdouble, rounded to float64 at the end.
+
+    Each row is first shifted by its first element, which layernorm does
+    not see in exact arithmetic. The shift is exact in a 64-bit mantissa
+    for every element within a factor of 2^11 of the first, as all are
+    at a large offset, so a large row offset costs the oracle nothing.
+    """
+    y = x.astype(np.longdouble)
+    y -= y[:, :1]
+    dev = y - y.sum(axis=1, keepdims=True) / y.shape[1]
+    var = (dev * dev).sum(axis=1, keepdims=True) / y.shape[1]
+    normed = dev / np.sqrt(var + np.longdouble(p.epsilon)) * p.gamma.astype(np.longdouble) + p.beta
+    return (normed @ mat.astype(np.longdouble)).astype(np.float64)
+
+
+CONDITIONING = "ROADMAP item 1: a large row offset costs both layernorm paths accuracy; no shift yet"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is not 80-bit extended precision here")
+@pytest.mark.parametrize("offset", [0.0, 1e3, pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=CONDITIONING)),
+                                    pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=CONDITIONING))])
+@pytest.mark.parametrize("n, rows", [(256, 8), (4096, 4)])
+def test_layernorm_sites_against_a_longdouble_oracle(n, rows, offset):
+    """Both layernorm-site paths within 1e-10 of the oracle, on rows offset by ±`offset`, 64 output columns."""
+    rng = np.random.default_rng(n)
+    p = LayerNormParams(gamma=rng.uniform(0.8, 1.2, n), beta=0.05 * rng.standard_normal(n), epsilon=1e-5)
+    mat = rng.standard_normal((n, 64)) / math.sqrt(n)
+    x = rng.standard_normal((rows, n)) + offset * rng.choice([-1.0, 1.0], size=(rows, 1))
+    expected = longdouble_layernorm_site(x, p, mat)
+    assert max_rel_error(_norm_site(x, p, mat), expected) <= 1e-10
+    assert max_rel_error(_norm_site(x, p, mat, _fold_site(p, mat)), expected) <= 1e-10
+
+
 @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
 def test_folded_is_a_read_only_site_mapping(variant):
     cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
@@ -576,6 +610,32 @@ def test_gelu_past_the_cube_overflow_is_the_exact_limit(strict_fp):
     # result is z for positive z and -0.0 for negative
     z = np.array([5.7e102, -5.7e102, 1e200, -1e200, 1.7e308, -1.7e308])
     assert_array_equal(gelu(z).view(np.uint64), np.where(z > 0, z, -0.0).view(np.uint64))
+
+
+def straight_line_gelu(z):
+    """The tanh formula as one expression of new arrays, the reference for `gelu`'s in-place chain."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 0.5 * z * (1.0 + np.tanh(0.7978845608028654 * (z + 0.044715 * (z * z * z))))
+
+
+# past the cube's overflow, far past it, at the largest float64, and subnormals
+# (the smallest, the largest, and one between), each of both signs, beside ordinary rows
+GELU_EDGES = [5.7e102, 1e200, 1.7e308, 5e-324, 2.2250738585072009e-308, 1e-310]
+
+
+@pytest.mark.parametrize("shape", [(24,), (2, 12), (2, 3, 4)])
+def test_gelu_is_the_straight_line_formula_bitwise(shape):
+    rng = np.random.default_rng(52)
+    z = rng.permutation(np.concatenate([GELU_EDGES, np.negative(GELU_EDGES), rng.standard_normal(12) * 4]))
+    z = z.reshape(shape)
+    assert_array_equal(gelu(z).view(np.uint64), straight_line_gelu(z).view(np.uint64))
+
+
+@pytest.mark.parametrize("z", [0.5, -1e200, np.float64(5e-324)])
+def test_gelu_of_a_scalar_is_the_formula_scalar(z):
+    out = gelu(z)
+    assert isinstance(out, np.float64)
+    assert out.view(np.uint64) == straight_line_gelu(np.float64(z)).view(np.uint64)
 
 
 @pytest.mark.parametrize("scale", [5.7e102, 1e200, 5e307])

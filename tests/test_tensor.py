@@ -295,6 +295,26 @@ LAYOUTS = {
 }
 
 
+@pytest.mark.skipif(not tensor._EINSUM_IN_ORDER, reason="this numpy's summing einsum failed the probe")
+class TestEinsumForms:
+    """A 2-D pair's one `einsum("km,kn->mn")` gives the bits of its batch of one and of the triple loop."""
+
+    # n == 1, m == 1, both, k == 1, and a wide inner dimension
+    @pytest.mark.parametrize("shape", [(8, 100, 9), (8, 100, 1), (1, 100, 9), (1, 100, 1), (3, 1, 4), (5, 513, 35)])
+    @pytest.mark.parametrize("layout", ["c", "transposed-b", "fortran-b"])
+    def test_pair_is_its_batch_of_one(self, shape, layout):
+        m, k, n = shape
+        a, b = adversarial_operands(np.random.default_rng(m * k + n), m, k, n)
+        y = {"c": b, "transposed-b": np.ascontiguousarray(b.T).T, "fortran-b": np.asfortranarray(b)}[layout]
+        expected = matmul_oracle(a, b)
+        out = _summing_einsum(a, y)
+        assert out.shape == (m, n)
+        assert_bits_equal(out, expected)
+        assert_bits_equal(_summing_einsum(a[np.newaxis], y[np.newaxis])[0], expected)
+        # a 1-D `a` is row 0 of its one-row stack's product
+        assert_bits_equal(matmul(a[0], y), expected[0])
+
+
 class TestMatmulLayouts:
     """Operand layouts and edge shapes, bit-equal to the triple loop.
 
@@ -616,6 +636,19 @@ class TestDiag:
         assert_array_equal(via_diag, x * g)
 
 
+def ordered_sum_loop(x, axis):
+    """acc = first term; acc += each later term, along `axis`, in Python floats, per position of the others."""
+    moved = np.moveaxis(x, axis, -1)
+    out = np.empty(moved.shape[:-1])
+    for index in np.ndindex(out.shape):
+        terms = moved[index].tolist()
+        acc = terms[0]
+        for v in terms[1:]:
+            acc += v
+        out[index] = acc
+    return out
+
+
 class TestOrderedSum:
     def test_bit_equal_to_left_to_right_loop(self):
         rng = np.random.default_rng(9)
@@ -633,6 +666,21 @@ class TestOrderedSum:
         for v in (-0.0, -0.0):
             acc += v
         assert not np.signbit(acc)
+
+    # every axis of a row, a stack and a stack per head: magnitudes any other
+    # order rounds differently, rows of all -0.0, and an input of all -0.0
+    @pytest.mark.parametrize("shape, axis", [((29,), 0), ((29,), -1), *(((9, 29), ax) for ax in (0, 1, -1, -2)),
+                                             *(((9, 4, 17), ax) for ax in (0, 1, 2, -1, -2, -3))])
+    def test_every_axis_bit_equal_to_the_loop(self, shape, axis):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape) * 10.0 ** rng.choice([-200, 0, 16, 200], size=shape)
+        if x.ndim > 1:
+            x[(0,) * (x.ndim - 1)] = -0.0  # an all -0.0 row along the last axis ...
+            x[(slice(None),) + (0,) * (x.ndim - 1)] = -0.0  # ... and one along the first
+        total = ordered_sum(x, axis=axis)
+        assert np.shape(total) == tuple(np.delete(shape, axis))
+        assert_bits_equal(np.asarray(total), ordered_sum_loop(x, axis))
+        assert_bits_equal(np.asarray(ordered_sum(np.full(shape, -0.0), axis=axis)), np.full(np.shape(total), -0.0))
 
     def test_columnwise_bit_equal_to_row_loop(self):
         rng = np.random.default_rng(10)
