@@ -75,9 +75,27 @@ MUTANTS = (
            ("tests/test_inputs_kept.py", "-k", "gelu"),
            "gelu's in-place chain runs on a buffer it made, never on its caller's array"),
     Mutant("layernorm-centres-x-in-place", "norms.py",
-           "(x - st.mean[..., np.newaxis])", "np.subtract(x, st.mean[..., np.newaxis], out=x)",
+           "        shifted = x - x[..., :1]\n", "        shifted = np.subtract(x, x[..., :1], out=x)\n",
            ("tests/test_inputs_kept.py", "-k", "layernorm"),
-           "layernorm centres a new array, never the caller's rows"),
+           "both layernorm paths shift and centre a new array, never the caller's rows"),
+    Mutant("layernorm-centres-by-rounded-mean", "norms.py",
+           "    _, dev, _, variance = _shifted_moments(x)\n",
+           "    _, _, mean, variance = _shifted_moments(x)\n    dev = x - (x[..., :1] + mean[..., np.newaxis])\n",
+           ("tests/test_block.py", "-k", "oracle"),
+           "layernorm centres the shifted rows by their own mean, never x by a rounded x[0] + mean"),
+    Mutant("fused-product-unshifted", "fusion.py",
+           "    projected = matmul(shifted, fl.folded_weight)", "    projected = matmul(rows, fl.folded_weight)",
+           ("tests/test_block.py", "-k", "oracle"),
+           "the fused layernorm product multiplies the shifted rows, so a large row offset costs no accuracy"),
+    Mutant("shifted-overflow-not-retried", "fusion.py",
+           "        projected[overflowed] = matmul(rows[overflowed], fl.folded_weight)\n", "",
+           ("tests/test_fusion.py", "tests/test_block.py", "-k", "falls_back or gelu_cube"),
+           "a row whose shifted product overflows is multiplied unshifted: the shift costs no overflow headroom"),
+    Mutant("shifted-overflow-retried-for-every-row", "fusion.py",
+           "        projected[overflowed] = matmul(rows[overflowed], fl.folded_weight)\n",
+           "        projected = matmul(rows, fl.folded_weight)\n",
+           ("tests/test_fusion.py", "-k", "falls_back"),
+           "only the rows whose shifted product overflows lose the shift"),
     Mutant("softmax-shifts-x-in-place", "norms.py",
            "np.exp(x - x.max(axis=-1, keepdims=True))",
            "np.exp(np.subtract(x, x.max(axis=-1, keepdims=True), out=x))",
@@ -183,6 +201,18 @@ MUTANTS = (
            "            if p_engine != engine:\n", "            if node.engine != engine:\n",
            ("tests/test_simulator.py", "-k", "Schedule"),
            "a dependency pays the sync overhead when its node ran on the other engine"),
+    Mutant("second-mode-accepted", "cli.py",
+           "        given.add(option.dest)\n", "        given.add(option.flag)\n",
+           ("tests/test_cli.py", "-k", "SpelledInFull"),
+           "argv with two modes, or an option given twice, is left to argparse"),
+    Mutant("negative-seed-value-taken", "cli.py",
+           'if (value := next(tokens, "-")).startswith("-"):', "if (value := next(tokens, None)) is None:",
+           ("tests/test_cli.py", "-k", "SpelledInFull"),
+           "an option argument starting with '-' is left to argparse"),
+    Mutant("seed-left-a-string", "cli.py",
+           "            args[option.dest] = option.type(value)\n", "            args[option.dest] = value\n",
+           ("tests/test_cli.py", "-k", "SpelledInFull"),
+           "a seed spelled in full is stored as argparse stores it, an int"),
     Mutant("weights-not-copied", "tensor.py",
            "    out = a.copy()\n    out.setflags(write=False)\n", "    out = a\n    out.setflags(write=False)\n",
            ("tests/test_block.py", "-k", "private"),

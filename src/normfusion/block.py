@@ -40,8 +40,9 @@ heads, one at a time.
 the fused graph differs from the conventional one only by cutting the
 collective->matmul edge at each site and adding a deferred-scale node
 after the matmul. The graph is a cost model, not the code's operation
-list: the fused norm sites, for instance, feed the raw rows straight into
-the product.
+list: the fused softmax site, for instance, feeds the raw scores straight
+into the product. At a layernorm site the shifted rows `x - x[..., :1]`
+that both tasks take are the site's elementwise node.
 """
 
 from __future__ import annotations

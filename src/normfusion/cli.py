@@ -13,7 +13,9 @@ import argparse
 import dataclasses
 import functools
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,9 +177,77 @@ def cmd_simulate(rc: RunConfig, mode: str, csv_base: str | None, quiet: bool) ->
     return 0
 
 
+class _Option(NamedTuple):
+    """One option of a command: with a `type` it takes one argument, stored through it; without, it stores `const`."""
+
+    dest: str
+    default: object
+    type: Callable[[str], object] | None = None
+    const: object = None
+    help: str | None = None
+    metavar: str | None = None
+
+
+# Each command's help and its options after the config, by flag in usage order.
+# `_build_parser` and `_parse_in_full` both read this one table. Options that
+# share a `dest` are mutually exclusive: simulate's three modes.
+_COMMON = {
+    "--seed": _Option("seed", None, type=int, help="override the config seed"),
+    "--quiet": _Option("quiet", False, const=True, help="suppress non-JSON stderr output"),
+}
+_COMMANDS = {
+    "verify": ("randomized fused-vs-conventional equivalence checks", _COMMON),
+    "simulate": ("two-engine latency simulation", {
+        **_COMMON,
+        "--both": _Option("mode", "both", const="both", help="schedule both graphs and report the speedup (default)"),
+        "--fused": _Option("mode", "both", const="fused"),
+        "--conventional": _Option("mode", "both", const="conventional"),
+        "--csv": _Option("csv", None, type=str, metavar="PATH",
+                         help="write timeline CSV (with --both, writes PATH.conventional.csv and PATH.fused.csv)"),
+    }),
+}
+
+
+def _parse_in_full(argv) -> argparse.Namespace | None:
+    """The Namespace `_build_parser().parse_args(argv)` returns, where every token of `argv` is spelled in full; else None.
+
+    Spelled in full: a command, its config once and not starting with "-",
+    and each option by its whole name, at most once and one mode at most,
+    with an argument that does not start with "-" and that its `type` takes.
+    Everything else is left to argparse: help, abbreviations, `--opt=value`,
+    `--`, negative values, repeated or conflicting options, and every usage
+    error and its message.
+    """
+    if not argv or (command := _COMMANDS.get(argv[0])) is None:
+        return None
+    options = command[1]
+    args = {"command": argv[0], "config": None, **{o.dest: o.default for o in options.values()}}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if args["config"] is not None:
+                return None
+            args["config"] = token
+            continue
+        if (option := options.get(token)) is None or option.dest in given:
+            return None
+        given.add(option.dest)
+        if option.type is None:
+            args[option.dest] = option.const
+            continue
+        if (value := next(tokens, "-")).startswith("-"):
+            return None
+        try:
+            args[option.dest] = option.type(value)
+        except ValueError:
+            return None
+    return None if args["config"] is None else argparse.Namespace(**args)
+
+
 # Built on first use, not at import, and shared by every later `main` call:
 # it depends on no run-time input, and `parse_args` returns a fresh Namespace
-# without changing the parser.
+# without changing the parser. A call spelled in full never builds it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -185,33 +255,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deferred-normalization fusion: verify equivalence, simulate latency.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON run config (see shipped configs under normfusion/data/)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--quiet", action="store_true", help="suppress non-JSON stderr output")
-
-    common(sub.add_parser("verify", help="randomized fused-vs-conventional equivalence checks"))
-
-    p_sim = sub.add_parser("simulate", help="two-engine latency simulation")
-    common(p_sim)
-    mode = p_sim.add_mutually_exclusive_group()
-    mode.add_argument("--both", dest="mode", action="store_const", const="both",
-                      help="schedule both graphs and report the speedup (default)")
-    mode.add_argument("--fused", dest="mode", action="store_const", const="fused")
-    mode.add_argument("--conventional", dest="mode", action="store_const", const="conventional")
-    p_sim.set_defaults(mode="both")
-    p_sim.add_argument("--csv", metavar="PATH", default=None,
-                       help="write timeline CSV (with --both, writes PATH.conventional.csv and PATH.fused.csv)")
+        dests = [o.dest for o in options.values()]
+        groups = {dest: p.add_mutually_exclusive_group() for dest in dict.fromkeys(dests) if dests.count(dest) > 1}
+        for flag, o in options.items():
+            target = groups.get(o.dest, p)
+            if o.type is None:
+                target.add_argument(flag, dest=o.dest, action="store_const", const=o.const, default=o.default,
+                                    help=o.help)
+            else:
+                target.add_argument(flag, type=o.type, default=o.default, help=o.help, metavar=o.metavar)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code is not None else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    if (args := _parse_in_full(argv)) is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code) if e.code is not None else 0
 
     try:
         rc = load_config(args.config)

@@ -38,8 +38,8 @@ The fused evaluators take one row (1-D) or a stack of rows (2-D), as
 head (3-D) with `v` as one matrix per head, so attention's softmax site
 is one fused evaluation for all heads, as in the op graph. They keep no
 reduction of their own: the collective scalar comes from the same `norms`
-reduction the conventional form calls (`moments`, `root_mean_square`,
-`softmax_numerators`), after checking only the shapes, so the reduction
+reduction the conventional form calls (`moments`, through
+`_shifted_moments`, `root_mean_square`, `softmax_numerators`), after checking only the shapes, so the reduction
 proves the rows finite as it does for the conventional form (see the
 one finiteness rule in `tensor`). Every reduction runs left to right along the
 row and the product's columns are independent, so a row's result is
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, moments, root_mean_square, softmax_numerators
+from .norms import LayerNormParams, RmsNormParams, _shifted_moments, root_mean_square, softmax_numerators
 from .tensor import (_check_operands, _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy,
                      frozen_join, matmul)
 
@@ -198,15 +198,27 @@ def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
 def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
-    The variance reduction and the x @ folded_weight product are
+    Both tasks take the shifted rows y = x - x[..., :1], formed once
+    (`norms._shifted_moments`, the site's element-wise node): the folded weight
+    maps constants to zero, so y @ folded_weight is x @ folded_weight in
+    exact arithmetic, and a large row offset costs the product no accuracy.
+    The variance reduction and the y @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias.
+
+    |y| can be twice |x|, so y's product can overflow float64 where x's
+    would not. Such a row, and only such a row, is multiplied unshifted:
+    the overflow headroom is the unshifted product's, and a row whose
+    unshifted product overflows too stays non-finite.
     """
     rows = _fold_rows(x, fl, layernorm=True)
     if not (math.isfinite(epsilon) and epsilon > 0):
         _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
-    variance = moments(rows).variance           # collective task
-    projected = matmul(rows, fl.folded_weight)  # matmul task, overlappable
+    shifted, _, _, variance = _shifted_moments(rows)  # element-wise, then collective task
+    projected = matmul(shifted, fl.folded_weight)     # matmul task, overlappable
+    if not np.isfinite(projected).all():
+        overflowed = ~np.isfinite(projected).all(axis=-1)
+        projected[overflowed] = matmul(rows[overflowed], fl.folded_weight)
     return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
 
 

@@ -16,7 +16,10 @@ functions, so the conventional and fused paths divide by bit-identical
 scalars by construction.
 
 Those three are the only implementations of the reductions: `layernorm`,
-`rmsnorm` and the fused evaluators check shapes and call them. By the one
+`rmsnorm` and the fused evaluators check shapes and call them. Both
+layernorm forms reach `moments`' reduction through `_shifted_moments`,
+which also returns each row shifted by its first element, so a site forms
+those rows once. By the one
 finiteness rule (see `tensor`), `moments` and `root_mean_square` scan
 their per-row results, computed under `np.errstate(all="ignore")`, as a
 NaN or infinity makes its row's result non-finite for good; softmax
@@ -98,33 +101,57 @@ class MomentStats:
     variance: float | np.ndarray
 
 
+def _shifted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of `x` shifted by its first element, then centred, the shifted rows' mean, and the variance.
+
+    The shift y = x - x[..., :1] is a layernorm site's element-wise half;
+    the rest is its collective half. Layernorm does not see a constant
+    added to a row, and the folded weight maps constants to zero, so both
+    layernorm paths take y in place of `x`, formed once per site. Where a
+    row's entries lie within a factor of 2 of its first, as at a large DC
+    offset, each difference is exact (Sterbenz), so the offset costs no
+    accuracy. A non-finite variance (a non-finite input, or a finite row
+    whose spread or sums overflow float64) is rejected after `x` is scanned.
+    """
+    n = x.shape[-1]
+    with np.errstate(all="ignore"):
+        shifted = x - x[..., :1]
+        mean = ordered_sum(shifted, axis=-1) / n
+        dev = shifted - mean[..., np.newaxis]
+        variance = ordered_sum(dev * dev, axis=-1) / n
+    if not np.isfinite(variance).all():
+        _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
+    return shifted, dev, mean, variance
+
+
 def moments(x) -> MomentStats:
     """Mean and population variance (divisor n) of a row, per row of a stack.
 
     Population variance is load-bearing: the fused path divides by the
     same sqrt(variance + eps), and a sample-variance mismatch here would
     silently break fused/conventional equivalence.
+
+    Both are taken on the shifted rows `x - x[..., :1]` (`_shifted_moments`),
+    so a large row offset costs the variance no accuracy; the mean is
+    `x[..., 0]` plus the shifted rows' mean.
     """
     x = _rows(x)
-    n = x.shape[-1]
-    with np.errstate(all="ignore"):
-        mean = ordered_sum(x, axis=-1) / n
-        dev = x - mean[..., np.newaxis]
-        dev *= dev
-        variance = ordered_sum(dev, axis=-1) / n
-    if not np.isfinite(variance).all():  # a non-finite input, or a finite row's sums overflowed
-        _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
-    return MomentStats(mean=mean, variance=variance)
+    _, _, mean, variance = _shifted_moments(x)
+    return MomentStats(mean=x[..., 0] + mean, variance=variance)
 
 
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
-    """(x - mean) / sqrt(variance + eps) * gamma + beta, per row."""
+    """(x - mean) / sqrt(variance + eps) * gamma + beta, per row.
+
+    The centred rows are the shifted rows less their own mean, never `x`
+    less a rounded `x[..., 0] + mean`.
+    """
     x = _rows(x)
     _require_width(x, p.n, "params length")
-    st = moments(x)
-    denom = np.sqrt(st.variance + p.epsilon)[..., np.newaxis]
+    _, dev, _, variance = _shifted_moments(x)
+    denom = np.sqrt(variance + p.epsilon)[..., np.newaxis]
     with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
-        return ((x - st.mean[..., np.newaxis]) / denom) * p.gamma + p.beta
+        return (dev / denom) * p.gamma + p.beta
 
 
 def root_mean_square(x, epsilon: float) -> float | np.ndarray:

@@ -49,8 +49,9 @@ loops are not among its run-time dispatched kernels, so they run at its
 build baseline, X86_V2 there (SSE4.2, two float64 per vector), on a host
 with AVX-512. The rest is fixed work around the small numpy calls of the
 norms, `gelu`, the softmax and the shape and finiteness checks. So
-`matmul` hands a 2-D pair straight to one einsum, and `ordered_sum`,
-`moments` and `gelu` make no temporary they can do without.
+`matmul` hands a 2-D pair straight to one einsum, `ordered_sum` takes its
+last prefix with a basic index, and `gelu` runs in place on a buffer it
+made.
 
 One finiteness rule holds for every public kernel here and in `norms`
 and `fusion`: check shapes, then prove the input finite once, on the

@@ -14,6 +14,8 @@ import types
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from sched_helpers import filtered_site_subgraph
 
@@ -269,10 +271,11 @@ def test_batched_rms_zero_row_without_epsilon_rejected():
         rmsnorm(rows, p)
 
 
-@pytest.mark.parametrize("case", ["w_q-scaled", "fc1-scaled", "rows-shifted"])
+@pytest.mark.parametrize("case", ["w_q-scaled", "fc1-scaled", "rows-spread"])
 @pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
 def test_overflow_inside_the_block_rejected(run, case):
-    """Finite weights or rows whose projections overflow end in a non-finite rejection."""
+    """Finite weights whose projections overflow, or rows spanning ±1.7e308, whose spread
+    overflows, end in a non-finite rejection."""
     cfg = BlockConfig(d_model=128, n_heads=4, seq_len=8, mlp_hidden=512)
     rng = np.random.default_rng(51)
     w = random_block_weights(cfg, rng)
@@ -282,7 +285,7 @@ def test_overflow_inside_the_block_rejected(run, case):
     elif case == "fc1-scaled":
         w = dataclasses.replace(w, fc1=w.fc1 * 5e307)
     else:
-        x = x + np.where(np.arange(cfg.seq_len) % 2 == 0, 1.7e308, -1.7e308)[:, np.newaxis]
+        x = x + np.where(np.arange(cfg.d_model) % 2 == 0, 1.7e308, -1.7e308)
     assert np.isfinite(x).all() and all(np.isfinite(m).all() for m in (w.w_q, w.fc1))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         run(cfg, w, x)
@@ -467,12 +470,11 @@ def longdouble_layernorm_site(x, p: LayerNormParams, mat) -> np.ndarray:
     return (normed @ mat.astype(np.longdouble)).astype(np.float64)
 
 
-CONDITIONING = "ROADMAP item 1: a large row offset costs both layernorm paths accuracy; no shift yet"
+extended = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is not 80-bit extended precision here")
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is not 80-bit extended precision here")
-@pytest.mark.parametrize("offset", [0.0, 1e3, pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=CONDITIONING)),
-                                    pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=CONDITIONING))])
+@extended
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
 @pytest.mark.parametrize("n, rows", [(256, 8), (4096, 4)])
 def test_layernorm_sites_against_a_longdouble_oracle(n, rows, offset):
     """Both layernorm-site paths within 1e-10 of the oracle, on rows offset by ±`offset`, 64 output columns."""
@@ -483,6 +485,43 @@ def test_layernorm_sites_against_a_longdouble_oracle(n, rows, offset):
     expected = longdouble_layernorm_site(x, p, mat)
     assert max_rel_error(_norm_site(x, p, mat), expected) <= 1e-10
     assert max_rel_error(_norm_site(x, p, mat, _fold_site(p, mat)), expected) <= 1e-10
+
+
+@extended
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 64, 4096]),
+    offset=st.floats(min_value=-1e8, max_value=1e8),
+    spread=st.sampled_from([1.0, 1e-3, 1e-6, 1e-9, 0.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_layernorm_sites_against_the_oracle_at_any_offset(n, offset, spread, seed):
+    """Both layernorm-site paths within 1e-10 of the oracle: rows at a DC offset up to ±1e8,
+    each of its own sign, and near-constant rows, whose spread is down to 1e-9 or nothing."""
+    rng = np.random.default_rng(seed)
+    p = LayerNormParams(gamma=rng.uniform(0.8, 1.2, n), beta=0.05 * rng.standard_normal(n), epsilon=1e-5)
+    mat = rng.standard_normal((n, 16)) / math.sqrt(n)
+    x = offset * rng.choice([-1.0, 1.0], size=(3, 1)) + spread * rng.standard_normal((3, n))
+    expected = longdouble_layernorm_site(x, p, mat)
+    assert max_rel_error(_norm_site(x, p, mat), expected) <= 1e-10
+    assert max_rel_error(_norm_site(x, p, mat, _fold_site(p, mat)), expected) <= 1e-10
+
+
+@extended
+@pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
+def test_rows_offset_by_nearly_the_float64_limit_match_the_oracle(run):
+    """Rows offset by ±1.7e308, each row its own sign, are constant to float64: both paths
+    shift them to zero, so the block is finite and within 1e-10 of the straight-line
+    reference run in np.longdouble, whose range holds the rows' sums."""
+    cfg = BlockConfig(d_model=128, n_heads=4, seq_len=8, mlp_hidden=512)
+    rng = np.random.default_rng(51)
+    w = random_block_weights(cfg, rng)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    x = x + np.where(np.arange(cfg.seq_len) % 2 == 0, 1.7e308, -1.7e308)[:, np.newaxis]
+    expected = reference_block(cfg, w, x.astype(np.longdouble)).astype(np.float64)
+    out = run(cfg, w, x)
+    assert np.isfinite(out).all()
+    assert max_rel_error(out, expected) <= 1e-10
 
 
 @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
@@ -641,7 +680,13 @@ def test_gelu_of_a_scalar_is_the_formula_scalar(z):
 @pytest.mark.parametrize("scale", [5.7e102, 1e200, 5e307])
 @pytest.mark.parametrize("run", [run_conventional, run_fused], ids=["conventional", "fused"])
 def test_block_with_an_overflowing_gelu_cube_is_finite(strict_fp, run, scale):
-    """fc1 scaled so the pre-activations' cubes overflow: the block output stays finite."""
+    """fc1 scaled so the pre-activations' cubes overflow: the block output stays finite.
+
+    At 5e307 the fused ln2 product of the shifted rows, which can be twice
+    as large as the rows, overflows: those rows are multiplied unshifted, so
+    the shift that buys accuracy at a large row offset costs the fused path
+    no overflow headroom (`test_shifted_product_overflow_falls_back_per_row`).
+    """
     cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12)
     rng = np.random.default_rng(51)
     w = random_block_weights(cfg, rng)

@@ -1,7 +1,10 @@
 """CLI behavior: exit codes, report shape and determinism."""
 
 import argparse
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import os
 import re
@@ -12,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import normfusion
@@ -566,6 +571,75 @@ class TestUsage:
         assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+def argparse_vars(argv):
+    """`vars` of what the shared parser makes of `argv`, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+FLAGS = list(dict.fromkeys(flag for _, options in cli._COMMANDS.values() for flag in options))
+VALUES = ["3", "007", "1_0", "out.csv", "x", "", "-3", "-1_0", "-"]
+# Both commands, abbreviations of every flag, the other spellings argparse takes
+# (--seed=3, --), help, the empty string and stray positionals.
+OTHER_TOKENS = ["verify", "simulate", "cfg.json", "", "-3", "--seed=3", "--csv=out.csv", "--", "-h", "--help",
+                *(flag[:k] for flag in FLAGS for k in range(3, len(flag)))]
+# A piece of argv: a flag, a flag and a value, or one of the other tokens, each a third
+# of the time, so that argv spelled in full, and argv one token away from it, come up often.
+ARGV_PIECE = st.one_of(st.sampled_from(FLAGS).map(lambda flag: [flag]),
+                       st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+                       st.sampled_from(OTHER_TOKENS).map(lambda token: [token]))
+
+
+class TestSpelledInFull:
+    """`cli._parse_in_full` gives argparse's Namespace for argv spelled in full, and None for anything else."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from([[], ["simulate", "cfg.json"], ["verify", "cfg.json"]]),
+           st.lists(ARGV_PIECE, max_size=5))
+    def test_agrees_with_argparse(self, head, pieces):
+        argv = head + [token for piece in pieces for token in piece]
+        parsed = cli._parse_in_full(argv)
+        assert parsed is None or vars(parsed) == argparse_vars(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "cfg.json"],
+        ["simulate", "cfg.json", "--fused", "--seed", "3", "--quiet", "--csv", "out.csv"],
+        ["simulate", "--conventional", "--csv", "", "cfg.json"],
+        ["simulate", "--seed", "007", "cfg.json", "--both"],
+        ["verify", "cfg.json", "--quiet", "--seed", "1_0"],
+        ["verify", ""],
+    ], ids=" ".join)
+    def test_full_forms_are_argparse_namespaces(self, argv):
+        parsed = cli._parse_in_full(argv)
+        assert parsed is not None and vars(parsed) == argparse_vars(argv)
+        assert parsed.seed is None or type(parsed.seed) is int
+
+    @pytest.mark.parametrize("argv", [
+        [], ["cfg.json"], ["simulate"], ["fold", "cfg.json"],
+        ["simulate", "cfg.json", "--fu", "--qu"],
+        ["simulate", "cfg.json", "--seed=42"],
+        ["simulate", "--", "cfg.json"],
+        ["simulate", "cfg.json", "-h"],
+        ["simulate", "cfg.json", "--seed", "-3"],
+        ["simulate", "cfg.json", "--seed", "-1_0"],
+        ["simulate", "cfg.json", "--csv", "-out.csv"],
+        ["simulate", "cfg.json", "--csv"],
+        ["simulate", "cfg.json", "--seed", "x"],
+        ["simulate", "-cfg.json"],
+        ["simulate", "cfg.json", "--quiet", "--quiet"],
+        ["simulate", "cfg.json", "--fused", "--fused"],
+        ["simulate", "cfg.json", "--fused", "--both"],
+        ["simulate", "cfg.json", "--seed", "3", "--seed", "4"],
+        ["simulate", "cfg.json", "other.json"],
+        ["verify", "cfg.json", "--fused"],
+    ], ids=" ".join)
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert cli._parse_in_full(argv) is None
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is a usage error: named on stderr, no report."""
 
@@ -616,10 +690,15 @@ class TestRepeatedCalls:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
         path = small_config(tmp_path)
         for mode in ("--both", "--fused", "--conventional"):
-            assert run_cli(capsys, "simulate", path, mode, "--quiet")[0] == 0
-        assert len(built) <= 4  # at most one top-level parser and its three subparsers
+            assert run_cli(capsys, "simulate", path, mode, "--seed", "3", "--quiet")[0] == 0
+        assert run_cli(capsys, "verify", path, "--quiet")[0] == 0
+        assert built == []  # a call spelled in full builds no parser
+        for _ in range(2):
+            assert run_cli(capsys, "simulate", path, "--gantt")[0] == 2
+        assert built == ["normfusion", "normfusion verify", "normfusion simulate"]  # the tree, once
 
     def test_import_builds_no_parser(self):
         proc = run_python("-c", """

@@ -304,6 +304,27 @@ class TestFusedLayernormMatmul:
         with pytest.raises(ValueError, match="epsilon"):
             fused_layernorm_matmul([1.0, -1.0], fl, 0.0)
 
+    @pytest.mark.parametrize("kernel", ["einsum", "chunked"])
+    def test_shifted_product_overflow_falls_back_per_row(self, request, strict_fp, kernel):
+        """A row whose shifted product overflows, where its unshifted one fits, is multiplied
+        unshifted; every other row keeps the shift. Row 0 shifted, [0, 0, -2, -2], meets
+        column 0's ±1e308 in products of ±2e308; unshifted, its partial sums stay within ±1e308."""
+        if kernel == "chunked":
+            request.getfixturevalue("chunked_kernel")
+        p = LayerNormParams(gamma=np.ones(4), beta=[0.5, -0.25, 0.25, 0.125], epsilon=1e-5)
+        fl = fold_layernorm_linear(p, [[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0], [-1e308, 4.0]])
+        x = np.array([[1.0, 1.0, -1.0, -1.0], [0.3, 0.2, 0.1, 0.4]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(matmul(x[0] - x[0, 0], fl.folded_weight)).all()
+        denom = np.sqrt(moments(x).variance + p.epsilon)
+        expected = np.stack([matmul(x[0], fl.folded_weight) / denom[0] + fl.folded_bias,
+                             matmul(x[1] - x[1, 0], fl.folded_weight) / denom[1] + fl.folded_bias])
+        out = fused_layernorm_matmul(x, fl, p.epsilon)
+        assert np.isfinite(out).all()
+        assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+        for row, want in zip(x, expected):
+            assert_array_equal(fused_layernorm_matmul(row, fl, p.epsilon).view(np.uint64), want.view(np.uint64))
+
     def test_dimension_mismatch_rejected(self):
         fl = fold_layernorm_linear(
             LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], epsilon=1e-5), np.eye(2)
