@@ -106,13 +106,25 @@ MUTANTS = (
            ("tests/test_norms.py", "tests/test_fusion.py", "-k", "softmax"),
            "each row is shifted by its own max"),
     Mutant("ordered-sum-first-prefix", "tensor.py",
-           "(axis % prefix.ndim) + (-1,)]", "(axis % prefix.ndim) + (0,)]",
+           "prefix[..., -1] if prefix.ndim > 1 else prefix[-1]", "prefix[..., 0] if prefix.ndim > 1 else prefix[0]",
            ("tests/test_tensor.py", "-k", "OrderedSum"),
-           "a sum along any axis is its last prefix"),
+           "a row's sum is its last prefix"),
+    Mutant("moments-pair-swapped", "norms.py",
+           "    return x[..., 0] + mean, variance\n", "    return variance, x[..., 0] + mean\n",
+           ("tests/test_norms.py", "-k", "Moments"),
+           "moments returns the pair (mean, variance), in that order"),
+    Mutant("rms-without-pre-scale", "norms.py",
+           "        s = np.clip(-np.frexp(", "        s = 0 * np.clip(-np.frexp(",
+           ("tests/test_block.py", "-k", "rms"),
+           "a tiny row is scaled up by a power of two before it is squared, so RMSNorm with epsilon 0 does not see the scale"),
+    Mutant("rms-epsilon-scale-uncapped", "norms.py",
+           "(1000 - math.frexp(epsilon)[1]) // 2", "(5000 - math.frexp(epsilon)[1]) // 2",
+           ("tests/test_norms.py", "-k", "subnormal_row_with_epsilon"),
+           "the pre-scale stops where epsilon's scaled copy would overflow"),
     Mutant("non-c-b-not-copied", "tensor.py",
            "    elif not b.flags.c_contiguous:\n        b = b.copy()\n", "",
            ("tests/test_tensor.py", "-k", "EinsumForms or Layouts"),
-           "the summing einsum takes `b` in C order, where k runs outermost; a transposed or Fortran-order `b` is copied"),
+           "the summing einsum takes `b` in C order, where n is the inner loop; a transposed or Fortran-order `b` is copied"),
     Mutant("reversed-adds-in-a-chunk", "tensor.py",
            "                for product in chunk:\n", "                for product in chunk[::-1]:\n",
            ("tests/test_tensor.py", "-k", "Chunked"),

@@ -39,7 +39,6 @@ from .fusion import (
 from .jsonio import ConfigError, RunConfig, load_config
 from .norms import (
     LayerNormParams,
-    MomentStats,
     RmsNormParams,
     layernorm,
     moments,
@@ -70,7 +69,6 @@ __all__ = [
     "LatencyReport",
     "LayerNormParams",
     "LlamaMlpWeights",
-    "MomentStats",
     "Node",
     "OpGraph",
     "RmsNormParams",

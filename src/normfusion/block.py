@@ -377,8 +377,7 @@ class Node(_NodeFields):
         return super()._replace(**changes)
 
 
-@dataclass(frozen=True)
-class OpGraph:
+class OpGraph(NamedTuple):
     nodes: tuple[Node, ...]
     edges: tuple[tuple[int, int], ...]
     fused: bool

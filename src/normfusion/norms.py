@@ -38,7 +38,6 @@ from .tensor import _reject, _require_width, _rows, as_row_vector, as_rows, froz
 __all__ = [
     "LayerNormParams",
     "RmsNormParams",
-    "MomentStats",
     "moments",
     "layernorm",
     "rmsnorm",
@@ -93,14 +92,6 @@ class RmsNormParams:
         return self.gamma.size
 
 
-@dataclass(frozen=True)
-class MomentStats:
-    """Mean and variance of one row (scalars) or of each row of a stack (arrays)."""
-
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-
-
 def _shifted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` shifted by its first element, then centred, the shifted rows' mean, and the variance.
 
@@ -116,16 +107,16 @@ def _shifted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     n = x.shape[-1]
     with np.errstate(all="ignore"):
         shifted = x - x[..., :1]
-        mean = ordered_sum(shifted, axis=-1) / n
+        mean = ordered_sum(shifted) / n
         dev = shifted - mean[..., np.newaxis]
-        variance = ordered_sum(dev * dev, axis=-1) / n
+        variance = ordered_sum(dev * dev) / n
     if not np.isfinite(variance).all():
         _reject(x, "layernorm: a row's mean or variance is non-finite (float64 overflow)")
     return shifted, dev, mean, variance
 
 
-def moments(x) -> MomentStats:
-    """Mean and population variance (divisor n) of a row, per row of a stack.
+def moments(x) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The pair (mean, population variance (divisor n)) of a row, per row of a stack.
 
     Population variance is load-bearing: the fused path divides by the
     same sqrt(variance + eps), and a sample-variance mismatch here would
@@ -137,7 +128,7 @@ def moments(x) -> MomentStats:
     """
     x = _rows(x)
     _, _, mean, variance = _shifted_moments(x)
-    return MomentStats(mean=x[..., 0] + mean, variance=variance)
+    return x[..., 0] + mean, variance
 
 
 def layernorm(x, p: LayerNormParams) -> np.ndarray:
@@ -161,19 +152,27 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     requires: a negative or NaN one would give NaN. Both RMSNorm paths
     reach it through here, so the check sits here; a non-finite row is
     named before it.
+
+    A row below 0.5 at its largest is scaled up (never down) by the 2**s
+    that brings it into [0.5, 1), epsilon by 4**s, and the root back down,
+    each exactly (`np.ldexp`). So no nonzero row's squares all underflow,
+    with epsilon 0 the root of x * 2**-k is x's times 2**-k, bit for bit,
+    and other rows keep their bits. s stops where epsilon * 4**s would
+    reach 2**1000, which a scaled mean square (at most 1) cannot move.
     """
     x = _rows(x)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
     with np.errstate(all="ignore"):
-        mean_sq = ordered_sum(x * x, axis=-1) / x.shape[-1]
+        cap = max(0, (1000 - math.frexp(epsilon)[1]) // 2) if epsilon else None
+        s = np.clip(-np.frexp(np.abs(x).max(axis=-1))[1], 0, cap)
+        mean_sq = ordered_sum(np.square(np.ldexp(x, s[..., np.newaxis]))) / x.shape[-1]
     if not np.isfinite(mean_sq).all():  # a non-finite input, or a finite row's squares overflowed
         _reject(x, "rmsnorm: a row's mean square is non-finite (float64 overflow)")
-    if np.any(zero := mean_sq + epsilon == 0.0):
-        if np.any(x[zero]):  # a nonzero row whose squares all underflowed
-            raise ValueError("rmsnorm: a row's mean square underflows to zero (float64) with epsilon=0")
+    if np.any(mean_sq + (eps := np.ldexp(epsilon, 2 * s)) == 0.0):  # an all-zero row, epsilon 0
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
-    return np.sqrt(mean_sq + epsilon)
+    with np.errstate(under="ignore"):  # an rms below float64's normal range is correctly rounded
+        return np.ldexp(np.sqrt(mean_sq + eps), -s)
 
 
 def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
@@ -199,7 +198,7 @@ def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:
     # past -1.8e308 to -inf gives 0: each correctly rounded, not an error
     with np.errstate(over="ignore", under="ignore"):
         numerators = np.exp(x - x.max(axis=-1, keepdims=True))
-    return numerators, ordered_sum(numerators, axis=-1)
+    return numerators, ordered_sum(numerators)
 
 
 def softmax_stable(x) -> np.ndarray:

@@ -11,17 +11,17 @@ multiply-add; the one kernel here that might fuse them runs only where a
 probe shows that it does not.
 
 `matmul` has two exact kernels, picked once at import:
-- `_summing_einsum` is one `np.einsum("km,kn->mn")` for a 2-D pair, with
+- `_summing_einsum` is one `np.einsum("km,kn->mn")` for a 2-D pair, on
   `a` copied to C order as its transpose (k, m), and one
-  `np.einsum("hkm,hkn->hmn")` for a batch, with `a` copied as (h, k, m).
-  With n >= 2, numpy's iterator orders the axes (k, m, n), or (h, k, m,
-  n): k runs outermost and an inner loop of `out[j] += a * b[j]` runs
-  over n, so each product goes straight into its output element in index
-  order, starting from +0.0, and each row of `b` is read once for all m
-  rows of `a`. The copy of `a` is the activations', never the weight's. A
-  transposed view or Fortran-order `b`, or n == 1, would make k the inner
-  loop, whose sum is reassociated, so `b` is copied to C order where it
-  is not in it, and a one-column `b` is padded with a zero column.
+  `np.einsum("hmk,hkn->hmn")` for a batch, on `a` as given. With n >= 2
+  and `b` in C order, numpy's iterator runs an inner loop of
+  `out[j] += a * b[j]` over n, with k ascending outside it, so each
+  product goes straight into its output element in index order, from
+  +0.0; a pair's axes run (k, m, n), so each row of `b` is read once for
+  all m rows of `a`. A transposed view or Fortran-order `b`, or n == 1,
+  would make k the inner loop, whose sum is reassociated, so `b` is
+  copied to C order where it is not in it, and a one-column `b` is padded
+  with a zero column.
 - That is the triple loop's arithmetic only if the loop does not fuse the
   multiply and the add, and some builds do (NEON implements it with a
   fused multiply-add). So `_sums_in_order` runs the einsum kernel on trap
@@ -29,9 +29,10 @@ probe shows that it does not.
   other order rounds differently, and all -0.0 products, each in its own
   output element, in the bulk and the tail of the vector loop, with
   n == 1, with one row (a row vector times a matrix), with one output
-  element, and in a batch of two slices that differ, so both einsum
-  forms run. It compares the bits with a Python triple loop per slice,
-  and `_EINSUM_IN_ORDER` records the answer.
+  element, and in a batch of two slices that differ, in C order and as
+  a strided view like attention's queries, so both einsum forms run. It
+  compares the bits with a Python triple loop per slice, and
+  `_EINSUM_IN_ORDER` records the answer.
 - Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
   build: it forms the products a chunk of the inner dimension at a time
   into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
@@ -214,21 +215,21 @@ def _real(v) -> int | float | None:
     return float(v)
 
 
-def ordered_sum(a: np.ndarray, axis: int):
-    """Sum along `axis` with strict left-to-right accumulation order.
+def ordered_sum(a: np.ndarray):
+    """Sum each row of `a` along its last axis with strict left-to-right accumulation order.
 
     `np.add.accumulate` applies the operation sequentially, unlike
     `np.sum`, which reassociates (pairwise summation). It starts from the
     first element, so the last prefix sum is bit-equal to
-    `acc = a[0]; for v in a[1:]: acc += v` along the axis. That is the
+    `acc = a[0]; for v in a[1:]: acc += v` along the row. That is the
     loop from `acc = 0.0` except where every term is -0.0: there the sum
     is -0.0, where the loop from +0.0, like `matmul`, gives +0.0.
 
     The last prefix is taken with a basic index, not `np.take`: a view of
     the prefix array, which is as large as `a`, or a scalar for one row.
     """
-    prefix = np.add.accumulate(np.asarray(a, dtype=np.float64), axis=axis)
-    return prefix[(slice(None),) * (axis % prefix.ndim) + (-1,)]
+    prefix = np.add.accumulate(np.asarray(a, dtype=np.float64), axis=-1)
+    return prefix[..., -1] if prefix.ndim > 1 else prefix[-1]
 
 
 def matmul(a, b) -> np.ndarray:
@@ -244,10 +245,10 @@ def matmul(a, b) -> np.ndarray:
 
     Where the import-time probe found numpy's summing `einsum` exact
     (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call. It runs the
-    inner dimension outermost, in the axis order (k, m, n), or (h, k, m, n)
-    for a batch, on a C-order copy of `a`'s transpose, so each row of `b` is
-    read once for all rows of `a` and each product goes straight into its
-    output element. The probe runs both of its einsum forms on traps a
+    inner dimension outside a loop over n, each product going straight into
+    its output element; a 2-D pair runs in the axis order (k, m, n) on a
+    C-order copy of `a`'s transpose, so each row of `b` is read once for all
+    rows of `a`. The probe runs both of its einsum forms on traps a
     fused multiply-add, any other summation order, a -0.0 start or mixing
     slices of a batch would round differently, and compares the bits with
     a triple loop. Elsewhere `matmul` is `_chunked_matmul`, which forms the
@@ -291,22 +292,23 @@ def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b as one summing `einsum`, in index order where the probe says so.
 
     `a` and `b` are both 2-D, a pair multiplied as `einsum("km,kn->mn")`,
-    or both 3-D, a batch multiplied as `einsum("hkm,hkn->hmn")`, and the
-    result has their rank. `a` is copied to C order as its rows' transpose,
-    (k, m) or (h, k, m), and `b` is C order. `einsum` starts the output at
-    +0.0, and numpy's iterator orders the axes (k, m, n), or (h, k, m, n):
-    its inner loop is `out[j] += a * b[j]` over n, and k runs outermost in
-    ascending order, each slice of a batch on its own operands. So each row
-    of `b` is read once for all m rows, while the m x n output block stays
-    in cache. Unless the loop fuses the multiply and the add, those are the
-    triple loop's IEEE operations. Other layouts can make k the inner loop,
-    where the sum is reassociated: a transposed view or a Fortran-order `b`
-    does, and so can n == 1 (with m == 1 too, k is the only axis left). So
-    `b` is copied to C order where it is not in it, and a one-column `b` is
-    padded with a zero column, whose results are dropped. Memory beyond the
-    output is the copy of `a` (m*k float64 per slice) and those of `b`,
-    none for a C-contiguous `b` with n >= 2. No BLAS call is made
-    (`optimize=False`).
+    or both 3-D, a batch multiplied as `einsum("hmk,hkn->hmn")`, and the
+    result has their rank. `b` is C order, and `einsum` starts the output
+    at +0.0. With n >= 2 only `b` and the output have a stride along n, in
+    `b` its smallest, so whatever the layout of `a` numpy's iterator runs
+    the inner loop `out[j] += a * b[j]` over n, with k ascending outside
+    it, each slice of a batch on its own operands. A pair's `a` is copied
+    to C order as its transpose (k, m), so the axes run (k, m, n): each
+    row of `b` is read once for all m rows while the m x n output stays in
+    cache. A batch, attention's small per-head products, takes `a` as
+    given. Unless the loop fuses the multiply and the add, those are the
+    triple loop's IEEE operations. A transposed view or Fortran-order `b`
+    makes k the inner loop, whose sum is reassociated, and so can n == 1
+    (with m == 1 too, k is the only axis left), so `b` is copied to C
+    order where it is not in it, and a one-column `b` is padded with a
+    zero column, whose results are dropped. Memory beyond the output is a
+    pair's copy of `a` (m*k float64) and the copies of `b`. No BLAS call
+    is made (`optimize=False`).
     """
     n = b.shape[-1]
     if n == 1:
@@ -316,7 +318,7 @@ def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 2:
         out = np.einsum("km,kn->mn", a.T.copy(), b, optimize=False)
     else:
-        out = np.einsum("hkm,hkn->hmn", a.transpose(0, 2, 1).copy(), b, optimize=False)
+        out = np.einsum("hmk,hkn->hmn", a, b, optimize=False)
     return out[..., :1].copy() if n == 1 else out
 
 
@@ -427,14 +429,15 @@ def _sums_in_order(kernel) -> bool:
     each trap row alone against every column (m == 1, a row vector times
     a matrix), on one trap element (m*n == 1), and on a batch of two
     slices: the traps, then their rows reversed times `b` doubled (each
-    product doubles exactly, so the traps still hold). The slices differ
-    in both operands, so a kernel that mixes or reorders slices fails. The
-    one-column `b` is a column view, as `matmul` may be given, not a
-    C-contiguous array.
+    product doubles exactly, so the traps still hold), in C order and as a
+    view whose rows hold both slices, as attention's queries do. The slices
+    differ in both operands, so a kernel that mixes or reorders slices
+    fails. The one-column `b` is a column view, as `matmul` may be given.
     """
     a, b = _probe_operands()
+    batch_b = np.stack([b, 2.0 * b])
     cases = ((a, b), (a, b[:, :1]), *((a[i : i + 1], b) for i in range(len(a))), (a[1:2], b[:, -1:]),
-             (np.stack([a, a[::-1]]), np.stack([b, 2.0 * b])))
+             (np.stack([a, a[::-1]]), batch_b), (np.stack([a, a[::-1]], axis=1).transpose(1, 0, 2), batch_b))
     return all(
         np.array_equal(kernel(x, y).view(np.uint64), _triple_loop(x, y).view(np.uint64)) for x, y in cases
     )

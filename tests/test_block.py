@@ -238,27 +238,51 @@ def test_both_matmul_kernels_give_the_same_block(request, variant, n_heads, seq_
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
 @pytest.mark.parametrize("path", ["rmsnorm", "fused", "block-conventional", "block-fused"])
 def test_rms_underflow_without_epsilon_named(request, path, strict):
-    """A finite nonzero row whose squares all underflow is named as such, not as an all-zero row.
+    """A finite nonzero row whose squares all underflow gets its RMSNorm; an all-zero row is named.
 
-    Its RMSNorm is well defined ([0.53, -1.07, 1.60, 0]) but float64 cannot
-    reach it with epsilon 0; an all-zero row keeps its own message.
+    The row is [1, -2, 3, 0] * 2**-565 (about 1.7e-170), so with epsilon 0
+    its RMSNorm, [0.53, -1.07, 1.60, 0], and the fused path's product are
+    bit for bit those of [1, -2, 3, 0]. Both block paths run it and agree.
     """
     if strict:
         request.getfixturevalue("strict_fp")
     p = RmsNormParams(gamma=np.ones(4))
+    fold = fold_rmsnorm_linear(p, np.ones((4, 3)))
     cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=6, variant="llama-swiglu")
     w = dataclasses.replace(random_block_weights(cfg, np.random.default_rng(54)), ln1=p)
     run = {
         "rmsnorm": lambda rows: rmsnorm(rows, p),
-        "fused": lambda rows: fused_rmsnorm_matmul(rows, fold_rmsnorm_linear(p, np.ones((4, 3))), 0.0),
+        "fused": lambda rows: fused_rmsnorm_matmul(rows, fold, 0.0),
         "block-conventional": lambda rows: run_conventional(cfg, w, rows),
         "block-fused": lambda rows: run_fused(cfg, w, rows),
     }[path]
-    tiny = np.array([[1.0, 2.0, 3.0, 4.0], [1e-170, -2e-170, 3e-170, 0.0]])
-    with pytest.raises(ValueError, match=r"^rmsnorm: a row's mean square underflows to zero \(float64\) with epsilon=0$"):
-        run(tiny)
+    row = np.array([1.0, -2.0, 3.0, 0.0])
+    tiny = np.array([[1.0, 2.0, 3.0, 4.0], row * 2.0**-565])
+    out = run(tiny)
+    if path == "rmsnorm":
+        assert_array_equal(out[1].view(np.uint64), rmsnorm(row, p).view(np.uint64))
+        assert np.allclose(out[1], [0.53, -1.07, 1.60, 0.0], atol=0.005)
+    elif path == "fused":
+        assert_array_equal(out[1].view(np.uint64), fused_rmsnorm_matmul(row, fold, 0.0).view(np.uint64))
+    else:
+        assert np.isfinite(out).all()
+        assert max_rel_error(run_fused(cfg, w, tiny), run_conventional(cfg, w, tiny)) <= 1e-10
     with pytest.raises(ValueError, match="^rms of an all-zero vector with epsilon=0 divides by zero$"):
         run(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
+def test_rms_without_epsilon_does_not_see_a_power_of_two_scale(strict_fp):
+    """With epsilon 0, RMSNorm of x * 2**-k is RMSNorm of x, bit for bit, for k to 1000; the fused path holds 1e-14."""
+    rng = np.random.default_rng(55)
+    x, f = rng.standard_normal((4, 64)), rng.standard_normal((64, 16))
+    p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 64))
+    fold = fold_rmsnorm_linear(p, f)
+    expected, fused = rmsnorm(x, p), fused_rmsnorm_matmul(x, fold, 0.0)
+    for k in range(1001):
+        scaled = x * 2.0**-k
+        assert_array_equal(scaled * 2.0**k, x)  # the scale itself is exact
+        assert_array_equal(rmsnorm(scaled, p).view(np.uint64), expected.view(np.uint64))
+        assert max_rel_error(fused_rmsnorm_matmul(scaled, fold, 0.0), fused) <= 1e-14
 
 
 def test_batched_rms_zero_row_without_epsilon_rejected():

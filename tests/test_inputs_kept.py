@@ -105,18 +105,14 @@ def per_rank(pair, x):
     return pair[x.ndim == 3]
 
 
-def mean_and_variance(st) -> tuple:
-    return st.mean, st.variance
-
-
 # name -> call on one argument of N columns and the `Weights` that hands out its weights;
 # it returns one result or a tuple of them
 CALLS = {
     "gelu": lambda x, w: gelu(x),
     **{f"matmul-{layout}": (lambda x, w, pair=pair: matmul(x, w(per_rank(pair, x))))
        for layout, pair in B_LAYOUTS.items()},
-    "ordered_sum": lambda x, w: ordered_sum(x, axis=-1),
-    "moments": lambda x, w: mean_and_variance(moments(x)),
+    "ordered_sum": lambda x, w: ordered_sum(x),
+    "moments": lambda x, w: moments(x),
     "layernorm": lambda x, w: layernorm(x, LN),
     "rmsnorm": lambda x, w: rmsnorm(x, RMS),
     "softmax_numerators": lambda x, w: softmax_numerators(x),

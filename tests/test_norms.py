@@ -62,20 +62,20 @@ def softmax_mpmath_oracle(x):
 
 class TestMoments:
     def test_constant_vector(self):
-        st_ = moments([1.0, 1.0, 1.0, 1.0])
-        assert st_.mean == 1.0 and st_.variance == 0.0
+        mean, variance = moments([1.0, 1.0, 1.0, 1.0])
+        assert mean == 1.0 and variance == 0.0
 
     def test_plus_minus_one(self):
-        st_ = moments([1.0, -1.0])
-        assert st_.mean == 0.0 and st_.variance == 1.0
+        mean, variance = moments([1.0, -1.0])
+        assert mean == 0.0 and variance == 1.0
 
     def test_against_two_pass_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64) * 3.0 + 0.5
-        st_ = moments(x)
+        got_mean, got_var = moments(x)
         mean, var = moments_oracle(x)
-        assert abs(st_.mean - mean) <= 1e-13 * max(1.0, abs(mean))
-        assert abs(st_.variance - var) <= 1e-13 * max(1.0, var)
+        assert abs(got_mean - mean) <= 1e-13 * max(1.0, abs(mean))
+        assert abs(got_var - var) <= 1e-13 * max(1.0, var)
 
 
 class TestLayernorm:
@@ -179,6 +179,14 @@ class TestRmsnorm:
         expected = rmsnorm(x, p)
         with np.errstate(all="raise"):
             assert_array_equal(rmsnorm(x, p).view(np.uint64), expected.view(np.uint64))
+
+    # a row of subnormals is scaled up only while epsilon * 4**s stays finite,
+    # and its mean square, about 1e-639, leaves epsilon's root
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-6, 1.0, 1e300, 1.7e308])
+    def test_subnormal_row_with_epsilon_gives_its_root(self, strict_fp, epsilon):
+        row = np.array([1.0, -2.0, 3.0, 0.0]) * 2.0**-1060
+        assert root_mean_square(row, epsilon) == math.sqrt(epsilon)
+        assert_array_equal(root_mean_square(np.stack([row, row]), epsilon), [math.sqrt(epsilon)] * 2)
 
     @pytest.mark.parametrize("row", [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]])
     def test_overflowing_row_names_the_norm(self, row):
@@ -292,10 +300,10 @@ class TestStackOfRows:
 
     def test_moments(self, case):
         x = _stack(case, np.random.default_rng(18))
-        st_ = moments(x)
+        mean, variance = moments(x)
         per_row = [moments(row) for row in x]
-        assert_array_equal(st_.mean, [s.mean for s in per_row])
-        assert_array_equal(st_.variance, [s.variance for s in per_row])
+        assert_array_equal(mean, [m for m, _ in per_row])
+        assert_array_equal(variance, [v for _, v in per_row])
 
     def test_layernorm(self, case):
         rng = np.random.default_rng(19)
@@ -322,5 +330,4 @@ class TestStackOfRows:
         per_head = [softmax_numerators(head) for head in x]
         assert_array_equal(num, np.stack([n for n, _ in per_head]))
         assert_array_equal(den, np.stack([d for _, d in per_head]))
-        st_ = moments(x)
-        assert_array_equal(st_.variance, np.stack([moments(head).variance for head in x]))
+        assert_array_equal(moments(x)[1], np.stack([moments(head)[1] for head in x]))

@@ -442,7 +442,7 @@ class TestSiteSplit:
         for variant in VARIANTS:
             cfg = BlockConfig(d_model=32, n_heads=4, seq_len=16, mlp_hidden=96, variant=variant)
             conv, fused = build_graph(cfg, fused=False), build_graph(cfg, fused=True)
-            shuffled = [dataclasses.replace(g, nodes=tuple(g.nodes[i] for i in rng.permutation(len(g.nodes))))
+            shuffled = [g._replace(nodes=tuple(g.nodes[i] for i in rng.permutation(len(g.nodes))))
                         for g in (conv, fused)]
             assert [g.nodes for g in shuffled] != [conv.nodes, fused.nodes]
             assert compare(*shuffled, cm) == compare(conv, fused, cm)
@@ -453,8 +453,7 @@ class TestSiteSplit:
         # the site's subgraph had no node, which `schedule` rejected
         graphs = [build_graph(DUMMY_CFG, fused=False), build_graph(DUMMY_CFG, fused=True)]
         g = graphs[fused]
-        graphs[fused] = dataclasses.replace(g, nodes=tuple(n._replace(site=None) if n.site == site else n
-                                                          for n in g.nodes))
+        graphs[fused] = g._replace(nodes=tuple(n._replace(site=None) if n.site == site else n for n in g.nodes))
         which = "fused" if fused else "conventional"
         with pytest.raises(ValueError, match=f"^the {which} graph has no node of site '{site}'$"):
             compare(*graphs, UNIT_CM)
@@ -552,4 +551,4 @@ class TestRecords:
                   *zip(*(round_trips(n) for n in graph.nodes))]  # one graph per way of remaking a node
         for nodes in remade:
             assert all(type(n) is Node for n in nodes)
-            assert schedule(dataclasses.replace(graph, nodes=tuple(nodes)), RECORD_CM) == expected
+            assert schedule(graph._replace(nodes=tuple(nodes)), RECORD_CM) == expected

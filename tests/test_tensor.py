@@ -436,6 +436,20 @@ class TestBatchedMatmul:
         a, b = batch_operands(np.random.default_rng(k), h, m, k, n)
         assert_bits_equal(matmul(a, b), matmul_oracle(a, b))
 
+    # `a` is taken as given: attention's queries (each row holds every head),
+    # each slice's transpose, Fortran order and negative strides
+    @pytest.mark.parametrize("layout", [
+        lambda a: np.stack(list(a), axis=1).transpose(1, 0, 2),
+        lambda a: np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1),
+        np.asfortranarray,
+        lambda a: np.ascontiguousarray(a[::-1, ::-1, ::-1])[::-1, ::-1, ::-1],
+    ], ids=["heads-interleaved", "transposed-slices", "fortran", "negative-stride"])
+    def test_batch_a_layout(self, layout):
+        a, b = batch_operands(np.random.default_rng(31), 4, 8, 33, 9)
+        x = layout(a)
+        assert not x.flags.c_contiguous and np.array_equal(x, a)
+        assert_bits_equal(matmul(x, b), matmul_oracle(a, b))
+
     def test_attention_views_match_per_head_products(self):
         # the block's layout: Q|K|V columns viewed as (3, heads, seq, d_head)
         seq, heads, d_head = 6, 4, 5
@@ -656,19 +670,20 @@ class TestOrderedSum:
         acc = 0.0
         for v in x:
             acc += v
-        assert ordered_sum(x, axis=0) == acc
+        assert ordered_sum(x) == acc
 
     def test_starts_from_the_first_element(self):
         # the loop from acc = 0.0 gives +0.0 here; accumulate starts from -0.0
-        total = ordered_sum(np.array([-0.0, -0.0]), axis=0)
+        total = ordered_sum(np.array([-0.0, -0.0]))
         assert total == 0.0 and np.signbit(total)
         acc = 0.0
         for v in (-0.0, -0.0):
             acc += v
         assert not np.signbit(acc)
 
-    # every axis of a row, a stack and a stack per head: magnitudes any other
-    # order rounds differently, rows of all -0.0, and an input of all -0.0
+    # every axis of a row, a stack and a stack per head, moved last (a strided
+    # view but for the last axis itself): magnitudes any other order rounds
+    # differently, rows of all -0.0, and an input of all -0.0
     @pytest.mark.parametrize("shape, axis", [((29,), 0), ((29,), -1), *(((9, 29), ax) for ax in (0, 1, -1, -2)),
                                              *(((9, 4, 17), ax) for ax in (0, 1, 2, -1, -2, -3))])
     def test_every_axis_bit_equal_to_the_loop(self, shape, axis):
@@ -677,10 +692,11 @@ class TestOrderedSum:
         if x.ndim > 1:
             x[(0,) * (x.ndim - 1)] = -0.0  # an all -0.0 row along the last axis ...
             x[(slice(None),) + (0,) * (x.ndim - 1)] = -0.0  # ... and one along the first
-        total = ordered_sum(x, axis=axis)
+        total = ordered_sum(np.moveaxis(x, axis, -1))
         assert np.shape(total) == tuple(np.delete(shape, axis))
         assert_bits_equal(np.asarray(total), ordered_sum_loop(x, axis))
-        assert_bits_equal(np.asarray(ordered_sum(np.full(shape, -0.0), axis=axis)), np.full(np.shape(total), -0.0))
+        zeros = np.moveaxis(np.full(shape, -0.0), axis, -1)
+        assert_bits_equal(np.asarray(ordered_sum(zeros)), np.full(np.shape(total), -0.0))
 
     def test_columnwise_bit_equal_to_row_loop(self):
         rng = np.random.default_rng(10)
@@ -688,7 +704,7 @@ class TestOrderedSum:
         acc = np.zeros(7)
         for i in range(41):
             acc = acc + g[i]
-        assert_array_equal(ordered_sum(g, axis=0), acc)
+        assert_array_equal(ordered_sum(g.T), acc)  # each column of `g`, a strided row of `g.T`
 
 
 class TestValidation:
