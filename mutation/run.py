@@ -63,9 +63,44 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "joined_projections"),
            "Q|K|V is joined in that order and its views are the constructor's inputs"),
     Mutant("gate-up-join-order", "fusion.py",
-           "frozen_join([gate, up])", "frozen_join([up, gate])",
+           "np.hstack([gate, up])", "np.hstack([up, gate])",
            ("tests/test_block.py", "-k", "joined_projections"),
            "gate|up is joined in that order and its views are the constructor's inputs"),
+    Mutant("views-before-freeze", "tensor.py",
+           "    joined.setflags(write=False)\n    return np.split(joined, np.cumsum(widths[:-1]), axis=1)\n",
+           "    views = np.split(joined, np.cumsum(widths[:-1]), axis=1)\n    joined.setflags(write=False)\n"
+           "    return views\n",
+           ("tests/test_block.py", "-k", "read_only"),
+           "the column views of a joined buffer are taken after it is frozen, so they are read-only too"),
+    Mutant("views-split-by-row-count", "block.py",
+           "[m.shape[1] for m in qkv]", "[m.shape[0] for m in qkv]",
+           ("tests/test_block.py", "-k", "do_not_fit"),
+           "each of Q, K and V is viewed at its own width, so a misfit one reaches validate"),
+    Mutant("joined-draws-reversed", "block.py",
+           "        for view in np.split(out, np.cumsum(widths[:-1]), axis=1):\n",
+           "        for view in reversed(np.split(out, np.cumsum(widths[:-1]), axis=1)):\n",
+           ("tests/test_block.py", "-k", "documented_draws"),
+           "Q, K and V, and gate and up, are drawn in that order into their columns"),
+    Mutant("fc1-fc2-draw-order-swapped", "block.py",
+           "        fc1, fc2 = proj(n, h), proj(h, n)\n", "        fc2, fc1 = proj(h, n), proj(n, h)\n",
+           ("tests/test_block.py", "-k", "documented_draws"),
+           "fc1 is drawn before fc2"),
+    Mutant("draw-scaled-by-reciprocal", "block.py",
+           "        m /= math.sqrt(rows)\n", "        m *= 1.0 / math.sqrt(rows)\n",
+           ("tests/test_block.py", "-k", "documented_draws"),
+           "each drawn matrix is divided by sqrt(fan-in), not multiplied by its rounded reciprocal"),
+    Mutant("block-matrices-not-copied", "block.py",
+           "as_matrix(m).copy() for name in", "as_matrix(m) for name in",
+           ("tests/test_block.py", "-k", "private"),
+           "BlockWeights copies a caller's w_o, fc1 and fc2 before freezing them"),
+    Mutant("mlp-down-not-copied", "fusion.py",
+           "np.hstack([gate, up]), down.copy())", "np.hstack([gate, up]), down)",
+           ("tests/test_block.py", "-k", "private"),
+           "LlamaMlpWeights copies a caller's w_down before freezing it"),
+    Mutant("folded-linear-unchecked", "fusion.py",
+           "        weight = as_matrix(self.folded_weight)\n", "        weight = np.asarray(self.folded_weight)\n",
+           ("tests/test_error_behaviour.py", "-k", "FoldedLinear"),
+           "FoldedLinear(...) checks a caller's arrays; only the fold functions' own arrays skip the scan"),
     Mutant("gelu-writes-its-input", "block.py",
            "        half = 0.5 * z\n", "        half = np.multiply(z, 0.5, out=z)\n",
            ("tests/test_inputs_kept.py", "-k", "gelu"),
@@ -117,6 +152,21 @@ MUTANTS = (
            "        s = np.clip(-np.frexp(", "        s = 0 * np.clip(-np.frexp(",
            ("tests/test_block.py", "-k", "rms"),
            "a tiny row is scaled up by a power of two before it is squared, so RMSNorm with epsilon 0 does not see the scale"),
+    Mutant("rms-division-reverted", "norms.py",
+           "    _, scaled, root = _prescaled_root(x, p.epsilon)\n", "    scaled, root = x, root_mean_square(x, p.epsilon)\n",
+           ("tests/test_block.py", "-k", "longdouble"),
+           "rmsnorm divides the pre-scaled rows by the pre-scaled root, never by an rms rounded to a subnormal"),
+    Mutant("fused-rms-division-reverted", "fusion.py",
+           "    projected = matmul(scaled, rfl.folded_weight)     # matmul task, overlappable\n",
+           "    projected = matmul(rows, rfl.folded_weight)\n    root = np.ldexp(root, -s)\n",
+           ("tests/test_block.py", "-k", "longdouble"),
+           "the fused RMSNorm path divides the pre-scaled rows' product by the pre-scaled root"),
+    Mutant("prescaled-overflow-not-retried", "fusion.py",
+           "            out[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)\n"
+           "                               / np.ldexp(root, -s)[overflowed][..., np.newaxis])\n",
+           "            pass\n",
+           ("tests/test_fusion.py", "-k", "prescaled"),
+           "a row whose pre-scaled product overflows is multiplied unscaled: the pre-scale costs no overflow headroom"),
     Mutant("rms-epsilon-scale-uncapped", "norms.py",
            "(1000 - math.frexp(epsilon)[1]) // 2", "(5000 - math.frexp(epsilon)[1]) // 2",
            ("tests/test_norms.py", "-k", "subnormal_row_with_epsilon"),
@@ -228,7 +278,7 @@ MUTANTS = (
     Mutant("weights-not-copied", "tensor.py",
            "    out = a.copy()\n    out.setflags(write=False)\n", "    out = a\n    out.setflags(write=False)\n",
            ("tests/test_block.py", "-k", "private"),
-           "block and norm parameters are private copies"),
+           "norm parameters are private copies"),
 )
 
 

@@ -59,6 +59,7 @@ import numpy as np
 from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
+    _adopt,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -67,7 +68,7 @@ from .fusion import (
     swiglu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import _integer, _real, as_matrix, frozen_copy, frozen_join, matmul
+from .tensor import _frozen_views, _integer, _real, as_matrix, matmul
 
 __all__ = [
     "VARIANTS",
@@ -124,10 +125,12 @@ class BlockWeights:
     standard-gelu: ln1/ln2 are LayerNormParams, MLP is fc1/fc2.
     llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights.
 
-    Every array is a private read-only copy, so `folded`, computed on
-    first use, can never go stale. Q, K and V are copied once, joined:
-    `w_qkv` is the (n, 3n) Q|K|V matrix the ln1 site multiplies by, and
-    `w_q`, `w_k` and `w_v` are its column views.
+    Every array is read-only and no caller holds it, so `folded`,
+    computed on first use, can never go stale: a caller's arrays are
+    copied, and arrays this package drew itself (`random_block_weights`)
+    are handed over with no copy. Either way they end in `_set_up`. Q, K
+    and V are stored once, joined: `w_qkv` is the (n, 3n) Q|K|V matrix the
+    ln1 site multiplies by, and `w_q`, `w_k` and `w_v` are its column views.
     """
 
     w_q: np.ndarray
@@ -145,13 +148,23 @@ class BlockWeights:
         qkv = [as_matrix(getattr(self, name)) for name in ("w_q", "w_k", "w_v")]
         if len({m.shape[0] for m in qkv}) > 1:
             raise ValueError(f"w_q, w_k and w_v row counts differ: {[m.shape[0] for m in qkv]}")
-        joined, views = frozen_join(qkv)
-        object.__setattr__(self, "w_qkv", joined)
-        for name, view in zip(("w_q", "w_k", "w_v"), views):
-            object.__setattr__(self, name, view)
-        for name in ("w_o", "fc1", "fc2"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, frozen_copy(as_matrix(getattr(self, name))))
+        copies = [None if (m := getattr(self, name)) is None else as_matrix(m).copy() for name in ("w_o", "fc1", "fc2")]
+        # the join is a new array: Q, K and V's private copy
+        self._set_up(np.hstack(qkv), [m.shape[1] for m in qkv], self.ln1, self.ln2, *copies, self.mlp)
+
+    def _set_up(self, w_qkv, widths, ln1, ln2, w_o, fc1, fc2, mlp) -> None:
+        """Store the weights read-only; every array given is one no caller holds.
+
+        `widths` are Q's, K's and V's column counts, so each view keeps its
+        matrix's own shape, and `validate` sees a misfit one.
+        """
+        views = _frozen_views(w_qkv, widths)
+        for a in (w_o, fc1, fc2):
+            if a is not None:
+                a.setflags(write=False)
+        for name, value in (("w_qkv", w_qkv), *zip(("w_q", "w_k", "w_v"), views), ("w_o", w_o), ("ln1", ln1),
+                            ("ln2", ln2), ("fc1", fc1), ("fc2", fc2), ("mlp", mlp)):
+            object.__setattr__(self, name, value)
 
     @property
     def projections(self) -> dict[str, np.ndarray]:
@@ -197,24 +210,43 @@ class BlockWeights:
 
 
 def random_block_weights(cfg: BlockConfig, rng: np.random.Generator) -> BlockWeights:
-    """Seeded random weights at 1/sqrt(fan-in) scale."""
+    """Seeded random weights at 1/sqrt(fan-in) scale, drawn into the storage they keep.
+
+    The draws run in this order: ln1's and ln2's parameters, then the MLP
+    (fc1, fc2; or gate, up, down), then Q, K, V and W_o, each matrix
+    `rng.standard_normal` divided by the square root of its row count.
+    Each matrix is drawn whole and, where it is stored joined (Q|K|V,
+    gate|up), copied into its columns, one at a time. The arrays are
+    handed to the weights read-only with no second copy, and equal, bit
+    for bit, `BlockWeights(...)` applied to the same draws.
+    """
     n, h = cfg.d_model, cfg.mlp_hidden
-    proj = lambda rows, cols: rng.standard_normal((rows, cols)) / math.sqrt(rows)
+
+    def proj(rows, cols):
+        m = rng.standard_normal((rows, cols))
+        m /= math.sqrt(rows)
+        return m
+
+    def joined(rows, widths):
+        out = np.empty((rows, sum(widths)))
+        for view in np.split(out, np.cumsum(widths[:-1]), axis=1):
+            view[...] = proj(rows, view.shape[1])
+        return out
+
     gamma = rng.uniform(0.8, 1.2, size=n)
+    fc1 = fc2 = mlp = None
     if cfg.variant == "standard-gelu":
         ln1 = LayerNormParams(gamma=gamma, beta=rng.standard_normal(n) * 0.05, epsilon=cfg.epsilon_ln)
         ln2 = LayerNormParams(
             gamma=rng.uniform(0.8, 1.2, size=n), beta=rng.standard_normal(n) * 0.05, epsilon=cfg.epsilon_ln
         )
-        extra = dict(fc1=proj(n, h), fc2=proj(h, n))
+        fc1, fc2 = proj(n, h), proj(h, n)
     else:
         ln1 = RmsNormParams(gamma=gamma, epsilon=cfg.epsilon_ln)
         ln2 = RmsNormParams(gamma=rng.uniform(0.8, 1.2, size=n), epsilon=cfg.epsilon_ln)
-        extra = dict(mlp=LlamaMlpWeights(w_gate=proj(n, h), w_up=proj(n, h), w_down=proj(h, n)))
-    return BlockWeights(
-        w_q=proj(n, n), w_k=proj(n, n), w_v=proj(n, n), w_o=proj(n, n),
-        ln1=ln1, ln2=ln2, **extra,
-    )
+        mlp = _adopt(LlamaMlpWeights, joined(n, [h, h]), proj(h, n))
+    w_qkv = joined(n, [n, n, n])
+    return _adopt(BlockWeights, w_qkv, [n, n, n], ln1, ln2, proj(n, n), fc1, fc2, mlp)
 
 
 # GELU tanh approximation: 0.5*z*(1 + tanh(sqrt(2/pi)*(z + 0.044715*z^3))).

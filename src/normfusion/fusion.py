@@ -39,7 +39,8 @@ head (3-D) with `v` as one matrix per head, so attention's softmax site
 is one fused evaluation for all heads, as in the op graph. They keep no
 reduction of their own: the collective scalar comes from the same `norms`
 reduction the conventional form calls (`moments`, through
-`_shifted_moments`, `root_mean_square`, `softmax_numerators`), after checking only the shapes, so the reduction
+`_shifted_moments`, `root_mean_square`, through `_prescaled_root`,
+`softmax_numerators`), after checking only the shapes, so the reduction
 proves the rows finite as it does for the conventional form (see the
 one finiteness rule in `tensor`). Every reduction runs left to right along the
 row and the product's columns are independent, so a row's result is
@@ -60,9 +61,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, _shifted_moments, root_mean_square, softmax_numerators
-from .tensor import (_check_operands, _reject, _require_width, _rows, as_matrix, as_row_vector, frozen_copy,
-                     frozen_join, matmul)
+from .norms import LayerNormParams, RmsNormParams, _prescaled_root, _shifted_moments, softmax_numerators
+from .tensor import (_check_operands, _frozen_views, _reject, _require_width, _rows, as_matrix, as_row_vector,
+                     matmul)
 
 __all__ = [
     "FoldedLinear",
@@ -82,6 +83,18 @@ __all__ = [
 _FOLD_ANNIHILATION_TOL = 1e-10
 
 
+def _adopt(cls, *args):
+    """A `cls` whose `_set_up(*args)` stores arrays this package made, with no copy and no second scan.
+
+    Each weight class's `__post_init__` checks and, where the class keeps
+    private copies, copies what a caller passed, then ends in the same
+    `_set_up`; `_adopt` skips `__init__` and so only that first half.
+    """
+    obj = object.__new__(cls)
+    obj._set_up(*args)
+    return obj
+
+
 @dataclass(frozen=True)
 class FoldedLinear:
     """A normalization folded into a linear layer, built once at compile time.
@@ -89,30 +102,41 @@ class FoldedLinear:
     layernorm: folded_weight = (I - E/n) @ diag(gamma) @ F   (n x m)
                folded_bias   = beta @ F                      (length m)
     RMSNorm:   folded_weight = diag(gamma) @ F, no folded_bias (None)
+
+    A caller's arrays are checked (shapes, finiteness) and kept as given.
+    The fold functions hand over the read-only arrays they made, which
+    they have already proved finite, with no second scan.
     """
 
     folded_weight: np.ndarray
     folded_bias: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "folded_weight", as_matrix(self.folded_weight))
-        if self.folded_bias is None:
-            return
-        object.__setattr__(self, "folded_bias", as_row_vector(self.folded_bias))
-        if self.folded_weight.shape[1] != self.folded_bias.size:
+        weight = as_matrix(self.folded_weight)
+        bias = None if self.folded_bias is None else as_row_vector(self.folded_bias)
+        if bias is not None and weight.shape[1] != bias.size:
             raise ValueError(
-                f"folded bias length {self.folded_bias.size} does not match "
-                f"folded weight columns {self.folded_weight.shape[1]}"
+                f"folded bias length {bias.size} does not match folded weight columns {weight.shape[1]}"
             )
+        self._set_up(weight, bias)
+
+    def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None = None) -> None:
+        """Store the fold's arrays as given."""
+        object.__setattr__(self, "folded_weight", folded_weight)
+        object.__setattr__(self, "folded_bias", folded_bias)
 
 
 @dataclass(frozen=True)
 class LlamaMlpWeights:
     """Gated MLP weights: up-projection, gate, and down-projection.
 
-    Gate and up are stored once, joined: `w_gate_up` is a private
-    read-only (n, 2h) copy, and `w_gate` and `w_up` are its column views,
-    so the site's one product reads the join with no further copy.
+    Gate and up are stored once, joined: `w_gate_up` is a read-only
+    (n, 2h) array, and `w_gate` and `w_up` are its column views, so the
+    site's one product reads the join with no further copy. A caller's
+    arrays are copied, gate and up into the join; arrays this package
+    drew itself (`block.random_block_weights`) are handed over, drawn in
+    place, with no copy. Either way they end in `_set_up`, which makes
+    them read-only.
     """
 
     w_gate: np.ndarray
@@ -127,8 +151,13 @@ class LlamaMlpWeights:
             raise ValueError(f"w_up shape {up.shape} != w_gate shape {(n, h)}")
         if down.shape != (h, n):
             raise ValueError(f"w_down shape {down.shape}, expected {(h, n)}")
-        gate_up, (gate, up) = frozen_join([gate, up])
-        for name, value in (("w_gate_up", gate_up), ("w_gate", gate), ("w_up", up), ("w_down", frozen_copy(down))):
+        self._set_up(np.hstack([gate, up]), down.copy())  # the join is a new array: the private copy
+
+    def _set_up(self, w_gate_up: np.ndarray, w_down: np.ndarray) -> None:
+        """Store gate|up and the down projection, arrays no caller holds, read-only."""
+        gate, up = _frozen_views(w_gate_up, [w_gate_up.shape[1] // 2] * 2)
+        w_down.setflags(write=False)
+        for name, value in (("w_gate_up", w_gate_up), ("w_gate", gate), ("w_up", up), ("w_down", w_down)):
             object.__setattr__(self, name, value)
 
 
@@ -173,7 +202,7 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
         raise ValueError("folded weight does not annihilate constant inputs")
     folded_weight.setflags(write=False)
     folded_bias.setflags(write=False)
-    return FoldedLinear(folded_weight=folded_weight, folded_bias=folded_bias)
+    return _adopt(FoldedLinear, folded_weight, folded_bias)
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
@@ -182,7 +211,7 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
     if not np.isfinite(folded_weight).all():
         raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
     folded_weight.setflags(write=False)
-    return FoldedLinear(folded_weight=folded_weight)
+    return _adopt(FoldedLinear, folded_weight)
 
 
 def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
@@ -223,11 +252,27 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
 
 
 def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
-    """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred."""
+    """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred.
+
+    As `rmsnorm` does, it takes each row pre-scaled by a power of two
+    (`norms._prescaled_root`): the product of the pre-scaled rows over
+    their pre-scaled root, so an rms below float64's normal range is never
+    divided by, and rows that need no pre-scale keep their bits. Where
+    epsilon outweighs a small row, its pre-scaled root exceeds 1, and its
+    pre-scaled product can overflow where the unscaled one would not. Such
+    a row, and only such a row, is multiplied unscaled and divided by the
+    unscaled root, so the pre-scale costs no overflow headroom.
+    """
     rows = _fold_rows(x, rfl, layernorm=False)
-    r = root_mean_square(rows, epsilon)[..., np.newaxis]  # collective task
-    projected = matmul(rows, rfl.folded_weight)           # matmul task, overlappable
-    return projected / r
+    s, scaled, root = _prescaled_root(rows, epsilon)  # element-wise pre-scale, then collective task
+    projected = matmul(scaled, rfl.folded_weight)     # matmul task, overlappable
+    with np.errstate(under="ignore"):  # a subnormal result, or unscaled root, is correctly rounded
+        out = projected / root[..., np.newaxis]
+        if not np.isfinite(projected).all():
+            overflowed = ~np.isfinite(projected).all(axis=-1)
+            out[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)
+                               / np.ldexp(root, -s)[overflowed][..., np.newaxis])
+    return out
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -303,5 +348,5 @@ def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinea
         raise ValueError(f"down projection shape {np.shape(w_down)}, expected {(h, n)}")
     for fold in (gate_folded, up_folded):  # a layernorm fold is named by its kind, not by the join
         _fold_rows(x, fold, layernorm=False)
-    gate_up = FoldedLinear(folded_weight=np.hstack([gate_folded.folded_weight, up_folded.folded_weight]))
+    gate_up = _adopt(FoldedLinear, np.hstack([gate_folded.folded_weight, up_folded.folded_weight]))
     return swiglu(fused_rmsnorm_matmul(x, gate_up, epsilon), w_down)

@@ -19,7 +19,9 @@ Those three are the only implementations of the reductions: `layernorm`,
 `rmsnorm` and the fused evaluators check shapes and call them. Both
 layernorm forms reach `moments`' reduction through `_shifted_moments`,
 which also returns each row shifted by its first element, so a site forms
-those rows once. By the one
+those rows once. Both RMSNorm forms reach `root_mean_square`'s through
+`_prescaled_root`, which also returns each row scaled by a power of two:
+both divide those rows, or their product, by their root. By the one
 finiteness rule (see `tensor`), `moments` and `root_mean_square` scan
 their per-row results, computed under `np.errstate(all="ignore")`, as a
 NaN or infinity makes its row's result non-finite for good; softmax
@@ -145,43 +147,58 @@ def layernorm(x, p: LayerNormParams) -> np.ndarray:
         return (dev / denom) * p.gamma + p.beta
 
 
-def root_mean_square(x, epsilon: float) -> float | np.ndarray:
-    """sqrt(mean(x**2) + eps) of a row, per row of a stack.
+def _prescaled_root(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's pre-scale exponent s, the rows x * 2**s, and their root sqrt(mean((x * 2**s)**2) + eps * 4**s).
+
+    A row below 0.5 at its largest is scaled up (never down) by the 2**s
+    that brings it into [0.5, 1), epsilon by 4**s, each exactly
+    (`np.ldexp`), so no nonzero row's squares all underflow and the root
+    is a normal number. s stops where epsilon * 4**s would reach 2**1000,
+    which a scaled mean square (at most 1) cannot move. Rows with s = 0
+    are `x`'s own bits. Both RMSNorm paths divide the pre-scaled rows, or
+    their product, by the pre-scaled root, which gives x / rms(x) without
+    ever rounding the rms to a subnormal.
 
     `epsilon` must be a non-negative finite scalar, as `RmsNormParams`
     requires: a negative or NaN one would give NaN. Both RMSNorm paths
     reach it through here, so the check sits here; a non-finite row is
     named before it.
-
-    A row below 0.5 at its largest is scaled up (never down) by the 2**s
-    that brings it into [0.5, 1), epsilon by 4**s, and the root back down,
-    each exactly (`np.ldexp`). So no nonzero row's squares all underflow,
-    with epsilon 0 the root of x * 2**-k is x's times 2**-k, bit for bit,
-    and other rows keep their bits. s stops where epsilon * 4**s would
-    reach 2**1000, which a scaled mean square (at most 1) cannot move.
     """
-    x = _rows(x)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
     with np.errstate(all="ignore"):
         cap = max(0, (1000 - math.frexp(epsilon)[1]) // 2) if epsilon else None
         s = np.clip(-np.frexp(np.abs(x).max(axis=-1))[1], 0, cap)
-        mean_sq = ordered_sum(np.square(np.ldexp(x, s[..., np.newaxis]))) / x.shape[-1]
+        scaled = np.ldexp(x, s[..., np.newaxis])
+        mean_sq = ordered_sum(np.square(scaled)) / x.shape[-1]
     if not np.isfinite(mean_sq).all():  # a non-finite input, or a finite row's squares overflowed
         _reject(x, "rmsnorm: a row's mean square is non-finite (float64 overflow)")
     if np.any(mean_sq + (eps := np.ldexp(epsilon, 2 * s)) == 0.0):  # an all-zero row, epsilon 0
         raise ValueError("rms of an all-zero vector with epsilon=0 divides by zero")
+    return s, scaled, np.sqrt(mean_sq + eps)
+
+
+def root_mean_square(x, epsilon: float) -> float | np.ndarray:
+    """sqrt(mean(x**2) + eps) of a row, per row of a stack.
+
+    The root of the pre-scaled rows (`_prescaled_root`), scaled back down
+    exactly where it stays a normal number: with epsilon 0 the root of
+    x * 2**-k is x's times 2**-k, bit for bit, and other rows keep their
+    bits. An rms below float64's normal range is correctly rounded to a
+    subnormal; `rmsnorm` and `fused_rmsnorm_matmul` never divide by it.
+    """
+    s, _, root = _prescaled_root(_rows(x), epsilon)
     with np.errstate(under="ignore"):  # an rms below float64's normal range is correctly rounded
-        return np.ldexp(np.sqrt(mean_sq + eps), -s)
+        return np.ldexp(root, -s)
 
 
 def rmsnorm(x, p: RmsNormParams) -> np.ndarray:
-    """x / sqrt(mean(x**2) + eps) * gamma, per row."""
+    """x / sqrt(mean(x**2) + eps) * gamma, per row, taken as the pre-scaled rows over their pre-scaled root."""
     x = _rows(x)
     _require_width(x, p.n, "params length")
-    r = root_mean_square(x, p.epsilon)[..., np.newaxis]
+    _, scaled, root = _prescaled_root(x, p.epsilon)
     with np.errstate(under="ignore"):  # a subnormal scaled element is correctly rounded
-        return (x / r) * p.gamma
+        return (scaled / root[..., np.newaxis]) * p.gamma
 
 
 def softmax_numerators(x) -> tuple[np.ndarray, float | np.ndarray]:

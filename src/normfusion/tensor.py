@@ -95,7 +95,6 @@ __all__ = [
     "as_matrix",
     "as_rows",
     "frozen_copy",
-    "frozen_join",
     "matmul",
     "ordered_sum",
     "max_rel_error",
@@ -170,11 +169,14 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def frozen_join(mats) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One private, read-only copy of the matrices `mats` joined column-wise, and each one's column view of it."""
-    joined = np.hstack(mats)  # a new array: the private copy
+def _frozen_views(joined: np.ndarray, widths) -> list[np.ndarray]:
+    """Make `joined` read-only, then split it into column views `widths` wide, left to right.
+
+    The views are taken after the freeze: one taken before it would stay
+    writable.
+    """
     joined.setflags(write=False)
-    return joined, np.split(joined, np.cumsum([m.shape[1] for m in mats[:-1]]), axis=1)
+    return np.split(joined, np.cumsum(widths[:-1]), axis=1)
 
 
 def _integer(v) -> int | None:

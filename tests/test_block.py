@@ -9,6 +9,7 @@ invariants the simulator relies on.
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 
 import mpmath
@@ -283,6 +284,32 @@ def test_rms_without_epsilon_does_not_see_a_power_of_two_scale(strict_fp):
         assert_array_equal(scaled * 2.0**k, x)  # the scale itself is exact
         assert_array_equal(rmsnorm(scaled, p).view(np.uint64), expected.view(np.uint64))
         assert max_rel_error(fused_rmsnorm_matmul(scaled, fold, 0.0), fused) <= 1e-14
+
+
+def test_rms_below_normal_range_against_longdouble_oracle(strict_fp):
+    """With epsilon 0, both RMSNorm paths of x * 2**-k hold 1e-14 of a longdouble oracle for k to 1070.
+
+    Past k ~ 1020 the rms falls below float64's normal range, and at
+    k = 1070 the inputs keep only a few bits. The oracle normalizes the
+    rounded inputs brought back up exactly, `np.ldexp(xs, k)`, so it
+    measures the normalization alone. Both paths divide the pre-scaled
+    rows, or their product, by the pre-scaled root, so each is also bit
+    for bit the result on `np.ldexp(xs, k)`.
+    """
+    rng = np.random.default_rng(57)
+    x, f = rng.standard_normal((4, 64)), rng.standard_normal((64, 16))
+    p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 64))
+    fold = fold_rmsnorm_linear(p, f)
+    for k in range(1071):
+        with np.errstate(under="ignore"):  # the inputs below float64's normal range round
+            xs = np.ldexp(x, -k)
+        up = np.ldexp(xs, k).astype(np.longdouble)
+        expected = up / np.sqrt((up * up).mean(axis=-1, keepdims=True)) * p.gamma
+        conventional, fused = rmsnorm(xs, p), fused_rmsnorm_matmul(xs, fold, 0.0)
+        assert max_rel_error(conventional, expected.astype(np.float64)) <= 1e-14, k
+        assert max_rel_error(fused, (expected @ f).astype(np.float64)) <= 1e-14, k
+        assert_array_equal(conventional.view(np.uint64), rmsnorm(np.ldexp(xs, k), p).view(np.uint64))
+        assert_array_equal(fused.view(np.uint64), fused_rmsnorm_matmul(np.ldexp(xs, k), fold, 0.0).view(np.uint64))
 
 
 def test_batched_rms_zero_row_without_epsilon_rejected():
@@ -627,6 +654,112 @@ def test_joined_projections_are_read_only_views_of_one_buffer(variant):
         ln2 = mlp.w_gate_up
     assert list(w.projections) == ["ln1", "ln2"]
     assert w.projections["ln1"] is w.w_qkv and w.projections["ln2"] is ln2
+
+
+def _weight_arrays(w: BlockWeights) -> dict[str, np.ndarray]:
+    """Every array `w` holds, by name, the column views and their joined buffers included."""
+    names = ["w_q", "w_k", "w_v", "w_qkv", "w_o", "fc1", "fc2"]
+    arrays = {name: getattr(w, name) for name in names if getattr(w, name) is not None}
+    for site in ("ln1", "ln2"):
+        p = getattr(w, site)
+        arrays[f"{site}.gamma"] = p.gamma
+        if isinstance(p, LayerNormParams):
+            arrays[f"{site}.beta"] = p.beta
+    if w.mlp is not None:
+        arrays.update({f"mlp.{name}": getattr(w.mlp, name) for name in ("w_gate", "w_up", "w_gate_up", "w_down")})
+    return arrays
+
+
+def _drawn_in_documented_order(cfg: BlockConfig, rng: np.random.Generator) -> BlockWeights:
+    """`random_block_weights`' draws made one at a time, in its documented order, through the public constructors."""
+    n, h = cfg.d_model, cfg.mlp_hidden
+    proj = lambda rows, cols: rng.standard_normal((rows, cols)) / math.sqrt(rows)
+    if cfg.variant == "standard-gelu":
+        ln1, ln2 = (LayerNormParams(gamma=rng.uniform(0.8, 1.2, size=n), beta=rng.standard_normal(n) * 0.05,
+                                    epsilon=cfg.epsilon_ln) for _ in range(2))
+        extra = dict(fc1=proj(n, h), fc2=proj(h, n))
+    else:
+        ln1, ln2 = (RmsNormParams(gamma=rng.uniform(0.8, 1.2, size=n), epsilon=cfg.epsilon_ln) for _ in range(2))
+        gate, up, down = proj(n, h), proj(n, h), proj(h, n)
+        extra = dict(mlp=LlamaMlpWeights(w_gate=gate, w_up=up, w_down=down))
+    q, k, v, o = (proj(n, n) for _ in range(4))
+    return BlockWeights(w_q=q, w_k=k, w_v=v, w_o=o, ln1=ln1, ln2=ln2, **extra)
+
+
+# d_model and mlp_hidden are not squares, so 1/sqrt(fan-in) is inexact and a reciprocal multiply differs
+@pytest.mark.parametrize("seed", [60, 61, 62])
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_random_weights_are_the_documented_draws(variant, seed):
+    """Norm parameters, then the MLP, then Q, K, V and W_o, each matrix standard normal / sqrt(fan-in), bit for bit."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(seed))
+    expected = _weight_arrays(_drawn_in_documented_order(cfg, np.random.default_rng(seed)))
+    arrays = _weight_arrays(w)
+    assert list(arrays) == list(expected)
+    for name, a in arrays.items():
+        assert a.dtype == np.float64 and a.shape == expected[name].shape, name
+        assert_array_equal(a.view(np.uint64), expected[name].view(np.uint64), err_msg=name)
+    assert (w.ln1.epsilon, w.ln2.epsilon) == (cfg.epsilon_ln, cfg.epsilon_ln)
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_random_weights_are_read_only_views_of_their_buffers(variant):
+    """Every array `random_block_weights` hands over is read-only, and each column view lies in its joined buffer."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(63))
+    for name, a in _weight_arrays(w).items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    for views, joined in [((w.w_q, w.w_k, w.w_v), w.w_qkv)] + (
+            [] if w.mlp is None else [((w.mlp.w_gate, w.mlp.w_up), w.mlp.w_gate_up)]):
+        start = 0
+        for view in views:
+            assert np.shares_memory(view, joined)
+            assert_array_equal(view, joined[:, start:start + view.shape[1]])
+            start += view.shape[1]
+        assert start == joined.shape[1]
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_replace_on_random_weights_copies(variant):
+    """`dataclasses.replace` goes through the public constructor: equal arrays, none shared."""
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(64))
+    mlp = None if w.mlp is None else dataclasses.replace(w.mlp)
+    replaced = dataclasses.replace(w, mlp=mlp)
+    after = _weight_arrays(replaced)
+    for name, a in _weight_arrays(w).items():
+        if a.ndim == 2:  # every matrix; the norm parameters are kept as the same objects
+            assert not np.shares_memory(after[name], a), name
+            assert not after[name].flags.writeable, name
+            assert_array_equal(after[name], a)
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_random_weights_peak_memory_is_the_weights_plus_one_matrix(variant):
+    """Weights are drawn into the storage they keep: no second copy of them is made.
+
+    tracemalloc's peak inside `random_block_weights` stays within the
+    weights' own bytes, plus their largest single matrix (one projection
+    drawn before it is copied into its joined buffer), plus a small fixed
+    slack.
+    """
+    cfg = BlockConfig(d_model=128, n_heads=4, seq_len=8, mlp_hidden=512 if variant == "standard-gelu" else 344,
+                      variant=variant)
+    random_block_weights(cfg, np.random.default_rng(65))  # lazy set-up (imports, caches) runs before the trace
+    tracemalloc.start()
+    try:
+        w = random_block_weights(cfg, np.random.default_rng(65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = _weight_arrays(w)
+    joined = ("w_qkv", "mlp.w_gate_up")
+    views = ("w_q", "w_k", "w_v", "mlp.w_gate", "mlp.w_up")
+    owned = sum(a.nbytes for name, a in arrays.items() if name not in views)
+    largest = max(a.nbytes for name, a in arrays.items() if a.ndim == 2 and name not in joined)
+    assert peak <= owned + largest + 16_384
 
 
 def test_projections_with_differing_row_counts_rejected():

@@ -455,6 +455,28 @@ class TestFusedRmsnormMatmul:
             actual = fused_rmsnorm_matmul(x, fold_rmsnorm_linear(p, f), p.epsilon)
             assert max_rel_error(actual, expected) <= 1e-10
 
+    @pytest.mark.parametrize("kernel", ["einsum", "chunked"])
+    def test_prescaled_product_overflow_falls_back_per_row(self, request, strict_fp, kernel):
+        """A row whose pre-scaled product overflows, where its unscaled one fits, is multiplied
+        unscaled; every other row keeps the pre-scale. Row 0, 64 entries of 1e-10 under epsilon 1,
+        is pre-scaled by 2**33 to about 0.86, whose sum of products by 1e307 overflows; unscaled,
+        it is 6.4e298. Row 1, at 0.5 and above, needs no pre-scale."""
+        if kernel == "chunked":
+            request.getfixturevalue("chunked_kernel")
+        p = RmsNormParams(gamma=np.ones(64), epsilon=1.0)
+        f = np.full((64, 3), 1e307)
+        f[:, 1] *= -0.5
+        fl = fold_rmsnorm_linear(p, f)
+        x = np.stack([np.full(64, 1e-10), np.linspace(-1.0, 1.0, 64)])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(matmul(x[0] * 2.0**33, f)).all()
+        expected = matmul(x, f) / root_mean_square(x, p.epsilon)[:, np.newaxis]
+        out = fused_rmsnorm_matmul(x, fl, p.epsilon)
+        assert np.isfinite(out).all()
+        assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+        for row, want in zip(x, expected):
+            assert_array_equal(fused_rmsnorm_matmul(row, fl, p.epsilon).view(np.uint64), want.view(np.uint64))
+
     # a negative or NaN epsilon gave NaN with a RuntimeWarning, and raised
     # FloatingPointError under strict errors
     @pytest.mark.parametrize("errors", ["default", "strict"])
