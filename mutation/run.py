@@ -191,12 +191,26 @@ MUTANTS = (
     Mutant("booleans-pass-as-real-fields", "tensor.py",
            "    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):\n",
            "    if not isinstance(v, numbers.Real):\n",
-           ("tests/test_cli.py", "-k", "RealFields"),
+           ("tests/test_cli.py", "tests/test_norms.py", "-k", "RealFields"),
            "a bool is not a tolerance, an epsilon or a cost-model quantity"),
     Mutant("latency-overflow-unnamed", "simulator.py",
-           "    except OverflowError:  # raw is infinite", "    except ZeroDivisionError:  # raw is infinite",
+           "    except OverflowError:\n", "    except ZeroDivisionError:\n",
            ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
            "a node latency past float64's range is a ValueError naming the node, and a config error to the CLI"),
+    Mutant("work-divided-outside-overflow-guard", "simulator.py",
+           "    try:  # the cost model is finite, but a node's latency may not be\n",
+           "    work / cm.matrix_macs_per_cycle\n    try:  # the cost model is finite, but a node's latency may not be\n",
+           ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
+           "work too large to divide as a float is guarded as an infinite latency is: a ValueError naming the node"),
+    Mutant("norm-epsilon-not-real-checked", "norms.py",
+           "        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps > 0):\n",
+           "        if not (np.isfinite(eps := self.epsilon) and eps > 0):\n",
+           ("tests/test_norms.py", "-k", "RealFields"),
+           "a norm's epsilon is a real number, not a bool or a string, stored as a plain number"),
+    Mutant("weights-copied-without-rebuild", "block.py",
+           "    def __reduce__(self):  # a copy", "    def _unused_reduce(self):  # a copy",
+           ("tests/test_block.py", "-k", "copied"),
+           "a copied or unpickled BlockWeights is rebuilt through _set_up: read-only, Q, K and V views of their join"),
     Mutant("booleans-pass-as-config-counts", "tensor.py",
            "    if isinstance(v, (bool, np.bool_)):\n        return None\n", "",
            ("tests/test_block.py", "tests/test_cli.py", "-k", "count or IntegerFields"),
@@ -210,23 +224,19 @@ MUTANTS = (
            'mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[coll])',
            ("tests/test_block.py", "-k", "Graph"),
            "the fused graph cuts the collective -> matmul edge"),
-    Mutant("node-make-unchecked", "block.py",
-           "        id, kind, _engine, work, name, site = iterable\n        return cls(id, kind, work, name, site)\n",
-           "        return tuple.__new__(cls, iterable)\n",
-           ("tests/test_simulator.py", "-k", "Records"),
-           "Node._make, and _replace through it, checks the node as the constructor does"),
-    Mutant("node-getnewargs-removed", "block.py",
-           "    def __getnewargs__(self):\n        return self.id, self.kind, self.work, self.name, self.site\n\n", "",
-           ("tests/test_simulator.py", "-k", "Records"),
-           "a node pickles and copies through its constructor's arguments"),
     Mutant("every-engine-vector", "block.py",
            '"matmul": "matrix"}', '"matmul": "vector"}',
            ("tests/test_simulator.py", "-k", "Records"),
            "a node's engine follows its kind"),
-    Mutant("node-work-not-made-an-integer", "block.py",
-           '        if type(work) is not int:\n            work = _node_integer("work", work)\n', "",
+    Mutant("node-work-not-made-an-integer", "simulator.py",
+           "if type(work) is not int and (work := _integer(work)) is None:",
+           "if type(work) is not int and work is None:",
            ("tests/test_simulator.py", "-k", "Records"),
-           "node work is an integer, not a bool or a float, stored as a plain int"),
+           "node work is an integer, not a bool or a float, taken as a plain int"),
+    Mutant("bool-id-takes-the-int-fast-path", "simulator.py",
+           "if type(nid := node.id) is not int and", "if not isinstance(nid := node.id, int) and",
+           ("tests/test_simulator.py", "-k", "Records"),
+           "only a plain int skips schedule's id check: a bool id is refused, and never aliases id 0 or 1"),
     Mutant("config-decode-error-unconverted", "jsonio.py",
            "    except (UnicodeDecodeError, json.JSONDecodeError) as e:\n", "    except json.JSONDecodeError as e:\n",
            ("tests/test_cli.py", "-k", "Encoding"),

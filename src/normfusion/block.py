@@ -166,6 +166,10 @@ class BlockWeights:
                             ("ln2", ln2), ("fc1", fc1), ("fc2", fc2), ("mlp", mlp)):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # a copy or an unpickled one ends in `_set_up` too, through `fusion._adopt`
+        widths = [m.shape[1] for m in (self.w_q, self.w_k, self.w_v)]
+        return _adopt, (BlockWeights, self.w_qkv, widths, self.ln1, self.ln2, self.w_o, self.fc1, self.fc2, self.mlp)
+
     @property
     def projections(self) -> dict[str, np.ndarray]:
         """Each norm-fed site's one matrix: its projections joined in column order, stored so.
@@ -342,71 +346,35 @@ def run_fused(cfg: BlockConfig, w: BlockWeights, x) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-# `Node` subclasses its fields' named tuple: a NamedTuple body may not
-# define `__new__`, `_make`, `_replace` or `__getnewargs__`.
-class _NodeFields(NamedTuple):
-    id: int
-    kind: str
-    engine: str
-    work: int
-    name: str
-    site: str | None = None
-
-
-# the engine each kind runs on; a kind not here is rejected
+# the engine each kind runs on
 _KIND_ENGINES = {"elementwise": "vector", "collective": "vector", "matmul": "matrix"}
 
 
-def _node_integer(field_name: str, v) -> int:
-    if (i := _integer(v)) is None:
-        raise ValueError(f"node {field_name} must be an integer, got {v!r}")
-    return i
-
-
-class Node(_NodeFields):
-    """One schedulable operation: an immutable named tuple, built as `Node(id, kind, work, name, site=None)`.
+class Node(NamedTuple):
+    """One schedulable operation: an immutable named tuple, `Node(id, kind, work, name, site=None)`.
 
     The kind fixes the engine: matmul runs on the matrix engine, the rest
     on the vector engine. work counts elements for vector-engine kinds and
     MACs for matmuls. site tags the fusion site ("ln1" | "softmax" | "ln2")
     or None for common work (residuals, activations, unfused projections).
 
-    `engine` is a field derived from `kind`, never given: `Node(...,
-    engine=...)` is a TypeError. `id` and `work` are integers, not bools,
-    stored as plain ints, and work is positive. Every construction path
-    checks this: the constructor, `_make` (the six fields in tuple order,
-    the engine recomputed from kind), `_replace` (which takes no engine),
-    pickling and `copy`. As a tuple, a node iterates, unpacks, orders and
-    compares equal like the tuple of its fields, and assigning a field
-    raises AttributeError.
+    `engine` is read from `kind`, never given: `Node(..., engine=...)` is a
+    TypeError, and an unknown kind has none (KeyError). A node checks
+    nothing; `schedule` checks every node it is given (see
+    `simulator.node_latency`). As a tuple, a node iterates, unpacks,
+    orders and compares equal like the tuple of its fields, and assigning
+    a field raises AttributeError.
     """
 
-    __slots__ = ()
+    id: int
+    kind: str
+    work: int
+    name: str
+    site: str | None = None
 
-    def __new__(cls, id: int, kind: str, work: int, name: str, site: str | None = None):
-        engine = _KIND_ENGINES.get(kind)
-        if engine is None:
-            raise ValueError(f"unknown node kind {kind!r}")
-        if type(id) is not int:  # a plain int, the common case, costs one check
-            id = _node_integer("id", id)
-        if type(work) is not int:
-            work = _node_integer("work", work)
-        if work <= 0:
-            raise ValueError(f"node work must be positive, got {work}")
-        return tuple.__new__(cls, (id, kind, engine, work, name, site))
-
-    def __getnewargs__(self):
-        return self.id, self.kind, self.work, self.name, self.site
-
-    @classmethod
-    def _make(cls, iterable) -> Node:
-        id, kind, _engine, work, name, site = iterable
-        return cls(id, kind, work, name, site)
-
-    def _replace(self, /, **changes) -> Node:
-        if "engine" in changes:
-            raise TypeError("a node's engine follows its kind and cannot be replaced")
-        return super()._replace(**changes)
+    @property
+    def engine(self) -> str:
+        return _KIND_ENGINES[self.kind]
 
 
 class OpGraph(NamedTuple):

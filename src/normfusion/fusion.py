@@ -86,9 +86,10 @@ _FOLD_ANNIHILATION_TOL = 1e-10
 def _adopt(cls, *args):
     """A `cls` whose `_set_up(*args)` stores arrays this package made, with no copy and no second scan.
 
-    Each weight class's `__post_init__` checks and, where the class keeps
-    private copies, copies what a caller passed, then ends in the same
-    `_set_up`; `_adopt` skips `__init__` and so only that first half.
+    Each weight class's `__post_init__` checks and copies what a caller
+    passed, then ends in the same `_set_up`, which makes the arrays
+    read-only; `_adopt` skips `__init__` and so only that first half. Each
+    class's `__reduce__` rebuilds a copy or an unpickled weight here too.
     """
     obj = object.__new__(cls)
     obj._set_up(*args)
@@ -103,9 +104,10 @@ class FoldedLinear:
                folded_bias   = beta @ F                      (length m)
     RMSNorm:   folded_weight = diag(gamma) @ F, no folded_bias (None)
 
-    A caller's arrays are checked (shapes, finiteness) and kept as given.
-    The fold functions hand over the read-only arrays they made, which
-    they have already proved finite, with no second scan.
+    A caller's arrays are checked (shapes, finiteness) and copied. The
+    fold functions hand over the arrays they made, which they have already
+    proved finite, with no copy and no second scan. Either way they end in
+    `_set_up`, which makes them read-only.
     """
 
     folded_weight: np.ndarray
@@ -118,12 +120,17 @@ class FoldedLinear:
             raise ValueError(
                 f"folded bias length {bias.size} does not match folded weight columns {weight.shape[1]}"
             )
-        self._set_up(weight, bias)
+        self._set_up(weight.copy(), None if bias is None else bias.copy())
 
     def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None = None) -> None:
-        """Store the fold's arrays as given."""
-        object.__setattr__(self, "folded_weight", folded_weight)
-        object.__setattr__(self, "folded_bias", folded_bias)
+        """Store the fold's arrays, ones no caller holds, read-only."""
+        for name, value in (("folded_weight", folded_weight), ("folded_bias", folded_bias)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return _adopt, (FoldedLinear, self.folded_weight, self.folded_bias)
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,9 @@ class LlamaMlpWeights:
         w_down.setflags(write=False)
         for name, value in (("w_gate_up", w_gate_up), ("w_gate", gate), ("w_up", up), ("w_down", w_down)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return _adopt, (LlamaMlpWeights, self.w_gate_up, self.w_down)
 
 
 def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
@@ -200,8 +210,6 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
 
     if (np.abs(ones_image) > _FOLD_ANNIHILATION_TOL * p.n * np.maximum(1.0, col_max)).any():
         raise ValueError("folded weight does not annihilate constant inputs")
-    folded_weight.setflags(write=False)
-    folded_bias.setflags(write=False)
     return _adopt(FoldedLinear, folded_weight, folded_bias)
 
 
@@ -210,7 +218,6 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
     folded_weight = _scale_rows(p, f)
     if not np.isfinite(folded_weight).all():
         raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
-    folded_weight.setflags(write=False)
     return _adopt(FoldedLinear, folded_weight)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _reject, _require_width, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
+from .tensor import _real, _reject, _require_width, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerNormParams:
-    """Trainable scale/bias and divide-guard epsilon for Layernorm."""
+    """Layernorm's scale/bias (read-only copies) and divide-guard epsilon (a real, not a bool, stored plain)."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -64,8 +64,12 @@ class LayerNormParams:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
             )
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be a positive finite scalar, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", eps)
+
+    def __reduce__(self):  # a copy or an unpickled one is rebuilt by the constructor, read-only
+        return LayerNormParams, (self.gamma, self.beta, self.epsilon)
 
     @property
     def n(self) -> int:
@@ -78,7 +82,8 @@ class RmsNormParams:
 
     epsilon defaults to 0 to match the zero-mean formulation exactly;
     production models usually run with a small positive value, so it is
-    configurable but never silently enabled.
+    configurable but never silently enabled. It is stored as
+    `LayerNormParams` stores its epsilon, and gamma as a read-only copy.
     """
 
     gamma: np.ndarray
@@ -86,8 +91,12 @@ class RmsNormParams:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"epsilon must be a non-negative finite scalar, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", eps)
+
+    def __reduce__(self):  # as LayerNormParams'
+        return RmsNormParams, (self.gamma, self.epsilon)
 
     @property
     def n(self) -> int:

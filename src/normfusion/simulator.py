@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .block import SITES, Node, OpGraph
-from .tensor import _real
+from .block import _KIND_ENGINES, SITES, Node, OpGraph
+from .tensor import _integer, _real
 
 __all__ = [
     "CostModel",
@@ -70,7 +70,7 @@ class TimelineEntry(NamedTuple):
     As a tuple, an entry iterates, unpacks, orders and compares equal like
     the tuple of its fields: `TimelineEntry(0, "vector", 0, 5) == (0,
     "vector", 0, 5)`. Assigning a field raises AttributeError. It checks
-    nothing: `schedule` builds entries from nodes that checked themselves.
+    nothing: `schedule` builds entries from the nodes it has checked.
     """
 
     node_id: int
@@ -110,29 +110,31 @@ class LatencyReport:
 
 
 def node_latency(node: Node, cm: CostModel) -> int:
-    """Whole-cycle latency of one node under the cost model.
+    """Whole-cycle latency of one node under the cost model, which rejects a node it cannot cost.
 
     matmul:      MACs / matrix rate
     elementwise: elements / vector rate
     collective:  alpha + beta * ceil(log2 n) + n / vector rate
-    The sum is rounded up to whole cycles. `Node` has already rejected
-    any other kind and non-positive work. An overflow raises a ValueError.
+    The sum is rounded up to whole cycles. Work that is not a positive
+    integer (a bool or a float is not), then an unknown kind, raise a
+    ValueError, and so does a latency that overflows float64.
     """
-    if node.kind == "matmul":
-        raw = node.work / cm.matrix_macs_per_cycle
-    elif node.kind == "elementwise":
-        raw = node.work / cm.vector_elems_per_cycle
-    else:
-        tree_levels = math.ceil(math.log2(node.work)) if node.work > 1 else 0
-        raw = (
-            cm.collective_alpha
-            + cm.collective_beta * tree_levels
-            + node.work / cm.vector_elems_per_cycle
-        )
-    try:
-        return math.ceil(raw)
-    except OverflowError:  # raw is infinite: the cost model is finite, but not this node's latency
+    kind, work = node.kind, node.work
+    if type(work) is not int and (work := _integer(work)) is None:  # a plain int, the common case, costs one check
+        raise ValueError(f"node work must be an integer, got {node.work!r}")
+    if work <= 0:
+        raise ValueError(f"node work must be positive, got {work}")
+    try:  # the cost model is finite, but a node's latency may not be
+        if kind == "matmul":
+            return math.ceil(work / cm.matrix_macs_per_cycle)
+        if kind == "elementwise":
+            return math.ceil(work / cm.vector_elems_per_cycle)
+        if kind == "collective":
+            tree_levels = math.ceil(math.log2(work)) if work > 1 else 0
+            return math.ceil(cm.collective_alpha + cm.collective_beta * tree_levels + work / cm.vector_elems_per_cycle)
+    except OverflowError:
         raise ValueError(f"node {node.id} ({node.name}): its latency overflows float64 under this cost model") from None
+    raise ValueError(f"unknown node kind {kind!r}")
 
 
 def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
@@ -140,14 +142,19 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
 
     Nodes run in ascending id order. Each starts at the max of its
     engine's free time and its dependencies' ends, plus sync_overhead on
-    cross-engine edges. Raises on an empty graph, a repeated node id, an
-    edge naming an absent node, and an edge that does not run from a lower
-    id to a higher one, as every cycle has. Fully deterministic.
+    cross-engine edges. Every node is checked here, its id kept as a plain
+    int: a ValueError names a node `node_latency` rejects, an id that is
+    not an integer (a bool is not, so it never aliases id 1) or repeats,
+    an empty graph, an edge naming an absent node and an edge that does
+    not run from a lower id to a higher one, as every cycle has.
     """
-    nodes = {n.id: n for n in graph.nodes}
-    if len(nodes) < len(graph.nodes):
-        repeated = next(n.id for n in graph.nodes if nodes[n.id] is not n)  # `nodes` kept each id's last node
-        raise ValueError(f"node id {repeated} appears more than once")
+    nodes: dict[int, Node] = {}
+    for node in graph.nodes:
+        if type(nid := node.id) is not int and (nid := _integer(nid)) is None:  # a plain int costs one check
+            raise ValueError(f"node id must be an integer, got {node.id!r}")
+        if nid in nodes:
+            raise ValueError(f"node id {nid} appears more than once")
+        nodes[nid] = node
     if not nodes:
         raise ValueError("the graph has no nodes")
     preds: dict[int, list[int]] = {nid: [] for nid in nodes}
@@ -163,7 +170,8 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     scheduled: dict[int, TimelineEntry] = {}  # id -> its entry, which holds its engine and end; in schedule order
     new_entry = tuple.__new__  # an entry checks nothing, so its fields go straight into the tuple
     for nid, node in sorted(nodes.items()):  # ids are unique, so no two Nodes are compared
-        engine = node.engine
+        latency = node_latency(node, cm)  # which rejects a kind with no engine
+        engine = _KIND_ENGINES[node.kind]
         start = engine_free[engine]
         for p in preds[nid]:
             _, p_engine, _, ready = scheduled[p]
@@ -171,7 +179,7 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
                 ready += sync
             if ready > start:
                 start = ready
-        engine_free[engine] = end = start + node_latency(node, cm)
+        engine_free[engine] = end = start + latency
         scheduled[nid] = new_entry(TimelineEntry, (nid, engine, start, end))
     # a node starts once its engine is free, so each engine is free from the latest end on it
     return Timeline(entries=tuple(scheduled.values()), total=max(engine_free.values()))

@@ -1,7 +1,9 @@
-"""Shared scheduling oracles and site subgraphs for the simulator, block and acceptance tests."""
+"""Shared scheduling oracles, site subgraphs and copy round trips for the simulator, block and acceptance tests."""
 
+import copy
 import itertools
 import math
+import pickle
 
 from normfusion.block import OpGraph
 from normfusion.simulator import Timeline, TimelineEntry, node_latency
@@ -101,3 +103,10 @@ def filtered_site_subgraph(graph, site):
     nodes = tuple(n for n in graph.nodes if n.id in keep)
     edges = tuple((a, c) for a, c in graph.edges if a in keep and c in keep)
     return OpGraph(nodes=nodes, edges=edges, fused=graph.fused, config=graph.config)
+
+
+def round_trips(obj):
+    """`obj` through every pickle protocol, `copy.copy` and `copy.deepcopy`."""
+    yield from (pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    yield copy.copy(obj)
+    yield copy.deepcopy(obj)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
-from sched_helpers import filtered_site_subgraph
+from sched_helpers import filtered_site_subgraph, round_trips
 
 import normfusion.block
 import normfusion.tensor as tensor
@@ -711,6 +711,11 @@ def test_random_weights_are_read_only_views_of_their_buffers(variant):
         assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+    _assert_views_fill_their_joins(w)
+
+
+def _assert_views_fill_their_joins(w: BlockWeights) -> None:
+    """Q, K and V, and gate and up, are column views of their joined buffer, side by side and filling it."""
     for views, joined in [((w.w_q, w.w_k, w.w_v), w.w_qkv)] + (
             [] if w.mlp is None else [((w.mlp.w_gate, w.mlp.w_up), w.mlp.w_gate_up)]):
         start = 0
@@ -719,6 +724,47 @@ def test_random_weights_are_read_only_views_of_their_buffers(variant):
             assert_array_equal(view, joined[:, start:start + view.shape[1]])
             start += view.shape[1]
         assert start == joined.shape[1]
+
+
+def _assert_bit_equal_and_read_only(copied, original) -> None:
+    """Every field of `copied` equals `original`'s, each array bit for bit and read-only."""
+    assert type(copied) is type(original)
+    for name, value in vars(original).items():
+        if isinstance(value, np.ndarray):
+            assert not getattr(copied, name).flags.writeable, name
+            assert_array_equal(getattr(copied, name).view(np.uint64), value.view(np.uint64), err_msg=name)
+        else:
+            assert type(getattr(copied, name)) is type(value) and getattr(copied, name) == value, name
+
+
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_copied_and_pickled_weights_are_read_only_views(variant):
+    """A copy or an unpickled weight is rebuilt read-only, its views in their joins, with the original's bits and folds.
+
+    numpy's `__deepcopy__` and unpickling make writable arrays, and a
+    dataclass rebuilt from its fields kept them: `w_qkv` and `gamma` came
+    back writable, and `w_q` no longer a view of `w_qkv`.
+    """
+    cfg = BlockConfig(d_model=8, n_heads=2, seq_len=3, mlp_hidden=12, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(65))
+    arrays = _weight_arrays(w)
+    for copied in round_trips(w):
+        assert type(copied) is BlockWeights
+        copied_arrays = _weight_arrays(copied)
+        assert list(copied_arrays) == list(arrays)
+        for name, a in copied_arrays.items():
+            assert not a.flags.writeable, name
+            assert_array_equal(a.view(np.uint64), arrays[name].view(np.uint64), err_msg=name)
+        _assert_views_fill_their_joins(copied)
+        assert list(copied.folded) == list(w.folded)
+        for site, fold in copied.folded.items():
+            _assert_bit_equal_and_read_only(fold, w.folded[site])
+    # each part on its own: the norm parameters, the folds and the gated MLP
+    for part in [w.ln1, w.ln2, *w.folded.values()] + ([] if w.mlp is None else [w.mlp]):
+        for copied in round_trips(part):
+            _assert_bit_equal_and_read_only(copied, part)
+            if isinstance(part, LlamaMlpWeights):
+                assert all(np.shares_memory(view, copied.w_gate_up) for view in (copied.w_gate, copied.w_up))
 
 
 @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])

@@ -527,13 +527,16 @@ class TestSimulate:
         )
 
     @pytest.mark.parametrize("mode", ["--both", "--fused", "--conventional"])
-    @pytest.mark.parametrize("cost_model", [
-        {"matrix_macs_per_cycle": 1e-300}, {"collective_alpha": 1e308, "collective_beta": 1e308},
-    ], ids=["matrix-rate-1e-300", "collective-1e308"])
-    def test_overflowing_latency_is_config_error(self, tmp_path, capsys, cost_model, mode):
-        # a finite cost model whose latencies pass float64's range exited 1 with an OverflowError traceback
+    @pytest.mark.parametrize("section,changes", [
+        ("cost_model", {"matrix_macs_per_cycle": 1e-300}),
+        ("cost_model", {"collective_alpha": 1e308, "collective_beta": 1e308}),
+        ("block", {"d_model": 10**160, "n_heads": 1}),
+    ], ids=["matrix-rate-1e-300", "collective-1e308", "d-model-10**160"])
+    def test_overflowing_latency_is_config_error(self, tmp_path, capsys, section, changes, mode):
+        # a latency past float64's range, from a finite cost model or a huge block, exited 1
+        # with an OverflowError traceback
         doc = json.loads(default_config_path("llama7b_sim").read_text())
-        doc["cost_model"].update(cost_model)
+        doc[section].update(changes)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "simulate", str(path), mode, "--csv", str(tmp_path / "tl.csv"))

@@ -7,6 +7,7 @@ for softmax.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -58,6 +59,34 @@ def softmax_mpmath_oracle(x):
         exps = [mpmath.exp(mpmath.mpf(float(v))) for v in x]
         total = mpmath.fsum(exps)
         return np.array([float(e / total) for e in exps])
+
+
+class TestRealFields:
+    """A norm's epsilon follows the rule of every real-valued field: a bool is refused, any other real stored plain."""
+
+    # each norm's parameters at `epsilon`, and the sign its epsilon must have
+    PARAMS = {
+        "layernorm": (lambda eps: LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=eps), "positive"),
+        "rmsnorm": (lambda eps: RmsNormParams(gamma=[1.0], epsilon=eps), "non-negative"),
+    }
+
+    # a bool was stored as is; a string or None raised numpy's "ufunc 'isfinite' not supported"
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1e-5", None, 10**400],
+                             ids=["True", "False", "np.True_", "np.False_", "'1e-5'", "None", "10**400"])
+    @pytest.mark.parametrize("norm", PARAMS)
+    def test_non_real_epsilon_rejected(self, norm, value):
+        make, sign = self.PARAMS[norm]
+        with pytest.raises(ValueError, match=f"^epsilon must be a {sign} finite scalar, got {re.escape(str(value))}$"):
+            make(value)
+
+    @pytest.mark.parametrize("norm", PARAMS)
+    def test_epsilon_stored_as_a_plain_number(self, norm):
+        # np.float32(1e-5) was stored as a float32; its value, and so every bit it gives, is unchanged
+        make, _ = self.PARAMS[norm]
+        for value, stored in ((np.float32(1e-5), float(np.float32(1e-5))), (np.float64(1e-6), 1e-6),
+                              (np.int64(2), 2), (1e-5, 1e-5)):
+            epsilon = make(value).epsilon
+            assert (type(epsilon), epsilon) == (type(stored), stored)
 
 
 class TestMoments:

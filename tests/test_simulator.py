@@ -8,16 +8,15 @@ order (`kahn_schedule`) entry for entry. Hand schedules below are worked
 out cycle-by-cycle in the comments.
 """
 
-import copy
 import dataclasses
-import pickle
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sched_helpers import brute_force_makespan, check_timeline_invariants, filtered_site_subgraph, kahn_schedule
+from sched_helpers import (brute_force_makespan, check_timeline_invariants, filtered_site_subgraph, kahn_schedule,
+                           round_trips)
 
 from normfusion.block import SITES, VARIANTS, BlockConfig, Node, OpGraph, build_graph
 from normfusion.cli import default_config_path
@@ -89,12 +88,15 @@ class TestNodeLatency:
             CostModel(1.0, -2.0)
 
 
-# Finite cost models under which llama7b_sim.json's block has a latency past float64's
-# range; `math.ceil` of that infinity raised a bare OverflowError. The first node of
-# the named kind is the first whose latency overflows.
-OVERFLOWING_COST_MODELS = {
-    "matrix-rate-1e-300": ({"matrix_macs_per_cycle": 1e-300}, "matmul"),
-    "collective-1e308": ({"collective_alpha": 1e308, "collective_beta": 1e308}, "collective"),
+# Changes to llama7b_sim.json's cost model and block under which a node's latency passes
+# float64's range: an infinite `math.ceil` argument, or work too large to divide as a
+# float, raised a bare OverflowError. The first node of the named kind is the first
+# whose latency overflows.
+OVERFLOWING_LATENCIES = {
+    "matrix-rate-1e-300": ({"matrix_macs_per_cycle": 1e-300}, {}, "matmul"),
+    "collective-1e308": ({"collective_alpha": 1e308, "collective_beta": 1e308}, {}, "collective"),
+    "d-model-10**160": ({}, {"d_model": 10**160, "n_heads": 1}, "matmul"),
+    "d-model-2**600": ({}, {"d_model": 2**600, "n_heads": 2**590}, "matmul"),
 }
 
 
@@ -104,14 +106,14 @@ class TestLatencyOverflow:
     @staticmethod
     def overflowing(case, fused):
         rc = load_config(str(default_config_path("llama7b_sim")))
-        changes, kind = OVERFLOWING_COST_MODELS[case]
-        graph = build_graph(rc.block, fused=fused)
+        cost_model, block, kind = OVERFLOWING_LATENCIES[case]
+        graph = build_graph(dataclasses.replace(rc.block, **block), fused=fused)
         node = next(n for n in graph.nodes if n.kind == kind)
         message = f"^node {node.id} \\({re.escape(node.name)}\\): its latency overflows float64 under this cost model$"
-        return graph, dataclasses.replace(rc.cost_model, **changes), node, message
+        return graph, dataclasses.replace(rc.cost_model, **cost_model), node, message
 
     @pytest.mark.parametrize("fused", [False, True], ids=["conventional", "fused"])
-    @pytest.mark.parametrize("case", OVERFLOWING_COST_MODELS)
+    @pytest.mark.parametrize("case", OVERFLOWING_LATENCIES)
     def test_node_latency_and_schedule(self, case, fused):
         graph, cm, node, message = self.overflowing(case, fused)
         with pytest.raises(ValueError, match=message):
@@ -119,7 +121,7 @@ class TestLatencyOverflow:
         with pytest.raises(ValueError, match=message):
             schedule(graph, cm)
 
-    @pytest.mark.parametrize("case", OVERFLOWING_COST_MODELS)
+    @pytest.mark.parametrize("case", OVERFLOWING_LATENCIES)
     def test_compare(self, case):
         conventional, cm, _, message = self.overflowing(case, fused=False)
         with pytest.raises(ValueError, match=message):
@@ -186,6 +188,9 @@ class TestSchedule:
         ]
         with pytest.raises(ValueError, match=r"^node id 0 appears more than once$"):
             schedule(make_graph(nodes, [(0, 1)]), UNIT_CM)
+        # the same node twice raised StopIteration
+        with pytest.raises(ValueError, match=r"^node id 1 appears more than once$"):
+            schedule(make_graph([nodes[1], nodes[1]], []), UNIT_CM)
 
     @pytest.mark.parametrize("edge", [(0, 1), (1, 2)], ids=["absent-head", "absent-tail"])
     def test_edge_naming_an_absent_node_rejected(self, edge):
@@ -464,15 +469,24 @@ RECORD_CM = CostModel(256.0, 16.0, collective_alpha=40.0, collective_beta=3.0, s
 ENGINES = {"elementwise": "vector", "collective": "vector", "matmul": "matrix"}
 
 
-def round_trips(record):
-    """`record` through every pickle protocol, `copy.copy` and `copy.deepcopy`."""
-    yield from (pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
-    yield copy.copy(record)
-    yield copy.deepcopy(record)
+def assert_rejected(node, message, latency=True):
+    """`node`, which checks nothing itself, is rejected with `message` where it enters the simulator.
+
+    `schedule` and `compare` reject it in a one-node graph, and so does
+    `node_latency`, unless `latency` is false: it costs a node, and reads
+    no id.
+    """
+    graph = make_graph([node], [])
+    calls = [lambda: schedule(graph, RECORD_CM), lambda: compare(graph, build_graph(DUMMY_CFG, True), RECORD_CM)]
+    if latency:
+        calls.append(lambda: node_latency(node, RECORD_CM))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestRecords:
-    """`Node` and `TimelineEntry` are named tuples; every way of making one keeps their contracts."""
+    """`Node` and `TimelineEntry` are named tuples that check nothing; the simulator checks every node it is given."""
 
     NODE = Node(id=3, kind="matmul", work=96, name="ln1.matmul", site="ln1")
 
@@ -490,22 +504,20 @@ class TestRecords:
 
     @pytest.mark.parametrize("make", [
         lambda kind, work: Node(0, kind, work, "n"),
-        lambda kind, work: Node._make((0, kind, "vector", work, "n", None)),
+        lambda kind, work: Node._make((0, kind, work, "n", None)),
         lambda kind, work: TestRecords.NODE._replace(kind=kind, work=work),
     ], ids=["constructor", "make", "replace"])
-    def test_every_construction_path_checks(self, make):
+    def test_every_construction_path_is_checked_where_scheduled(self, make):
         for kind, engine in ENGINES.items():
             node = make(kind, 5)
             assert (type(node), node.kind, node.engine, node.work) == (Node, kind, engine, 5)
-        with pytest.raises(ValueError, match="^unknown node kind 'bogus'$"):
-            make("bogus", 5)
+        assert_rejected(make("bogus", 5), "^unknown node kind 'bogus'$")
         for work in (0, -3):
-            with pytest.raises(ValueError, match=f"^node work must be positive, got {work}$"):
-                make("matmul", work)
+            assert_rejected(make("matmul", work), f"^node work must be positive, got {work}$")
 
     def test_engine_is_never_replaced(self):
         # the constructor's TypeError is `TestNodeLatency::test_kind_fixes_engine`'s
-        with pytest.raises(TypeError, match="engine"):
+        with pytest.raises(ValueError, match=r"^Got unexpected field names: \['engine'\]$"):
             self.NODE._replace(engine="vector")
         assert self.NODE._replace(kind="collective").engine == "vector"
         assert Node._make(tuple(self.NODE)) == self.NODE
@@ -519,21 +531,31 @@ class TestRecords:
         assert TimelineEntry(0, "vector", 0, 5) == (0, "vector", 0, 5)
         node_id, engine, start, end = TimelineEntry(0, "vector", 0, 5)
         assert (node_id, engine, start, end) == (0, "vector", 0, 5)
-        assert tuple(self.NODE) == (3, "matmul", "matrix", 96, "ln1.matmul", "ln1")
+        assert tuple(self.NODE) == (3, "matmul", 96, "ln1.matmul", "ln1")
 
     @pytest.mark.parametrize("field", ["id", "work"])
     @pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 4.0, "4", None], ids=repr)
     def test_id_and_work_must_be_integers(self, field, value):
-        args = dict(id=0, kind="matmul", work=4, name="mm")
-        with pytest.raises(ValueError, match=f"^node {field} must be an integer, got "):
-            Node(**{**args, field: value})
+        node = Node(**{**dict(id=0, kind="matmul", work=4, name="mm"), field: value})
+        assert_rejected(node, f"^node {field} must be an integer, got {re.escape(repr(value))}$", latency=field == "work")
+
+    @pytest.mark.parametrize("true", [True, np.True_], ids=repr)
+    def test_a_bool_id_never_aliases_id_1(self, true):
+        # True == 1 and hashes as 1, so keyed as given it would take the edge to node 1
+        graph = make_graph([Node(0, "elementwise", 1, "a"), Node(true, "matmul", 1, "b")], [(0, 1)])
+        for call in (lambda: schedule(graph, RECORD_CM),
+                     lambda: compare(graph, build_graph(DUMMY_CFG, fused=True), RECORD_CM)):
+            with pytest.raises(ValueError, match=f"^node id must be an integer, got {re.escape(repr(true))}$"):
+                call()
 
     def test_numpy_integers_stored_as_plain_ints(self):
+        # `schedule` stores each id, and each latency, as a plain int, so the report is byte-identical
         graph = build_graph(DUMMY_CFG, fused=False)
         numpy_nodes = tuple(Node(np.int64(n.id), n.kind, np.int32(n.work), n.name, n.site) for n in graph.nodes)
-        assert all(type(n.id) is int and type(n.work) is int for n in numpy_nodes)
         numpy_graph = make_graph(numpy_nodes, graph.edges)
-        rows = timeline_rows(numpy_graph, schedule(numpy_graph, RECORD_CM))
+        timeline = schedule(numpy_graph, RECORD_CM)
+        assert all(type(v) is int for entry in timeline.entries for v in (entry.node_id, entry.start, entry.end))
+        rows = timeline_rows(numpy_graph, timeline)
         assert dumps_report({"rows": rows}) == dumps_report({"rows": timeline_rows(graph, schedule(graph, RECORD_CM))})
 
     @pytest.mark.parametrize("cfg", [DUMMY_CFG, LLAMA_CFG])
