@@ -102,13 +102,23 @@ MUTANTS = (
            ("tests/test_error_behaviour.py", "-k", "FoldedLinear"),
            "FoldedLinear(...) checks a caller's arrays; only the fold functions' own arrays skip the scan"),
     Mutant("gelu-writes-its-input", "block.py",
-           "        half = 0.5 * z\n", "        half = np.multiply(z, 0.5, out=z)\n",
+           "_gelu_in_place(np.array(z, dtype=np.float64))", "_gelu_in_place(np.asarray(z, dtype=np.float64))",
            ("tests/test_inputs_kept.py", "-k", "gelu"),
-           "gelu never writes its caller's array"),
+           "public gelu runs the in-place chain on its own copy, never on its caller's array"),
     Mutant("gelu-chain-on-its-input", "block.py",
            "t = np.multiply(z, z, out=np.empty_like(z))", "t = np.multiply(z, z, out=z)",
-           ("tests/test_inputs_kept.py", "-k", "gelu"),
-           "gelu's in-place chain runs on a buffer it made, never on its caller's array"),
+           ("tests/test_block.py", "-k", "gelu"),
+           "gelu's chain forms tanh's argument in a buffer it made: it reads z until its last two steps"),
+    Mutant("block-gelu-copies-its-pre-activation", "block.py",
+           "matmul(_gelu_in_place(pre_act), w.fc2)", "matmul(gelu(pre_act), w.fc2)",
+           ("tests/test_block.py", "-k", "live_buffers"),
+           "the block's gelu tail runs in place on the pre-activation it made: two (seq, hidden) arrays, not three"),
+    Mutant("fused-scale-out-of-place", "fusion.py",
+           "    projected /= np.sqrt(variance + real)[..., np.newaxis]\n    projected += fl.folded_bias\n"
+           "    return projected\n",
+           "    return projected / np.sqrt(variance + real)[..., np.newaxis] + fl.folded_bias\n",
+           ("tests/test_fusion.py", "tests/test_block.py", "-k", "own_buffer or live_buffers"),
+           "a fused evaluator applies the deferred scale, and the folded bias, in its product's own buffer"),
     Mutant("layernorm-centres-x-in-place", "norms.py",
            "        shifted = x - x[..., :1]\n", "        shifted = np.subtract(x, x[..., :1], out=x)\n",
            ("tests/test_inputs_kept.py", "-k", "layernorm"),
@@ -162,8 +172,8 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "longdouble"),
            "the fused RMSNorm path divides the pre-scaled rows' product by the pre-scaled root"),
     Mutant("prescaled-overflow-not-retried", "fusion.py",
-           "            out[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)\n"
-           "                               / np.ldexp(root, -s)[overflowed][..., np.newaxis])\n",
+           "            projected[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)\n"
+           "                                     / np.ldexp(root, -s)[overflowed][..., np.newaxis])\n",
            "            pass\n",
            ("tests/test_fusion.py", "-k", "prescaled"),
            "a row whose pre-scaled product overflows is multiplied unscaled: the pre-scale costs no overflow headroom"),
@@ -207,6 +217,16 @@ MUTANTS = (
            "        if not (np.isfinite(eps := self.epsilon) and eps > 0):\n",
            ("tests/test_norms.py", "-k", "RealFields"),
            "a norm's epsilon is a real number, not a bool or a string, stored as a plain number"),
+    Mutant("rms-kernel-epsilon-not-real-checked", "norms.py",
+           "if (real := _real(epsilon)) is None or not (math.isfinite(real) and real >= 0):",
+           "if (real := epsilon) is None or not (math.isfinite(real) and real >= 0):",
+           ("tests/test_norms.py", "-k", "RealFields"),
+           "an epsilon given to an RMSNorm kernel is a real number by the parameters' rule: a bool is not 1 or 0"),
+    Mutant("layernorm-kernel-epsilon-not-real-checked", "fusion.py",
+           "if (real := _real(epsilon)) is None or not (math.isfinite(real) and real > 0):",
+           "if (real := epsilon) is None or not (math.isfinite(real) and real > 0):",
+           ("tests/test_norms.py", "-k", "RealFields"),
+           "an epsilon given to the fused layernorm kernel is a real number by the parameters' rule: a bool is not 1"),
     Mutant("weights-copied-without-rebuild", "block.py",
            "    def __reduce__(self):  # a copy", "    def _unused_reduce(self):  # a copy",
            ("tests/test_block.py", "-k", "copied"),
@@ -237,6 +257,13 @@ MUTANTS = (
            "if type(nid := node.id) is not int and", "if not isinstance(nid := node.id, int) and",
            ("tests/test_simulator.py", "-k", "Records"),
            "only a plain int skips schedule's id check: a bool id is refused, and never aliases id 0 or 1"),
+    Mutant("edge-ends-unchecked", "simulator.py",
+           "            if None in (ends := (_integer(a), _integer(b))):\n"
+           "                raise ValueError(f\"edge ({a!r}, {b!r}): node ids must be integers\")\n"
+           "            a, b = ends\n",
+           "            pass\n",
+           ("tests/test_simulator.py", "-k", "aliases"),
+           "an edge end is an integer node id by the node-id rule: a bool or 1.0 never aliases node 1"),
     Mutant("config-decode-error-unconverted", "jsonio.py",
            "    except (UnicodeDecodeError, json.JSONDecodeError) as e:\n", "    except json.JSONDecodeError as e:\n",
            ("tests/test_cli.py", "-k", "Encoding"),

@@ -260,11 +260,20 @@ _GELU_SQRT_2_OVER_PI = 0.7978845608028654
 def gelu(z) -> np.ndarray:
     """The tanh approximation, element-wise; the cube is z*z*z, two products, not a `pow` call.
 
-    The formula runs as one chain of in-place steps on a buffer made here,
-    in its operation order, so the bits are the straight-line formula's
-    with two arrays allocated, not nine; `z` is never written.
+    A copy of `z` runs `_gelu_in_place`'s chain, so `z` is never written
+    and the bits are the straight-line formula's; a 0-d `z` gives a scalar,
+    as the formula does.
     """
-    z = np.asarray(z, dtype=np.float64)
+    return _gelu_in_place(np.array(z, dtype=np.float64))[()]
+
+
+def _gelu_in_place(z: np.ndarray) -> np.ndarray:
+    """`gelu` of a float64 array no caller holds, returned in that array: one more array allocated, not nine.
+
+    The formula runs as one chain of in-place steps in its operation
+    order, on a buffer made here and then on `z`, so the bits are the
+    straight-line formula's. `z` is read until its last two steps.
+    """
     # Beyond |z| ~ 5.6e102 the cube overflows to ±inf; tanh then gives ±1,
     # and the result is the exact limit, z or -0.0. Below |z| ~ 2.8e-103 the
     # cube, and near the subnormal range 0.5 * z, round to a subnormal or 0:
@@ -277,9 +286,9 @@ def gelu(z) -> np.ndarray:
         t *= _GELU_SQRT_2_OVER_PI
         np.tanh(t, out=t)
         t += 1.0
-        half = 0.5 * z
-        half *= t
-        return half
+        z *= 0.5
+        z *= t
+    return z
 
 
 # A norm site's algebra, written once for the block, its folds and `normfusion verify`.
@@ -302,26 +311,40 @@ def _norm_site(rows, p: LayerNormParams | RmsNormParams, mat, fold: FoldedLinear
     return matmul((layernorm if is_layernorm else rmsnorm)(rows, p), mat)
 
 
+def _attention(cfg: BlockConfig, w: BlockWeights, x: np.ndarray, fold: FoldedLinear | None) -> np.ndarray:
+    """Every head's attention output, joined (seq, d_model): the ln1 site, the scores and the softmax site.
+
+    `fold` is ln1's fold on the fused path and None on the conventional
+    one; it picks both sites' forms. Q|K|V, the scores and the
+    probabilities stay in here, so the block holds none of them past it.
+    """
+    # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
+    qkv = _norm_site(x, w.ln1, w.projections["ln1"], fold)
+    q, k, v = qkv.reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
+    with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
+        scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
+    heads = matmul(softmax_stable(scores), v) if fold is None else fused_softmax_matmul(scores, v)
+    return heads.transpose(1, 0, 2).reshape(cfg.seq_len, cfg.d_model)
+
+
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
-    """The block, written once; `fused` changes only how each site meets its matmul."""
+    """The block, written once; `fused` changes only how each site meets its matmul.
+
+    Each finished stage is dropped: attention's intermediates stay in
+    `_attention`, and the MLP pre-activation, an array made here, becomes
+    gelu's output in place, so the gelu tail holds two (seq, mlp_hidden)
+    arrays at most.
+    """
     x = as_matrix(x)
     if x.shape != (cfg.seq_len, cfg.d_model):
         raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
     w.validate(cfg)
-    n = cfg.d_model
-    projections, folds = w.projections, (w.folded if fused else {})
+    folds = w.folded if fused else {}
 
-    # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
-    qkv = _norm_site(x, w.ln1, projections["ln1"], folds.get("ln1"))
-    q, k, v = qkv.reshape(cfg.seq_len, 3, cfg.n_heads, cfg.d_head).transpose(1, 2, 0, 3)
-    with np.errstate(under="ignore"):  # a subnormal score is correctly rounded
-        scores = matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(cfg.d_head))
-    heads = fused_softmax_matmul(scores, v) if fused else matmul(softmax_stable(scores), v)
-    hidden = x + matmul(heads.transpose(1, 0, 2).reshape(cfg.seq_len, n), w.w_o)
-
-    pre_act = _norm_site(hidden, w.ln2, projections["ln2"], folds.get("ln2"))
+    hidden = x + matmul(_attention(cfg, w, x, folds.get("ln1")), w.w_o)
+    pre_act = _norm_site(hidden, w.ln2, w.projections["ln2"], folds.get("ln2"))
     if cfg.variant == "standard-gelu":
-        return hidden + matmul(gelu(pre_act), w.fc2)
+        return hidden + matmul(_gelu_in_place(pre_act), w.fc2)
     # fused, the deferred 1/rms is already applied, as silu needs: scalars do not commute past it
     return hidden + swiglu(pre_act, w.mlp.w_down)
 

@@ -45,7 +45,10 @@ proves the rows finite as it does for the conventional form (see the
 one finiteness rule in `tensor`). Every reduction runs left to right along the
 row and the product's columns are independent, so a row's result is
 bit-identical either way; the deferred scale is one scalar per row,
-applied along the last axis as `norms` applies it.
+applied along the last axis as `norms` applies it. Each evaluator
+applies it, and adds a folded bias, in place on the array `matmul`
+returned and returns that array: the same IEEE operations in the same
+order as dividing into a new array, with no second product-sized array.
 
 The gated MLP has one tail, `swiglu`: silu(gate) * up through the down
 projection. Its 1/rms cannot be deferred past silu, so only the gate|up
@@ -62,8 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, _prescaled_root, _shifted_moments, softmax_numerators
-from .tensor import (_check_operands, _frozen_views, _reject, _require_width, _rows, as_matrix, as_row_vector,
-                     matmul)
+from .tensor import (_check_operands, _frozen_views, _real, _reject, _require_width, _rows, as_matrix,
+                     as_row_vector, matmul)
 
 __all__ = [
     "FoldedLinear",
@@ -239,7 +242,8 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     maps constants to zero, so y @ folded_weight is x @ folded_weight in
     exact arithmetic, and a large row offset costs the product no accuracy.
     The variance reduction and the y @ folded_weight product are
-    independent tasks; they meet only at the final scale-and-bias.
+    independent tasks; they meet only at the final scale-and-bias, made
+    in place on the product, which is returned.
 
     |y| can be twice |x|, so y's product can overflow float64 where x's
     would not. Such a row, and only such a row, is multiplied unshifted:
@@ -247,7 +251,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     unshifted product overflows too stays non-finite.
     """
     rows = _fold_rows(x, fl, layernorm=True)
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if (real := _real(epsilon)) is None or not (math.isfinite(real) and real > 0):
         _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
     shifted, _, _, variance = _shifted_moments(rows)  # element-wise, then collective task
@@ -255,7 +259,9 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     if not np.isfinite(projected).all():
         overflowed = ~np.isfinite(projected).all(axis=-1)
         projected[overflowed] = matmul(rows[overflowed], fl.folded_weight)
-    return projected / np.sqrt(variance + epsilon)[..., np.newaxis] + fl.folded_bias
+    projected /= np.sqrt(variance + real)[..., np.newaxis]
+    projected += fl.folded_bias
+    return projected
 
 
 def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
@@ -268,18 +274,20 @@ def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarr
     epsilon outweighs a small row, its pre-scaled root exceeds 1, and its
     pre-scaled product can overflow where the unscaled one would not. Such
     a row, and only such a row, is multiplied unscaled and divided by the
-    unscaled root, so the pre-scale costs no overflow headroom.
+    unscaled root, so the pre-scale costs no overflow headroom. Those rows
+    are found in the product before the other rows are divided by their
+    root in place; the product is returned.
     """
     rows = _fold_rows(x, rfl, layernorm=False)
     s, scaled, root = _prescaled_root(rows, epsilon)  # element-wise pre-scale, then collective task
     projected = matmul(scaled, rfl.folded_weight)     # matmul task, overlappable
+    overflowed = None if np.isfinite(projected).all() else ~np.isfinite(projected).all(axis=-1)
     with np.errstate(under="ignore"):  # a subnormal result, or unscaled root, is correctly rounded
-        out = projected / root[..., np.newaxis]
-        if not np.isfinite(projected).all():
-            overflowed = ~np.isfinite(projected).all(axis=-1)
-            out[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)
-                               / np.ldexp(root, -s)[overflowed][..., np.newaxis])
-    return out
+        projected /= root[..., np.newaxis]
+        if overflowed is not None:
+            projected[overflowed] = (matmul(rows[overflowed], rfl.folded_weight)
+                                     / np.ldexp(root, -s)[overflowed][..., np.newaxis])
+    return projected
 
 
 def fused_softmax_matmul(x, v) -> np.ndarray:
@@ -288,7 +296,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     `x` is a row or a stack of rows times a matrix `v`, or a stack per
     head (h, m, k) times one matrix per head (h, k, n). Numerators are
     max-shifted, so the path is overflow-safe for any finite logits; the
-    shift cancels between numerator and denominator.
+    shift cancels between numerator and denominator. The product is
+    divided by the denominators in place and returned.
     """
     rows = _rows(x)
     if np.shape(v)[-2:-1] != rows.shape[-1:]:
@@ -298,7 +307,8 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     numerators, denominator = softmax_numerators(rows)  # denominator: collective task
     projected = matmul(numerators, v)                   # matmul task, overlappable
     with np.errstate(under="ignore"):  # a product of subnormal numerators
-        return projected / denominator[..., np.newaxis]
+        projected /= denominator[..., np.newaxis]
+    return projected
 
 
 def silu(z) -> np.ndarray:

@@ -168,13 +168,15 @@ def _prescaled_root(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     their product, by the pre-scaled root, which gives x / rms(x) without
     ever rounding the rms to a subnormal.
 
-    `epsilon` must be a non-negative finite scalar, as `RmsNormParams`
-    requires: a negative or NaN one would give NaN. Both RMSNorm paths
-    reach it through here, so the check sits here; a non-finite row is
-    named before it.
+    `epsilon` must be a non-negative finite real, as `RmsNormParams`
+    requires, by the same rule (`tensor._real`): a negative or NaN one
+    would give NaN, and a bool is not an epsilon. Both RMSNorm paths reach
+    it through here, so the check sits here; a non-finite row is named
+    before it.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
+    if (real := _real(epsilon)) is None or not (math.isfinite(real) and real >= 0):
         _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
+    epsilon = real
     with np.errstate(all="ignore"):
         cap = max(0, (1000 - math.frexp(epsilon)[1]) // 2) if epsilon else None
         s = np.clip(-np.frexp(np.abs(x).max(axis=-1))[1], 0, cap)

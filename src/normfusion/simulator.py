@@ -145,8 +145,9 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
     cross-engine edges. Every node is checked here, its id kept as a plain
     int: a ValueError names a node `node_latency` rejects, an id that is
     not an integer (a bool is not, so it never aliases id 1) or repeats,
-    an empty graph, an edge naming an absent node and an edge that does
-    not run from a lower id to a higher one, as every cycle has.
+    an empty graph, an edge with an end that is not an integer by the same
+    rule, an edge naming an absent node and an edge that does not run
+    from a lower id to a higher one, as every cycle has.
     """
     nodes: dict[int, Node] = {}
     for node in graph.nodes:
@@ -159,6 +160,10 @@ def schedule(graph: OpGraph, cm: CostModel) -> Timeline:
         raise ValueError("the graph has no nodes")
     preds: dict[int, list[int]] = {nid: [] for nid in nodes}
     for a, b in graph.edges:
+        if type(a) is not int or type(b) is not int:  # a plain int pair, the common case, costs two checks
+            if None in (ends := (_integer(a), _integer(b))):
+                raise ValueError(f"edge ({a!r}, {b!r}): node ids must be integers")
+            a, b = ends
         if a not in preds or b not in preds:
             raise ValueError(f"edge ({a}, {b}) names a node that is not in the graph")
         if a >= b:

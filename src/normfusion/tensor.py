@@ -51,8 +51,7 @@ build baseline, X86_V2 there (SSE4.2, two float64 per vector), on a host
 with AVX-512. The rest is fixed work around the small numpy calls of the
 norms, `gelu`, the softmax and the shape and finiteness checks. So
 `matmul` hands a 2-D pair straight to one einsum, `ordered_sum` takes its
-last prefix with a basic index, and `gelu` runs in place on a buffer it
-made.
+last prefix with a basic index, and `gelu` runs as one in-place chain.
 
 One finiteness rule holds for every public kernel here and in `norms`
 and `fusion`: check shapes, then prove the input finite once, on the

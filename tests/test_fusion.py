@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from normfusion import fusion
 from normfusion.fusion import (
     FoldedLinear,
     fold_layernorm_linear,
@@ -760,6 +761,21 @@ class TestScaleDeferral:
         deferred = matmul(u, w) * (1.0 / s)
         eager = matmul(u * (1.0 / s), w)
         assert max_rel_error(deferred, eager) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 6)], ids=["row", "stack"])
+@pytest.mark.parametrize("name", ["fused_layernorm_matmul", "fused_softmax_matmul", "fused_rmsnorm_matmul"])
+def test_deferred_scale_is_applied_in_the_products_own_buffer(monkeypatch, name, shape):
+    """Each fused evaluator returns the very array its `matmul` call returned, scaled in place."""
+    products = []
+
+    def recording(a, b):
+        products.append(product := matmul(a, b))
+        return product
+
+    monkeypatch.setattr(fusion, "matmul", recording)
+    out = ROWS_KERNELS[name](np.random.default_rng(61).standard_normal(shape))
+    assert len(products) == 1 and out is products[0]
 
 
 def _rows_kernels():

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from normfusion.fusion import fold_layernorm_linear, fold_rmsnorm_linear, fused_layernorm_matmul, fused_rmsnorm_matmul
 from normfusion.norms import (
     LayerNormParams,
     RmsNormParams,
@@ -35,6 +36,11 @@ finite_vectors = st.lists(
 
 # finite rows whose variance (or mean) and mean square overflow float64
 OVERFLOWING_ROWS = [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]]
+
+
+# one-column folds of three-wide rows, for the kernels that take an epsilon of their own
+LN_FOLD = fold_layernorm_linear(LayerNormParams(gamma=np.ones(3), beta=np.zeros(3), epsilon=1e-5), np.ones((3, 1)))
+RMS_FOLD = fold_rmsnorm_linear(RmsNormParams(gamma=np.ones(3)), np.ones((3, 1)))
 
 
 def moments_oracle(x):
@@ -62,21 +68,34 @@ def softmax_mpmath_oracle(x):
 
 
 class TestRealFields:
-    """A norm's epsilon follows the rule of every real-valued field: a bool is refused, any other real stored plain."""
+    """A norm's epsilon, in its parameters or given to a kernel, follows the rule of every real-valued field.
 
-    # each norm's parameters at `epsilon`, and the sign its epsilon must have
+    A bool, a string or None is refused; the parameters store any other real as a plain number.
+    """
+
+    # each norm's parameters at `epsilon`, and how its message starts
     PARAMS = {
-        "layernorm": (lambda eps: LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=eps), "positive"),
-        "rmsnorm": (lambda eps: RmsNormParams(gamma=[1.0], epsilon=eps), "non-negative"),
+        "layernorm": (lambda eps: LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=eps), "epsilon must be a positive"),
+        "rmsnorm": (lambda eps: RmsNormParams(gamma=[1.0], epsilon=eps), "epsilon must be a non-negative"),
+    }
+    # each kernel that takes an epsilon of its own, called at `epsilon`, and how its message starts
+    KERNELS = {
+        "root_mean_square": (lambda eps: root_mean_square(np.ones(3), eps),
+                             "rmsnorm: epsilon must be a non-negative"),
+        "fused_rmsnorm_matmul": (lambda eps: fused_rmsnorm_matmul(np.ones(3), RMS_FOLD, eps),
+                                 "rmsnorm: epsilon must be a non-negative"),
+        "fused_layernorm_matmul": (lambda eps: fused_layernorm_matmul(np.ones(3), LN_FOLD, eps),
+                                   "epsilon must be a positive"),
     }
 
-    # a bool was stored as is; a string or None raised numpy's "ufunc 'isfinite' not supported"
+    # a bool was stored as is; a string or None raised numpy's "ufunc 'isfinite' not supported";
+    # a kernel ran a bool as epsilon 1 or 0, and raised TypeError ("must be real number") for a string or None
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1e-5", None, 10**400],
                              ids=["True", "False", "np.True_", "np.False_", "'1e-5'", "None", "10**400"])
-    @pytest.mark.parametrize("norm", PARAMS)
+    @pytest.mark.parametrize("norm", [*PARAMS, *KERNELS])
     def test_non_real_epsilon_rejected(self, norm, value):
-        make, sign = self.PARAMS[norm]
-        with pytest.raises(ValueError, match=f"^epsilon must be a {sign} finite scalar, got {re.escape(str(value))}$"):
+        make, start = {**self.PARAMS, **self.KERNELS}[norm]
+        with pytest.raises(ValueError, match=f"^{start} finite scalar, got {re.escape(str(value))}$"):
             make(value)
 
     @pytest.mark.parametrize("norm", PARAMS)

@@ -539,14 +539,22 @@ class TestRecords:
         node = Node(**{**dict(id=0, kind="matmul", work=4, name="mm"), field: value})
         assert_rejected(node, f"^node {field} must be an integer, got {re.escape(repr(value))}$", latency=field == "work")
 
-    @pytest.mark.parametrize("true", [True, np.True_], ids=repr)
+    @pytest.mark.parametrize("true", [True, np.True_, 1.0], ids=repr)
     def test_a_bool_id_never_aliases_id_1(self, true):
-        # True == 1 and hashes as 1, so keyed as given it would take the edge to node 1
-        graph = make_graph([Node(0, "elementwise", 1, "a"), Node(true, "matmul", 1, "b")], [(0, 1)])
-        for call in (lambda: schedule(graph, RECORD_CM),
-                     lambda: compare(graph, build_graph(DUMMY_CFG, fused=True), RECORD_CM)):
-            with pytest.raises(ValueError, match=f"^node id must be an integer, got {re.escape(repr(true))}$"):
-                call()
+        # True == 1 and hashes as 1, as 1.0 does, so keyed as given a node id or an edge end would be node 1
+        nodes = [Node(0, "elementwise", 1, "a"), Node(1, "matmul", 1, "b"), Node(2, "elementwise", 1, "c")]
+        cases = [  # (the graph's nodes, its edges, the error)
+            ([nodes[0], nodes[1]._replace(id=true), nodes[2]], [(0, 1), (1, 2)],
+             f"node id must be an integer, got {true!r}"),
+            (nodes, [(0, true), (1, 2)], f"edge (0, {true!r}): node ids must be integers"),
+            (nodes, [(0, 1), (true, 2)], f"edge ({true!r}, 2): node ids must be integers"),
+        ]
+        for graph_nodes, edges, message in cases:
+            graph = make_graph(graph_nodes, edges)
+            for call in (lambda: schedule(graph, RECORD_CM),
+                         lambda: compare(graph, build_graph(DUMMY_CFG, fused=True), RECORD_CM)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
 
     def test_numpy_integers_stored_as_plain_ints(self):
         # `schedule` stores each id, and each latency, as a plain int, so the report is byte-identical
