@@ -97,6 +97,15 @@ MUTANTS = (
            "np.hstack([gate, up]), down.copy())", "np.hstack([gate, up]), down)",
            ("tests/test_block.py", "-k", "private"),
            "LlamaMlpWeights copies a caller's w_down before freezing it"),
+    Mutant("rms-fold-names-overflow-for-non-finite-weight", "fusion.py",
+           "        as_matrix(f)  # a non-finite F is named first\n", "",
+           ("tests/test_fusion.py", "-k", "named_first"),
+           "the RMSNorm fold names a non-finite weight, not a float64 overflow"),
+    Mutant("fold-row-mismatch-named-before-non-finite", "fusion.py",
+           '        _reject(f, f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")\n',
+           '        raise ValueError(f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")\n',
+           ("tests/test_error_behaviour.py", "-k", "fold"),
+           "a fold names a non-finite weight before a row-count mismatch"),
     Mutant("folded-linear-unchecked", "fusion.py",
            "        weight = as_matrix(self.folded_weight)\n", "        weight = np.asarray(self.folded_weight)\n",
            ("tests/test_error_behaviour.py", "-k", "FoldedLinear"),
@@ -213,18 +222,18 @@ MUTANTS = (
            ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
            "work too large to divide as a float is guarded as an infinite latency is: a ValueError naming the node"),
     Mutant("norm-epsilon-not-real-checked", "norms.py",
-           "        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps > 0):\n",
+           "        if (eps := _real(self.epsilon)) is None or eps <= 0:\n",
            "        if not (np.isfinite(eps := self.epsilon) and eps > 0):\n",
            ("tests/test_norms.py", "-k", "RealFields"),
            "a norm's epsilon is a real number, not a bool or a string, stored as a plain number"),
     Mutant("rms-kernel-epsilon-not-real-checked", "norms.py",
-           "if (real := _real(epsilon)) is None or not (math.isfinite(real) and real >= 0):",
-           "if (real := epsilon) is None or not (math.isfinite(real) and real >= 0):",
+           "if (real := _real(epsilon)) is None or real < 0:",
+           "if (real := epsilon) is None or real < 0:",
            ("tests/test_norms.py", "-k", "RealFields"),
            "an epsilon given to an RMSNorm kernel is a real number by the parameters' rule: a bool is not 1 or 0"),
     Mutant("layernorm-kernel-epsilon-not-real-checked", "fusion.py",
-           "if (real := _real(epsilon)) is None or not (math.isfinite(real) and real > 0):",
-           "if (real := epsilon) is None or not (math.isfinite(real) and real > 0):",
+           "if (real := _real(epsilon)) is None or real <= 0:",
+           "if (real := epsilon) is None or real <= 0:",
            ("tests/test_norms.py", "-k", "RealFields"),
            "an epsilon given to the fused layernorm kernel is a real number by the parameters' rule: a bool is not 1"),
     Mutant("weights-copied-without-rebuild", "block.py",
@@ -240,10 +249,15 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "numpy_integers"),
            "a config stores plain ints, which reports encode"),
     Mutant("fused-matmul-waits-for-collective", "block.py",
-           'mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[ew])',
-           'mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[coll])',
+           'mm = add("matmul", mm_work, f"{site}.matmul", site, (ew,))',
+           'mm = add("matmul", mm_work, f"{site}.matmul", site, (coll,))',
            ("tests/test_block.py", "-k", "Graph"),
            "the fused graph cuts the collective -> matmul edge"),
+    Mutant("conventional-matmul-off-elementwise", "block.py",
+           'return add("matmul", mm_work, f"{site}.matmul", site, (coll,))',
+           'return add("matmul", mm_work, f"{site}.matmul", site, (ew,))',
+           ("tests/test_block.py", "-k", "Graph"),
+           "a conventional site is a chain: its matmul waits for the collective"),
     Mutant("every-engine-vector", "block.py",
            '"matmul": "matrix"}', '"matmul": "vector"}',
            ("tests/test_simulator.py", "-k", "Records"),
@@ -269,9 +283,13 @@ MUTANTS = (
            ("tests/test_cli.py", "-k", "Encoding"),
            "a config file that is not UTF-8 is not valid JSON: a config error, exit 2"),
     Mutant("huge-integer-taken-as-finite", "tensor.py",
-           "        if abs(i) <= sys.float_info.max:", "        if True:",
+           "return i if abs(i) <= sys.float_info.max else None", "return i",
            ("tests/test_cli.py", "-k", "RealFields"),
            "an integer beyond float64's range is not finite, in every real-valued field"),
+    Mutant("real-passes-an-infinity", "tensor.py",
+           "        return v if math.isfinite(v) else None\n", "        return v\n",
+           ("tests/test_cli.py", "-k", "non_finite_tolerance"),
+           "a float infinity or NaN is not a real value of any field: `_real` refuses it"),
     Mutant("long-integer-unconverted", "jsonio.py",
            "    except ValueError as e:  # Python's guard", "    except ZeroDivisionError as e:  # Python's guard",
            ("tests/test_cli.py", "-k", "LongIntegers"),

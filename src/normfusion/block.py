@@ -109,7 +109,7 @@ class BlockConfig:
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if (eps := _real(self.epsilon_ln)) is None or not (math.isfinite(eps) and eps > 0):
+        if (eps := _real(self.epsilon_ln)) is None or eps <= 0:
             raise ValueError(f"epsilon_ln must be positive and finite, got {self.epsilon_ln}")
         object.__setattr__(self, "epsilon_ln", eps)
 
@@ -407,77 +407,48 @@ class OpGraph(NamedTuple):
     config: BlockConfig
 
 
-class _GraphBuilder:
-    def __init__(self):
-        self.nodes: list[Node] = []
-        self.edges: list[tuple[int, int]] = []
-
-    def add(self, kind, work, name, site=None, deps=()) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, kind, work, name, site))
-        for d in deps:
-            self.edges.append((d, nid))
-        return nid
-
-
-def _add_site(b: _GraphBuilder, site: str, ew_work: int, coll_work: int,
-              mm_work: int, mm_out: int, fused: bool, entry: int | None) -> int:
-    """One normalization site.
-
-    Conventional: elementwise -> collective -> matmul (a chain).
-    Fused: the collective->matmul edge is cut (both hang off the
-    elementwise node) and a deferred-scale node joins the two branches.
-    Returns the node downstream consumers should depend on.
-    """
-    deps = [entry] if entry is not None else []
-    ew = b.add("elementwise", ew_work, f"{site}.elementwise", site, deps=deps)
-    coll = b.add("collective", coll_work, f"{site}.collective", site, deps=[ew])
-    if not fused:
-        mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[coll])
-        return mm
-    mm = b.add("matmul", mm_work, f"{site}.matmul", site, deps=[ew])
-    scale = b.add("elementwise", mm_out, f"{site}.scale", site, deps=[coll, mm])
-    return scale
-
-
 def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
     """Dependency graph of one decoder block with exact work counts.
 
-    Matmul work is seq * rows * cols MACs per product, summed where one
-    node covers several projections (Q/K/V; gate+up). The softmax site's
-    collective node aggregates every head's per-row denominator.
+    Nodes are numbered in the order they are added, and each node's edges
+    follow it, one per dependency in the order given. Matmul work is
+    seq * rows * cols MACs per product, summed where one node covers
+    several projections (Q/K/V; gate+up). The softmax site's collective
+    node aggregates every head's per-row denominator.
+
+    Each normalization site is an elementwise node then a collective, both
+    of the site's element count:
+    - conventional: elementwise -> collective -> matmul, a chain;
+    - fused: the collective->matmul edge is cut, both hang off the
+      elementwise node, and a deferred-scale node joins the two branches.
+    Downstream consumers depend on the site's last node.
     """
     n, heads, seq, h = cfg.d_model, cfg.n_heads, cfg.seq_len, cfg.mlp_hidden
-    b = _GraphBuilder()
+    nodes, edges = [], []
 
-    qkv = _add_site(
-        b, "ln1",
-        ew_work=seq * n, coll_work=seq * n,
-        mm_work=3 * seq * n * n, mm_out=3 * seq * n,
-        fused=fused, entry=None,
-    )
-    logits = b.add("matmul", seq * seq * n, "attn.logits_matmul", deps=[qkv])
-    av = _add_site(
-        b, "softmax",
-        ew_work=heads * seq * seq, coll_work=heads * seq * seq,
-        mm_work=seq * seq * n, mm_out=seq * n,
-        fused=fused, entry=logits,
-    )
-    out_proj = b.add("matmul", seq * n * n, "attn.out_matmul", deps=[av])
-    res1 = b.add("elementwise", seq * n, "residual1.add", deps=[out_proj])
+    def add(kind, work, name, site=None, deps=()):
+        nid = len(nodes)
+        nodes.append(Node(nid, kind, work, name, site))
+        for d in deps:
+            edges.append((d, nid))
+        return nid
 
-    if cfg.variant == "standard-gelu":
-        mlp_mm_work, mlp_mm_out = seq * n * h, seq * h
-    else:
-        mlp_mm_work, mlp_mm_out = 2 * seq * n * h, 2 * seq * h  # gate and up together
-    fc1 = _add_site(
-        b, "ln2",
-        ew_work=seq * n, coll_work=seq * n,
-        mm_work=mlp_mm_work, mm_out=mlp_mm_out,
-        fused=fused, entry=res1,
-    )
-    act = b.add("elementwise", seq * h, "mlp.activation", deps=[fc1])
-    down = b.add("matmul", seq * h * n, "mlp.down_matmul", deps=[act])
-    b.add("elementwise", seq * n, "residual2.add", deps=[down, res1])
+    def norm_site(site, work, mm_work, mm_out, deps=()):
+        ew = add("elementwise", work, f"{site}.elementwise", site, deps)
+        coll = add("collective", work, f"{site}.collective", site, (ew,))
+        if not fused:
+            return add("matmul", mm_work, f"{site}.matmul", site, (coll,))
+        mm = add("matmul", mm_work, f"{site}.matmul", site, (ew,))
+        return add("elementwise", mm_out, f"{site}.scale", site, (coll, mm))
 
-    return OpGraph(nodes=tuple(b.nodes), edges=tuple(b.edges), fused=fused, config=cfg)
+    mlp_inputs = 1 if cfg.variant == "standard-gelu" else 2  # fc1, or gate and up together
+    qkv = norm_site("ln1", seq * n, 3 * seq * n * n, 3 * seq * n)
+    logits = add("matmul", seq * seq * n, "attn.logits_matmul", deps=(qkv,))
+    av = norm_site("softmax", heads * seq * seq, seq * seq * n, seq * n, (logits,))
+    out_proj = add("matmul", seq * n * n, "attn.out_matmul", deps=(av,))
+    res1 = add("elementwise", seq * n, "residual1.add", deps=(out_proj,))
+    fc1 = norm_site("ln2", seq * n, mlp_inputs * seq * n * h, mlp_inputs * seq * h, (res1,))
+    act = add("elementwise", seq * h, "mlp.activation", deps=(fc1,))
+    down = add("matmul", seq * h * n, "mlp.down_matmul", deps=(act,))
+    add("elementwise", seq * n, "residual2.add", deps=(down, res1))
+    return OpGraph(tuple(nodes), tuple(edges), fused, cfg)

@@ -59,7 +59,6 @@ the same steps the block's fused path takes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +176,12 @@ class LlamaMlpWeights:
 def _scale_rows(p: LayerNormParams | RmsNormParams, f) -> np.ndarray:
     """diag(gamma) @ F as a new array, the static piece both norms fold into the weight.
 
-    An overflow is left for the fold to name.
+    F's shape is checked here, its values are not: a non-finite F makes
+    the scaled copy non-finite, and each fold names it before an overflow.
     """
-    f = as_matrix(f)
+    f = _rows(f, 2)
     if f.shape[0] != p.n:
-        raise ValueError(f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")
+        _reject(f, f"weight rows {f.shape[0]} do not match normalized dimension {p.n}")
     with np.errstate(all="ignore"):
         return p.gamma[:, np.newaxis] * f
 
@@ -204,7 +204,7 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     """
     folded_weight = _scale_rows(p, f)
     with np.errstate(all="ignore"):  # a finite weight's overflow is named below
-        folded_weight -= matmul(p.gamma, f) / p.n
+        folded_weight -= matmul(p.gamma, f) / p.n  # its output scan proves F finite
         col_max = np.maximum(folded_weight.max(axis=0), -folded_weight.min(axis=0))  # NaN or inf where any entry is
     folded_bias = matmul(p.beta, f)
     if not (np.isfinite(col_max).all() and np.isfinite(folded_bias).all()
@@ -220,6 +220,7 @@ def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
     """Fold the RMSNorm scale vector into the downstream weight matrix, read-only; no bias; an overflow is named."""
     folded_weight = _scale_rows(p, f)
     if not np.isfinite(folded_weight).all():
+        as_matrix(f)  # a non-finite F is named first
         raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
     return _adopt(FoldedLinear, folded_weight)
 
@@ -251,7 +252,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     unshifted product overflows too stays non-finite.
     """
     rows = _fold_rows(x, fl, layernorm=True)
-    if (real := _real(epsilon)) is None or not (math.isfinite(real) and real > 0):
+    if (real := _real(epsilon)) is None or real <= 0:
         _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
 
     shifted, _, _, variance = _shifted_moments(rows)  # element-wise, then collective task

@@ -18,8 +18,6 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
 from .block import BlockConfig
 from .simulator import CostModel, LatencyReport, Timeline
 from .tensor import _integer, _real
@@ -56,8 +54,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
             object.__setattr__(self, name, i)
         # tolerance 0 is accepted (and will fail verification numerically);
-        # negatives are malformed, and so is infinity, which would pass every site.
-        if (tol := _real(self.tolerance)) is None or not (tol >= 0 and tol < np.inf):
+        # negatives are malformed, and `_real` refuses infinity, which would pass every site.
+        if (tol := _real(self.tolerance)) is None or tol < 0:
             raise ConfigError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", tol)
         if not isinstance(self.notes, str):  # every report echoes it as a string

@@ -64,7 +64,7 @@ class LayerNormParams:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
             )
-        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps > 0):
+        if (eps := _real(self.epsilon)) is None or eps <= 0:
             raise ValueError(f"epsilon must be a positive finite scalar, got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)
 
@@ -91,7 +91,7 @@ class RmsNormParams:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
-        if (eps := _real(self.epsilon)) is None or not (math.isfinite(eps) and eps >= 0):
+        if (eps := _real(self.epsilon)) is None or eps < 0:
             raise ValueError(f"epsilon must be a non-negative finite scalar, got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)
 
@@ -174,7 +174,7 @@ def _prescaled_root(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     it through here, so the check sits here; a non-finite row is named
     before it.
     """
-    if (real := _real(epsilon)) is None or not (math.isfinite(real) and real >= 0):
+    if (real := _real(epsilon)) is None or real < 0:
         _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
     epsilon = real
     with np.errstate(all="ignore"):

@@ -54,7 +54,7 @@ class CostModel:
     def __post_init__(self):
         for name, rate in _COST_FIELDS:
             v = getattr(self, name)
-            if (r := _real(v)) is None or not (math.isfinite(r) and (r > 0 if rate else r >= 0)):
+            if (r := _real(v)) is None or not (r > 0 if rate else r >= 0):
                 raise ValueError(f"{name} must be positive and finite" if rate
                                  else f"{name} must be non-negative and finite, got {v}")
             object.__setattr__(self, name, r)

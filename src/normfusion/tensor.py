@@ -199,21 +199,20 @@ def _integer(v) -> int | None:
 
 
 def _real(v) -> int | float | None:
-    """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a real number and not a bool, else None.
+    """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a finite real and not a bool, else None.
 
-    An integer beyond float64's range is not finite: it is returned as
-    the infinity of its sign, which every real-valued field refuses as
-    it refuses a float infinity, where `float()` would raise OverflowError.
+    This is the one real-number rule of every real-valued field and
+    epsilon: a NaN, an infinity and an integer beyond float64's range,
+    which `float()` would refuse with OverflowError, are not finite, and
+    give None as a bool or a string does.
     """
     if type(v) is float:
-        return v
+        return v if math.isfinite(v) else None
     if (i := _integer(v)) is not None:
-        if abs(i) <= sys.float_info.max:  # int against float compares exactly
-            return i
-        return math.inf if i > 0 else -math.inf
+        return i if abs(i) <= sys.float_info.max else None  # int against float compares exactly
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
         return None
-    return float(v)
+    return r if math.isfinite(r := float(v)) else None
 
 
 def ordered_sum(a: np.ndarray):

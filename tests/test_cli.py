@@ -206,6 +206,18 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
 
+    BLOCK = {"d_model": 8, "n_heads": 2, "seq_len": 3, "mlp_hidden": 16}
+
+    @pytest.mark.parametrize("doc,context", [([], "config"), ({"block": [8, 2], "cost_model": {}}, "config.block"),
+                                             ({"block": BLOCK, "cost_model": 1}, "config.cost_model")],
+                             ids=["config", "block", "cost_model"])
+    def test_section_that_is_not_an_object_rejected(self, tmp_path, capsys, doc, context):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(context)} must be a JSON object$"):
+            load_config(str(path))
+        assert run_cli(capsys, "verify", str(path)) == (2, "", f"error: {context} must be a JSON object\n")
+
     def test_missing_required_key_named(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"block": {"d_model": 8, "n_heads": 2},
@@ -557,6 +569,10 @@ class TestSimulate:
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_unknown_shipped_config_named(self):
+        with pytest.raises(ValueError, match="^no shipped config named 'nope'$"):
+            default_config_path("nope")
 
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", small_config(tmp_path), "--gantt"]) == 2

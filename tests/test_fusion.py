@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from normfusion import fusion
 from normfusion.fusion import (
     FoldedLinear,
+    LlamaMlpWeights,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -433,6 +434,16 @@ class TestFoldRmsnormLinear:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((3, 2)))
+
+
+def test_folded_bias_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match="^folded bias length 3 does not match folded weight columns 4$"):
+        FoldedLinear(folded_weight=np.ones((2, 4)), folded_bias=np.zeros(3))
+
+
+def test_misshapen_down_projection_rejected():
+    with pytest.raises(ValueError, match=r"^w_down shape \(3, 4\), expected \(2, 4\)$"):
+        LlamaMlpWeights(w_gate=np.ones((4, 2)), w_up=np.ones((4, 2)), w_down=np.ones((3, 4)))
 
 
 def test_folds_are_read_only():

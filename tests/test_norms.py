@@ -165,6 +165,10 @@ class TestLayernorm:
         with pytest.raises(ValueError, match="epsilon"):
             LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=0.0)
 
+    def test_gamma_and_beta_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^gamma/beta length mismatch: 2 vs 3$"):
+            LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0, 0.0], epsilon=1e-5)
+
     def test_tiny_rows_give_the_same_bits_under_strict_errors(self):
         """Rows near 1e-307 with epsilon 1 scale to subnormals, which round correctly: not an error."""
         rng = np.random.default_rng(16)

@@ -566,6 +566,14 @@ class TestRecords:
         rows = timeline_rows(numpy_graph, timeline)
         assert dumps_report({"rows": rows}) == dumps_report({"rows": timeline_rows(graph, schedule(graph, RECORD_CM))})
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_numpy_integer_edge_ends_schedule_as_plain_ints(self, fused):
+        graph = build_graph(DUMMY_CFG, fused)
+        numpy_graph = graph._replace(edges=tuple((np.int64(a), np.int32(b)) for a, b in graph.edges))
+        timeline = schedule(numpy_graph, RECORD_CM)
+        assert timeline == schedule(graph, RECORD_CM)
+        assert all(type(v) is int for entry in timeline.entries for v in (entry.node_id, entry.start, entry.end))
+
     @pytest.mark.parametrize("cfg", [DUMMY_CFG, LLAMA_CFG])
     @pytest.mark.parametrize("fused", [False, True])
     def test_equal_configs_give_equal_graphs(self, cfg, fused):
