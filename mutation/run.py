@@ -66,12 +66,16 @@ MUTANTS = (
            "np.hstack([gate, up])", "np.hstack([up, gate])",
            ("tests/test_block.py", "-k", "joined_projections"),
            "gate|up is joined in that order and its views are the constructor's inputs"),
-    Mutant("views-before-freeze", "tensor.py",
-           "    joined.setflags(write=False)\n    return np.split(joined, np.cumsum(widths[:-1]), axis=1)\n",
-           "    views = np.split(joined, np.cumsum(widths[:-1]), axis=1)\n    joined.setflags(write=False)\n"
-           "    return views\n",
+    Mutant("store-freezes-only-owners", "tensor.py",
+           "        if isinstance(value, np.ndarray):\n",
+           "        if isinstance(value, np.ndarray) and value.base is None:\n",
            ("tests/test_block.py", "-k", "read_only"),
-           "the column views of a joined buffer are taken after it is frozen, so they are read-only too"),
+           "_store freezes every array it stores, the column views of a joined buffer too"),
+    Mutant("store-skips-folded-bias", "tensor.py",
+           "        if isinstance(value, np.ndarray):\n",
+           '        if isinstance(value, np.ndarray) and name != "folded_bias":\n',
+           ("tests/test_fusion.py", "-k", "read_only"),
+           "a layernorm fold's bias is stored read-only, as its weight is"),
     Mutant("views-split-by-row-count", "block.py",
            "[m.shape[1] for m in qkv]", "[m.shape[0] for m in qkv]",
            ("tests/test_block.py", "-k", "do_not_fit"),
@@ -330,10 +334,16 @@ MUTANTS = (
            "            args[option.dest] = option.type(value)\n", "            args[option.dest] = value\n",
            ("tests/test_cli.py", "-k", "SpelledInFull"),
            "a seed spelled in full is stored as argparse stores it, an int"),
-    Mutant("weights-not-copied", "tensor.py",
-           "    out = a.copy()\n    out.setflags(write=False)\n", "    out = a\n    out.setflags(write=False)\n",
+    Mutant("weights-not-copied", "norms.py",
+           "_store(self, gamma=as_row_vector(self.gamma).copy(), beta=",
+           "_store(self, gamma=as_row_vector(self.gamma), beta=",
            ("tests/test_block.py", "-k", "private"),
-           "norm parameters are private copies"),
+           "norm parameters are private copies: a caller's gamma is neither stored nor frozen"),
+    Mutant("block-shape-mismatch-named-before-non-finite", "block.py",
+           '        _reject(x, f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")\n',
+           '        raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")\n',
+           ("tests/test_block.py", "-k", "non_finite_input"),
+           "the block names a non-finite input before a misshapen one, as every kernel does"),
 )
 
 

@@ -59,7 +59,6 @@ import numpy as np
 from .fusion import (
     FoldedLinear,
     LlamaMlpWeights,
-    _adopt,
     fold_layernorm_linear,
     fold_rmsnorm_linear,
     fused_layernorm_matmul,
@@ -68,7 +67,7 @@ from .fusion import (
     swiglu,
 )
 from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import _frozen_views, _integer, _real, as_matrix, matmul
+from .tensor import _adopt, _integer, _real, _reject, _rows, _store, as_matrix, matmul
 
 __all__ = [
     "VARIANTS",
@@ -158,15 +157,10 @@ class BlockWeights:
         `widths` are Q's, K's and V's column counts, so each view keeps its
         matrix's own shape, and `validate` sees a misfit one.
         """
-        views = _frozen_views(w_qkv, widths)
-        for a in (w_o, fc1, fc2):
-            if a is not None:
-                a.setflags(write=False)
-        for name, value in (("w_qkv", w_qkv), *zip(("w_q", "w_k", "w_v"), views), ("w_o", w_o), ("ln1", ln1),
-                            ("ln2", ln2), ("fc1", fc1), ("fc2", fc2), ("mlp", mlp)):
-            object.__setattr__(self, name, value)
+        w_q, w_k, w_v = np.split(w_qkv, np.cumsum(widths[:-1]), axis=1)
+        _store(self, w_qkv=w_qkv, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, ln1=ln1, ln2=ln2, fc1=fc1, fc2=fc2, mlp=mlp)
 
-    def __reduce__(self):  # a copy or an unpickled one ends in `_set_up` too, through `fusion._adopt`
+    def __reduce__(self):  # a copy or an unpickled one ends in `_set_up` too, through `tensor._adopt`
         widths = [m.shape[1] for m in (self.w_q, self.w_k, self.w_v)]
         return _adopt, (BlockWeights, self.w_qkv, widths, self.ln1, self.ln2, self.w_o, self.fc1, self.fc2, self.mlp)
 
@@ -335,9 +329,9 @@ def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     gelu's output in place, so the gelu tail holds two (seq, mlp_hidden)
     arrays at most.
     """
-    x = as_matrix(x)
+    x = _rows(x, 2)  # ln1's reduction proves x finite, by the one finiteness rule (see `tensor`)
     if x.shape != (cfg.seq_len, cfg.d_model):
-        raise ValueError(f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
+        _reject(x, f"input shape {x.shape}, expected {(cfg.seq_len, cfg.d_model)}")
     w.validate(cfg)
     folds = w.folded if fused else {}
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -245,10 +244,7 @@ def _parse_in_full(argv) -> argparse.Namespace | None:
     return None if args["config"] is None else argparse.Namespace(**args)
 
 
-# Built on first use, not at import, and shared by every later `main` call:
-# it depends on no run-time input, and `parse_args` returns a fresh Namespace
-# without changing the parser. A call spelled in full never builds it.
-@functools.cache
+# Built on use, not at import: only for argv `_parse_in_full` leaves to argparse.
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normfusion",
@@ -281,9 +277,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         rc = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.seed is not None:  # RunConfig's seed rule checks it
             rc = dataclasses.replace(rc, seed=args.seed)
         if args.command == "verify":
             return cmd_verify(rc, args.quiet)

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import LayerNormParams, RmsNormParams, _prescaled_root, _shifted_moments, softmax_numerators
-from .tensor import (_check_operands, _frozen_views, _real, _reject, _require_width, _rows, as_matrix,
+from .tensor import (_adopt, _check_operands, _real, _reject, _require_width, _rows, _store, as_matrix,
                      as_row_vector, matmul)
 
 __all__ = [
@@ -85,19 +85,6 @@ __all__ = [
 _FOLD_ANNIHILATION_TOL = 1e-10
 
 
-def _adopt(cls, *args):
-    """A `cls` whose `_set_up(*args)` stores arrays this package made, with no copy and no second scan.
-
-    Each weight class's `__post_init__` checks and copies what a caller
-    passed, then ends in the same `_set_up`, which makes the arrays
-    read-only; `_adopt` skips `__init__` and so only that first half. Each
-    class's `__reduce__` rebuilds a copy or an unpickled weight here too.
-    """
-    obj = object.__new__(cls)
-    obj._set_up(*args)
-    return obj
-
-
 @dataclass(frozen=True)
 class FoldedLinear:
     """A normalization folded into a linear layer, built once at compile time.
@@ -109,7 +96,7 @@ class FoldedLinear:
     A caller's arrays are checked (shapes, finiteness) and copied. The
     fold functions hand over the arrays they made, which they have already
     proved finite, with no copy and no second scan. Either way they end in
-    `_set_up`, which makes them read-only.
+    `_set_up`, which stores them read-only through `tensor._store`.
     """
 
     folded_weight: np.ndarray
@@ -126,10 +113,7 @@ class FoldedLinear:
 
     def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None = None) -> None:
         """Store the fold's arrays, ones no caller holds, read-only."""
-        for name, value in (("folded_weight", folded_weight), ("folded_bias", folded_bias)):
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _store(self, folded_weight=folded_weight, folded_bias=folded_bias)
 
     def __reduce__(self):
         return _adopt, (FoldedLinear, self.folded_weight, self.folded_bias)
@@ -144,8 +128,8 @@ class LlamaMlpWeights:
     site's one product reads the join with no further copy. A caller's
     arrays are copied, gate and up into the join; arrays this package
     drew itself (`block.random_block_weights`) are handed over, drawn in
-    place, with no copy. Either way they end in `_set_up`, which makes
-    them read-only.
+    place, with no copy. Either way they end in `_set_up`, which stores
+    them read-only through `tensor._store`.
     """
 
     w_gate: np.ndarray
@@ -163,11 +147,9 @@ class LlamaMlpWeights:
         self._set_up(np.hstack([gate, up]), down.copy())  # the join is a new array: the private copy
 
     def _set_up(self, w_gate_up: np.ndarray, w_down: np.ndarray) -> None:
-        """Store gate|up and the down projection, arrays no caller holds, read-only."""
-        gate, up = _frozen_views(w_gate_up, [w_gate_up.shape[1] // 2] * 2)
-        w_down.setflags(write=False)
-        for name, value in (("w_gate_up", w_gate_up), ("w_gate", gate), ("w_up", up), ("w_down", w_down)):
-            object.__setattr__(self, name, value)
+        """Store gate|up, its two column views and the down projection, arrays no caller holds, read-only."""
+        w_gate, w_up = np.hsplit(w_gate_up, 2)
+        _store(self, w_gate_up=w_gate_up, w_gate=w_gate, w_up=w_up, w_down=w_down)
 
     def __reduce__(self):
         return _adopt, (LlamaMlpWeights, self.w_gate_up, self.w_down)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _real, _reject, _require_width, _rows, as_row_vector, as_rows, frozen_copy, ordered_sum
+from .tensor import _real, _reject, _require_width, _rows, _store, as_row_vector, as_rows, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -58,8 +58,7 @@ class LayerNormParams:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
-        object.__setattr__(self, "beta", frozen_copy(as_row_vector(self.beta)))
+        _store(self, gamma=as_row_vector(self.gamma).copy(), beta=as_row_vector(self.beta).copy())
         if self.gamma.size != self.beta.size:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
@@ -90,7 +89,7 @@ class RmsNormParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", frozen_copy(as_row_vector(self.gamma)))
+        _store(self, gamma=as_row_vector(self.gamma).copy())
         if (eps := _real(self.epsilon)) is None or eps < 0:
             raise ValueError(f"epsilon must be a non-negative finite scalar, got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)

@@ -54,8 +54,9 @@ norms, `gelu`, the softmax and the shape and finiteness checks. So
 last prefix with a basic index, and `gelu` runs as one in-place chain.
 
 One finiteness rule holds for every public kernel here and in `norms`
-and `fusion`: check shapes, then prove the input finite once, on the
-smallest array that proves it. `_rows` is the one shape check and
+and `fusion`, and for the block's input in `block`: check shapes, then
+prove the input finite once, on the smallest array that proves it (the
+block leaves it to ln1's reduction). `_rows` is the one shape check and
 `_finite` the one scan; `as_row_vector`, `as_matrix` and `as_rows` are
 the two in turn. Where a NaN or infinity in the input makes some element
 of the result non-finite, and computing it raises no floating-point
@@ -93,7 +94,6 @@ __all__ = [
     "as_row_vector",
     "as_matrix",
     "as_rows",
-    "frozen_copy",
     "matmul",
     "ordered_sum",
     "max_rel_error",
@@ -161,21 +161,32 @@ def _require_width(x: np.ndarray, n: int, what: str) -> None:
         _reject(x, f"input length {x.shape[-1]} does not match {what} {n}")
 
 
-def frozen_copy(a: np.ndarray) -> np.ndarray:
-    """A private, read-only copy of `a`: later writes to `a` cannot reach it."""
-    out = a.copy()
-    out.setflags(write=False)
-    return out
+def _store(obj, **fields) -> None:
+    """Set each of `fields` on the frozen dataclass `obj`, every array among them made read-only first.
 
-
-def _frozen_views(joined: np.ndarray, widths) -> list[np.ndarray]:
-    """Make `joined` read-only, then split it into column views `widths` wide, left to right.
-
-    The views are taken after the freeze: one taken before it would stay
-    writable.
+    This is every weight's one storage step. It is given only arrays no
+    caller holds (a constructor's copies, or arrays this package made), so
+    no write can reach a stored weight and `BlockWeights.folded` can never
+    go stale. Each array is frozen itself, a column view as well as its
+    joined buffer, so no order of splitting and freezing matters.
     """
-    joined.setflags(write=False)
-    return np.split(joined, np.cumsum(widths[:-1]), axis=1)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+def _adopt(cls, *args):
+    """A `cls` whose `_set_up(*args)` stores arrays this package made, with no copy and no second scan.
+
+    Each weight class's `__post_init__` checks and copies what a caller
+    passed, then ends in the same `_set_up`, which stores through `_store`;
+    `_adopt` skips `__init__` and so only that first half. Each class's
+    `__reduce__` rebuilds a copy or an unpickled weight here too.
+    """
+    obj = object.__new__(cls)
+    obj._set_up(*args)
+    return obj
 
 
 def _integer(v) -> int | None:

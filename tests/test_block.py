@@ -969,6 +969,25 @@ def test_weights_that_do_not_fit_the_config_rejected(variant, case):
             check(cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+def test_non_finite_input_rejected(strict_fp, variant, bad):
+    """Both paths name a non-finite input, proved by ln1's reduction: after the shapes, as every kernel does."""
+    cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant)
+    w = random_block_weights(cfg, np.random.default_rng(48))
+    misfit, message = _misfit_weights(cfg, "projection shape")
+    inputs = []
+    for shape, cell in (((2, 4), (0, 0)), ((2, 4), (1, 2)), ((3, 4), (2, 1))):  # the last is misshapen
+        inputs.append(np.ones(shape))
+        inputs[-1][cell] = bad
+    for run in (run_conventional, run_fused):
+        for x in inputs:
+            with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
+                run(cfg, w, x)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # weights that do not fit come first
+            run(cfg, misfit, inputs[1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         BlockConfig(d_model=10, n_heads=4, seq_len=2, mlp_hidden=8)
