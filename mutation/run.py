@@ -126,6 +126,30 @@ MUTANTS = (
            "matmul(_gelu_in_place(pre_act), w.fc2)", "matmul(gelu(pre_act), w.fc2)",
            ("tests/test_block.py", "-k", "live_buffers"),
            "the block's gelu tail runs in place on the pre-activation it made: two (seq, hidden) arrays, not three"),
+    Mutant("silu-writes-its-input", "fusion.py",
+           "out, e = z.copy(), np.empty(z.shape)", "out, e = z, np.empty(z.shape)",
+           ("tests/test_inputs_kept.py", "-k", "silu or swiglu"),
+           "silu runs its chain on a copy of z, never on its caller's array"),
+    Mutant("silu-abs-into-its-copy", "fusion.py",
+           "np.abs(out, out=e)", "np.abs(out, out=out)",
+           ("tests/test_fusion.py", "-k", "Silu"),
+           "silu forms exp(-|z|) in its own buffer: the copy of z keeps z's signs for the z >= 0 mask"),
+    Mutant("silu-skips-plus-one", "fusion.py",
+           "        e += 1.0\n", "",
+           ("tests/test_fusion.py", "-k", "Silu"),
+           "silu divides by 1 + exp(-|z|), not by exp(-|z|)"),
+    Mutant("silu-mask-after-product", "fusion.py",
+           "        nonnegative = out >= 0\n        out *= e", "        out *= e\n        nonnegative = out >= 0",
+           ("tests/test_fusion.py", "-k", "Silu"),
+           "silu's z >= 0 mask is taken before out *= e: inf * exp(-inf) is NaN, and silu(inf) is inf"),
+    Mutant("silu-mask-from-strided-z", "fusion.py",
+           "        nonnegative = out >= 0\n", "        nonnegative = z >= 0\n",
+           ("tests/test_fusion.py", "-k", "Swiglu"),
+           "silu reads z only by copies: a ufunc on swiglu's strided gate half buffers an array as large as it"),
+    Mutant("swiglu-gates-out-of-place", "fusion.py",
+           "        gated *= gate_up[..., h:]\n", "        gated = gated * gate_up[..., h:]\n",
+           ("tests/test_fusion.py", "tests/test_block.py", "-k", "Swiglu or live_buffers"),
+           "swiglu multiplies up into silu's output in place, not into a new array"),
     Mutant("fused-scale-out-of-place", "fusion.py",
            "    projected /= np.sqrt(variance + real)[..., np.newaxis]\n    projected += fl.folded_bias\n"
            "    return projected\n",

@@ -21,11 +21,11 @@ intermediates), not a threading requirement; a two-engine machine can
 overlap them, and the simulator module quantifies the win.
 
 A fold makes no n x n factor and, beside the folded weight, only
-row-sized arrays: the layernorm fold's column sums are `matmul`s by a row
-(see `fold_layernorm_linear`). Every step, and the layernorm fold's
-annihilation limit, is per column, so a norm site folds its joined
-projections (Q|K|V) in one call. A fold is read-only, and a finite F
-whose fold overflows float64 raises a `ValueError` that names the fold.
+row-sized arrays (the layernorm fold's column sums are `matmul`s by a row)
+and numpy's buffer, at most 64 KiB, for each broadcast step. Every step,
+and the layernorm fold's annihilation limit, is per column, so a norm site
+folds its joined projections (Q|K|V) in one call. A fold is read-only, and
+a finite F whose fold overflows float64 raises a `ValueError` naming it.
 
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
@@ -298,22 +298,20 @@ def silu(z) -> np.ndarray:
     """z * sigmoid(z), branch-selected so exp never overflows; silu(-inf) is -inf * 0, NaN.
 
     z >= 0 takes z / (1 + exp(-z)), the rest (NaN included) z * exp(z) /
-    (1 + exp(z)). Each half is gathered once, and the second half's steps
-    run in place on its gathered copy, in the formula's order: the bits
-    are the formula's, with fewer temporaries.
+    (1 + exp(z)), by one chain in place on a copy of z: e = exp(-|z|),
+    out = z * e, z copied back where z >= 0, then out / (1 + e), each
+    element's IEEE operations in its formula's order. Ufuncs read only
+    the copy: numpy buffers a strided operand (`swiglu`'s gate half).
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    neg = ~pos
+    out, e = z.copy(), np.empty(z.shape)
     with np.errstate(under="ignore", invalid="ignore"):  # exp's subnormal or 0 past |z| ~ 708 is correctly rounded
-        half = z[pos]
-        out[pos] = half / (1.0 + np.exp(-half))
-        half = z[neg]
-        ez = np.exp(half)
-        half *= ez
-        ez += 1.0
-        out[neg] = half / ez
+        np.exp(np.negative(np.abs(out, out=e), out=e), out=e)
+        nonnegative = out >= 0
+        out *= e  # +inf * 0 is NaN here, replaced below
+        np.copyto(out, z, where=nonnegative)
+        e += 1.0
+        out /= e
     return out
 
 
@@ -321,14 +319,16 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     """silu(gate) * up through the down projection, per row of the gate|up join.
 
     `gate_up` holds the normalized gate and up projections side by side:
-    2h columns for a down projection of h rows.
+    2h columns for a down projection of h rows; up scales silu's output in place.
     """
     gate_up = np.asarray(gate_up, dtype=np.float64)
     h = np.shape(w_down)[0]
     if gate_up.shape[-1:] != (2 * h,):
         raise ValueError(f"gate|up shape {gate_up.shape} does not match down projection rows {h}")
+    gated = silu(gate_up[..., :h])
     with np.errstate(under="ignore"):  # a subnormal silu(gate) * up is correctly rounded
-        return matmul(silu(gate_up[..., :h]) * gate_up[..., h:], w_down)
+        gated *= gate_up[..., h:]
+    return matmul(gated, w_down)
 
 
 def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,

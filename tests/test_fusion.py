@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from normfusion import fusion
+from normfusion import fusion, tensor
 from normfusion.fusion import (
     FoldedLinear,
     LlamaMlpWeights,
@@ -623,7 +623,7 @@ class TestSilu:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * z.nbytes
+        assert peak <= 2.5 * z.nbytes  # out, e and the z >= 0 mask: about 2.15 times on numpy 2.4.6
 
 
 class TestFusedRmsnormLlamaMlp:
@@ -756,6 +756,24 @@ class TestSwiglu:
             expected = matmul(gated, w_down)
         assert np.any((gated != 0) & (np.abs(gated) < np.finfo(np.float64).tiny))
         assert_array_equal(swiglu(gate_up, w_down).view(np.uint64), expected.view(np.uint64))
+
+    def test_peak_memory_under_two_and_a_half_gates(self):
+        """silu runs on a copy of the strided gate half and up is multiplied into its output in place.
+
+        On an (8, 688) gate|up, tracemalloc's peak stays within 2.5 times one
+        (8, 344) half: about 2.45 on numpy 2.4.6, where gathered halves and a
+        new silu(gate) * up read 3.08. The chunked kernel adds its one buffer.
+        """
+        rng = np.random.default_rng(38)
+        gate_up, w_down = rng.standard_normal((8, 688)), rng.standard_normal((344, 128))
+        swiglu(gate_up, w_down)
+        tracemalloc.start()
+        try:
+            swiglu(gate_up, w_down)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * gate_up.nbytes + (0 if tensor._EINSUM_IN_ORDER else tensor._CHUNK_ELEMENTS * 8)
 
 
 class TestScaleDeferral:
