@@ -39,8 +39,9 @@ print("  folded weight shape:", fold.folded_weight.shape)
 print("  ones-vector image (should be ~0):",
       np.array2string(matmul(np.ones(n), fold.folded_weight), precision=2))
 print("  folded bias = beta @ W:", np.array2string(fold.folded_bias, precision=6))
+print("  epsilon, carried by the fold:", fold.epsilon)
 
-fused = fused_layernorm_matmul(x, fold, params.epsilon)
+fused = fused_layernorm_matmul(x, fold)
 print("\nfused  (x @ W_folded) / sqrt(var + eps) + bias :",
       np.array2string(fused, precision=6))
 print("relative deviation:", max_rel_error(fused, conventional))

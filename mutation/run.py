@@ -54,10 +54,10 @@ MUTANTS = (
            "    @cached_property\n    def folded(self)", "    @property\n    def folded(self)",
            ("tests/test_block.py::test_weights_fold_once",),
            "folds happen once per set of weights, not once per run"),
-    Mutant("fixed-epsilon-in-fused-site", "block.py",
-           "(rows, fold, p.epsilon)", "(rows, fold, 1e-5)",
+    Mutant("fixed-epsilon-in-fused-site", "fusion.py",
+           "folded_bias=folded_bias, epsilon=epsilon)", "folded_bias=folded_bias, epsilon=1e-5)",
            ("tests/test_block.py", "-k", "epsilon"),
-           "each fused norm site takes its own parameters' epsilon"),
+           "each fold stores its own parameters' epsilon, the one its fused norm site adds"),
     Mutant("qvk-join-order", "block.py",
            'for name in ("w_q", "w_k", "w_v")]', 'for name in ("w_q", "w_v", "w_k")]',
            ("tests/test_block.py", "-k", "joined_projections"),
@@ -130,10 +130,10 @@ MUTANTS = (
            "out, e = z.copy(), np.empty(z.shape)", "out, e = z, np.empty(z.shape)",
            ("tests/test_inputs_kept.py", "-k", "silu or swiglu"),
            "silu runs its chain on a copy of z, never on its caller's array"),
-    Mutant("silu-abs-into-its-copy", "fusion.py",
-           "np.abs(out, out=e)", "np.abs(out, out=out)",
+    Mutant("silu-negative-into-its-copy", "fusion.py",
+           "np.negative(out, out=e)", "np.negative(out, out=out)",
            ("tests/test_fusion.py", "-k", "Silu"),
-           "silu forms exp(-|z|) in its own buffer: the copy of z keeps z's signs for the z >= 0 mask"),
+           "silu forms exp(min(z, -z)) in its own buffer: the copy of z keeps z's signs for the z >= 0 mask"),
     Mutant("silu-skips-plus-one", "fusion.py",
            "        e += 1.0\n", "",
            ("tests/test_fusion.py", "-k", "Silu"),
@@ -151,9 +151,9 @@ MUTANTS = (
            ("tests/test_fusion.py", "tests/test_block.py", "-k", "Swiglu or live_buffers"),
            "swiglu multiplies up into silu's output in place, not into a new array"),
     Mutant("fused-scale-out-of-place", "fusion.py",
-           "    projected /= np.sqrt(variance + real)[..., np.newaxis]\n    projected += fl.folded_bias\n"
+           "    projected /= np.sqrt(variance + fl.epsilon)[..., np.newaxis]\n    projected += fl.folded_bias\n"
            "    return projected\n",
-           "    return projected / np.sqrt(variance + real)[..., np.newaxis] + fl.folded_bias\n",
+           "    return projected / np.sqrt(variance + fl.epsilon)[..., np.newaxis] + fl.folded_bias\n",
            ("tests/test_fusion.py", "tests/test_block.py", "-k", "own_buffer or live_buffers"),
            "a fused evaluator applies the deferred scale, and the folded bias, in its product's own buffer"),
     Mutant("layernorm-centres-x-in-place", "norms.py",
@@ -250,20 +250,19 @@ MUTANTS = (
            ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
            "work too large to divide as a float is guarded as an infinite latency is: a ValueError naming the node"),
     Mutant("norm-epsilon-not-real-checked", "norms.py",
-           "        if (eps := _real(self.epsilon)) is None or eps <= 0:\n",
-           "        if not (np.isfinite(eps := self.epsilon) and eps > 0):\n",
+           "    if (eps := _real(v)) is None or not (eps > 0 if positive else eps >= 0):\n",
+           "    if not (np.isfinite(eps := v) and (eps > 0 if positive else eps >= 0)):\n",
            ("tests/test_norms.py", "-k", "RealFields"),
            "a norm's epsilon is a real number, not a bool or a string, stored as a plain number"),
     Mutant("rms-kernel-epsilon-not-real-checked", "norms.py",
            "if (real := _real(epsilon)) is None or real < 0:",
            "if (real := epsilon) is None or real < 0:",
            ("tests/test_norms.py", "-k", "RealFields"),
-           "an epsilon given to an RMSNorm kernel is a real number by the parameters' rule: a bool is not 1 or 0"),
-    Mutant("layernorm-kernel-epsilon-not-real-checked", "fusion.py",
-           "if (real := _real(epsilon)) is None or real <= 0:",
-           "if (real := epsilon) is None or real <= 0:",
+           "root_mean_square, the one kernel given a raw epsilon, takes it by the parameters' rule: a bool is not 1 or 0"),
+    Mutant("folded-linear-epsilon-not-real-checked", "fusion.py",
+           "_epsilon(self.epsilon, bias is not None))", "self.epsilon)",
            ("tests/test_norms.py", "-k", "RealFields"),
-           "an epsilon given to the fused layernorm kernel is a real number by the parameters' rule: a bool is not 1"),
+           "a fold built from plain arrays takes its epsilon by its norm's rule: a bool is not 1 or 0"),
     Mutant("weights-copied-without-rebuild", "block.py",
            "    def __reduce__(self):  # a copy", "    def _unused_reduce(self):  # a copy",
            ("tests/test_block.py", "-k", "copied"),

@@ -296,12 +296,12 @@ def _norm_site(rows, p: LayerNormParams | RmsNormParams, mat, fold: FoldedLinear
     """The site's matrix `mat` applied to its rows normalized by `p`: one product either way.
 
     Conventional, with no `fold`: the norm, then one `matmul` by `mat`.
-    Given the site's fold, `_fold_site(p, mat)`: one fused evaluation, the
-    norm deferred past the product.
+    Given the site's fold, `_fold_site(p, mat)`, which carries `p.epsilon`:
+    one fused evaluation, the norm deferred past the product.
     """
     is_layernorm = isinstance(p, LayerNormParams)
     if fold is not None:
-        return (fused_layernorm_matmul if is_layernorm else fused_rmsnorm_matmul)(rows, fold, p.epsilon)
+        return (fused_layernorm_matmul if is_layernorm else fused_rmsnorm_matmul)(rows, fold)
     return matmul((layernorm if is_layernorm else rmsnorm)(rows, p), mat)
 
 

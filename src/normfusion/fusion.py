@@ -29,26 +29,23 @@ a finite F whose fold overflows float64 raises a `ValueError` naming it.
 
 Equivalence to the conventional forms is algebraic, so fused and
 conventional paths agree to rounding (~1e-13 relative), well inside the
-1e-10 contract. Both norms' folds are one `FoldedLinear`; an RMSNorm fold
-has no bias, and each fused norm evaluator rejects the other norm's fold.
+1e-10 contract. Both norms' folds are one `FoldedLinear`, which carries
+its norm's epsilon; an RMSNorm fold has no bias, and each fused norm
+evaluator takes only rows and a fold, and rejects the other norm's fold.
 
 The fused evaluators take one row (1-D) or a stack of rows (2-D), as
 `norms` and `tensor.matmul` do, and return the same rank;
 `fused_softmax_matmul` also takes every head's scores as one stack per
 head (3-D) with `v` as one matrix per head, so attention's softmax site
-is one fused evaluation for all heads, as in the op graph. They keep no
-reduction of their own: the collective scalar comes from the same `norms`
-reduction the conventional form calls (`moments`, through
-`_shifted_moments`, `root_mean_square`, through `_prescaled_root`,
-`softmax_numerators`), after checking only the shapes, so the reduction
-proves the rows finite as it does for the conventional form (see the
-one finiteness rule in `tensor`). Every reduction runs left to right along the
-row and the product's columns are independent, so a row's result is
-bit-identical either way; the deferred scale is one scalar per row,
-applied along the last axis as `norms` applies it. Each evaluator
-applies it, and adds a folded bias, in place on the array `matmul`
-returned and returns that array: the same IEEE operations in the same
-order as dividing into a new array, with no second product-sized array.
+is one fused evaluation for all heads, as in the op graph. They check
+only shapes and keep no reduction of their own: the collective scalar
+comes from the `norms` reduction the conventional form calls
+(`_shifted_moments`, `_prescaled_root`, `softmax_numerators`), which
+proves the rows finite (see `tensor`). A row's result is bit-identical
+alone or in a stack. Each evaluator applies the deferred per-row scale,
+and adds a folded bias, in place on the array `matmul` returned and
+returns it: the same IEEE operations in the same order as dividing into
+a new array, with no second product-sized array.
 
 The gated MLP has one tail, `swiglu`: silu(gate) * up through the down
 projection. Its 1/rms cannot be deferred past silu, so only the gate|up
@@ -63,9 +60,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, _prescaled_root, _shifted_moments, softmax_numerators
-from .tensor import (_adopt, _check_operands, _real, _reject, _require_width, _rows, _store, as_matrix,
-                     as_row_vector, matmul)
+from .norms import LayerNormParams, RmsNormParams, _epsilon, _prescaled_root, _shifted_moments, softmax_numerators
+from .tensor import _adopt, _check_operands, _reject, _require_width, _rows, _store, as_matrix, as_row_vector, matmul
 
 __all__ = [
     "FoldedLinear",
@@ -93,14 +89,19 @@ class FoldedLinear:
                folded_bias   = beta @ F                      (length m)
     RMSNorm:   folded_weight = diag(gamma) @ F, no folded_bias (None)
 
-    A caller's arrays are checked (shapes, finiteness) and copied. The
-    fold functions hand over the arrays they made, which they have already
-    proved finite, with no copy and no second scan. Either way they end in
-    `_set_up`, which stores them read-only through `tensor._store`.
+    `epsilon` is the folded norm's, which the fused evaluators add to its
+    reduction. A caller's arrays are checked (shapes, finiteness) and
+    copied, and its epsilon, named as a keyword, meets its norm's rule
+    (`norms._epsilon`): positive with a folded bias, non-negative without.
+    The fold functions hand over the arrays they made, which they have
+    already proved finite, and their params' epsilon, with no copy and no
+    second check. Either way they end in `_set_up`, which stores the
+    arrays read-only through `tensor._store`.
     """
 
     folded_weight: np.ndarray
     folded_bias: np.ndarray | None = None
+    epsilon: float = field(kw_only=True)
 
     def __post_init__(self):
         weight = as_matrix(self.folded_weight)
@@ -109,14 +110,14 @@ class FoldedLinear:
             raise ValueError(
                 f"folded bias length {bias.size} does not match folded weight columns {weight.shape[1]}"
             )
-        self._set_up(weight.copy(), None if bias is None else bias.copy())
+        self._set_up(weight.copy(), None if bias is None else bias.copy(), _epsilon(self.epsilon, bias is not None))
 
-    def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None = None) -> None:
-        """Store the fold's arrays, ones no caller holds, read-only."""
-        _store(self, folded_weight=folded_weight, folded_bias=folded_bias)
+    def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None, epsilon: float) -> None:
+        """Store the fold's arrays, ones no caller holds, read-only, and its checked epsilon."""
+        _store(self, folded_weight=folded_weight, folded_bias=folded_bias, epsilon=epsilon)
 
     def __reduce__(self):
-        return _adopt, (FoldedLinear, self.folded_weight, self.folded_bias)
+        return _adopt, (FoldedLinear, self.folded_weight, self.folded_bias, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     Each step and limit is per column, so projections joined column-wise
     fold to the bits of each folded alone. A finite F whose scaled entries,
     column sums, centred entries, bias or ones-row sums overflow float64
-    raises a `ValueError` naming the overflow.
+    raises a `ValueError` naming the overflow. The fold carries `p.epsilon`.
     """
     folded_weight = _scale_rows(p, f)
     with np.errstate(all="ignore"):  # a finite weight's overflow is named below
@@ -195,16 +196,19 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
 
     if (np.abs(ones_image) > _FOLD_ANNIHILATION_TOL * p.n * np.maximum(1.0, col_max)).any():
         raise ValueError("folded weight does not annihilate constant inputs")
-    return _adopt(FoldedLinear, folded_weight, folded_bias)
+    return _adopt(FoldedLinear, folded_weight, folded_bias, p.epsilon)
 
 
 def fold_rmsnorm_linear(p: RmsNormParams, f) -> FoldedLinear:
-    """Fold the RMSNorm scale vector into the downstream weight matrix, read-only; no bias; an overflow is named."""
+    """Fold the RMSNorm scale vector into the downstream weight matrix, read-only; no bias; an overflow is named.
+
+    The fold carries `p.epsilon`, as `fold_layernorm_linear`'s does.
+    """
     folded_weight = _scale_rows(p, f)
     if not np.isfinite(folded_weight).all():
         as_matrix(f)  # a non-finite F is named first
         raise ValueError("rmsnorm fold: the folded weight is non-finite (float64 overflow)")
-    return _adopt(FoldedLinear, folded_weight)
+    return _adopt(FoldedLinear, folded_weight, None, p.epsilon)
 
 
 def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
@@ -217,7 +221,7 @@ def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
     return rows
 
 
-def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
+def fused_layernorm_matmul(x, fl: FoldedLinear) -> np.ndarray:
     """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
     Both tasks take the shifted rows y = x - x[..., :1], formed once
@@ -226,7 +230,7 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     exact arithmetic, and a large row offset costs the product no accuracy.
     The variance reduction and the y @ folded_weight product are
     independent tasks; they meet only at the final scale-and-bias, made
-    in place on the product, which is returned.
+    in place on the product, which is returned; the epsilon is the fold's.
 
     |y| can be twice |x|, so y's product can overflow float64 where x's
     would not. Such a row, and only such a row, is multiplied unshifted:
@@ -234,20 +238,17 @@ def fused_layernorm_matmul(x, fl: FoldedLinear, epsilon: float) -> np.ndarray:
     unshifted product overflows too stays non-finite.
     """
     rows = _fold_rows(x, fl, layernorm=True)
-    if (real := _real(epsilon)) is None or real <= 0:
-        _reject(rows, f"epsilon must be a positive finite scalar, got {epsilon}")
-
     shifted, _, _, variance = _shifted_moments(rows)  # element-wise, then collective task
     projected = matmul(shifted, fl.folded_weight)     # matmul task, overlappable
     if not np.isfinite(projected).all():
         overflowed = ~np.isfinite(projected).all(axis=-1)
         projected[overflowed] = matmul(rows[overflowed], fl.folded_weight)
-    projected /= np.sqrt(variance + real)[..., np.newaxis]
+    projected /= np.sqrt(variance + fl.epsilon)[..., np.newaxis]
     projected += fl.folded_bias
     return projected
 
 
-def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarray:
+def fused_rmsnorm_matmul(x, rfl: FoldedLinear) -> np.ndarray:
     """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred.
 
     As `rmsnorm` does, it takes each row pre-scaled by a power of two
@@ -259,10 +260,10 @@ def fused_rmsnorm_matmul(x, rfl: FoldedLinear, epsilon: float = 0.0) -> np.ndarr
     a row, and only such a row, is multiplied unscaled and divided by the
     unscaled root, so the pre-scale costs no overflow headroom. Those rows
     are found in the product before the other rows are divided by their
-    root in place; the product is returned.
+    root in place; the product is returned. The epsilon is the fold's.
     """
     rows = _fold_rows(x, rfl, layernorm=False)
-    s, scaled, root = _prescaled_root(rows, epsilon)  # element-wise pre-scale, then collective task
+    s, scaled, root = _prescaled_root(rows, rfl.epsilon)  # element-wise pre-scale, then collective task
     projected = matmul(scaled, rfl.folded_weight)     # matmul task, overlappable
     overflowed = None if np.isfinite(projected).all() else ~np.isfinite(projected).all(axis=-1)
     with np.errstate(under="ignore"):  # a subnormal result, or unscaled root, is correctly rounded
@@ -298,15 +299,16 @@ def silu(z) -> np.ndarray:
     """z * sigmoid(z), branch-selected so exp never overflows; silu(-inf) is -inf * 0, NaN.
 
     z >= 0 takes z / (1 + exp(-z)), the rest (NaN included) z * exp(z) /
-    (1 + exp(z)), by one chain in place on a copy of z: e = exp(-|z|),
-    out = z * e, z copied back where z >= 0, then out / (1 + e), each
-    element's IEEE operations in its formula's order. Ufuncs read only
-    the copy: numpy buffers a strided operand (`swiglu`'s gate half).
+    (1 + exp(z)), by one chain in place on a copy of z: e = exp(min(z, -z)),
+    -|z| that keeps a NaN's own sign, out = z * e, z copied back where
+    z >= 0, then out / (1 + e), each element's IEEE operations in its
+    formula's order, so no two NaNs of opposite sign meet. Ufuncs read
+    only the copy: numpy buffers a strided operand (`swiglu`'s gate half).
     """
     z = np.asarray(z, dtype=np.float64)
     out, e = z.copy(), np.empty(z.shape)
     with np.errstate(under="ignore", invalid="ignore"):  # exp's subnormal or 0 past |z| ~ 708 is correctly rounded
-        np.exp(np.negative(np.abs(out, out=e), out=e), out=e)
+        np.exp(np.minimum(out, np.negative(out, out=e), out=e), out=e)
         nonnegative = out >= 0
         out *= e  # +inf * 0 is NaN here, replaced below
         np.copyto(out, z, where=nonnegative)
@@ -331,15 +333,15 @@ def swiglu(gate_up, w_down) -> np.ndarray:
     return matmul(gated, w_down)
 
 
-def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down,
-                            epsilon: float = 0.0) -> np.ndarray:
+def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinear, w_down) -> np.ndarray:
     """Gated MLP, per row of `x`, with RMSNorm folded into the gate and up projections.
 
     Both projections consume raw x, so the rms reduction can overlap them.
     The deferred 1/rms must be applied before the gate non-linearity
     (scalars do not commute past silu), so the down-projection is outside
     the overlap. This is the maximal exact fusion for this layer, and the
-    block's own: one product over the joined folds, then `swiglu`.
+    block's own: one product over the joined folds, then `swiglu`. Both
+    folds must carry the same epsilon, the join's.
     """
     n, h = gate_folded.folded_weight.shape
     if up_folded.folded_weight.shape != (n, h):
@@ -347,6 +349,8 @@ def fused_rmsnorm_llama_mlp(x, gate_folded: FoldedLinear, up_folded: FoldedLinea
     if np.shape(w_down) != (h, n):
         raise ValueError(f"down projection shape {np.shape(w_down)}, expected {(h, n)}")
     for fold in (gate_folded, up_folded):  # a layernorm fold is named by its kind, not by the join
-        _fold_rows(x, fold, layernorm=False)
-    gate_up = _adopt(FoldedLinear, np.hstack([gate_folded.folded_weight, up_folded.folded_weight]))
-    return swiglu(fused_rmsnorm_matmul(x, gate_up, epsilon), w_down)
+        rows = _fold_rows(x, fold, layernorm=False)
+    if (eps := gate_folded.epsilon) != up_folded.epsilon:
+        _reject(rows, f"gate and up folds' epsilons differ: {eps} and {up_folded.epsilon}")
+    gate_up = _adopt(FoldedLinear, np.hstack([gate_folded.folded_weight, up_folded.folded_weight]), None, eps)
+    return swiglu(fused_rmsnorm_matmul(x, gate_up), w_down)

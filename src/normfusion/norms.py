@@ -15,17 +15,16 @@ head. The fused evaluators take their collective values from these same
 functions, so the conventional and fused paths divide by bit-identical
 scalars by construction.
 
-Those three are the only implementations of the reductions: `layernorm`,
-`rmsnorm` and the fused evaluators check shapes and call them. Both
-layernorm forms reach `moments`' reduction through `_shifted_moments`,
-which also returns each row shifted by its first element, so a site forms
-those rows once. Both RMSNorm forms reach `root_mean_square`'s through
-`_prescaled_root`, which also returns each row scaled by a power of two:
-both divide those rows, or their product, by their root. By the one
-finiteness rule (see `tensor`), `moments` and `root_mean_square` scan
-their per-row results, computed under `np.errstate(all="ignore")`, as a
-NaN or infinity makes its row's result non-finite for good; softmax
-scans its input, as a -inf logit gives a finite result.
+Each reduction is computed in one place: `_shifted_moments` (which also
+returns each row shifted by its first element, so a layernorm site forms
+those rows once), `_prescaled_root` (which also returns each row scaled
+by a power of two, so both RMSNorm forms divide those rows, or their
+product, by its root) and `softmax_numerators`. Every norm and fused
+evaluator checks shapes and calls them. By the one finiteness rule (see
+`tensor`), the first two scan their per-row results, computed under
+`np.errstate(all="ignore")`, as a NaN or infinity makes its row's result
+non-finite for good; softmax scans its input, as a -inf logit gives a
+finite result.
 """
 
 from __future__ import annotations
@@ -49,6 +48,13 @@ __all__ = [
 ]
 
 
+def _epsilon(v, positive: bool) -> int | float:
+    """`v` as a norm's epsilon, by `tensor._real`: positive for layernorm (and a fold with a bias), else non-negative."""
+    if (eps := _real(v)) is None or not (eps > 0 if positive else eps >= 0):
+        raise ValueError(f"epsilon must be a {'positive' if positive else 'non-negative'} finite scalar, got {v}")
+    return eps
+
+
 @dataclass(frozen=True)
 class LayerNormParams:
     """Layernorm's scale/bias (read-only copies) and divide-guard epsilon (a real, not a bool, stored plain)."""
@@ -63,9 +69,7 @@ class LayerNormParams:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
             )
-        if (eps := _real(self.epsilon)) is None or eps <= 0:
-            raise ValueError(f"epsilon must be a positive finite scalar, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon, positive=True))
 
     def __reduce__(self):  # a copy or an unpickled one is rebuilt by the constructor, read-only
         return LayerNormParams, (self.gamma, self.beta, self.epsilon)
@@ -90,9 +94,7 @@ class RmsNormParams:
 
     def __post_init__(self):
         _store(self, gamma=as_row_vector(self.gamma).copy())
-        if (eps := _real(self.epsilon)) is None or eps < 0:
-            raise ValueError(f"epsilon must be a non-negative finite scalar, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon, positive=False))
 
     def __reduce__(self):  # as LayerNormParams'
         return RmsNormParams, (self.gamma, self.epsilon)
@@ -165,17 +167,9 @@ def _prescaled_root(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     which a scaled mean square (at most 1) cannot move. Rows with s = 0
     are `x`'s own bits. Both RMSNorm paths divide the pre-scaled rows, or
     their product, by the pre-scaled root, which gives x / rms(x) without
-    ever rounding the rms to a subnormal.
-
-    `epsilon` must be a non-negative finite real, as `RmsNormParams`
-    requires, by the same rule (`tensor._real`): a negative or NaN one
-    would give NaN, and a bool is not an epsilon. Both RMSNorm paths reach
-    it through here, so the check sits here; a non-finite row is named
-    before it.
+    ever rounding the rms to a subnormal. `epsilon` is already checked,
+    where it entered: `RmsNormParams`, `FoldedLinear` or `root_mean_square`.
     """
-    if (real := _real(epsilon)) is None or real < 0:
-        _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
-    epsilon = real
     with np.errstate(all="ignore"):
         cap = max(0, (1000 - math.frexp(epsilon)[1]) // 2) if epsilon else None
         s = np.clip(-np.frexp(np.abs(x).max(axis=-1))[1], 0, cap)
@@ -196,8 +190,14 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     x * 2**-k is x's times 2**-k, bit for bit, and other rows keep their
     bits. An rms below float64's normal range is correctly rounded to a
     subnormal; `rmsnorm` and `fused_rmsnorm_matmul` never divide by it.
+
+    It is the one kernel given a raw epsilon, so it checks it, by
+    `RmsNormParams`' rule, after naming a non-finite row.
     """
-    s, _, root = _prescaled_root(_rows(x), epsilon)
+    x = _rows(x)
+    if (real := _real(epsilon)) is None or real < 0:
+        _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
+    s, _, root = _prescaled_root(x, real)
     with np.errstate(under="ignore"):  # an rms below float64's normal range is correctly rounded
         return np.ldexp(root, -s)
 

@@ -3,7 +3,7 @@
 Everything in this package runs in 64-bit floats. The kernels here avoid
 BLAS and numpy's pairwise reductions on purpose: every sum is accumulated
 strictly left-to-right over the reduction axis, so results are
-bit-reproducible across runs and bit-equal to a naive scalar loop: one
+bit-equal to a naive scalar loop on every numpy build and CPU kernel tier: one
 started from +0.0 for `matmul`, and one started from the first element
 for `ordered_sum`, which differ only on a sum of all -0.0 terms. numpy's
 elementwise `*` and `+` round separately, never as one fused
@@ -42,16 +42,10 @@ probe shows that it does not.
 Neither order is a documented numpy promise, so the bitwise tests against
 the triple loop, run on both kernels, are the guarantee.
 
-Where the time goes: on the benchmark's `prefill-gelu` operation
-(`run_conventional` plus `run_fused` on 8 rows of width 128; 2-vCPU x86
-host, numpy 2.4.6) the 12 summing einsum calls take about two thirds of
-the operation's fastest time, about 0.77 of 1.15-1.25 ms. numpy's einsum
-loops are not among its run-time dispatched kernels, so they run at its
-build baseline, X86_V2 there (SSE4.2, two float64 per vector), on a host
-with AVX-512. The rest is fixed work around the small numpy calls of the
-norms, `gelu`, the softmax and the shape and finiteness checks. So
-`matmul` hands a 2-D pair straight to one einsum, `ordered_sum` takes its
-last prefix with a basic index, and `gelu` runs as one in-place chain.
+Results built on numpy's `exp` and `tanh` (the softmax, `gelu`, `silu`)
+are bit-reproducible only with the same numpy build and the same CPU
+kernel tier: numpy picks those kernels at run time by CPU, and their bits
+differ between tiers. `matmul`'s and `ordered_sum`'s do not.
 
 One finiteness rule holds for every public kernel here and in `norms`
 and `fusion`, and for the block's input in `block`: check shapes, then

@@ -84,7 +84,7 @@ def test_criterion_fused_equivalence_three_sites():
         for _ in range(per_size):
             x, p, f = _ln_instance(rng, n)
             expected = matmul(layernorm(x, p), f)
-            actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
+            actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f))
             worst["layernorm_linear"] = max(worst["layernorm_linear"], max_rel_error(actual, expected))
 
     for n in SIZES:
@@ -108,7 +108,7 @@ def test_criterion_fused_equivalence_three_sites():
                 silu(matmul(normed, w_gate)) * matmul(normed, w_up), w_down
             )
             actual = fused_rmsnorm_llama_mlp(
-                x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down, p.epsilon
+                x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down
             )
             worst["rmsnorm_llama_mlp"] = max(worst["rmsnorm_llama_mlp"], max_rel_error(actual, expected))
 

@@ -21,6 +21,7 @@ from numpy.testing import assert_array_equal
 from sched_helpers import filtered_site_subgraph, round_trips
 
 import normfusion.block
+import normfusion.fusion
 import normfusion.tensor as tensor
 from normfusion.block import (
     BlockConfig,
@@ -158,12 +159,12 @@ class TestBlockExecution:
 def per_row_fused(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarray:
     """The fused block composed from the single-row evaluators, one row at a
     time, with every projection folded on its own."""
-    eps1, eps2, d = w.ln1.epsilon, w.ln2.epsilon, cfg.d_head
+    d = cfg.d_head
     if cfg.variant == "standard-gelu":
         fold, fused_norm_matmul = fold_layernorm_linear, fused_layernorm_matmul
     else:
         fold, fused_norm_matmul = fold_rmsnorm_linear, fused_rmsnorm_matmul
-    q, k, v = (np.stack([fused_norm_matmul(row, fold(w.ln1, m), eps1) for row in x])
+    q, k, v = (np.stack([fused_norm_matmul(row, fold(w.ln1, m)) for row in x])
                for m in (w.w_q, w.w_k, w.w_v))
     heads = []
     for i in range(cfg.n_heads):
@@ -173,10 +174,10 @@ def per_row_fused(cfg: BlockConfig, w: BlockWeights, x: np.ndarray) -> np.ndarra
     hidden = x + matmul(np.hstack(heads), w.w_o)
     if cfg.variant == "standard-gelu":
         fc1 = fold(w.ln2, w.fc1)
-        mlp = matmul(gelu(np.stack([fused_norm_matmul(row, fc1, eps2) for row in hidden])), w.fc2)
+        mlp = matmul(gelu(np.stack([fused_norm_matmul(row, fc1) for row in hidden])), w.fc2)
     else:
         gate, up = fold(w.ln2, w.mlp.w_gate), fold(w.ln2, w.mlp.w_up)
-        mlp = np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w.mlp.w_down, eps2) for row in hidden])
+        mlp = np.stack([fused_rmsnorm_llama_mlp(row, gate, up, w.mlp.w_down) for row in hidden])
     return hidden + mlp
 
 
@@ -253,7 +254,7 @@ def test_rms_underflow_without_epsilon_named(request, path, strict):
     w = dataclasses.replace(random_block_weights(cfg, np.random.default_rng(54)), ln1=p)
     run = {
         "rmsnorm": lambda rows: rmsnorm(rows, p),
-        "fused": lambda rows: fused_rmsnorm_matmul(rows, fold, 0.0),
+        "fused": lambda rows: fused_rmsnorm_matmul(rows, fold),
         "block-conventional": lambda rows: run_conventional(cfg, w, rows),
         "block-fused": lambda rows: run_fused(cfg, w, rows),
     }[path]
@@ -264,7 +265,7 @@ def test_rms_underflow_without_epsilon_named(request, path, strict):
         assert_array_equal(out[1].view(np.uint64), rmsnorm(row, p).view(np.uint64))
         assert np.allclose(out[1], [0.53, -1.07, 1.60, 0.0], atol=0.005)
     elif path == "fused":
-        assert_array_equal(out[1].view(np.uint64), fused_rmsnorm_matmul(row, fold, 0.0).view(np.uint64))
+        assert_array_equal(out[1].view(np.uint64), fused_rmsnorm_matmul(row, fold).view(np.uint64))
     else:
         assert np.isfinite(out).all()
         assert max_rel_error(run_fused(cfg, w, tiny), run_conventional(cfg, w, tiny)) <= 1e-10
@@ -278,12 +279,12 @@ def test_rms_without_epsilon_does_not_see_a_power_of_two_scale(strict_fp):
     x, f = rng.standard_normal((4, 64)), rng.standard_normal((64, 16))
     p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, 64))
     fold = fold_rmsnorm_linear(p, f)
-    expected, fused = rmsnorm(x, p), fused_rmsnorm_matmul(x, fold, 0.0)
+    expected, fused = rmsnorm(x, p), fused_rmsnorm_matmul(x, fold)
     for k in range(1001):
         scaled = x * 2.0**-k
         assert_array_equal(scaled * 2.0**k, x)  # the scale itself is exact
         assert_array_equal(rmsnorm(scaled, p).view(np.uint64), expected.view(np.uint64))
-        assert max_rel_error(fused_rmsnorm_matmul(scaled, fold, 0.0), fused) <= 1e-14
+        assert max_rel_error(fused_rmsnorm_matmul(scaled, fold), fused) <= 1e-14
 
 
 def test_rms_below_normal_range_against_longdouble_oracle(strict_fp):
@@ -305,11 +306,11 @@ def test_rms_below_normal_range_against_longdouble_oracle(strict_fp):
             xs = np.ldexp(x, -k)
         up = np.ldexp(xs, k).astype(np.longdouble)
         expected = up / np.sqrt((up * up).mean(axis=-1, keepdims=True)) * p.gamma
-        conventional, fused = rmsnorm(xs, p), fused_rmsnorm_matmul(xs, fold, 0.0)
+        conventional, fused = rmsnorm(xs, p), fused_rmsnorm_matmul(xs, fold)
         assert max_rel_error(conventional, expected.astype(np.float64)) <= 1e-14, k
         assert max_rel_error(fused, (expected @ f).astype(np.float64)) <= 1e-14, k
         assert_array_equal(conventional.view(np.uint64), rmsnorm(np.ldexp(xs, k), p).view(np.uint64))
-        assert_array_equal(fused.view(np.uint64), fused_rmsnorm_matmul(np.ldexp(xs, k), fold, 0.0).view(np.uint64))
+        assert_array_equal(fused.view(np.uint64), fused_rmsnorm_matmul(np.ldexp(xs, k), fold).view(np.uint64))
 
 
 def test_batched_rms_zero_row_without_epsilon_rejected():
@@ -317,7 +318,7 @@ def test_batched_rms_zero_row_without_epsilon_rejected():
     fl = fold_rmsnorm_linear(p, np.ones((2, 3)))
     rows = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="zero"):
-        fused_rmsnorm_matmul(rows, fl, 0.0)
+        fused_rmsnorm_matmul(rows, fl)
     with pytest.raises(ValueError, match="zero"):
         rmsnorm(rows, p)
 
@@ -501,7 +502,8 @@ def test_norm_site_is_the_public_kernels(request, norm, rank, kernel):
     assert (fold.folded_bias is None) == (public_fold.folded_bias is None)
     if fold.folded_bias is not None:
         assert_array_equal(fold.folded_bias.view(np.uint64), public_fold.folded_bias.view(np.uint64))
-    expected = fused_fn(x, public_fold, p.epsilon)
+    assert fold.epsilon == public_fold.epsilon == p.epsilon
+    expected = fused_fn(x, public_fold)
     assert_array_equal(_norm_site(x, p, joined, fold).view(np.uint64), expected.view(np.uint64))
 
 
@@ -1130,3 +1132,37 @@ class TestGraph:
         assert work["ln1.scale"] == 3 * 4 * 8      # Q, K, V outputs
         assert work["softmax.scale"] == 4 * 8      # attention output
         assert work["ln2.scale"] == 2 * 4 * 16     # gate and up outputs
+
+
+# the gelu block's six products (d 128, 4 heads, seq 8, h 512): Q|K|V, the scores,
+# the probabilities by V, W_o, fc1 and fc2
+GELU_MATMUL_MACS = [393_216, 8_192, 8_192, 131_072, 524_288, 524_288]
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["conventional", "fused"])
+@pytest.mark.parametrize("variant,hidden", [("standard-gelu", 512), ("llama-swiglu", 344)])
+def test_matmul_calls_do_the_graphs_matmul_work(monkeypatch, variant, hidden, fused):
+    """The block's `matmul` calls, in call order, do the MACs of `build_graph`'s matmul nodes in id order.
+
+    A call's MACs are its output's size times the inner dimension, batched
+    calls included; folds are made before the recording starts.
+    """
+    cfg = BlockConfig(d_model=128, n_heads=4, seq_len=8, mlp_hidden=hidden, variant=variant)
+    rng = np.random.default_rng(67)
+    w = random_block_weights(cfg, rng)
+    x = rng.standard_normal((cfg.seq_len, cfg.d_model))
+    w.folded  # noqa: B018 - the folds' own products are not the block's
+    macs = []
+
+    def recording(a, b):
+        product = matmul(a, b)
+        macs.append(product.size * np.shape(a)[-1])
+        return product
+
+    for module in (normfusion.block, normfusion.fusion):
+        monkeypatch.setattr(module, "matmul", recording)
+    (run_fused if fused else run_conventional)(cfg, w, x)
+    nodes = sorted(build_graph(cfg, fused).nodes, key=lambda node: node.id)
+    assert macs == [node.work for node in nodes if node.kind == "matmul"]
+    if variant == "standard-gelu":
+        assert macs == GELU_MATMUL_MACS

@@ -131,7 +131,7 @@ class TestVerify:
             w_gate, w_up = (rng.standard_normal((n, h)) / np.sqrt(n) for _ in range(2))
             w_down = rng.standard_normal((h, n)) / np.sqrt(h)
             expected = fused_rmsnorm_llama_mlp(x, fold_rmsnorm_linear(params, w_gate),
-                                               fold_rmsnorm_linear(params, w_up), w_down, params.epsilon)
+                                               fold_rmsnorm_linear(params, w_up), w_down)
             assert_array_equal(fused.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])

@@ -45,7 +45,8 @@ def _with(shape, index, value) -> np.ndarray:
     return x
 
 
-# name -> (the argument under test, the epsilon passed where the entry point takes one)
+# name -> (the argument under test, the epsilon passed where the entry point takes one: a norm's
+# parameters, a fold built from plain arrays, or `root_mean_square`; a fused evaluator reads its fold's)
 INPUTS = {
     "0-D": (np.float64(1.0), EPSILON),
     "4-D": (np.ones((1, 2, 2, 4)), EPSILON),
@@ -84,16 +85,16 @@ ENTRY_POINTS = {
     "root_mean_square": lambda x, eps: root_mean_square(x, eps),
     "softmax_numerators": lambda x, eps: softmax_numerators(x),
     "softmax_stable": lambda x, eps: softmax_stable(x),
-    "FoldedLinear weight": lambda x, eps: FoldedLinear(folded_weight=x),
-    "FoldedLinear bias": lambda x, eps: FoldedLinear(folded_weight=np.ones((4, 4)), folded_bias=x),
+    "FoldedLinear weight": lambda x, eps: FoldedLinear(folded_weight=x, epsilon=eps),
+    "FoldedLinear bias": lambda x, eps: FoldedLinear(folded_weight=np.ones((4, 4)), folded_bias=x, epsilon=eps),
     "LlamaMlpWeights": lambda x, eps: LlamaMlpWeights(w_gate=x, w_up=np.ones((4, 2)), w_down=np.ones((2, 4))),
     "fold_layernorm_linear": lambda x, eps: fold_layernorm_linear(_LN, x),
     "fold_rmsnorm_linear": lambda x, eps: fold_rmsnorm_linear(_RMS, x),
-    "fused_layernorm_matmul": lambda x, eps: fused_layernorm_matmul(x, _LN_FOLD, eps),
-    "fused_rmsnorm_matmul": lambda x, eps: fused_rmsnorm_matmul(x, _RMS_FOLD, eps),
+    "fused_layernorm_matmul": lambda x, eps: fused_layernorm_matmul(x, _LN_FOLD),
+    "fused_rmsnorm_matmul": lambda x, eps: fused_rmsnorm_matmul(x, _RMS_FOLD),
     "fused_softmax_matmul x": lambda x, eps: fused_softmax_matmul(x, np.ones((4, 2))),
     "fused_softmax_matmul v": lambda x, eps: fused_softmax_matmul(np.ones((2, 4)), x),
-    "fused_rmsnorm_llama_mlp": lambda x, eps: fused_rmsnorm_llama_mlp(x, _RMS_FOLD, _RMS_FOLD, np.ones((2, 4)), eps),
+    "fused_rmsnorm_llama_mlp": lambda x, eps: fused_rmsnorm_llama_mlp(x, _RMS_FOLD, _RMS_FOLD, np.ones((2, 4))),
     "swiglu": lambda x, eps: swiglu(x, np.ones((2, 3))),
 }
 
@@ -114,10 +115,11 @@ def _rows_entry(width=None, epsilon=None) -> tuple:
     return (RANKS, RANKS, EMPTY_ROW, EMPTY, ROW, ROW, MATRIX, MATRIX, MATRIX, MATRIX, width, MATRIX, epsilon, MATRIX, None)
 
 
-def _matrix_entry(width=None, finite=None) -> tuple:
-    """An entry point taking a matrix: 2-D only, then a scan that names a NaN before a width."""
+def _matrix_entry(width=None, finite=None, epsilon=None) -> tuple:
+    """An entry point taking a matrix: 2-D only, then a scan that names a NaN before a width or epsilon."""
     shape = MATRIX_SHAPE
-    return (shape, shape, shape, EMPTY, shape, shape, MATRIX, MATRIX, shape, shape, width, MATRIX, finite, MATRIX, finite)
+    return (shape, shape, shape, EMPTY, shape, shape, MATRIX, MATRIX, shape, shape, width, MATRIX, epsilon or finite,
+            MATRIX, finite)
 
 
 # An entry point taking a row vector: 1-D only, then a scan.
@@ -139,19 +141,18 @@ EXPECTED = {
     "root_mean_square": _rows_entry(epsilon=RMS_EPSILON),
     "softmax_numerators": _rows_entry(),
     "softmax_stable": _rows_entry(),
-    "FoldedLinear weight": _matrix_entry(),
+    "FoldedLinear weight": _matrix_entry(epsilon="epsilon must be a non-negative finite scalar, got -1.0"),
     "FoldedLinear bias": ROW_ENTRY,
     "LlamaMlpWeights": _matrix_entry(width="w_up shape (4, 2) != w_gate shape (2, 5)",
                                      finite="w_up shape (4, 2) != w_gate shape (4, 4)"),
     "fold_layernorm_linear": _matrix_entry(width="weight rows 2 do not match normalized dimension 4"),
     "fold_rmsnorm_linear": _matrix_entry(width="weight rows 2 do not match normalized dimension 4"),
-    "fused_layernorm_matmul": _rows_entry(
-        width=FOLD_WIDTH, epsilon="epsilon must be a positive finite scalar, got -1.0"),
-    "fused_rmsnorm_matmul": _rows_entry(width=FOLD_WIDTH, epsilon=RMS_EPSILON),
+    "fused_layernorm_matmul": _rows_entry(width=FOLD_WIDTH),
+    "fused_rmsnorm_matmul": _rows_entry(width=FOLD_WIDTH),
     "fused_softmax_matmul x": _rows_entry(width="input length 5 does not match matrix shape (4, 2)"),
     # v is checked as `matmul` checks its b: its rank, then its values, before the mismatch
     "fused_softmax_matmul v": _matrix_entry(width="input length 4 does not match matrix shape (2, 5)"),
-    "fused_rmsnorm_llama_mlp": _rows_entry(width=FOLD_WIDTH, epsilon=RMS_EPSILON),
+    "fused_rmsnorm_llama_mlp": _rows_entry(width=FOLD_WIDTH),
     # the width check runs first and `matmul` scans the product
     "swiglu": (
         "gate|up shape () does not match down projection rows 2",

@@ -13,7 +13,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -111,7 +111,7 @@ class TestFoldLayernormLinear:
         f = rng.standard_normal((16, 12))
         first = fold_layernorm_linear(p, f)
         for _ in range(3):
-            fused_layernorm_matmul(rng.standard_normal(16), first, 1e-5)
+            fused_layernorm_matmul(rng.standard_normal(16), first)
         again = fold_layernorm_linear(p, f)
         assert_array_equal(first.folded_weight, again.folded_weight)
         assert_array_equal(first.folded_bias, again.folded_bias)
@@ -268,13 +268,13 @@ class TestFusedLayernormMatmul:
             gamma=rng.uniform(0.5, 1.5, 8), beta=rng.standard_normal(8), epsilon=1e-5
         )
         fl = fold_layernorm_linear(p, rng.standard_normal((8, 5)))
-        out = fused_layernorm_matmul(np.full(8, 2.5), fl, p.epsilon)
+        out = fused_layernorm_matmul(np.full(8, 2.5), fl)
         assert max_rel_error(out, fl.folded_bias) <= 1e-10
 
     def test_two_dim_hand_case(self):
         p = LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], epsilon=1e-12)
         fl = fold_layernorm_linear(p, np.eye(2))
-        assert_allclose(fused_layernorm_matmul([1.0, -1.0], fl, 1e-12), [1.0, -1.0], rtol=1e-10)
+        assert_allclose(fused_layernorm_matmul([1.0, -1.0], fl), [1.0, -1.0], rtol=1e-10)
 
     def test_matches_conventional_path_200_instances(self):
         rng = np.random.default_rng(25)
@@ -284,7 +284,7 @@ class TestFusedLayernormMatmul:
             n = sizes[trial % len(sizes)]
             x, p, f = random_ln_instance(rng, n, max(2, n // 2))
             expected = matmul(layernorm(x, p), f)
-            actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
+            actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f))
             worst = max(worst, max_rel_error(actual, expected))
         assert worst <= 1e-10
 
@@ -296,15 +296,17 @@ class TestFusedLayernormMatmul:
         p = LayerNormParams(gamma=rng.uniform(0.5, 1.5, n), beta=rng.standard_normal(n), epsilon=1e-5)
         f = rng.standard_normal((n, n)) / 8.0
         expected = matmul(layernorm(x, p), f)
-        actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f), p.epsilon)
+        actual = fused_layernorm_matmul(x, fold_layernorm_linear(p, f))
         assert max_rel_error(actual, expected) <= 1e-10
 
     def test_epsilon_must_be_positive(self):
+        """A layernorm fold's epsilon, named where a fold is built from plain arrays, is positive."""
         fl = fold_layernorm_linear(
             LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], epsilon=1e-5), np.eye(2)
         )
-        with pytest.raises(ValueError, match="epsilon"):
-            fused_layernorm_matmul([1.0, -1.0], fl, 0.0)
+        assert fl.epsilon == 1e-5
+        with pytest.raises(ValueError, match="^epsilon must be a positive finite scalar, got 0.0$"):
+            FoldedLinear(folded_weight=fl.folded_weight, folded_bias=fl.folded_bias, epsilon=0.0)
 
     @pytest.mark.parametrize("kernel", ["einsum", "chunked"])
     def test_shifted_product_overflow_falls_back_per_row(self, request, strict_fp, kernel):
@@ -321,18 +323,18 @@ class TestFusedLayernormMatmul:
         denom = np.sqrt(moments(x)[1] + p.epsilon)
         expected = np.stack([matmul(x[0], fl.folded_weight) / denom[0] + fl.folded_bias,
                              matmul(x[1] - x[1, 0], fl.folded_weight) / denom[1] + fl.folded_bias])
-        out = fused_layernorm_matmul(x, fl, p.epsilon)
+        out = fused_layernorm_matmul(x, fl)
         assert np.isfinite(out).all()
         assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
         for row, want in zip(x, expected):
-            assert_array_equal(fused_layernorm_matmul(row, fl, p.epsilon).view(np.uint64), want.view(np.uint64))
+            assert_array_equal(fused_layernorm_matmul(row, fl).view(np.uint64), want.view(np.uint64))
 
     def test_dimension_mismatch_rejected(self):
         fl = fold_layernorm_linear(
             LayerNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], epsilon=1e-5), np.eye(2)
         )
         with pytest.raises(ValueError, match="length"):
-            fused_layernorm_matmul([1.0, 2.0, 3.0], fl, 1e-5)
+            fused_layernorm_matmul([1.0, 2.0, 3.0], fl)
 
 
 class TestFusedSoftmaxMatmul:
@@ -438,7 +440,31 @@ class TestFoldRmsnormLinear:
 
 def test_folded_bias_of_the_wrong_length_rejected():
     with pytest.raises(ValueError, match="^folded bias length 3 does not match folded weight columns 4$"):
-        FoldedLinear(folded_weight=np.ones((2, 4)), folded_bias=np.zeros(3))
+        FoldedLinear(folded_weight=np.ones((2, 4)), folded_bias=np.zeros(3), epsilon=1e-5)
+
+
+class TestFoldEpsilon:
+    """Each fold carries its norm's epsilon: the fold functions take the params', a caller names it."""
+
+    def test_folds_carry_their_params_epsilon(self):
+        f = np.random.default_rng(66).standard_normal((3, 2))
+        ln = fold_layernorm_linear(LayerNormParams(gamma=np.ones(3), beta=np.zeros(3), epsilon=np.float32(1e-3)), f)
+        rms = fold_rmsnorm_linear(RmsNormParams(gamma=np.ones(3), epsilon=2), f)
+        assert (type(ln.epsilon), ln.epsilon) == (float, float(np.float32(1e-3)))
+        assert (type(rms.epsilon), rms.epsilon) == (int, 2)
+
+    def test_named_as_a_keyword_with_no_default(self):
+        with pytest.raises(TypeError, match="epsilon"):
+            FoldedLinear(folded_weight=np.ones((2, 2)))
+        with pytest.raises(TypeError):
+            FoldedLinear(np.ones((2, 2)), None, 0.0)
+        assert FoldedLinear(np.ones((2, 2)), epsilon=np.float64(0.5)).epsilon == 0.5
+
+    # gate and up share one product and one 1/rms, so their folds must share one epsilon
+    def test_llama_mlp_rejects_gate_and_up_epsilons_that_differ(self):
+        gate, up = (FoldedLinear(folded_weight=np.ones((2, 3)), epsilon=eps) for eps in (1e-6, 1e-5))
+        with pytest.raises(ValueError, match="^gate and up folds' epsilons differ: 1e-06 and 1e-05$"):
+            fused_rmsnorm_llama_mlp([1.0, 2.0], gate, up, np.ones((3, 2)))
 
 
 def test_misshapen_down_projection_rejected():
@@ -464,7 +490,7 @@ class TestFusedRmsnormMatmul:
             p = RmsNormParams(gamma=rng.uniform(0.5, 1.5, n), epsilon=1e-6)
             f = rng.standard_normal((n, n)) / math.sqrt(n)
             expected = matmul(rmsnorm(x, p), f)
-            actual = fused_rmsnorm_matmul(x, fold_rmsnorm_linear(p, f), p.epsilon)
+            actual = fused_rmsnorm_matmul(x, fold_rmsnorm_linear(p, f))
             assert max_rel_error(actual, expected) <= 1e-10
 
     @pytest.mark.parametrize("kernel", ["einsum", "chunked"])
@@ -483,22 +509,21 @@ class TestFusedRmsnormMatmul:
         with np.errstate(over="ignore"):
             assert not np.isfinite(matmul(x[0] * 2.0**33, f)).all()
         expected = matmul(x, f) / root_mean_square(x, p.epsilon)[:, np.newaxis]
-        out = fused_rmsnorm_matmul(x, fl, p.epsilon)
+        out = fused_rmsnorm_matmul(x, fl)
         assert np.isfinite(out).all()
         assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
         for row, want in zip(x, expected):
-            assert_array_equal(fused_rmsnorm_matmul(row, fl, p.epsilon).view(np.uint64), want.view(np.uint64))
+            assert_array_equal(fused_rmsnorm_matmul(row, fl).view(np.uint64), want.view(np.uint64))
 
     # a negative or NaN epsilon gave NaN with a RuntimeWarning, and raised
-    # FloatingPointError under strict errors
+    # FloatingPointError under strict errors; it is now refused where it enters, in the fold
     @pytest.mark.parametrize("errors", ["default", "strict"])
     @pytest.mark.parametrize("epsilon", [-5.0, np.nan])
     def test_bad_epsilon_rejected(self, request, errors, epsilon):
         if errors == "strict":
             request.getfixturevalue("strict_fp")
-        folded = FoldedLinear(folded_weight=np.ones((3, 2)))
-        with pytest.raises(ValueError, match="epsilon must be a non-negative finite scalar"):
-            fused_rmsnorm_matmul(np.ones(3), folded, epsilon)
+        with pytest.raises(ValueError, match=f"^epsilon must be a non-negative finite scalar, got {epsilon}$"):
+            FoldedLinear(folded_weight=np.ones((3, 2)), epsilon=epsilon)
 
 
 class TestFoldKind:
@@ -507,8 +532,8 @@ class TestFoldKind:
     KINDS = ("a layernorm fold (with folded_bias)", "an RMSNorm fold (no folded_bias)")
     # each evaluator, and the index in KINDS and `folds()` of the fold it takes
     EVALUATORS = {
-        "fused_layernorm_matmul": (lambda x, fold: fused_layernorm_matmul(x, fold, 1e-5), 0),
-        "fused_rmsnorm_matmul": (lambda x, fold: fused_rmsnorm_matmul(x, fold, 1e-6), 1),
+        "fused_layernorm_matmul": (fused_layernorm_matmul, 0),
+        "fused_rmsnorm_matmul": (fused_rmsnorm_matmul, 1),
     }
 
     @staticmethod
@@ -561,10 +586,10 @@ class TestFoldKind:
         rows = np.ones((2, 4))
         message = f"expected {self.KINDS[1]}, got {self.KINDS[0]}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)), 1e-6)
+            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)))
         rows[0, 1] = np.nan
         with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
-            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)), 1e-6)
+            fused_rmsnorm_llama_mlp(rows, gate, up, np.ones((3, 4)))
 
 
 class TestSilu:
@@ -641,7 +666,7 @@ class TestFusedRmsnormLlamaMlp:
         rng = np.random.default_rng(37)
         x, p, w_gate, w_up, w_down = self._random_instance(rng, 8)
         x, p = np.stack([x, -x]) * 1e-160, RmsNormParams(gamma=p.gamma, epsilon=1e-6)
-        args = (x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down, p.epsilon)
+        args = (x, fold_rmsnorm_linear(p, w_gate), fold_rmsnorm_linear(p, w_up), w_down)
         expected = fused_rmsnorm_llama_mlp(*args)
         with np.errstate(all="raise"):
             assert_array_equal(fused_rmsnorm_llama_mlp(*args).view(np.uint64), expected.view(np.uint64))
@@ -654,7 +679,6 @@ class TestFusedRmsnormLlamaMlp:
             fold_rmsnorm_linear(p, rng.standard_normal((4, 6))),
             fold_rmsnorm_linear(p, rng.standard_normal((4, 6))),
             rng.standard_normal((6, 4)),
-            epsilon=1e-6,
         )
         assert_array_equal(out, np.zeros(4))
 
@@ -666,7 +690,6 @@ class TestFusedRmsnormLlamaMlp:
             fold_rmsnorm_linear(p, [[1.0]]),
             fold_rmsnorm_linear(p, [[1.0]]),
             [[1.0]],
-            epsilon=0.0,
         )
         with mpmath.workdps(50):
             expected = float(1 / (1 + mpmath.exp(-1)))  # 0.7310585786300049...
@@ -688,7 +711,6 @@ class TestFusedRmsnormLlamaMlp:
                 fold_rmsnorm_linear(p, w_gate),
                 fold_rmsnorm_linear(p, w_up),
                 w_down,
-                epsilon=p.epsilon,
             )
             worst = max(worst, max_rel_error(actual, expected))
         assert worst <= 1e-10
@@ -705,18 +727,18 @@ class TestFusedRmsnormLlamaMlp:
         p = RmsNormParams(gamma=[1.0, 1.0])
         fl = fold_rmsnorm_linear(p, np.ones((2, 2)))
         with pytest.raises(ValueError, match="zero"):
-            fused_rmsnorm_llama_mlp([0.0, 0.0], fl, fl, np.ones((2, 2)), epsilon=0.0)
+            fused_rmsnorm_llama_mlp([0.0, 0.0], fl, fl, np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):
         p = RmsNormParams(gamma=[1.0, 1.0])
         fl = fold_rmsnorm_linear(p, np.ones((2, 3)))
         with pytest.raises(ValueError, match="down projection"):
-            fused_rmsnorm_llama_mlp([1.0, 2.0], fl, fl, np.ones((2, 2)), epsilon=0.0)
+            fused_rmsnorm_llama_mlp([1.0, 2.0], fl, fl, np.ones((2, 2)))
 
     @pytest.mark.parametrize("up_shape", [(3, 3), (2, 4)], ids=["rows", "hidden"])
     def test_mismatched_gate_up_folds_rejected(self, up_shape):
         gate = fold_rmsnorm_linear(RmsNormParams(gamma=[1.0, 1.0]), np.ones((2, 3)))
-        up = FoldedLinear(folded_weight=np.ones(up_shape))
+        up = FoldedLinear(folded_weight=np.ones(up_shape), epsilon=0.0)
         with pytest.raises(ValueError, match="up projection shape"):
             fused_rmsnorm_llama_mlp([1.0, 2.0], gate, up, np.ones((3, 2)))
 
@@ -783,13 +805,21 @@ class TestScaleDeferral:
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
+    # its one output cancels to 3.3e-4 against terms whose magnitudes sum to 8.0:
+    # relative to that output, deferring 1/s errs by 1.69e-12
+    @example(3.0, 5, 1, 9225)
     def test_scalar_commutes_past_matmul(self, s, n, m, seed):
+        """Deferring 1/s past the product is exact to rounding relative to the size of the terms.
+
+        Each column's difference is bounded by 1e-12 * sum_i |u_i w_ij| / s,
+        not by the output, which can cancel far below its terms.
+        """
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n)
         w = rng.standard_normal((n, m))
         deferred = matmul(u, w) * (1.0 / s)
         eager = matmul(u * (1.0 / s), w)
-        assert max_rel_error(deferred, eager) <= 1e-12
+        assert np.all(np.abs(deferred - eager) <= 1e-12 * matmul(np.abs(u), np.abs(w)) / s)
 
 
 @pytest.mark.parametrize("shape", [(6,), (3, 6)], ids=["row", "stack"])
@@ -822,10 +852,10 @@ def _rows_kernels():
         "root_mean_square": lambda x: root_mean_square(x, 0.0),
         "softmax_numerators": softmax_numerators,
         "softmax_stable": softmax_stable,
-        "fused_layernorm_matmul": lambda x: fused_layernorm_matmul(x, folded, 1e-5),
+        "fused_layernorm_matmul": lambda x: fused_layernorm_matmul(x, folded),
         "fused_softmax_matmul": lambda x: fused_softmax_matmul(x, v),
-        "fused_rmsnorm_matmul": lambda x: fused_rmsnorm_matmul(x, rms_folded, 1e-6),
-        "fused_rmsnorm_llama_mlp": lambda x: fused_rmsnorm_llama_mlp(x, gate, up, w_down, 1e-6),
+        "fused_rmsnorm_matmul": lambda x: fused_rmsnorm_matmul(x, rms_folded),
+        "fused_rmsnorm_llama_mlp": lambda x: fused_rmsnorm_llama_mlp(x, gate, up, w_down),
     }
 
 
@@ -864,13 +894,11 @@ def test_non_finite_rows_rejected(request, name, kernel, where, errors):
     ("layernorm", lambda x: layernorm(x, LayerNormParams(gamma=np.ones(5), beta=np.zeros(5), epsilon=1e-5))),
     ("rmsnorm", lambda x: rmsnorm(x, RmsNormParams(gamma=np.ones(5)))),
     ("fused_layernorm_matmul", lambda x: fused_layernorm_matmul(
-        x, FoldedLinear(folded_weight=np.ones((5, 2)), folded_bias=np.zeros(2)), 1e-5)),
-    ("fused_layernorm_matmul-epsilon", lambda x: fused_layernorm_matmul(
-        x, FoldedLinear(folded_weight=np.ones((6, 2)), folded_bias=np.zeros(2)), 0.0)),
+        x, FoldedLinear(folded_weight=np.ones((5, 2)), folded_bias=np.zeros(2), epsilon=1e-5))),
     ("fused_softmax_matmul", lambda x: fused_softmax_matmul(x, np.ones((5, 2)))),
-    ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, FoldedLinear(folded_weight=np.ones((5, 2))))),
-    ("fused_rmsnorm_matmul-epsilon", lambda x: fused_rmsnorm_matmul(
-        x, FoldedLinear(folded_weight=np.ones((6, 2))), -5.0)),
+    ("fused_rmsnorm_matmul", lambda x: fused_rmsnorm_matmul(x, FoldedLinear(folded_weight=np.ones((5, 2)), epsilon=0.0))),
+    ("fused_rmsnorm_llama_mlp-epsilon", lambda x: fused_rmsnorm_llama_mlp(
+        x, *(FoldedLinear(folded_weight=np.ones((6, 2)), epsilon=eps) for eps in (0.0, 1e-6)), np.ones((2, 6)))),
     ("root_mean_square-epsilon", lambda x: root_mean_square(x, np.nan)),
 ])
 def test_non_finite_rows_named_before_a_mismatch(name, call):

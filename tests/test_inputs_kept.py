@@ -117,8 +117,8 @@ CALLS = {
     "rmsnorm": lambda x, w: rmsnorm(x, RMS),
     "softmax_numerators": lambda x, w: softmax_numerators(x),
     "softmax_stable": lambda x, w: softmax_stable(x),
-    "fused_layernorm_matmul": lambda x, w: fused_layernorm_matmul(x, LN_FOLD, LN.epsilon),
-    "fused_rmsnorm_matmul": lambda x, w: fused_rmsnorm_matmul(x, RMS_FOLD, RMS.epsilon),
+    "fused_layernorm_matmul": lambda x, w: fused_layernorm_matmul(x, LN_FOLD),
+    "fused_rmsnorm_matmul": lambda x, w: fused_rmsnorm_matmul(x, RMS_FOLD),
     "fused_softmax_matmul": lambda x, w: fused_softmax_matmul(x, w(per_rank(B_LAYOUTS["c"], x))),
     "swiglu": lambda x, w: swiglu(x, w(W_DOWN)),
     **{f"{run.__name__}-{variant}": (lambda x, w, run=run, variant=variant:

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from normfusion.fusion import fold_layernorm_linear, fold_rmsnorm_linear, fused_layernorm_matmul, fused_rmsnorm_matmul
+from normfusion.fusion import FoldedLinear, fused_layernorm_matmul, fused_rmsnorm_matmul
 from normfusion.norms import (
     LayerNormParams,
     RmsNormParams,
@@ -36,11 +36,6 @@ finite_vectors = st.lists(
 
 # finite rows whose variance (or mean) and mean square overflow float64
 OVERFLOWING_ROWS = [[1e200, -1e200, 1e200, -1e200], [1.7e308, 1.7e308, 0.0, 1.0]]
-
-
-# one-column folds of three-wide rows, for the kernels that take an epsilon of their own
-LN_FOLD = fold_layernorm_linear(LayerNormParams(gamma=np.ones(3), beta=np.zeros(3), epsilon=1e-5), np.ones((3, 1)))
-RMS_FOLD = fold_rmsnorm_linear(RmsNormParams(gamma=np.ones(3)), np.ones((3, 1)))
 
 
 def moments_oracle(x):
@@ -68,7 +63,7 @@ def softmax_mpmath_oracle(x):
 
 
 class TestRealFields:
-    """A norm's epsilon, in its parameters or given to a kernel, follows the rule of every real-valued field.
+    """A norm's epsilon, where it enters, follows the rule of every real-valued field.
 
     A bool, a string or None is refused; the parameters store any other real as a plain number.
     """
@@ -78,14 +73,15 @@ class TestRealFields:
         "layernorm": (lambda eps: LayerNormParams(gamma=[1.0], beta=[0.0], epsilon=eps), "epsilon must be a positive"),
         "rmsnorm": (lambda eps: RmsNormParams(gamma=[1.0], epsilon=eps), "epsilon must be a non-negative"),
     }
-    # each kernel that takes an epsilon of its own, called at `epsilon`, and how its message starts
+    # each kernel called at `epsilon`, and how its message starts: `root_mean_square`
+    # takes it raw, and each fused evaluator in a one-column fold built from plain arrays
     KERNELS = {
         "root_mean_square": (lambda eps: root_mean_square(np.ones(3), eps),
                              "rmsnorm: epsilon must be a non-negative"),
-        "fused_rmsnorm_matmul": (lambda eps: fused_rmsnorm_matmul(np.ones(3), RMS_FOLD, eps),
-                                 "rmsnorm: epsilon must be a non-negative"),
-        "fused_layernorm_matmul": (lambda eps: fused_layernorm_matmul(np.ones(3), LN_FOLD, eps),
-                                   "epsilon must be a positive"),
+        "fused_rmsnorm_matmul": (lambda eps: fused_rmsnorm_matmul(
+            np.ones(3), FoldedLinear(folded_weight=np.ones((3, 1)), epsilon=eps)), "epsilon must be a non-negative"),
+        "fused_layernorm_matmul": (lambda eps: fused_layernorm_matmul(np.ones(3), FoldedLinear(
+            folded_weight=np.ones((3, 1)), folded_bias=np.zeros(1), epsilon=eps)), "epsilon must be a positive"),
     }
 
     # a bool was stored as is; a string or None raised numpy's "ufunc 'isfinite' not supported";
