@@ -59,7 +59,7 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "epsilon"),
            "each fold stores its own parameters' epsilon, the one its fused norm site adds"),
     Mutant("qvk-join-order", "block.py",
-           'for name in ("w_q", "w_k", "w_v")]', 'for name in ("w_q", "w_v", "w_k")]',
+           'names = ("w_q", "w_k", "w_v", "w_o")', 'names = ("w_q", "w_v", "w_k", "w_o")',
            ("tests/test_block.py", "-k", "joined_projections"),
            "Q|K|V is joined in that order and its views are the constructor's inputs"),
     Mutant("gate-up-join-order", "fusion.py",
@@ -76,10 +76,19 @@ MUTANTS = (
            '        if isinstance(value, np.ndarray) and name != "folded_bias":\n',
            ("tests/test_fusion.py", "-k", "read_only"),
            "a layernorm fold's bias is stored read-only, as its weight is"),
-    Mutant("views-split-by-row-count", "block.py",
-           "[m.shape[1] for m in qkv]", "[m.shape[0] for m in qkv]",
-           ("tests/test_block.py", "-k", "do_not_fit"),
-           "each of Q, K and V is viewed at its own width, so a misfit one reaches validate"),
+    Mutant("projections-not-one-square-size", "block.py",
+           "[*zip(names, mats, [(n, n)] * 4)", "[*zip(names, mats, [m.shape for m in mats])",
+           ("tests/test_block.py", "-k", "do_not_fit or differing_row_counts"),
+           "w_q, w_k, w_v and w_o are one (n, n) size, checked as the weights are made"),
+    Mutant("norm-kind-and-mlp-not-matched", "block.py",
+           "        if [self.fc1 is None, self.fc2 is None, self.mlp is None] != [",
+           "        if False and [self.fc1 is None, self.fc2 is None, self.mlp is None] != [",
+           ("tests/test_block.py", "-k", "do_not_fit or wrong_norm"),
+           "layernorm weights carry fc1 and fc2 and no mlp, RMSNorm weights an mlp and no fc1 or fc2"),
+    Mutant("validate-matches-only-d-model", "block.py",
+           "        for name, value in own.items():\n", "        for name, value in list(own.items())[:1]:\n",
+           ("tests/test_block.py", "-k", "another_config"),
+           "validate matches a config's d_model, mlp_hidden and variant, not its d_model alone"),
     Mutant("joined-draws-reversed", "block.py",
            "        for view in np.split(out, np.cumsum(widths[:-1]), axis=1):\n",
            "        for view in reversed(np.split(out, np.cumsum(widths[:-1]), axis=1)):\n",
@@ -94,7 +103,7 @@ MUTANTS = (
            ("tests/test_block.py", "-k", "documented_draws"),
            "each drawn matrix is divided by sqrt(fan-in), not multiplied by its rounded reciprocal"),
     Mutant("block-matrices-not-copied", "block.py",
-           "as_matrix(m).copy() for name in", "as_matrix(m) for name in",
+           "m.copy() for m in (mats[3], fc1, fc2)", "m for m in (mats[3], fc1, fc2)",
            ("tests/test_block.py", "-k", "private"),
            "BlockWeights copies a caller's w_o, fc1 and fc2 before freezing them"),
     Mutant("mlp-down-not-copied", "fusion.py",

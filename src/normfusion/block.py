@@ -66,8 +66,8 @@ from .fusion import (
     fused_softmax_matmul,
     swiglu,
 )
-from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
-from .tensor import _adopt, _integer, _real, _reject, _rows, _store, as_matrix, matmul
+from .norms import LayerNormParams, RmsNormParams, _epsilon, layernorm, rmsnorm, softmax_stable
+from .tensor import _adopt, _integer, _reject, _rows, _store, as_matrix, matmul
 
 __all__ = [
     "VARIANTS",
@@ -89,6 +89,8 @@ SITES = ("ln1", "softmax", "ln2")
 
 @dataclass(frozen=True)
 class BlockConfig:
+    """A block's shape and variant; `epsilon_ln` is positive for both, as `verify` runs a layernorm site at it."""
+
     d_model: int
     n_heads: int
     seq_len: int
@@ -108,9 +110,7 @@ class BlockConfig:
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if (eps := _real(self.epsilon_ln)) is None or eps <= 0:
-            raise ValueError(f"epsilon_ln must be positive and finite, got {self.epsilon_ln}")
-        object.__setattr__(self, "epsilon_ln", eps)
+        object.__setattr__(self, "epsilon_ln", _epsilon(self.epsilon_ln, positive=True, name="epsilon_ln"))
 
     @property
     def d_head(self) -> int:
@@ -121,15 +121,19 @@ class BlockConfig:
 class BlockWeights:
     """Projection weights plus per-variant norm params and MLP weights.
 
-    standard-gelu: ln1/ln2 are LayerNormParams, MLP is fc1/fc2.
-    llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights.
+    standard-gelu: ln1/ln2 are LayerNormParams, MLP is fc1 (n x h)/fc2 (h x n).
+    llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights (gate n x h).
 
-    Every array is read-only and no caller holds it, so `folded`,
-    computed on first use, can never go stale: a caller's arrays are
-    copied, and arrays this package drew itself (`random_block_weights`)
-    are handed over with no copy. Either way they end in `_set_up`. Q, K
-    and V are stored once, joined: `w_qkv` is the (n, 3n) Q|K|V matrix the
-    ln1 site multiplies by, and `w_q`, `w_k` and `w_v` are its column views.
+    The constructor (so `dataclasses.replace` too) checks one of these
+    forms, with w_q, w_k, w_v and w_o n x n and each norm of length n,
+    naming the field that breaks it; `validate` matches a config to it.
+
+    Every array is read-only and no caller holds it, so `folded`, made on
+    first use, never goes stale: the constructor copies a caller's arrays,
+    and `random_block_weights` hands over those it drew, with no copy or
+    check, through `_set_up`. Q, K and V are stored once, joined: `w_qkv`
+    (n x 3n) is the ln1 site's matrix, and `w_q`, `w_k` and `w_v` its
+    column views.
     """
 
     w_q: np.ndarray
@@ -144,25 +148,35 @@ class BlockWeights:
     w_qkv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        qkv = [as_matrix(getattr(self, name)) for name in ("w_q", "w_k", "w_v")]
-        if len({m.shape[0] for m in qkv}) > 1:
-            raise ValueError(f"w_q, w_k and w_v row counts differ: {[m.shape[0] for m in qkv]}")
-        copies = [None if (m := getattr(self, name)) is None else as_matrix(m).copy() for name in ("w_o", "fc1", "fc2")]
+        names = ("w_q", "w_k", "w_v", "w_o")
+        mats = [as_matrix(getattr(self, name)) for name in names]
+        norm = LayerNormParams if isinstance(self.ln1, LayerNormParams) else RmsNormParams
+        if not (isinstance(self.ln1, norm) and isinstance(self.ln2, norm)):
+            raise ValueError("ln1 and ln2 must both be LayerNormParams or both RmsNormParams, got "
+                             f"{type(self.ln1).__name__} and {type(self.ln2).__name__}")
+        is_layernorm = norm is LayerNormParams
+        if [self.fc1 is None, self.fc2 is None, self.mlp is None] != [not is_layernorm, not is_layernorm, is_layernorm]:
+            raise ValueError(f"{norm.__name__} weights carry "
+                             + ("fc1 and fc2 and no mlp" if is_layernorm else "an mlp and no fc1 or fc2"))
+        fc1, fc2 = (as_matrix(self.fc1), as_matrix(self.fc2)) if is_layernorm else (None, None)
+        n, h = mats[0].shape[0], (fc1 if is_layernorm else self.mlp.w_gate).shape[1]
+        mlp_shapes = ([("fc1", fc1, (n, h)), ("fc2", fc2, (h, n))] if is_layernorm
+                      else [("mlp.w_gate", self.mlp.w_gate, (n, h))])
+        for name, m, shape in [*zip(names, mats, [(n, n)] * 4), ("ln1.gamma", self.ln1.gamma, (n,)),
+                               ("ln2.gamma", self.ln2.gamma, (n,)), *mlp_shapes]:
+            if m.shape != shape:
+                raise ValueError(f"{name} shape {m.shape}, expected {shape}")
+        copies = [None if m is None else m.copy() for m in (mats[3], fc1, fc2)]
         # the join is a new array: Q, K and V's private copy
-        self._set_up(np.hstack(qkv), [m.shape[1] for m in qkv], self.ln1, self.ln2, *copies, self.mlp)
+        self._set_up(np.hstack(mats[:3]), self.ln1, self.ln2, *copies, self.mlp)
 
-    def _set_up(self, w_qkv, widths, ln1, ln2, w_o, fc1, fc2, mlp) -> None:
-        """Store the weights read-only; every array given is one no caller holds.
-
-        `widths` are Q's, K's and V's column counts, so each view keeps its
-        matrix's own shape, and `validate` sees a misfit one.
-        """
-        w_q, w_k, w_v = np.split(w_qkv, np.cumsum(widths[:-1]), axis=1)
+    def _set_up(self, w_qkv, ln1, ln2, w_o, fc1, fc2, mlp) -> None:
+        """Store the weights read-only, every array given one no caller holds; Q, K and V are `w_qkv`'s thirds."""
+        w_q, w_k, w_v = np.hsplit(w_qkv, 3)
         _store(self, w_qkv=w_qkv, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, ln1=ln1, ln2=ln2, fc1=fc1, fc2=fc2, mlp=mlp)
 
     def __reduce__(self):  # a copy or an unpickled one ends in `_set_up` too, through `tensor._adopt`
-        widths = [m.shape[1] for m in (self.w_q, self.w_k, self.w_v)]
-        return _adopt, (BlockWeights, self.w_qkv, widths, self.ln1, self.ln2, self.w_o, self.fc1, self.fc2, self.mlp)
+        return _adopt, (BlockWeights, self.w_qkv, self.ln1, self.ln2, self.w_o, self.fc1, self.fc2, self.mlp)
 
     @property
     def projections(self) -> dict[str, np.ndarray]:
@@ -184,27 +198,12 @@ class BlockWeights:
                                  for site, mat in self.projections.items()})
 
     def validate(self, cfg: BlockConfig) -> None:
-        n, h = cfg.d_model, cfg.mlp_hidden
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            m = getattr(self, name)
-            if m.shape != (n, n):
-                raise ValueError(f"{name} shape {m.shape}, expected {(n, n)}")
-        if self.ln1.n != n or self.ln2.n != n:
-            raise ValueError("norm parameter length does not match d_model")
-        if cfg.variant == "standard-gelu":
-            if not (isinstance(self.ln1, LayerNormParams) and isinstance(self.ln2, LayerNormParams)):
-                raise ValueError("standard-gelu blocks use LayerNormParams")
-            if self.fc1 is None or self.fc2 is None or self.mlp is not None:
-                raise ValueError("standard-gelu blocks carry fc1/fc2 and no gated MLP")
-            if self.fc1.shape != (n, h) or self.fc2.shape != (h, n):
-                raise ValueError("fc1/fc2 shapes do not match config")
-        else:
-            if not (isinstance(self.ln1, RmsNormParams) and isinstance(self.ln2, RmsNormParams)):
-                raise ValueError("llama-swiglu blocks use RmsNormParams")
-            if self.mlp is None or self.fc1 is not None or self.fc2 is not None:
-                raise ValueError("llama-swiglu blocks carry a gated MLP and no fc1/fc2")
-            if self.mlp.w_gate.shape != (n, h):
-                raise ValueError("gated MLP shapes do not match config")
+        """Reject a `cfg` these weights are not for, naming the first of d_model, mlp_hidden and variant that differs."""
+        own = {"d_model": self.w_o.shape[0], "mlp_hidden": (self.fc2 if self.mlp is None else self.mlp.w_down).shape[0],
+               "variant": "standard-gelu" if self.mlp is None else "llama-swiglu"}
+        for name, value in own.items():
+            if value != getattr(cfg, name):
+                raise ValueError(f"weights' {name} is {value!r}, config's is {getattr(cfg, name)!r}")
 
 
 def random_block_weights(cfg: BlockConfig, rng: np.random.Generator) -> BlockWeights:
@@ -244,7 +243,7 @@ def random_block_weights(cfg: BlockConfig, rng: np.random.Generator) -> BlockWei
         ln2 = RmsNormParams(gamma=rng.uniform(0.8, 1.2, size=n), epsilon=cfg.epsilon_ln)
         mlp = _adopt(LlamaMlpWeights, joined(n, [h, h]), proj(h, n))
     w_qkv = joined(n, [n, n, n])
-    return _adopt(BlockWeights, w_qkv, [n, n, n], ln1, ln2, proj(n, n), fc1, fc2, mlp)
+    return _adopt(BlockWeights, w_qkv, ln1, ln2, proj(n, n), fc1, fc2, mlp)
 
 
 # GELU tanh approximation: 0.5*z*(1 + tanh(sqrt(2/pi)*(z + 0.044715*z^3))).

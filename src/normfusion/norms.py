@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 
-def _epsilon(v, positive: bool) -> int | float:
-    """`v` as a norm's epsilon, by `tensor._real`: positive for layernorm (and a fold with a bias), else non-negative."""
+def _epsilon(v, positive: bool, name: str = "epsilon") -> int | float:
+    """`v` as the epsilon `name`, by `tensor._real`: positive for layernorm (and a fold with a bias), else non-negative."""
     if (eps := _real(v)) is None or not (eps > 0 if positive else eps >= 0):
-        raise ValueError(f"epsilon must be a {'positive' if positive else 'non-negative'} finite scalar, got {v}")
+        raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} finite scalar, got {v}")
     return eps
 
 

@@ -24,6 +24,7 @@ import normfusion.block
 import normfusion.fusion
 import normfusion.tensor as tensor
 from normfusion.block import (
+    VARIANTS,
     BlockConfig,
     BlockWeights,
     _fold_site,
@@ -850,7 +851,7 @@ def test_block_peak_memory_is_its_live_buffers(request, run, variant, bound, ker
 
 def test_projections_with_differing_row_counts_rejected():
     ln = LayerNormParams(gamma=np.ones(4), beta=np.zeros(4), epsilon=1e-5)
-    with pytest.raises(ValueError, match=re.escape("w_q, w_k and w_v row counts differ: [4, 4, 5]")):
+    with pytest.raises(ValueError, match=re.escape("w_v shape (5, 4), expected (4, 4)")):
         BlockWeights(w_q=np.ones((4, 4)), w_k=np.ones((4, 4)), w_v=np.ones((5, 4)), w_o=np.ones((4, 4)),
                      ln1=ln, ln2=ln, fc1=np.ones((4, 8)), fc2=np.ones((8, 4)))
 
@@ -937,47 +938,89 @@ def test_block_with_an_overflowing_gelu_cube_is_finite(strict_fp, run, scale):
     assert np.isfinite(run(cfg, w, rng.standard_normal((cfg.seq_len, cfg.d_model)))).all()
 
 
+def _made_both_ways(w: BlockWeights, message: str, **changes) -> None:
+    """`w` with `changes` is rejected with exactly `message`, through the constructor and `dataclasses.replace`."""
+    fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(w) if f.init}
+    for make in (lambda: BlockWeights(**dict(fields, **changes)), lambda: dataclasses.replace(w, **changes)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 def test_wrong_norm_params_for_variant_rejected():
-    cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant="llama-swiglu")
-    w = random_block_weights(cfg, np.random.default_rng(46))
-    bad_cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant="standard-gelu")
-    with pytest.raises(ValueError, match="LayerNormParams"):
-        run_conventional(bad_cfg, w, np.zeros((2, 4)))
+    """Both norms of the other variant's kind: layernorm weights carry fc1 and fc2, RMSNorm weights an mlp."""
+    gelu, llama = (random_block_weights(BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant),
+                                        np.random.default_rng(46)) for variant in VARIANTS)
+    _made_both_ways(gelu, "RmsNormParams weights carry an mlp and no fc1 or fc2", ln1=llama.ln1, ln2=llama.ln2)
+    _made_both_ways(llama, "LayerNormParams weights carry fc1 and fc2 and no mlp", ln1=gelu.ln1, ln2=gelu.ln2)
 
 
-def _misfit_weights(cfg: BlockConfig, case: str) -> tuple[BlockWeights, str]:
-    """Weights for `cfg` with one field that does not fit it, and the message that names it."""
-    w = random_block_weights(cfg, np.random.default_rng(47))
+def _misfit(cfg: BlockConfig, case: str) -> tuple[dict, str]:
+    """Fields that make `cfg`'s weights fit no config, and the message that names one of them."""
     n, h, gelu_block = cfg.d_model, cfg.mlp_hidden, cfg.variant == "standard-gelu"
     layer_norm = lambda k: LayerNormParams(gamma=np.ones(k), beta=np.zeros(k), epsilon=cfg.epsilon_ln)
     rms_norm = lambda k: RmsNormParams(gamma=np.ones(k), epsilon=cfg.epsilon_ln)
     own_norm, other_norm = (layer_norm, rms_norm) if gelu_block else (rms_norm, layer_norm)
+    own, other = type(own_norm(n)).__name__, type(other_norm(n)).__name__
     if case == "projection shape":
-        return dataclasses.replace(w, w_k=np.ones((n, n + 1))), f"w_k shape {(n, n + 1)}, expected {(n, n)}"
+        return dict(w_k=np.ones((n, n + 1))), f"w_k shape {(n, n + 1)}, expected {(n, n)}"
+    if case == "projection size":
+        return dict(w_o=np.ones((n + 1, n + 1))), f"w_o shape {(n + 1, n + 1)}, expected {(n, n)}"
     if case == "norm length":
-        return dataclasses.replace(w, ln2=own_norm(n + 1)), "norm parameter length does not match d_model"
+        return dict(ln2=own_norm(n + 1)), f"ln2.gamma shape {(n + 1,)}, expected {(n,)}"
     if case == "norm type":
-        return dataclasses.replace(w, ln1=other_norm(n)), f"{cfg.variant} blocks use {type(own_norm(n)).__name__}"
-    if case == "mlp presence":
-        if gelu_block:
-            return dataclasses.replace(w, fc2=None), "standard-gelu blocks carry fc1/fc2 and no gated MLP"
-        return dataclasses.replace(w, fc1=np.ones((n, h))), "llama-swiglu blocks carry a gated MLP and no fc1/fc2"
+        return dict(ln1=other_norm(n)), ("ln1 and ln2 must both be LayerNormParams or both RmsNormParams, "
+                                         f"got {other} and {own}")
+    carry = f"{own} weights carry " + ("fc1 and fc2 and no mlp" if gelu_block else "an mlp and no fc1 or fc2")
+    if case == "mlp presence":  # one missing, or one extra
+        return (dict(fc2=None) if gelu_block else dict(fc1=np.ones((n, h)))), carry
+    if case == "other mlp":  # the other one extra, or missing
+        mlp = LlamaMlpWeights(w_gate=np.ones((n, h)), w_up=np.ones((n, h)), w_down=np.ones((h, n)))
+        return (dict(mlp=mlp) if gelu_block else dict(mlp=None)), carry
+    if case == "mlp rows":  # fc1's; a gated MLP's rows are "mlp shapes"
+        return dict(fc1=np.ones((n + 1, h))), f"fc1 shape {(n + 1, h)}, expected {(n, h)}"
     if gelu_block:  # mlp shapes
-        return dataclasses.replace(w, fc2=np.ones((h + 1, n))), "fc1/fc2 shapes do not match config"
-    mlp = LlamaMlpWeights(w_gate=np.ones((n, h + 1)), w_up=np.ones((n, h + 1)), w_down=np.ones((h + 1, n)))
-    return dataclasses.replace(w, mlp=mlp), "gated MLP shapes do not match config"
+        return dict(fc2=np.ones((h + 1, n))), f"fc2 shape {(h + 1, n)}, expected {(h, n)}"
+    mlp = LlamaMlpWeights(w_gate=np.ones((n + 1, h)), w_up=np.ones((n + 1, h)), w_down=np.ones((h, n + 1)))
+    return dict(mlp=mlp), f"mlp.w_gate shape {(n + 1, h)}, expected {(n, h)}"
 
 
-@pytest.mark.parametrize("case", ["projection shape", "norm length", "norm type", "mlp presence", "mlp shapes"])
-@pytest.mark.parametrize("variant", ["standard-gelu", "llama-swiglu"])
+_MISFITS = ["projection shape", "projection size", "norm length", "norm type", "mlp presence", "other mlp",
+            "mlp shapes"]
+
+
+@pytest.mark.parametrize("variant,case", [(variant, case) for variant in VARIANTS for case in _MISFITS]
+                         + [("standard-gelu", "mlp rows")])
 def test_weights_that_do_not_fit_the_config_rejected(variant, case):
-    # every raise of `BlockWeights.validate`, which both block paths run first
+    """Weights that fit no config are rejected as they are made, by a message that names the field.
+
+    Every raise of `BlockWeights.__post_init__`, through the constructor
+    and `dataclasses.replace`: projections that are not one square size,
+    a norm of the wrong length, mixed norm kinds, an MLP missing or not
+    the norms' own, and MLP shapes that disagree with the projections.
+    An MLP of another hidden width fits another config: `validate`
+    rejects it (`test_weights_for_another_config_rejected`).
+    """
     cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant)
-    w, message = _misfit_weights(cfg, case)
+    changes, message = _misfit(cfg, case)
+    _made_both_ways(random_block_weights(cfg, np.random.default_rng(47)), message, **changes)
+
+
+@pytest.mark.parametrize("fields", [("d_model",), ("mlp_hidden",), ("variant",), ("d_model", "mlp_hidden", "variant")],
+                         ids=["d_model", "mlp_hidden", "variant", "all three"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_weights_for_another_config_rejected(variant, fields):
+    """`validate`, which both block paths run first, names the first of d_model, mlp_hidden and variant that differs."""
+    cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant)
+    other = {"d_model": 6, "mlp_hidden": 9, "variant": next(v for v in VARIANTS if v != variant)}
+    for_other = dataclasses.replace(cfg, **{name: other[name] for name in fields})
+    w = random_block_weights(for_other, np.random.default_rng(49))
+    first = fields[0]
+    message = f"weights' {first} is {other[first]!r}, config's is {getattr(cfg, first)!r}"
     x = np.zeros((cfg.seq_len, cfg.d_model))
     for check in (w.validate, lambda c: run_conventional(c, w, x), lambda c: run_fused(c, w, x)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check(cfg)
+    random_block_weights(cfg, np.random.default_rng(49)).validate(cfg)  # weights for cfg itself pass
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -986,7 +1029,7 @@ def test_non_finite_input_rejected(strict_fp, variant, bad):
     """Both paths name a non-finite input, proved by ln1's reduction: after the shapes, as every kernel does."""
     cfg = BlockConfig(d_model=4, n_heads=2, seq_len=2, mlp_hidden=8, variant=variant)
     w = random_block_weights(cfg, np.random.default_rng(48))
-    misfit, message = _misfit_weights(cfg, "projection shape")
+    misfit = random_block_weights(dataclasses.replace(cfg, mlp_hidden=12), np.random.default_rng(48))
     inputs = []
     for shape, cell in (((2, 4), (0, 0)), ((2, 4), (1, 2)), ((3, 4), (2, 1))):  # the last is misshapen
         inputs.append(np.ones(shape))
@@ -995,7 +1038,7 @@ def test_non_finite_input_rejected(strict_fp, variant, bad):
         for x in inputs:
             with pytest.raises(ValueError, match="^matrix contains non-finite elements$"):
                 run(cfg, w, x)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # weights that do not fit come first
+        with pytest.raises(ValueError, match="^weights' mlp_hidden is 12, config's is 8$"):  # named first
             run(cfg, misfit, inputs[1])
 
 

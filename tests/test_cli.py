@@ -285,7 +285,7 @@ class TestRealFields:
     # each field's section of the run config (None: the run config itself) and its message for `value`
     FIELDS = {
         "tolerance": (None, "tolerance must be non-negative and finite, got {value!r}"),
-        "epsilon_ln": ("block", "epsilon_ln must be positive and finite, got {value}"),
+        "epsilon_ln": ("block", "epsilon_ln must be a positive finite scalar, got {value}"),
         "matrix_macs_per_cycle": ("cost_model", "matrix_macs_per_cycle must be positive and finite"),
         "vector_elems_per_cycle": ("cost_model", "vector_elems_per_cycle must be positive and finite"),
         "collective_alpha": ("cost_model", "collective_alpha must be non-negative and finite, got {value}"),
@@ -340,6 +340,17 @@ class TestRealFields:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
         assert run_cli(capsys, "simulate", path, "--quiet") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_zero_epsilon_ln_rejected_for_a_llama_block(self, tmp_path, capsys, command):
+        # an RMSNorm alone takes epsilon 0, but verify checks a layernorm site at epsilon_ln for either variant:
+        # a config that let 0 through died there with a traceback (exit 1)
+        doc = json.loads(default_config_path("verify_small").read_text())
+        doc["block"].update(variant="llama-swiglu", epsilon_ln=0)
+        path = tmp_path / "llama.json"
+        path.write_text(json.dumps(doc))
+        message = "error: epsilon_ln must be a positive finite scalar, got 0\n"
+        assert run_cli(capsys, command, str(path), "--quiet") == (2, "", message)
 
     @pytest.mark.parametrize("name", ["llama7b_sim", "verify_small"])
     def test_shipped_configs_echo_as_written(self, name):

@@ -371,6 +371,27 @@ class TestCompare:
         with pytest.raises(ValueError, match="different block configs"):
             compare(conv, build_graph(other, fused=True), UNIT_CM)
 
+    # each field's scale factors just inside the 15-20% band's window, then just outside it
+    # (bisected ends: x0.751-x1.207 for collective_beta, x0.745-x1.213 for matrix_macs_per_cycle)
+    @pytest.mark.parametrize("name,inside,outside", [
+        ("collective_beta", (0.76, 1.20), (0.75, 1.21)),
+        ("matrix_macs_per_cycle", (0.75, 1.21), (0.74, 1.22)),
+    ])
+    def test_llama7b_sim_band_window(self, name, inside, outside):
+        """The shipped block's speedup is in [15, 20] only while one cost-model field stays near its shipped value.
+
+        The other fields stay as shipped. To first order the speedup follows
+        collective_beta times matrix_macs_per_cycle, the collectives' tree
+        cost against the matmuls' time. A change to the graph or the cost
+        model that moves either window fails here.
+        """
+        rc = load_config(str(default_config_path("llama7b_sim")))
+        conv, fused = build_graph(rc.block, fused=False), build_graph(rc.block, fused=True)
+        for factor, in_band in [(f, True) for f in inside] + [(f, False) for f in outside]:
+            cm = dataclasses.replace(rc.cost_model, **{name: getattr(rc.cost_model, name) * factor})
+            speedup = compare(conv, fused, cm).speedup_percent
+            assert (15.0 <= speedup <= 20.0) == in_band, (factor, speedup)
+
 
 class TestSiteSplit:
     """`compare` reads each site's saving from the site's span in the two full timelines.
