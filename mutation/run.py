@@ -239,11 +239,6 @@ MUTANTS = (
            "                buf[0] = acc\n", "                buf[0] = 0.0\n",
            ("tests/test_tensor.py", "-k", "Chunked"),
            "each reduce carries the running sum forward"),
-    Mutant("booleans-pass-as-json-numbers", "jsonio.py",
-           "        if isinstance(value, bool):  # a JSON true/false",
-           "        if False:  # a JSON true/false",
-           ("tests/test_cli.py", "-k", "boolean"),
-           "a JSON true/false is not the number 1/0"),
     Mutant("booleans-pass-as-real-fields", "tensor.py",
            "    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):\n",
            "    if not isinstance(v, numbers.Real):\n",
@@ -259,17 +254,19 @@ MUTANTS = (
            ("tests/test_simulator.py", "tests/test_cli.py", "-k", "overflow"),
            "work too large to divide as a float is guarded as an infinite latency is: a ValueError naming the node"),
     Mutant("norm-epsilon-not-real-checked", "norms.py",
-           "    if (eps := _real(v)) is None or not (eps > 0 if positive else eps >= 0):\n",
-           "    if not (np.isfinite(eps := v) and (eps > 0 if positive else eps >= 0)):\n",
+           '        object.__setattr__(self, "epsilon", _number(self.epsilon, "epsilon"))\n',
+           "        if not (np.isfinite(self.epsilon) and self.epsilon > 0):\n"
+           '            raise ValueError(f"epsilon must be a positive finite scalar, got {self.epsilon!r}")\n',
            ("tests/test_norms.py", "-k", "RealFields"),
            "a norm's epsilon is a real number, not a bool or a string, stored as a plain number"),
     Mutant("rms-kernel-epsilon-not-real-checked", "norms.py",
-           "if (real := _real(epsilon)) is None or real < 0:",
-           "if (real := epsilon) is None or real < 0:",
+           '        epsilon = _number(epsilon, "rmsnorm: epsilon", positive=False)\n',
+           "        if epsilon is None or epsilon < 0:\n"
+           '            raise ValueError(f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon!r}")\n',
            ("tests/test_norms.py", "-k", "RealFields"),
            "root_mean_square, the one kernel given a raw epsilon, takes it by the parameters' rule: a bool is not 1 or 0"),
     Mutant("folded-linear-epsilon-not-real-checked", "fusion.py",
-           "_epsilon(self.epsilon, bias is not None))", "self.epsilon)",
+           '_number(self.epsilon, "epsilon", positive=bias is not None)', "self.epsilon",
            ("tests/test_norms.py", "-k", "RealFields"),
            "a fold built from plain arrays takes its epsilon by its norm's rule: a bool is not 1 or 0"),
     Mutant("weights-copied-without-rebuild", "block.py",
@@ -281,7 +278,8 @@ MUTANTS = (
            ("tests/test_block.py", "tests/test_cli.py", "-k", "count or IntegerFields"),
            "a bool is not a count, in a config file or in code"),
     Mutant("numpy-integer-stored-as-is", "block.py",
-           "            object.__setattr__(self, name, i)\n", "",
+           "            object.__setattr__(self, name, _number(getattr(self, name), name, integer=True))\n",
+           "            _number(getattr(self, name), name, integer=True)\n",
            ("tests/test_block.py", "-k", "numpy_integers"),
            "a config stores plain ints, which reports encode"),
     Mutant("fused-matmul-waits-for-collective", "block.py",
@@ -318,6 +316,10 @@ MUTANTS = (
            "    except (UnicodeDecodeError, json.JSONDecodeError) as e:\n", "    except json.JSONDecodeError as e:\n",
            ("tests/test_cli.py", "-k", "Encoding"),
            "a config file that is not UTF-8 is not valid JSON: a config error, exit 2"),
+    Mutant("zero-passes-as-positive", "tensor.py",
+           "not (n > 0 if positive else n >= 0)", "not (n >= 0 if positive else n >= 0)",
+           ("tests/test_block.py", "tests/test_simulator.py", "tests/test_cli.py", "-k", "config_validation or zero"),
+           "a positive field (a count, a rate, epsilon_ln, trials) refuses 0"),
     Mutant("huge-integer-taken-as-finite", "tensor.py",
            "return i if abs(i) <= sys.float_info.max else None", "return i",
            ("tests/test_cli.py", "-k", "RealFields"),

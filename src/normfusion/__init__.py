@@ -11,7 +11,8 @@ paths agree to rounding.
 The package provides the exact kernels (``tensor``, ``norms``, ``fusion``),
 a pre-LN decoder block in both forms plus its operation graph (``block``),
 a two-engine latency simulator quantifying the hidden collective time
-(``simulator``), and a CLI (``cli``).
+(``simulator``), the JSON config and reports (``jsonio``), and a CLI
+(``cli``).
 """
 
 from .block import (

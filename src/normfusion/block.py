@@ -9,40 +9,15 @@ matrix multiplication, so each is a fusion site:
     site "softmax": attention probabilities -> @ V (all heads at once)
     site "ln2":     norm2 -> first MLP projection(s)
 
-`run_conventional` and `run_fused` are one block body; `fused` changes
-only how each of the three sites meets its matmul:
-
-    ln1, ln2: `_norm_site`: conventional normalizes the rows and makes
-              one product by the site's matrix in `BlockWeights.projections`
-              (Q|K|V, or the MLP's input projections, stored joined); fused
-              makes one `fused_*norm_matmul` by the site's `_fold_site`,
-              made once per set of weights (`BlockWeights.folded`).
-              `normfusion verify` checks each norm site through these two
-              functions.
-    softmax:  one evaluation over all heads: conventional multiplies
-              `softmax_stable(scores)` by V; fused makes one
-              `fused_softmax_matmul(scores, v)`. `scores` and `v` are
-              stacks per head (heads, seq, ...), as `build_graph`'s one
-              softmax collective covers every head.
-
+`run_conventional` and `run_fused` are one block body, `_run_block`;
+`fused` changes only how each site meets its matmul: `_norm_site` at ln1
+and ln2, on the fold `_fold_site` makes once per set of weights
+(`BlockWeights.folded`), and `_attention` at the softmax. `normfusion
+verify` checks each norm site through `_norm_site` and `_fold_site` too.
 No score is masked: every token attends to every token, later ones
 included, so the block is bidirectional, not causal.
 
-The Q/K/V split, the heads, the residuals and the MLP tail (`gelu` then
-`fc2`, or `fusion.swiglu`) are written once, so the two outputs differ
-only in operation order at the sites (identical algebra, numerically
-equivalent). Both paths run each site over all rows, and attention over
-all heads, at once, taking every collective from the same `norms`
-reduction, and each is bit-identical to evaluating the rows, and the
-heads, one at a time.
-
-`build_graph` emits the dependency graph the latency simulator schedules;
-the fused graph differs from the conventional one only by cutting the
-collective->matmul edge at each site and adding a deferred-scale node
-after the matmul. The graph is a cost model, not the code's operation
-list: the fused softmax site, for instance, feeds the raw scores straight
-into the product. At a layernorm site the shifted rows `x - x[..., :1]`
-that both tasks take are the site's elementwise node.
+`build_graph` emits the dependency graph the latency simulator schedules.
 """
 
 from __future__ import annotations
@@ -66,8 +41,8 @@ from .fusion import (
     fused_softmax_matmul,
     swiglu,
 )
-from .norms import LayerNormParams, RmsNormParams, _epsilon, layernorm, rmsnorm, softmax_stable
-from .tensor import _adopt, _integer, _reject, _rows, _store, as_matrix, matmul
+from .norms import LayerNormParams, RmsNormParams, layernorm, rmsnorm, softmax_stable
+from .tensor import _adopt, _number, _reject, _rows, _store, as_matrix, matmul
 
 __all__ = [
     "VARIANTS",
@@ -100,17 +75,14 @@ class BlockConfig:
 
     def __post_init__(self):
         for name in ("d_model", "n_heads", "seq_len", "mlp_hidden"):
-            v = getattr(self, name)
-            if (i := _integer(v)) is None or i < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, i)
+            object.__setattr__(self, name, _number(getattr(self, name), name, integer=True))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        object.__setattr__(self, "epsilon_ln", _epsilon(self.epsilon_ln, positive=True, name="epsilon_ln"))
+        object.__setattr__(self, "epsilon_ln", _number(self.epsilon_ln, "epsilon_ln"))
 
     @property
     def d_head(self) -> int:
@@ -119,7 +91,7 @@ class BlockConfig:
 
 @dataclass(frozen=True)
 class BlockWeights:
-    """Projection weights plus per-variant norm params and MLP weights.
+    """Projection weights plus per-variant norm params and MLP weights, stored through `tensor._store`.
 
     standard-gelu: ln1/ln2 are LayerNormParams, MLP is fc1 (n x h)/fc2 (h x n).
     llama-swiglu:  ln1/ln2 are RmsNormParams, MLP is LlamaMlpWeights (gate n x h).
@@ -127,13 +99,8 @@ class BlockWeights:
     The constructor (so `dataclasses.replace` too) checks one of these
     forms, with w_q, w_k, w_v and w_o n x n and each norm of length n,
     naming the field that breaks it; `validate` matches a config to it.
-
-    Every array is read-only and no caller holds it, so `folded`, made on
-    first use, never goes stale: the constructor copies a caller's arrays,
-    and `random_block_weights` hands over those it drew, with no copy or
-    check, through `_set_up`. Q, K and V are stored once, joined: `w_qkv`
-    (n x 3n) is the ln1 site's matrix, and `w_q`, `w_k` and `w_v` its
-    column views.
+    Q, K and V are stored once, joined: `w_qkv` (n x 3n) is the ln1 site's
+    matrix, and `w_q`, `w_k` and `w_v` its column views.
     """
 
     w_q: np.ndarray
@@ -308,8 +275,12 @@ def _attention(cfg: BlockConfig, w: BlockWeights, x: np.ndarray, fold: FoldedLin
     """Every head's attention output, joined (seq, d_model): the ln1 site, the scores and the softmax site.
 
     `fold` is ln1's fold on the fused path and None on the conventional
-    one; it picks both sites' forms. Q|K|V, the scores and the
-    probabilities stay in here, so the block holds none of them past it.
+    one; it picks both sites' forms. The softmax site is one evaluation
+    over all heads, `softmax_stable(scores)` times V or one
+    `fused_softmax_matmul(scores, v)`, on stacks per head (heads, seq, ...),
+    as `build_graph`'s one softmax collective covers every head. Q|K|V,
+    the scores and the probabilities stay in here, so the block holds none
+    of them past it.
     """
     # the Q|K|V columns viewed as (3, heads, seq, d_head): each step below is one call for every head
     qkv = _norm_site(x, w.ln1, w.projections["ln1"], fold)
@@ -323,10 +294,12 @@ def _attention(cfg: BlockConfig, w: BlockWeights, x: np.ndarray, fold: FoldedLin
 def _run_block(cfg: BlockConfig, w: BlockWeights, x, fused: bool) -> np.ndarray:
     """The block, written once; `fused` changes only how each site meets its matmul.
 
-    Each finished stage is dropped: attention's intermediates stay in
-    `_attention`, and the MLP pre-activation, an array made here, becomes
-    gelu's output in place, so the gelu tail holds two (seq, mlp_hidden)
-    arrays at most.
+    The Q/K/V split, the heads, the residuals and the MLP tail (`gelu`
+    then `fc2`, or `fusion.swiglu`) are shared, so the two outputs differ
+    only in operation order at the sites. Each finished stage is dropped:
+    attention's intermediates stay in `_attention`, and the MLP
+    pre-activation, an array made here, becomes gelu's output in place,
+    so the gelu tail holds two (seq, mlp_hidden) arrays at most.
     """
     x = _rows(x, 2)  # ln1's reduction proves x finite, by the one finiteness rule (see `tensor`)
     if x.shape != (cfg.seq_len, cfg.d_model):
@@ -414,7 +387,9 @@ def build_graph(cfg: BlockConfig, fused: bool) -> OpGraph:
     - conventional: elementwise -> collective -> matmul, a chain;
     - fused: the collective->matmul edge is cut, both hang off the
       elementwise node, and a deferred-scale node joins the two branches.
-    Downstream consumers depend on the site's last node.
+    Downstream consumers depend on the site's last node. The graph is a
+    cost model, not the code's operation list: the fused softmax site, for
+    instance, feeds the raw scores straight into the product.
     """
     n, heads, seq, h = cfg.d_model, cfg.n_heads, cfg.seq_len, cfg.mlp_hidden
     nodes, edges = [], []

@@ -18,40 +18,20 @@ The reduction producing the scalar and the big matmul have no data
 dependency on each other; they only join at the final scale. That
 independence is a contract on the code structure (no shared
 intermediates), not a threading requirement; a two-engine machine can
-overlap them, and the simulator module quantifies the win.
+overlap them, and the simulator module quantifies the win. Equivalence to
+the conventional forms is algebraic, so the two paths agree to rounding
+(~1e-13 relative), well inside the 1e-10 contract.
 
-A fold makes no n x n factor and, beside the folded weight, only
-row-sized arrays (the layernorm fold's column sums are `matmul`s by a row)
-and numpy's buffer, at most 64 KiB, for each broadcast step. Every step,
-and the layernorm fold's annihilation limit, is per column, so a norm site
-folds its joined projections (Q|K|V) in one call. A fold is read-only, and
-a finite F whose fold overflows float64 raises a `ValueError` naming it.
-
-Equivalence to the conventional forms is algebraic, so fused and
-conventional paths agree to rounding (~1e-13 relative), well inside the
-1e-10 contract. Both norms' folds are one `FoldedLinear`, which carries
-its norm's epsilon; an RMSNorm fold has no bias, and each fused norm
-evaluator takes only rows and a fold, and rejects the other norm's fold.
-
-The fused evaluators take one row (1-D) or a stack of rows (2-D), as
-`norms` and `tensor.matmul` do, and return the same rank;
-`fused_softmax_matmul` also takes every head's scores as one stack per
-head (3-D) with `v` as one matrix per head, so attention's softmax site
-is one fused evaluation for all heads, as in the op graph. They check
-only shapes and keep no reduction of their own: the collective scalar
-comes from the `norms` reduction the conventional form calls
-(`_shifted_moments`, `_prescaled_root`, `softmax_numerators`), which
-proves the rows finite (see `tensor`). A row's result is bit-identical
-alone or in a stack. Each evaluator applies the deferred per-row scale,
-and adds a folded bias, in place on the array `matmul` returned and
-returns it: the same IEEE operations in the same order as dividing into
-a new array, with no second product-sized array.
-
-The gated MLP has one tail, `swiglu`: silu(gate) * up through the down
-projection. Its 1/rms cannot be deferred past silu, so only the gate|up
-product overlaps the reduction: `fused_rmsnorm_llama_mlp` is one
-`fused_rmsnorm_matmul` over the joined gate and up folds, then `swiglu`,
-the same steps the block's fused path takes.
+The folds (`fold_layernorm_linear`, `fold_rmsnorm_linear`) each return
+one read-only `FoldedLinear`, which carries its norm's epsilon. The fused
+evaluators (`fused_layernorm_matmul`, `fused_rmsnorm_matmul`,
+`fused_softmax_matmul`) check only shapes and keep no reduction of their
+own: the collective scalar comes from the `norms` reduction the
+conventional form calls. Each applies the deferred per-row scale, and
+adds a folded bias, in place on the array `matmul` returned and returns
+it: the same IEEE operations in the same order as dividing into a new
+array, with no second product-sized array. The gated MLP has one tail,
+`swiglu`.
 """
 
 from __future__ import annotations
@@ -60,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import LayerNormParams, RmsNormParams, _epsilon, _prescaled_root, _shifted_moments, softmax_numerators
-from .tensor import _adopt, _check_operands, _reject, _require_width, _rows, _store, as_matrix, as_row_vector, matmul
+from .norms import LayerNormParams, RmsNormParams, _prescaled_root, _shifted_moments, softmax_numerators
+from .tensor import _adopt, _check_operands, _number, _reject, _require_width, _rows, _store, as_matrix, as_row_vector, matmul
 
 __all__ = [
     "FoldedLinear",
@@ -90,13 +70,10 @@ class FoldedLinear:
     RMSNorm:   folded_weight = diag(gamma) @ F, no folded_bias (None)
 
     `epsilon` is the folded norm's, which the fused evaluators add to its
-    reduction. A caller's arrays are checked (shapes, finiteness) and
-    copied, and its epsilon, named as a keyword, meets its norm's rule
-    (`norms._epsilon`): positive with a folded bias, non-negative without.
-    The fold functions hand over the arrays they made, which they have
-    already proved finite, and their params' epsilon, with no copy and no
-    second check. Either way they end in `_set_up`, which stores the
-    arrays read-only through `tensor._store`.
+    reduction. Built from plain arrays, a fold names it as a keyword,
+    positive with a folded bias and non-negative without, and its arrays
+    are checked and copied; the fold functions hand over their own
+    through `tensor._adopt`.
     """
 
     folded_weight: np.ndarray
@@ -110,7 +87,8 @@ class FoldedLinear:
             raise ValueError(
                 f"folded bias length {bias.size} does not match folded weight columns {weight.shape[1]}"
             )
-        self._set_up(weight.copy(), None if bias is None else bias.copy(), _epsilon(self.epsilon, bias is not None))
+        epsilon = _number(self.epsilon, "epsilon", positive=bias is not None)
+        self._set_up(weight.copy(), None if bias is None else bias.copy(), epsilon)
 
     def _set_up(self, folded_weight: np.ndarray, folded_bias: np.ndarray | None, epsilon: float) -> None:
         """Store the fold's arrays, ones no caller holds, read-only, and its checked epsilon."""
@@ -122,15 +100,11 @@ class FoldedLinear:
 
 @dataclass(frozen=True)
 class LlamaMlpWeights:
-    """Gated MLP weights: up-projection, gate, and down-projection.
+    """Gated MLP weights: gate, up and down projections, stored through `tensor._store`.
 
-    Gate and up are stored once, joined: `w_gate_up` is a read-only
-    (n, 2h) array, and `w_gate` and `w_up` are its column views, so the
-    site's one product reads the join with no further copy. A caller's
-    arrays are copied, gate and up into the join; arrays this package
-    drew itself (`block.random_block_weights`) are handed over, drawn in
-    place, with no copy. Either way they end in `_set_up`, which stores
-    them read-only through `tensor._store`.
+    Gate and up are stored once, joined: `w_gate_up` is an (n, 2h) array,
+    and `w_gate` and `w_up` are its column views, so the site's one
+    product reads the join with no further copy.
     """
 
     w_gate: np.ndarray
@@ -173,15 +147,16 @@ def fold_layernorm_linear(p: LayerNormParams, f) -> FoldedLinear:
     """Fold layernorm's static pieces into the downstream weight matrix, read-only.
 
     Row-scaling by gamma and column-centering realize
-    (I - E/n) @ diag(gamma) @ F in O(n*m) without materializing the n x n
-    factors. The column sums of diag(gamma) @ F are `matmul(gamma, F)`:
-    the same rounded products, summed in index order from +0.0. Their
-    means are subtracted in place from the scaled copy, so a column whose
-    scaled entries are all -0.0 folds to -0.0. The result is checked
-    against the row-space annihilation invariant: column j of `matmul` of
-    the all-ones row by it must be at most 1e-10 * n * max(1, max |column j|).
-    Each step and limit is per column, so projections joined column-wise
-    fold to the bits of each folded alone. A finite F whose scaled entries,
+    (I - E/n) @ diag(gamma) @ F in O(n*m) with no n x n factor and, beside
+    the folded weight, only row-sized arrays. The column sums of
+    diag(gamma) @ F are `matmul(gamma, F)`: the same rounded products,
+    summed in index order from +0.0. Their means are subtracted in place
+    from the scaled copy, so a column whose scaled entries are all -0.0
+    folds to -0.0. The result is checked against the row-space
+    annihilation invariant: column j of `matmul` of the all-ones row by it
+    must be at most 1e-10 * n * max(1, max |column j|). Each step and
+    limit is per column, so projections joined column-wise fold to the
+    bits of each folded alone. A finite F whose scaled entries,
     column sums, centred entries, bias or ones-row sums overflow float64
     raises a `ValueError` naming the overflow. The fold carries `p.epsilon`.
     """
@@ -224,13 +199,11 @@ def _fold_rows(x, fold: FoldedLinear, layernorm: bool) -> np.ndarray:
 def fused_layernorm_matmul(x, fl: FoldedLinear) -> np.ndarray:
     """Evaluate layernorm(x) @ F through the folded weights, per row of `x`.
 
-    Both tasks take the shifted rows y = x - x[..., :1], formed once
-    (`norms._shifted_moments`, the site's element-wise node): the folded weight
-    maps constants to zero, so y @ folded_weight is x @ folded_weight in
-    exact arithmetic, and a large row offset costs the product no accuracy.
-    The variance reduction and the y @ folded_weight product are
-    independent tasks; they meet only at the final scale-and-bias, made
-    in place on the product, which is returned; the epsilon is the fold's.
+    Both tasks take the shifted rows y of `norms._shifted_moments`: the
+    folded weight maps constants to zero, so y @ folded_weight is
+    x @ folded_weight in exact arithmetic. The variance reduction and the
+    product are independent tasks; they meet only at the final
+    scale-and-bias, with the fold's epsilon.
 
     |y| can be twice |x|, so y's product can overflow float64 where x's
     would not. Such a row, and only such a row, is multiplied unshifted:
@@ -251,16 +224,14 @@ def fused_layernorm_matmul(x, fl: FoldedLinear) -> np.ndarray:
 def fused_rmsnorm_matmul(x, rfl: FoldedLinear) -> np.ndarray:
     """Evaluate rmsnorm(x) @ F per row of `x` through the folded weights, 1/rms deferred.
 
-    As `rmsnorm` does, it takes each row pre-scaled by a power of two
-    (`norms._prescaled_root`): the product of the pre-scaled rows over
-    their pre-scaled root, so an rms below float64's normal range is never
-    divided by, and rows that need no pre-scale keep their bits. Where
-    epsilon outweighs a small row, its pre-scaled root exceeds 1, and its
-    pre-scaled product can overflow where the unscaled one would not. Such
-    a row, and only such a row, is multiplied unscaled and divided by the
-    unscaled root, so the pre-scale costs no overflow headroom. Those rows
-    are found in the product before the other rows are divided by their
-    root in place; the product is returned. The epsilon is the fold's.
+    As `rmsnorm` does, it divides the product of the pre-scaled rows of
+    `norms._prescaled_root`, with the fold's epsilon, by their pre-scaled
+    root. Where epsilon outweighs a small row, its pre-scaled root exceeds
+    1, and its pre-scaled product can overflow where the unscaled one
+    would not. Such a row, and only such a row, is multiplied unscaled and
+    divided by the unscaled root, so the pre-scale costs no overflow
+    headroom. Those rows are found in the product before the other rows
+    are divided.
     """
     rows = _fold_rows(x, rfl, layernorm=False)
     s, scaled, root = _prescaled_root(rows, rfl.epsilon)  # element-wise pre-scale, then collective task
@@ -280,8 +251,7 @@ def fused_softmax_matmul(x, v) -> np.ndarray:
     `x` is a row or a stack of rows times a matrix `v`, or a stack per
     head (h, m, k) times one matrix per head (h, k, n). Numerators are
     max-shifted, so the path is overflow-safe for any finite logits; the
-    shift cancels between numerator and denominator. The product is
-    divided by the denominators in place and returned.
+    shift cancels between numerator and denominator.
     """
     rows = _rows(x)
     if np.shape(v)[-2:-1] != rows.shape[-1:]:

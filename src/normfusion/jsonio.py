@@ -9,7 +9,8 @@ serialized as one line of JSON, making repeated runs byte-identical.
 Config files use exactly the field names of RunConfig and its BlockConfig
 and CostModel (snake_case), and take their defaults from those fields;
 unknown keys anywhere are rejected so typos fail loudly instead of
-silently falling back to defaults. No key takes a boolean.
+silently falling back to defaults. No key takes a boolean: each field's
+own rule refuses one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .block import BlockConfig
 from .simulator import CostModel, LatencyReport, Timeline
-from .tensor import _integer, _real
+from .tensor import _number
 
 __all__ = [
     "ConfigError",
@@ -48,22 +49,18 @@ class RunConfig:
     notes: str = ""
 
     def __post_init__(self):
-        for name, least, kind in (("seed", 0, "non-negative"), ("trials", 1, "positive")):
-            v = getattr(self, name)
-            if (i := _integer(v)) is None or i < least:
-                raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
-            object.__setattr__(self, name, i)
-        # tolerance 0 is accepted (and will fail verification numerically);
-        # negatives are malformed, and `_real` refuses infinity, which would pass every site.
-        if (tol := _real(self.tolerance)) is None or tol < 0:
-            raise ConfigError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", tol)
+        # a tolerance of 0 is taken, and fails verification numerically; infinity would pass every site
+        try:  # a ConfigError, so the CLI's `--seed` replace exits 2 too
+            for name, integer, positive in (("seed", True, False), ("trials", True, True), ("tolerance", False, False)):
+                object.__setattr__(self, name, _number(getattr(self, name), name, integer=integer, positive=positive))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if not isinstance(self.notes, str):  # every report echoes it as a string
             raise ConfigError(f"notes must be a string, got {self.notes!r}")
 
 
 def _take(mapping: dict, context: str, cls) -> dict:
-    """`mapping`, checked as the JSON object of section `cls`: its keys and its values' types."""
+    """`mapping`, checked as the JSON object of section `cls` with its keys; each value meets its field's rule."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object")
     unknown = mapping.keys() - _KNOWN[cls]
@@ -72,9 +69,6 @@ def _take(mapping: dict, context: str, cls) -> dict:
     missing = [k for k in _KEYS[cls][0] if k not in mapping]
     if missing:
         raise ConfigError(f"missing key(s) in {context}: {', '.join(missing)}")
-    for key, value in mapping.items():
-        if isinstance(value, bool):  # a JSON true/false would pass as the number 1/0
-            raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
     return mapping
 
 

@@ -1,30 +1,15 @@
-"""Reference normalizations and their element-wise/collective split.
+"""Reference normalizations, each split into its collective and element-wise parts.
 
-Layernorm, RMSNorm, and numerically stable Softmax in their conventional
-form. Each one hides a reduction (mean/variance, mean square, exponential
-sum) that needs every element of the vector in one place (the
-"collective" part) plus purely element-wise work. `moments`,
-`root_mean_square` and `softmax_numerators` expose the collective part;
-the fusion module defers it past the matmul.
-
-Every function takes one row (1-D), a stack of rows (2-D) or a stack per
-head (3-D, as attention's scores come) and reduces each row left to right
-along the last axis with `tensor.ordered_sum`, so a row's result is
-bit-identical whichever form carries it: one softmax call serves every
-head. The fused evaluators take their collective values from these same
-functions, so the conventional and fused paths divide by bit-identical
-scalars by construction.
-
-Each reduction is computed in one place: `_shifted_moments` (which also
-returns each row shifted by its first element, so a layernorm site forms
-those rows once), `_prescaled_root` (which also returns each row scaled
-by a power of two, so both RMSNorm forms divide those rows, or their
-product, by its root) and `softmax_numerators`. Every norm and fused
-evaluator checks shapes and calls them. By the one finiteness rule (see
-`tensor`), the first two scan their per-row results, computed under
-`np.errstate(all="ignore")`, as a NaN or infinity makes its row's result
-non-finite for good; softmax scans its input, as a -inf logit gives a
-finite result.
+Layernorm, RMSNorm and the stable softmax in their conventional form.
+Each hides a reduction that needs every element of a row in one place
+(the "collective" part) beside purely element-wise work; `fusion` defers
+the collective part past the matmul. Each reduction is computed in one
+function, which the conventional norms here and the fused evaluators
+both call, so both paths divide by bit-identical scalars:
+`_shifted_moments` (layernorm's shift), `_prescaled_root` (RMSNorm's
+pre-scale) and `softmax_numerators`. Every function takes the row forms
+of `tensor._rows` and reduces each row left to right with
+`tensor.ordered_sum`, by `tensor`'s finiteness rule.
 """
 
 from __future__ import annotations
@@ -34,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _real, _reject, _require_width, _rows, _store, as_row_vector, as_rows, ordered_sum
+from .tensor import _number, _reject, _require_width, _rows, _store, as_row_vector, as_rows, ordered_sum
 
 __all__ = [
     "LayerNormParams",
@@ -48,16 +33,9 @@ __all__ = [
 ]
 
 
-def _epsilon(v, positive: bool, name: str = "epsilon") -> int | float:
-    """`v` as the epsilon `name`, by `tensor._real`: positive for layernorm (and a fold with a bias), else non-negative."""
-    if (eps := _real(v)) is None or not (eps > 0 if positive else eps >= 0):
-        raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} finite scalar, got {v}")
-    return eps
-
-
 @dataclass(frozen=True)
 class LayerNormParams:
-    """Layernorm's scale/bias (read-only copies) and divide-guard epsilon (a real, not a bool, stored plain)."""
+    """Layernorm's scale and bias, stored through `tensor._store`, and its positive divide-guard epsilon."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -69,7 +47,7 @@ class LayerNormParams:
             raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.size} vs {self.beta.size}"
             )
-        object.__setattr__(self, "epsilon", _epsilon(self.epsilon, positive=True))
+        object.__setattr__(self, "epsilon", _number(self.epsilon, "epsilon"))
 
     def __reduce__(self):  # a copy or an unpickled one is rebuilt by the constructor, read-only
         return LayerNormParams, (self.gamma, self.beta, self.epsilon)
@@ -81,12 +59,11 @@ class LayerNormParams:
 
 @dataclass(frozen=True)
 class RmsNormParams:
-    """Trainable scale for RMSNorm.
+    """RMSNorm's scale, stored through `tensor._store`, and its non-negative epsilon.
 
     epsilon defaults to 0 to match the zero-mean formulation exactly;
     production models usually run with a small positive value, so it is
-    configurable but never silently enabled. It is stored as
-    `LayerNormParams` stores its epsilon, and gamma as a read-only copy.
+    configurable but never silently enabled.
     """
 
     gamma: np.ndarray
@@ -94,7 +71,7 @@ class RmsNormParams:
 
     def __post_init__(self):
         _store(self, gamma=as_row_vector(self.gamma).copy())
-        object.__setattr__(self, "epsilon", _epsilon(self.epsilon, positive=False))
+        object.__setattr__(self, "epsilon", _number(self.epsilon, "epsilon", positive=False))
 
     def __reduce__(self):  # as LayerNormParams'
         return RmsNormParams, (self.gamma, self.epsilon)
@@ -107,14 +84,16 @@ class RmsNormParams:
 def _shifted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` shifted by its first element, then centred, the shifted rows' mean, and the variance.
 
-    The shift y = x - x[..., :1] is a layernorm site's element-wise half;
-    the rest is its collective half. Layernorm does not see a constant
-    added to a row, and the folded weight maps constants to zero, so both
-    layernorm paths take y in place of `x`, formed once per site. Where a
-    row's entries lie within a factor of 2 of its first, as at a large DC
-    offset, each difference is exact (Sterbenz), so the offset costs no
-    accuracy. A non-finite variance (a non-finite input, or a finite row
-    whose spread or sums overflow float64) is rejected after `x` is scanned.
+    The shift y = x - x[..., :1] is a layernorm site's element-wise half
+    (the op graph's `{site}.elementwise` node); the rest is its collective
+    half. Layernorm does not see a constant added to a row, and the folded
+    weight maps constants to zero, so both layernorm paths take y in place
+    of `x`, formed once per site. Where a row's entries lie within a
+    factor of 2 of its first, as at a large DC offset, each difference is
+    exact (Sterbenz), so the offset costs no accuracy. The variance is the
+    population variance (divisor n), which both paths divide by. A
+    non-finite variance (a non-finite input, or a finite row whose spread
+    or sums overflow float64) is rejected after `x` is scanned.
     """
     n = x.shape[-1]
     with np.errstate(all="ignore"):
@@ -128,15 +107,9 @@ def _shifted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def moments(x) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """The pair (mean, population variance (divisor n)) of a row, per row of a stack.
+    """The pair (mean, population variance) of a row, per row of a stack, from `_shifted_moments`.
 
-    Population variance is load-bearing: the fused path divides by the
-    same sqrt(variance + eps), and a sample-variance mismatch here would
-    silently break fused/conventional equivalence.
-
-    Both are taken on the shifted rows `x - x[..., :1]` (`_shifted_moments`),
-    so a large row offset costs the variance no accuracy; the mean is
-    `x[..., 0]` plus the shifted rows' mean.
+    The mean is `x[..., 0]` plus the shifted rows' mean.
     """
     x = _rows(x)
     _, _, mean, variance = _shifted_moments(x)
@@ -167,8 +140,10 @@ def _prescaled_root(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     which a scaled mean square (at most 1) cannot move. Rows with s = 0
     are `x`'s own bits. Both RMSNorm paths divide the pre-scaled rows, or
     their product, by the pre-scaled root, which gives x / rms(x) without
-    ever rounding the rms to a subnormal. `epsilon` is already checked,
-    where it entered: `RmsNormParams`, `FoldedLinear` or `root_mean_square`.
+    ever rounding the rms to a subnormal, so with epsilon 0 RMSNorm does
+    not see a power-of-two scale of its rows. An all-zero row with epsilon
+    0 raises. `epsilon` is already checked, where it entered:
+    `RmsNormParams`, `FoldedLinear` or `root_mean_square`.
     """
     with np.errstate(all="ignore"):
         cap = max(0, (1000 - math.frexp(epsilon)[1]) // 2) if epsilon else None
@@ -195,9 +170,11 @@ def root_mean_square(x, epsilon: float) -> float | np.ndarray:
     `RmsNormParams`' rule, after naming a non-finite row.
     """
     x = _rows(x)
-    if (real := _real(epsilon)) is None or real < 0:
-        _reject(x, f"rmsnorm: epsilon must be a non-negative finite scalar, got {epsilon}")
-    s, _, root = _prescaled_root(x, real)
+    try:
+        epsilon = _number(epsilon, "rmsnorm: epsilon", positive=False)
+    except ValueError as e:
+        _reject(x, str(e))
+    s, _, root = _prescaled_root(x, epsilon)
     with np.errstate(under="ignore"):  # an rms below float64's normal range is correctly rounded
         return np.ldexp(root, -s)
 

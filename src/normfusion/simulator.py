@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .block import _KIND_ENGINES, SITES, Node, OpGraph
-from .tensor import _integer, _real
+from .tensor import _integer, _number
 
 __all__ = [
     "CostModel",
@@ -42,7 +42,8 @@ class CostModel:
     Collectives cost alpha cycles of fixed startup, beta cycles per
     binary-tree combining level, plus a linear read of the aggregated
     elements at the vector rate. Cross-engine dependency edges pay
-    sync_overhead cycles.
+    sync_overhead cycles. The two rates are positive and the other three
+    fields non-negative, each by `tensor._number`.
     """
 
     matrix_macs_per_cycle: float
@@ -53,11 +54,7 @@ class CostModel:
 
     def __post_init__(self):
         for name, rate in _COST_FIELDS:
-            v = getattr(self, name)
-            if (r := _real(v)) is None or not (r > 0 if rate else r >= 0):
-                raise ValueError(f"{name} must be positive and finite" if rate
-                                 else f"{name} must be non-negative and finite, got {v}")
-            object.__setattr__(self, name, r)
+            object.__setattr__(self, name, _number(getattr(self, name), name, positive=rate))
 
 
 # each CostModel field's name, and whether it is a rate, which must be positive

@@ -1,78 +1,36 @@
-"""Deterministic dense linear-algebra kernels.
+"""Deterministic float64 kernels, and the checks every module shares.
 
-Everything in this package runs in 64-bit floats. The kernels here avoid
-BLAS and numpy's pairwise reductions on purpose: every sum is accumulated
-strictly left-to-right over the reduction axis, so results are
-bit-equal to a naive scalar loop on every numpy build and CPU kernel tier: one
-started from +0.0 for `matmul`, and one started from the first element
-for `ordered_sum`, which differ only on a sum of all -0.0 terms. numpy's
-elementwise `*` and `+` round separately, never as one fused
-multiply-add; the one kernel here that might fuse them runs only where a
-probe shows that it does not.
-
-`matmul` has two exact kernels, picked once at import:
-- `_summing_einsum` is one `np.einsum("km,kn->mn")` for a 2-D pair, on
-  `a` copied to C order as its transpose (k, m), and one
-  `np.einsum("hmk,hkn->hmn")` for a batch, on `a` as given. With n >= 2
-  and `b` in C order, numpy's iterator runs an inner loop of
-  `out[j] += a * b[j]` over n, with k ascending outside it, so each
-  product goes straight into its output element in index order, from
-  +0.0; a pair's axes run (k, m, n), so each row of `b` is read once for
-  all m rows of `a`. A transposed view or Fortran-order `b`, or n == 1,
-  would make k the inner loop, whose sum is reassociated, so `b` is
-  copied to C order where it is not in it, and a one-column `b` is padded
-  with a zero column.
-- That is the triple loop's arithmetic only if the loop does not fuse the
-  multiply and the add, and some builds do (NEON implements it with a
-  fused multiply-add). So `_sums_in_order` runs the einsum kernel on trap
-  operands: a product whose fused and unfused sums differ, a sum that any
-  other order rounds differently, and all -0.0 products, each in its own
-  output element, in the bulk and the tail of the vector loop, with
-  n == 1, with one row (a row vector times a matrix), with one output
-  element, and in a batch of two slices that differ, in C order and as
-  a strided view like attention's queries, so both einsum forms run. It
-  compares the bits with a Python triple loop per slice, and
-  `_EINSUM_IN_ORDER` records the answer.
-- Where any bit differs, `matmul` takes `_chunked_matmul`, exact on any
-  build: it forms the products a chunk of the inner dimension at a time
-  into a buffer of at most `_CHUNK_ELEMENTS` float64 (256 KiB; one
-  output-sized slice if the output is larger), and adds the chunk's
-  slices into the output in index order, one slice of a batch after the
-  other.
-Neither order is a documented numpy promise, so the bitwise tests against
-the triple loop, run on both kernels, are the guarantee.
-
+`matmul` and `ordered_sum` sum strictly left to right, never through BLAS
+or numpy's pairwise reductions, so their bits are a naive scalar loop's
+on every numpy build and CPU kernel tier; each docstring states its order.
 Results built on numpy's `exp` and `tanh` (the softmax, `gelu`, `silu`)
-are bit-reproducible only with the same numpy build and the same CPU
-kernel tier: numpy picks those kernels at run time by CPU, and their bits
-differ between tiers. `matmul`'s and `ordered_sum`'s do not.
+are bit-reproducible only on the same numpy build and CPU kernel tier,
+as numpy picks those kernels at run time by CPU.
+
+The shared contracts each live in one function: `_rows`, the row forms
+every kernel takes; `_store` and `_adopt`, the read-only storage of every
+weight; `_number`, the rule of every numeric field.
 
 One finiteness rule holds for every public kernel here and in `norms`
-and `fusion`, and for the block's input in `block`: check shapes, then
-prove the input finite once, on the smallest array that proves it (the
-block leaves it to ln1's reduction). `_rows` is the one shape check and
-`_finite` the one scan; `as_row_vector`, `as_matrix` and `as_rows` are
-the two in turn. Where a NaN or infinity in the input makes some element
+and `fusion`, and for the block's input: check shapes (`_rows`), then
+prove the input finite once, on the smallest array that proves it
+(`_finite`, the one scan; `as_row_vector`, `as_matrix` and `as_rows` are
+the two in turn). Where a NaN or infinity in the input makes some element
 of the result non-finite, and computing it raises no floating-point
-error, a finite result proves finite input. Only a non-finite one runs
-the input scan, which names a bad input before an overflow is reported;
-`_reject` runs it before naming a mismatch with the other arguments (a
-width, through `_require_width`, or an epsilon). `matmul` scans its
-m x n output, each slice's in a batch: each operand value enters a whole
-row or column of its slice's products (m, n >= 1), `inf * 0` is NaN, and
-a sum stays non-finite once one term is. The summing einsum raises no
-floating-point error, and the chunked kernel runs under
-`np.errstate(all="ignore")`. The rejection tests, run on both kernels
-with non-finite values beside zero partners, are the guarantee.
-
-Row vectors are 1-D float64 arrays, matrices are 2-D float64 arrays
-(row-major). Activations are rows multiplying weights on the right: like
-every `norms` and `fusion` kernel, `matmul` takes one row (1-D), giving a
-1-D result, or a stack of rows (2-D). Attention takes a third form, a
-stack per head (3-D, heads first): `matmul` multiplies it by a stack of
-matrices, one per head, and the norms reduce each row of it. The rows of
-a stack and the slices of a batch are independent, so a row's result is
-bit-identical whichever form carries it.
+error, a finite result proves finite input, and only a non-finite one
+runs the input scan, which names a bad input before an overflow:
+- `matmul` scans its output: each operand value enters a whole row or
+  column of its slice's products, `inf * 0` is NaN, a sum stays
+  non-finite once one term is, and neither kernel raises a
+  floating-point error;
+- `norms._shifted_moments` and `norms._prescaled_root` scan their
+  per-row results, computed under `np.errstate(all="ignore")`;
+- softmax scans its input, as a -inf logit gives a finite result;
+- the block leaves its input to ln1's reduction.
+`_reject` runs the scan before naming a mismatch with the other arguments
+(a width, through `_require_width`, or an epsilon). The rejection tests,
+run on both `matmul` kernels with non-finite values beside zero partners,
+are the guarantee.
 """
 
 from __future__ import annotations
@@ -105,8 +63,13 @@ _REDUCE_MIN_PRODUCTS = 8
 def _rows(x, ndim: int | None = None) -> np.ndarray:
     """`x` as float64 with every dimension >= 1; its values are not checked.
 
-    With no `ndim`, `x` is one row (1-D), a stack of rows (2-D) or a stack
-    per head (3-D); with one, `x` has exactly that rank.
+    With no `ndim`, `x` is one of the row forms every kernel in `norms`
+    and `fusion`, and `matmul`'s left operand, takes: one row (1-D), a
+    stack of rows (2-D), or a stack per head (3-D, heads first, as
+    attention's scores come). Each kernel works along the last axis, and
+    the rows of a stack and the slices of a batch are independent, so a
+    row's result is bit-identical whichever form carries it. With `ndim`,
+    `x` has exactly that rank.
     """
     v = np.asarray(x, dtype=np.float64)
     if ndim is None and v.ndim not in (1, 2, 3):
@@ -158,11 +121,14 @@ def _require_width(x: np.ndarray, n: int, what: str) -> None:
 def _store(obj, **fields) -> None:
     """Set each of `fields` on the frozen dataclass `obj`, every array among them made read-only first.
 
-    This is every weight's one storage step. It is given only arrays no
-    caller holds (a constructor's copies, or arrays this package made), so
-    no write can reach a stored weight and `BlockWeights.folded` can never
-    go stale. Each array is frozen itself, a column view as well as its
-    joined buffer, so no order of splitting and freezing matters.
+    This is every weight's one storage step, and it holds the storage
+    contract: a stored array is read-only, and no caller holds it, so no
+    write can reach a weight and `BlockWeights.folded` never goes stale.
+    Each weight class's `__post_init__` checks and copies a caller's
+    arrays, and joins (Q|K|V, gate|up) are new arrays; arrays this package
+    made come through `_adopt`. Each array is frozen itself, a column view
+    as well as its joined buffer, so no order of splitting and freezing
+    matters.
     """
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -173,10 +139,11 @@ def _store(obj, **fields) -> None:
 def _adopt(cls, *args):
     """A `cls` whose `_set_up(*args)` stores arrays this package made, with no copy and no second scan.
 
-    Each weight class's `__post_init__` checks and copies what a caller
-    passed, then ends in the same `_set_up`, which stores through `_store`;
-    `_adopt` skips `__init__` and so only that first half. Each class's
-    `__reduce__` rebuilds a copy or an unpickled weight here too.
+    Each weight class's `__post_init__` ends in the same `_set_up`, which
+    stores through `_store`; `_adopt` skips the checks and copies before
+    it. Each class's `__reduce__` rebuilds here, so a copy or an unpickled
+    weight is read-only, its views lie in its own joined buffer, and its
+    values and folds are the original's bits.
     """
     obj = object.__new__(cls)
     obj._set_up(*args)
@@ -186,12 +153,9 @@ def _adopt(cls, *args):
 def _integer(v) -> int | None:
     """`v` as a plain int where it is an integer (`operator.index` takes it) and not a bool, else None.
 
-    A bool is an int to Python but not a count, and a numpy integer is
-    stored as a plain int, so a config echoes as JSON integers. numpy's
-    bool is rejected by type too: numpy before 2.x still lets
+    numpy's bool is refused by type: numpy before 2.x still lets
     `operator.index` take it, as 0 or 1, with only a DeprecationWarning.
-    A plain int, the common case, is returned before those checks, as
-    every config load makes several of these calls.
+    A plain int, the common case, is returned before those checks.
     """
     if type(v) is int:
         return v
@@ -206,10 +170,9 @@ def _integer(v) -> int | None:
 def _real(v) -> int | float | None:
     """`v` as `_integer` takes it (2000 stays 2000), else a plain float where it is a finite real and not a bool, else None.
 
-    This is the one real-number rule of every real-valued field and
-    epsilon: a NaN, an infinity and an integer beyond float64's range,
-    which `float()` would refuse with OverflowError, are not finite, and
-    give None as a bool or a string does.
+    A NaN, an infinity and an integer beyond float64's range, which
+    `float()` would refuse with OverflowError, are not finite. A plain
+    float, the common case, is checked before the rest.
     """
     if type(v) is float:
         return v if math.isfinite(v) else None
@@ -218,6 +181,23 @@ def _real(v) -> int | float | None:
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
         return None
     return r if math.isfinite(r := float(v)) else None
+
+
+def _number(v, name: str, *, integer: bool = False, positive: bool = True) -> int | float:
+    """`v` as the numeric field `name`: a plain int by `_integer`, or with `integer` False a plain number by `_real`.
+
+    This is the one rule of every count, rate, tolerance and epsilon. A
+    bool, Python's or numpy's, is not a number, so a JSON `true` is never
+    1; a string, None, NaN, an infinity, an integer beyond float64's range
+    and a value of the wrong sign raise `ValueError` naming the field. A
+    numpy scalar is returned as a plain number, so a config echoes as JSON
+    numbers, and an integer stays one (2000, not 2000.0).
+    """
+    n = _integer(v) if integer else _real(v)
+    if n is None or not (n > 0 if positive else n >= 0):
+        raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} "
+                         f"{'integer' if integer else 'finite scalar'}, got {v!r}")
+    return n
 
 
 def ordered_sum(a: np.ndarray):
@@ -238,34 +218,25 @@ def ordered_sum(a: np.ndarray):
 
 
 def matmul(a, b) -> np.ndarray:
-    """Operator product A @ B with a fixed summation order; `a` is a row, a stack, or a stack per head.
+    """Operator product A @ B, each output element summed in index order from +0.0: the naive triple loop's bits.
 
-    Each output element is the left-to-right sum of its products over the
-    inner dimension, starting from +0.0, bit-equal to the naive triple loop.
     `a` is one row (1-D) or a stack of rows (2-D) times a matrix `b`, or a
     batch of stacks (h, m, k) times a batch of matrices (h, k, n), giving
-    (h, m, n): each slice is multiplied on its own, bit-equal to a loop of
-    2-D products over the batch. One row runs as a one-row stack, and its
-    result is that stack's row 0.
+    (h, m, n), each slice multiplied on its own. One row runs as a one-row
+    stack, and its result is that stack's row 0.
 
-    Where the import-time probe found numpy's summing `einsum` exact
-    (`_EINSUM_IN_ORDER`), this is one `_summing_einsum` call. It runs the
-    inner dimension outside a loop over n, each product going straight into
-    its output element; a 2-D pair runs in the axis order (k, m, n) on a
-    C-order copy of `a`'s transpose, so each row of `b` is read once for all
-    rows of `a`. The probe runs both of its einsum forms on traps a
-    fused multiply-add, any other summation order, a -0.0 start or mixing
-    slices of a batch would round differently, and compares the bits with
-    a triple loop. Elsewhere `matmul` is `_chunked_matmul`, which forms the
-    products a chunk at a time in a buffer and adds them in index order.
+    The kernel is picked once, at import: `_summing_einsum` where the probe
+    `_sums_in_order` finds it bit-equal to the triple loop on this numpy
+    (`_EINSUM_IN_ORDER`), else `_chunked_matmul`, exact on any build.
+    Neither kernel's order is a documented numpy promise, so the bitwise
+    tests against the triple loop, run on both kernels, are the guarantee.
 
-    Both operands must be finite. The shape checks run first; then the
-    product is computed and its output scanned once (see the module
-    docstring). Only a non-finite output runs `as_rows(a)` and then
-    `as_matrix(b)`, or `as_rows(b)` for a batch: they raise for a
-    non-finite operand, and where finite products overflowed the output is
-    returned. Operands that are both misshapen or mismatched and
-    non-finite raise what those checks raise, in that order.
+    Shape checks run first, then the output is scanned once, by the
+    module's finiteness rule. Only a non-finite output runs `as_rows(a)`
+    and then `as_matrix(b)`, or `as_rows(b)` for a batch, which raise for
+    a non-finite operand; where finite products overflowed the output is
+    returned. Operands both misshapen and non-finite raise what those
+    checks raise, in that order.
     """
     try:
         a = _rows(a)
@@ -294,7 +265,7 @@ def _check_operands(a, b) -> None:
 
 
 def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as one summing `einsum`, in index order where the probe says so.
+    """a @ b as one summing `einsum`, in index order unless this numpy's loop fuses the multiply and the add.
 
     `a` and `b` are both 2-D, a pair multiplied as `einsum("km,kn->mn")`,
     or both 3-D, a batch multiplied as `einsum("hmk,hkn->hmn")`, and the
@@ -302,18 +273,16 @@ def _summing_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at +0.0. With n >= 2 only `b` and the output have a stride along n, in
     `b` its smallest, so whatever the layout of `a` numpy's iterator runs
     the inner loop `out[j] += a * b[j]` over n, with k ascending outside
-    it, each slice of a batch on its own operands. A pair's `a` is copied
-    to C order as its transpose (k, m), so the axes run (k, m, n): each
-    row of `b` is read once for all m rows while the m x n output stays in
-    cache. A batch, attention's small per-head products, takes `a` as
-    given. Unless the loop fuses the multiply and the add, those are the
-    triple loop's IEEE operations. A transposed view or Fortran-order `b`
-    makes k the inner loop, whose sum is reassociated, and so can n == 1
-    (with m == 1 too, k is the only axis left), so `b` is copied to C
-    order where it is not in it, and a one-column `b` is padded with a
-    zero column, whose results are dropped. Memory beyond the output is a
-    pair's copy of `a` (m*k float64) and the copies of `b`. No BLAS call
-    is made (`optimize=False`).
+    it, each slice of a batch on its own operands: the triple loop's IEEE
+    operations, unless the loop fuses them (NEON builds do). A pair's `a`
+    is copied to C order as its transpose (k, m), so the axes run
+    (k, m, n): each row of `b` is read once for all m rows while the m x n
+    output stays in cache. A batch, attention's small per-head products,
+    takes `a` as given. A transposed view or Fortran-order `b` makes k the
+    inner loop, whose sum is reassociated, and so can n == 1, so `b` is
+    copied to C order where it is not in it, and a one-column `b` is
+    padded with a zero column, whose results are dropped. No BLAS call is
+    made (`optimize=False`).
     """
     n = b.shape[-1]
     if n == 1:
@@ -352,9 +321,7 @@ def _chunked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       along axis 0 writes the new sum into the output. The reduction axis
       is not the buffer's fast axis, so numpy adds slot after slot, each
       into every output element. numpy documents its pairwise summation as
-      used only along the fast axis; that note describes precision and
-      does not promise an order, so the bitwise tests against the triple
-      loop are the guarantee.
+      used only along the fast axis, a note on precision, not an order.
     - *One `np.add` per index*, in two cases. With one output element
       (m*n == 1) the buffer is 1-D in memory, its reduction axis is the
       fast axis, and numpy would sum it pairwise. Where the buffer holds

@@ -151,21 +151,23 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", small_config(tmp_path, tolerance=tolerance))
         assert code == 2
         assert out == ""
-        assert f"tolerance must be non-negative and finite, got {tolerance!r}" in err
+        assert f"tolerance must be a non-negative finite scalar, got {tolerance!r}" in err
 
     # JSON true/false passed as the number 1/0: "trials": true with "seed": false
-    # exited 0, "n_heads": true raised a TypeError, "seq_len": true ran a 1-token block
-    @pytest.mark.parametrize("section,key,value", [
-        (None, "trials", True), (None, "seed", False), ("block", "n_heads", True),
-        ("block", "seq_len", True), ("cost_model", "sync_overhead", False),
+    # exited 0, "n_heads": true raised a TypeError, "seq_len": true ran a 1-token block.
+    # Each key's own rule refuses a bool; key names are unique across sections.
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("section,key", [
+        *((None, key) for key in ("seed", "trials", "tolerance", "notes")),
+        *(("block", key) for key in ("d_model", "n_heads", "seq_len", "mlp_hidden", "variant", "epsilon_ln")),
+        *(("cost_model", key) for key in ("matrix_macs_per_cycle", "vector_elems_per_cycle", "collective_alpha",
+                                          "collective_beta", "sync_overhead")),
     ])
     def test_boolean_value_is_config_error(self, tmp_path, capsys, section, key, value):
         path = small_config(tmp_path, **({key: value} if section is None else {section: {key: value}}))
         code, out, err = run_cli(capsys, "verify", path)
-        assert code == 2
-        assert out == ""
-        context = "config" if section is None else f"config.{section}"
-        assert f"{context}.{key} must not be a boolean, got {json.dumps(value)}" in err
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: {key} must be [^\n]*, got {value}\n", err), err
 
     def test_report_with_a_non_finite_value_is_not_written(self):
         with pytest.raises(ValueError, match="JSON compliant"):
@@ -265,8 +267,16 @@ class TestIntegerFields:
     def test_boolean_rejected(self, tmp_path, name, kind, value):
         # "seed": true in a report is not an integer to report.schema.json
         rc = load_config(small_config(tmp_path))
-        with pytest.raises(ConfigError, match=f"^{name} must be a {kind} integer, got {value!r}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be a {kind} integer, got {re.escape(repr(value))}$"):
             dataclasses.replace(rc, **{name: value})
+
+    def test_zero_trials_rejected_and_zero_seed_taken(self, tmp_path, capsys):
+        rc = load_config(small_config(tmp_path))
+        assert dataclasses.replace(rc, seed=0).seed == 0
+        with pytest.raises(ConfigError, match="^trials must be a positive integer, got 0$"):
+            dataclasses.replace(rc, trials=0)
+        assert run_cli(capsys, "verify", small_config(tmp_path, trials=0)) == (
+            2, "", "error: trials must be a positive integer, got 0\n")
 
     def test_numpy_integers_give_a_valid_report(self, tmp_path, capsys):
         rc = load_config(small_config(tmp_path))
@@ -279,26 +289,36 @@ class TestIntegerFields:
         assert (report["seed"], report["trials"], report["config"]["block"]["d_model"]) == (7, 2, 16)
 
 
+# each numeric config field's section (None: the run config itself), its sign and its kind of number
+NUMERIC_FIELDS = {
+    **{name: ("block", "positive", "integer") for name in ("d_model", "n_heads", "seq_len", "mlp_hidden")},
+    "epsilon_ln": ("block", "positive", "finite scalar"),
+    "seed": (None, "non-negative", "integer"),
+    "trials": (None, "positive", "integer"),
+    "tolerance": (None, "non-negative", "finite scalar"),
+    **{name: ("cost_model", "positive", "finite scalar") for name in ("matrix_macs_per_cycle", "vector_elems_per_cycle")},
+    **{name: ("cost_model", "non-negative", "finite scalar")
+       for name in ("collective_alpha", "collective_beta", "sync_overhead")},
+}
+
+
+def field_message(name, value):
+    """The one message form of every numeric field, `tensor._number`'s."""
+    _, sign, kind = NUMERIC_FIELDS[name]
+    return f"{name} must be a {sign} {kind}, got {value!r}"
+
+
 class TestRealFields:
     """Real-valued config fields: a bool is refused, an integer is stored as a plain int, any other real as a float."""
 
-    # each field's section of the run config (None: the run config itself) and its message for `value`
-    FIELDS = {
-        "tolerance": (None, "tolerance must be non-negative and finite, got {value!r}"),
-        "epsilon_ln": ("block", "epsilon_ln must be a positive finite scalar, got {value}"),
-        "matrix_macs_per_cycle": ("cost_model", "matrix_macs_per_cycle must be positive and finite"),
-        "vector_elems_per_cycle": ("cost_model", "vector_elems_per_cycle must be positive and finite"),
-        "collective_alpha": ("cost_model", "collective_alpha must be non-negative and finite, got {value}"),
-        "collective_beta": ("cost_model", "collective_beta must be non-negative and finite, got {value}"),
-        "sync_overhead": ("cost_model", "sync_overhead must be non-negative and finite, got {value}"),
-    }
+    FIELDS = {name: section for name, (section, _, kind) in NUMERIC_FIELDS.items() if kind == "finite scalar"}
 
     @staticmethod
     def replaced(rc, **changes):
         """`rc` with each field in `changes` replaced in its own section."""
         sections = {}
         for name, value in changes.items():
-            sections.setdefault(TestRealFields.FIELDS[name][0], {})[name] = value
+            sections.setdefault(TestRealFields.FIELDS[name], {})[name] = value
         top = sections.pop(None, {})
         return dataclasses.replace(rc, **top, **{section: dataclasses.replace(getattr(rc, section), **fields)
                                                  for section, fields in sections.items()})
@@ -308,8 +328,7 @@ class TestRealFields:
     def test_boolean_rejected(self, tmp_path, name, value):
         # "tolerance": true was accepted and echoed as a JSON boolean, which report.schema.json rejects
         rc = load_config(small_config(tmp_path))
-        message = self.FIELDS[name][1].format(value=value)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(field_message(name, value))}$"):
             self.replaced(rc, **{name: value})
 
     def test_numpy_scalars_give_valid_reports(self, tmp_path, capsys):
@@ -334,9 +353,9 @@ class TestRealFields:
     def test_integer_beyond_float64_is_not_finite(self, tmp_path, capsys, name, sign):
         # 10**400 raised OverflowError in a cost_model field (exit 1), gave numpy's
         # ufunc text for epsilon_ln, and was echoed as a tolerance
-        value, section = sign * 10**400, self.FIELDS[name][0]
+        value, section = sign * 10**400, self.FIELDS[name]
         path = small_config(tmp_path, **({name: value} if section is None else {section: {name: value}}))
-        message = self.FIELDS[name][1].format(value=value)
+        message = field_message(name, value)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
         assert run_cli(capsys, "simulate", path, "--quiet") == (2, "", f"error: {message}\n")
@@ -357,6 +376,15 @@ class TestRealFields:
         # integers stay JSON integers: "collective_alpha": 2000, not 2000.0
         path = default_config_path(name)
         assert json.dumps(config_dict(load_config(str(path)))) == json.dumps(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_config_file_refuses_what_is_not_the_fields_number(tmp_path, capsys, name):
+    section, sign, kind = NUMERIC_FIELDS[name]
+    wrong = (0 if sign == "positive" else -1, 0.5 if kind == "integer" else -1e-300)  # a sign, or not an integer
+    for value in ("1", None, float("nan"), float("inf"), -float("inf"), *wrong):
+        path = small_config(tmp_path, **({name: value} if section is None else {section: {name: value}}))
+        assert run_cli(capsys, "simulate", path, "--quiet") == (2, "", f"error: {field_message(name, value)}\n")
 
 
 class TestConfigEncoding:

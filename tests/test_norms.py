@@ -91,7 +91,7 @@ class TestRealFields:
     @pytest.mark.parametrize("norm", [*PARAMS, *KERNELS])
     def test_non_real_epsilon_rejected(self, norm, value):
         make, start = {**self.PARAMS, **self.KERNELS}[norm]
-        with pytest.raises(ValueError, match=f"^{start} finite scalar, got {re.escape(str(value))}$"):
+        with pytest.raises(ValueError, match=f"^{start} finite scalar, got {re.escape(repr(value))}$"):
             make(value)
 
     @pytest.mark.parametrize("norm", PARAMS)
